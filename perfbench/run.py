@@ -6,7 +6,9 @@ Run from the root of a source checkout; the program is imported from
 ``src/``.  Each workload is a fixed, seeded list of verdicts (one round).  A
 run repeats whole rounds until ``--seconds`` of verdict time have passed,
 checks every verdict against its known answer, and prints one JSON object as
-the last line of standard output.  With ``--trace 1`` the run ends with every
+the last line of standard output.  Every time it reports is scaled to a fixed
+machine speed, measured by a yardstick that runs between verdicts (see
+``Yardstick``).  With ``--trace 1`` the run ends with every
 third case of the list run once more under ``cProfile``, and prints the
 per-layer metrics instead of the end-to-end ones.  Without ``--workload`` all
 three workloads run in turn.
@@ -37,7 +39,8 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(HERE, "out")
 WORK_DIR = os.path.join(HERE, "work")
-SETUP_REPEATS = 3
+SETUP_REPEATS = 3  # at least this many input generations per run,
+SETUP_MIN_S = 1.0  # and at least this much generation time, for a steady median
 TRACE_STRIDE = 3
 
 WORKLOADS = ("axiom-sweep", "subbundle-elimination", "graded-brackets")
@@ -88,30 +91,97 @@ def _import_program():
 PKG_DIR = _import_program()
 IMPORT_S = time.perf_counter() - _T0
 
+import oracle  # noqa: E402
 import workloads  # noqa: E402
+
+
+# -- the yardstick ----------------------------------------------------------------
+
+
+class Yardstick:
+    """A fixed piece of stdlib polynomial arithmetic that runs between verdicts.
+
+    On a shared host the same work can take 1.7 times as long from one second
+    to the next, and CPU time tracks wall time, so neither shows the program's
+    own cost.  The yardstick calls nothing of the program and does the same
+    work on every run, so its time tracks the machine alone.  A verdict's time
+    is scaled by YARD_MS over the median of the two yardsticks before it and
+    the two after it: reported times are those of a machine on which one
+    yardstick takes YARD_MS.  The window is short because the host's speed
+    moves within a second.
+    """
+
+    YARD_MS = 2.5
+
+    def __init__(self):
+        ring = oracle.Ring(("x", "y", "z"))
+        rng = random.Random("yardstick")
+        self.poly = oracle.Poly(ring, {
+            (a, b, 0): oracle.GQ(fractions.Fraction(rng.choice((-7, -3, 2, 5, 9)), rng.randint(1, 5)))
+            for a in range(3) for b in range(3)
+        })
+
+    def measure(self) -> float:
+        """Seconds taken by one yardstick."""
+        p = self.poly
+        t = time.perf_counter()
+        (p * p).partial(0) + p
+        return time.perf_counter() - t
+
+    def scale(self, yards: list) -> list:
+        """Factors from raw to reported time for the verdicts run between the yardsticks.
+
+        Verdict i ran between yards[i] and yards[i + 1].
+        """
+        return [
+            self.YARD_MS / 1e3 / statistics.median(yards[max(0, i - 1):i + 3])
+            for i in range(len(yards) - 1)
+        ]
+
+
+YARD = Yardstick()
 
 
 # -- one run --------------------------------------------------------------------
 
 
 def _setup(name: str, seed: int, workdir: str):
-    """Generate and write the inputs SETUP_REPEATS times; the last set is used."""
+    """Generate and write the inputs SETUP_REPEATS times or more; the last set is used.
+
+    Returns the cases and the set-up time in seconds at the yardstick's speed:
+    import time plus the median generation time, each generation scaled by the
+    median of the yardsticks run before and after it.
+    """
+    yards = [YARD.measure() for _ in range(3)]
     times = []
     cases = None
-    for _ in range(SETUP_REPEATS):
+    while len(times) < SETUP_REPEATS or sum(times) < SETUP_MIN_S:
         shutil.rmtree(workdir, ignore_errors=True)
         os.makedirs(workdir)
         t = time.perf_counter()
         cases = workloads.BUILDERS[name](random.Random(f"{name}:{seed}"), workdir)
         times.append(time.perf_counter() - t)
-    return cases, times
+        yards.extend(YARD.measure() for _ in range(3))
+    scaled = [
+        t * YARD.YARD_MS / 1e3 / statistics.median(yards[3 * i:3 * i + 6]) for i, t in enumerate(times)
+    ]
+    import_s = IMPORT_S * YARD.YARD_MS / 1e3 / statistics.median(yards[:3])
+    return cases, import_s + statistics.median(scaled), IMPORT_S + statistics.median(times)
 
 
-def _round(cases, spans, probe=None):
-    """Run every case once; returns (outputs, wall seconds)."""
+def _round(cases, probe=None):
+    """Run every case once between yardsticks; returns (outputs, spans, wall seconds).
+
+    Each span is (name, kind, start, raw duration, scaled duration), in seconds.
+    """
     outputs = []
+    spans = []
+    yards = []
     start = time.perf_counter()
     for case in cases:
+        if probe is not None:
+            probe.pause()
+        yards.append(YARD.measure())
         if probe is not None:
             probe.next_verdict()
         t = time.perf_counter()
@@ -122,7 +192,11 @@ def _round(cases, spans, probe=None):
             sys.stderr.write(f"{case.name}: raised\n{traceback.format_exc()}")
         spans.append((case.name, case.kind, t - start, time.perf_counter() - t))
         outputs.append(out)
-    return outputs, time.perf_counter() - start
+    if probe is not None:
+        probe.pause()
+    yards.append(YARD.measure())
+    spans = [s + (s[3] * f,) for s, f in zip(spans, YARD.scale(yards))]
+    return outputs, spans, time.perf_counter() - start
 
 
 def _check(name, cases, outputs, rng, failures):
@@ -142,16 +216,17 @@ def _check(name, cases, outputs, rng, failures):
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     workdir = os.path.join(WORK_DIR, f"{name}-{os.getpid()}")
     try:
-        cases, setup_times = _setup(name, seed, workdir)
+        cases, setup_s, setup_raw_s = _setup(name, seed, workdir)
         check_rng = random.Random(f"check:{name}:{seed}")
         failures = []
         durations = []
+        raw = []
         round_walls = []
         while not round_walls or sum(round_walls) < seconds:
-            spans = []
-            outputs, wall = _round(cases, spans)
+            outputs, spans, wall = _round(cases)
             round_walls.append(wall)
-            durations.extend(s[3] for s in spans)
+            durations.extend(s[4] for s in spans)
+            raw.extend(s[3] for s in spans)
             _check(name, cases, outputs, check_rng, failures)
         attempted = len(cases) * len(round_walls)
         traced = None
@@ -161,17 +236,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             traced = _traced_round(name, subset, check_rng, failures)
             attempted += len(subset)
             untraced = sum(durations[:len(cases)][::TRACE_STRIDE])
-            traced["metrics"]["trace.overhead_ratio"] = (traced["wall"] / untraced, "ratio")
+            traced["metrics"]["trace.overhead_ratio"] = (traced["scaled_s"] / untraced, "ratio")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    setup_s = IMPORT_S + statistics.median(setup_times)
     if traced is None:
         metrics = {
             "setup_s": (setup_s, "s"),
-            "verdicts_per_s": (len(durations) / sum(round_walls), "1/s"),
+            "verdicts_per_s": (len(durations) / sum(durations), "1/s"),
             "verdict_p50_ms": (statistics.median(durations) * 1e3, "ms"),
-            "verdict_p90_ms": (statistics.quantiles(durations, n=10, method="inclusive")[8] * 1e3, "ms"),
+            "verdict_p90_ms": (_p90(durations) * 1e3, "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         }
     else:
@@ -182,7 +256,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "failed": len(failures),
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
-    detail = dict(result, workload=name, seed=seed, round_walls_s=round_walls,
+    # the same figures in plain wall time, unscaled, for reading the host's drift
+    wall_time = {
+        "setup_s": setup_raw_s,
+        "verdicts_per_s": len(raw) / sum(raw),
+        "verdict_p50_ms": statistics.median(raw) * 1e3,
+        "verdict_p90_ms": _p90(raw) * 1e3,
+    }
+    detail = dict(result, workload=name, seed=seed, round_walls_s=round_walls, wall_time=wall_time,
                   verdicts_per_round=len(cases), failures=failures[:20])
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, f"{name}-seed{seed}-trace{int(trace)}.json"), "w") as fh:
@@ -191,6 +272,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         with open(os.path.join(OUT_DIR, f"{name}-seed{seed}-spans.json"), "w") as fh:
             json.dump({"spans": traced["spans"], "modules": traced["modules"]}, fh, indent=1)
     return result
+
+
+def _p90(values) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
 
 
 # -- the traced round ----------------------------------------------------------------
@@ -246,6 +331,21 @@ class RrefProbe:
         self.linalg.rref = self.orig
 
 
+class TraceHooks:
+    """Profiles the verdicts of a round and leaves its yardsticks out."""
+
+    def __init__(self, profiler, probe):
+        self.profiler = profiler
+        self.probe = probe
+
+    def pause(self):
+        self.profiler.disable()
+
+    def next_verdict(self):
+        self.probe.next_verdict()
+        self.profiler.enable()
+
+
 def _code_key(module: str, path: str):
     obj = __import__(f"courantkit.{module}", fromlist=["_"])
     for part in path.split("."):
@@ -268,12 +368,10 @@ def _module_of(filename: str):
 def _traced_round(name, cases, check_rng, failures) -> dict:
     from courantkit import linalg
 
-    spans = []
     profiler = cProfile.Profile()
     with RrefProbe(linalg) as probe:
-        profiler.enable()
         try:
-            outputs, wall = _round(cases, spans, probe)
+            outputs, spans, _ = _round(cases, TraceHooks(profiler, probe))
         finally:
             profiler.disable()
     _check(name, cases, outputs, check_rng, failures)
@@ -317,8 +415,11 @@ def _traced_round(name, cases, check_rng, failures) -> dict:
     metrics["cli.report_ms"] = ((emit + dumps) / n, "ms")
     return {
         "metrics": metrics,
-        "wall": wall,
-        "spans": [{"verdict": s[0], "kind": s[1], "start_ms": s[2] * 1e3, "dur_ms": s[3] * 1e3} for s in spans],
+        "scaled_s": sum(s[4] for s in spans),
+        "spans": [
+            {"verdict": s[0], "kind": s[1], "start_ms": s[2] * 1e3, "dur_ms": s[3] * 1e3, "scaled_ms": s[4] * 1e3}
+            for s in spans
+        ],
         "modules": modules,
     }
 

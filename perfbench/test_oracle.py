@@ -105,3 +105,36 @@ def test_a_mislabelled_input_is_a_failed_verdict(tmp_path, monkeypatch):
     assert result["attempted"] == 3
     assert result["failed"] == 1
     assert result["correct"] is False
+
+
+def test_yardstick_scales_by_the_local_median():
+    import run
+
+    y = run.Yardstick()
+    assert y.measure() > 0
+    unit = y.YARD_MS / 1e3
+    # a machine twice as slow for the second half: each verdict is scaled by its own neighbourhood
+    yards = [unit] * 20 + [2 * unit] * 20
+    factors = y.scale(yards)
+    assert len(factors) == 39
+    assert factors[0] == 1.0 and factors[17] == 1.0 and factors[-1] == 0.5
+    # one stray yardstick does not move the median of its window
+    yards[5] = 10 * unit
+    assert y.scale(yards)[4] == y.scale(yards)[5] == 1.0
+
+
+def test_traced_run_reports_every_layer_metric(tmp_path, monkeypatch):
+    import json
+
+    import run
+
+    monkeypatch.setattr(workloads, "GRADED_MIX", {"poisson": 1, "control": 1, "contact-gauge": 1})
+    monkeypatch.setattr(run, "OUT_DIR", str(tmp_path / "out"))
+    monkeypatch.setattr(run, "WORK_DIR", str(tmp_path / "work"))
+    result = run.run_workload("graded-brackets", 0, 0.0, True)
+    assert result["correct"] and result["attempted"] == 4
+    with open(os.path.join(HERE, os.pardir, "BENCHMARK.json")) as fh:
+        names = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(result["metrics"]) == names
+    assert result["metrics"]["schouten.schouten_calls"]["value"] == 2
+    assert result["metrics"]["linalg.rref_calls"]["value"] == 0
