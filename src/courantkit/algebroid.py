@@ -108,29 +108,32 @@ class Algebroid:
                 out[j] = out[j] + c * self.anchor[i][j]
         return out
 
-    def apply_anchor(self, X, f: RingElem) -> RingElem:
+    def derivation(self, v, f: RingElem) -> RingElem:
+        """The coordinate derivation with coefficient vector v applied to f."""
         out = self.sig.zero()
-        for j, v in enumerate(self.anchor_vector(X)):
-            if not v.is_zero():
-                out = out + v * f.partial(self.sig.coords[j])
+        for j, vj in enumerate(v):
+            if not vj.is_zero():
+                out = out + vj * f.partial(self.sig.coords[j])
         return out
 
+    def commutator(self, v, w) -> list:
+        """Commutator of two coordinate derivations, as a coefficient vector."""
+        return [
+            self.derivation(v, w[m]) - self.derivation(w, v[m]) for m in range(self.sig.ncoords)
+        ]
+
+    def apply_anchor(self, X, f: RingElem) -> RingElem:
+        return self.derivation(self.anchor_vector(X), f)
+
     def apply_frame_anchor(self, i: int, f: RingElem) -> RingElem:
-        out = self.sig.zero()
-        for j in range(self.sig.ncoords):
-            v = self.anchor[i][j]
-            if not v.is_zero():
-                out = out + v * f.partial(self.sig.coords[j])
-        return out
+        return self.derivation(self.anchor[i], f)
 
     def bracket(self, X, Y) -> list:
         """Section bracket with the anchor-Leibniz terms."""
         X = [coerce_elem(self.sig, x) for x in X]
         Y = [coerce_elem(self.sig, y) for y in Y]
-        out = self.zero_section()
-        for k in range(self.rank):
-            acc = self.apply_anchor(X, Y[k]) - self.apply_anchor(Y, X[k])
-            out[k] = acc
+        ax, ay = self.anchor_vector(X), self.anchor_vector(Y)
+        out = [self.derivation(ax, y) - self.derivation(ay, x) for x, y in zip(X, Y)]
         for i, xi in enumerate(X):
             if xi.is_zero():
                 continue
@@ -146,7 +149,8 @@ class Algebroid:
         """Module connection along a section: nabla_X of a width-rank_v vector."""
         X = [coerce_elem(self.sig, x) for x in X]
         v = [coerce_elem(self.sig, w) for w in v]
-        out = [self.apply_anchor(X, vb) for vb in v]
+        ax = self.anchor_vector(X)
+        out = [self.derivation(ax, vb) for vb in v]
         for i, xi in enumerate(X):
             if xi.is_zero():
                 continue
@@ -159,19 +163,44 @@ class Algebroid:
                         out[c] = out[c] + xi * v[b] * t
         return out
 
+    def act_module(self, i: int, vec, connected: bool):
+        """Frame section i on a module vector: anchor derivative plus theta_i.
+
+        Without the connection the vector is a tuple of plain functions.
+        Returns None when the result vanishes.
+        """
+        out = [self.apply_frame_anchor(i, x) for x in vec]
+        if connected:
+            for b, vb in enumerate(vec):
+                if vb.is_zero():
+                    continue
+                for c, t in enumerate(self.theta[i][b]):
+                    if not t.is_zero():
+                        out[c] = out[c] + vb * t
+        return tuple(out) if any(not x.is_zero() for x in out) else None
+
+    def act_graded(self, i: int, w: FScalar) -> FScalar:
+        """Frame section i on a graded function: anchor derivative plus grade * theta_i."""
+        th = self.theta_scalar(i)
+        parts = {}
+        for g, elem in w.parts.items():
+            e = self.apply_frame_anchor(i, elem)
+            if g and not th.is_zero():
+                e = e + elem * th * g
+            if not e.is_zero():
+                parts[g] = e
+        return FScalar(self.sig, parts)
+
     # -- differential and Lie derivative ----------------------------------------
 
     def zero_form(self, degree: int, vvalued: bool = True) -> AForm:
         return AForm.zero(self.sig, self.rank, self.rank_v, vvalued, degree)
 
     def form(self, degree: int, terms, vvalued: bool = True) -> AForm:
-        fixed = {}
-        for I, vec in terms.items():
-            if vvalued and not isinstance(vec, (tuple, list)):
-                vec = (vec,)
-            if not vvalued and not isinstance(vec, (tuple, list)):
-                vec = (vec,)
-            fixed[tuple(I)] = tuple(vec)
+        fixed = {
+            tuple(I): tuple(vec) if isinstance(vec, (tuple, list)) else (vec,)
+            for I, vec in terms.items()
+        }
         return AForm(self.sig, self.rank, self.rank_v, vvalued, degree, fixed)
 
     def v_vector(self, coeffs) -> list:
@@ -183,52 +212,41 @@ class Algebroid:
             raise AlgebroidError("module vector has the wrong width")
         return out
 
+    def _koszul(self, w, act):
+        """Koszul differential of w.
+
+        act(i, c) is frame section i acting on one coefficient c, falsy when
+        the result vanishes; it is the only part that differs between d and
+        d_graded.
+        """
+
+        def items():
+            for I, coeff in w.terms.items():
+                for i in range(self.rank):
+                    hit = insert_index(i, I)
+                    if hit is not None:
+                        a = act(i, coeff)
+                        if a:
+                            yield hit[0], hit[1], a
+                for pos, k in enumerate(I):
+                    rest = I[:pos] + I[pos + 1 :]
+                    for (p, q), svec in self.structure.items():
+                        c = svec[k]
+                        if c.is_zero():
+                            continue
+                        hit = merge_indices((p, q), rest)
+                        if hit is not None:
+                            # -c_pq^k f^p ^ f^q replaces f^k at position pos
+                            sign = -hit[1] if pos % 2 else hit[1]
+                            yield hit[0], -sign, w._prod(coeff, w._scalar(c))
+
+        return w.collect(w.degree + 1, items())
+
     def d(self, w: AForm) -> AForm:
         """Koszul differential; connection term only for module-valued forms."""
         if w.sig != self.sig or w.rank != self.rank:
             raise AlgebroidError("form does not live on this algebroid")
-        width = w.width
-        out: dict = {}
-        zero_vec = (self.sig.zero(),) * width
-
-        def add(I, vec):
-            cur = out.get(I, zero_vec)
-            out[I] = tuple(a + b for a, b in zip(cur, vec))
-
-        for I, vec in w.terms.items():
-            for i in range(self.rank):
-                hit = insert_index(i, I)
-                if hit is None:
-                    continue
-                K, s = hit
-                contrib = [self.apply_frame_anchor(i, x) for x in vec]
-                if w.vvalued:
-                    conn = [self.sig.zero()] * width
-                    for b in range(width):
-                        if vec[b].is_zero():
-                            continue
-                        for c in range(width):
-                            t = self.theta[i][b][c]
-                            if not t.is_zero():
-                                conn[c] = conn[c] + vec[b] * t
-                    contrib = [a + b for a, b in zip(contrib, conn)]
-                if any(not x.is_zero() for x in contrib):
-                    add(K, tuple(x if s > 0 else -x for x in contrib))
-            for pos in range(len(I)):
-                k = I[pos]
-                rest = I[:pos] + I[pos + 1 :]
-                for (p, q), svec in self.structure.items():
-                    c = svec[k]
-                    if c.is_zero():
-                        continue
-                    hit = merge_indices((p, q), rest)
-                    if hit is None:
-                        continue
-                    K, s = hit
-                    sign = s if pos % 2 == 0 else -s
-                    coeff = -c if sign > 0 else c
-                    add(K, tuple(x * coeff for x in vec))
-        return AForm(self.sig, self.rank, self.rank_v, w.vvalued, w.degree + 1, out)
+        return self._koszul(w, lambda i, vec: self.act_module(i, vec, w.vvalued))
 
     def d_v(self, coeffs) -> AForm:
         """Differential of a module-valued function given as a width vector."""
@@ -241,47 +259,7 @@ class Algebroid:
         """Differential on graded forms; grade k feels k copies of the connection."""
         if self.rank_v != 1:
             raise AlgebroidError("graded calculus requires a rank-one module")
-        out: dict = {}
-
-        def add(I, c):
-            cur = out.get(I, FScalar.zero(self.sig))
-            s = cur + c
-            if s:
-                out[I] = s
-            elif I in out:
-                del out[I]
-
-        for I, coeff in w.terms.items():
-            for i in range(self.rank):
-                hit = insert_index(i, I)
-                if hit is None:
-                    continue
-                K, s = hit
-                th = self.theta_scalar(i)
-                parts = {}
-                for g, elem in coeff.parts.items():
-                    e = self.apply_frame_anchor(i, elem)
-                    if not th.is_zero() and g:
-                        e = e + elem * th * g
-                    if not e.is_zero():
-                        parts[g] = e
-                if parts:
-                    c = FScalar(self.sig, parts)
-                    add(K, c if s > 0 else -c)
-            for pos in range(len(I)):
-                k = I[pos]
-                rest = I[:pos] + I[pos + 1 :]
-                for (p, q), svec in self.structure.items():
-                    c = svec[k]
-                    if c.is_zero():
-                        continue
-                    hit = merge_indices((p, q), rest)
-                    if hit is None:
-                        continue
-                    K, s = hit
-                    sign = s if pos % 2 == 0 else -s
-                    add(K, coeff * (-c if sign > 0 else c))
-        return FForm(self.sig, self.rank, w.degree + 1, out)
+        return self._koszul(w, self.act_graded)
 
     def lie(self, X, w: AForm) -> AForm:
         """Lie derivative along a section, built directly from the presentation.
@@ -290,14 +268,7 @@ class Algebroid:
         consistency check rather than a definition.
         """
         X = [coerce_elem(self.sig, x) for x in X]
-        width = w.width
-        out: dict = {}
-        zero_vec = (self.sig.zero(),) * width
-
-        def add(I, vec):
-            cur = out.get(I, zero_vec)
-            out[I] = tuple(a + b for a, b in zip(cur, vec))
-
+        ax = self.anchor_vector(X)
         # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j
         cov = [[self.sig.zero()] * self.rank for _ in range(self.rank)]
         for k in range(self.rank):
@@ -310,40 +281,36 @@ class Algebroid:
                     if not c.is_zero():
                         acc = acc - xi * c
                 cov[k][j] = acc
-        for I, vec in w.terms.items():
-            fn = [self.apply_anchor(X, x) for x in vec]
-            if w.vvalued:
-                for b in range(width):
-                    if vec[b].is_zero():
-                        continue
-                    for c in range(width):
-                        t = sum(
-                            (
-                                X[i] * self.theta[i][b][c]
-                                for i in range(self.rank)
-                                if not X[i].is_zero()
-                            ),
-                            self.sig.zero(),
-                        )
-                        if not t.is_zero():
-                            fn[c] = fn[c] + vec[b] * t
-            if any(not x.is_zero() for x in fn):
-                add(I, tuple(fn))
-            for pos in range(len(I)):
-                k = I[pos]
-                rest = I[:pos] + I[pos + 1 :]
-                for j in range(self.rank):
-                    g = cov[k][j]
-                    if g.is_zero():
-                        continue
-                    hit = insert_index(j, rest)
-                    if hit is None:
-                        continue
-                    K, s = hit
-                    sign = s if pos % 2 == 0 else -s
-                    coeff = g if sign > 0 else -g
-                    add(K, tuple(x * coeff for x in vec))
-        return AForm(self.sig, self.rank, self.rank_v, w.vvalued, w.degree, out)
+        # the connection along X: sum_i X_i Theta_i
+        live = [i for i in range(self.rank) if not X[i].is_zero()]
+        r = self.rank_v
+        xtheta = [
+            [sum((X[i] * self.theta[i][b][c] for i in live), self.sig.zero()) for c in range(r)]
+            for b in range(r)
+        ]
+
+        def items():
+            for I, vec in w.terms.items():
+                fn = [self.derivation(ax, x) for x in vec]
+                if w.vvalued:
+                    for b, vb in enumerate(vec):
+                        if vb.is_zero():
+                            continue
+                        for c, t in enumerate(xtheta[b]):
+                            if not t.is_zero():
+                                fn[c] = fn[c] + vb * t
+                if any(not x.is_zero() for x in fn):
+                    yield I, 1, tuple(fn)
+                for pos, k in enumerate(I):
+                    rest = I[:pos] + I[pos + 1 :]
+                    for j, g in enumerate(cov[k]):
+                        if g.is_zero():
+                            continue
+                        hit = insert_index(j, rest)
+                        if hit is not None:
+                            yield hit[0], -hit[1] if pos % 2 else hit[1], w._prod(vec, w._scalar(g))
+
+        return w.collect(w.degree, items())
 
     # -- validation -------------------------------------------------------------
 
@@ -356,16 +323,8 @@ class Algebroid:
 
     def anchor_defect(self, i: int, j: int) -> list:
         """[a(e_i), a(e_j)] - a([e_i, e_j]) as a coordinate-derivation vector."""
-        ai, aj = self.anchor[i], self.anchor[j]
-        out = []
-        for m in range(self.sig.ncoords):
-            acc = self.sig.zero()
-            for t in range(self.sig.ncoords):
-                xt = self.sig.coords[t]
-                acc = acc + ai[t] * aj[m].partial(xt) - aj[t] * ai[m].partial(xt)
-            out.append(acc)
         br = self.anchor_vector(self.frame_bracket(i, j))
-        return [a - b for a, b in zip(out, br)]
+        return [a - b for a, b in zip(self.commutator(self.anchor[i], self.anchor[j]), br)]
 
     def curvature(self, i: int, j: int) -> list:
         """R(e_i, e_j) on the module frame, as a rank_v x rank_v matrix."""
@@ -501,53 +460,15 @@ class Algebroid:
         The differential can raise polynomial degree, so the cut-off is applied
         to the unknowns only; every output is exactly parallel.
         """
-        from itertools import product as iproduct
 
-        s = self.sig
-        monos = [
-            deg
-            for deg in iproduct(range(max_degree + 1), repeat=s.ncoords)
-            if sum(deg) <= max_degree
-        ]
-        monos.sort()
-        unknowns = [(m, b) for m in monos for b in range(self.rank_v)]
-        eq_index: dict = {}
-        rows: list = []
+        def image(b, mono):
+            vec = [self.sig.zero()] * self.rank_v
+            vec[b] = mono
+            for I, w in self.d_v(vec).terms.items():
+                for c, e in enumerate(w):
+                    yield (I, c), e
 
-        def eq_row(key):
-            if key not in eq_index:
-                eq_index[key] = len(rows)
-                rows.append([s.zero()] * len(unknowns))
-            return rows[eq_index[key]]
-
-        for col, (m, b) in enumerate(unknowns):
-            vec = [s.zero()] * self.rank_v
-            vec[b] = RingElem(s, {(tuple(m), (0,) * s.nexps): 1})
-            dv = self.d_v(vec)
-            for (i,), w in dv.terms.items():
-                for c in range(self.rank_v):
-                    e = w[c]
-                    if e.is_zero():
-                        continue
-                    for key, coeff in e.terms.items():
-                        row = eq_row(((i, c), key))
-                        row[col] = row[col] + RingElem(s, {((0,) * s.ncoords, (0,) * s.nexps): coeff})
-        if not rows:
-            sols = [
-                [s.one() if t == col else s.zero() for t in range(len(unknowns))]
-                for col in range(len(unknowns))
-            ]
-        else:
-            sols, _ = linalg.nullspace(s, rows)
-        out = []
-        for sol in sols:
-            vec = [s.zero()] * self.rank_v
-            for col, (m, b) in enumerate(unknowns):
-                c = sol[col]
-                if not c.is_zero():
-                    vec[b] = vec[b] + c * RingElem(s, {(tuple(m), (0,) * s.nexps): 1})
-            out.append(vec)
-        return out
+        return linalg.polynomial_kernel(self.sig, max_degree, self.rank_v, image)
 
     # -- conversions -----------------------------------------------------------------
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation
 from .dirac import graph_two_form
-from .exterior import AForm, ExteriorError, FScalar, Multivector
-from .gcr import Distribution, cr_to_gcr, full_distribution, symplectic_gcr, tangent_restriction
+from .exterior import AForm, FScalar, Multivector
+from .gcr import Distribution, full_distribution, symplectic_gcr, tangent_restriction
 from .ring import ExpGen, RingElem, RingSignature
 
 
@@ -38,11 +39,7 @@ def _coords(n: int) -> tuple:
 
 def tangent_algebroid(coords) -> Algebroid:
     """Tangent presentation: identity anchor, zero brackets, trivial module."""
-    sig = RingSignature(tuple(coords))
-    n = len(coords)
-    o, z = sig.one(), sig.zero()
-    anchor = [[o if i == j else z for j in range(n)] for i in range(n)]
-    return Algebroid(sig, n, 1, anchor, {}, [[[z]] for _ in range(n)])
+    return tangent_algebroid_over(RingSignature(tuple(coords)))
 
 
 def standard_courant(n: int, twist: AForm | None = None,
@@ -65,8 +62,7 @@ def e1m(n: int) -> CourantPresentation:
         raise CatalogError("dimension must be positive")
     sig = RingSignature(_coords(n))
     o, z = sig.one(), sig.zero()
-    anchor = [[o if i == j else z for j in range(n)] for i in range(n)]
-    anchor.append([z] * n)
+    anchor = linalg.identity(sig, n) + [[z] * n]
     theta = [[[z]] for _ in range(n)] + [[[o]]]
     alg = Algebroid(sig, n + 1, 1, anchor, {}, theta)
     return CourantPresentation(alg)
@@ -92,10 +88,9 @@ def suspended_tangent(alg: Algebroid) -> Algebroid:
 
 
 def tangent_algebroid_over(sig: RingSignature) -> Algebroid:
+    """Tangent presentation over the coordinates of a given ring."""
     n = sig.ncoords
-    o, z = sig.one(), sig.zero()
-    anchor = [[o if i == j else z for j in range(n)] for i in range(n)]
-    return Algebroid(sig, n, 1, anchor, {}, [[[z]] for _ in range(n)])
+    return Algebroid(sig, n, 1, linalg.identity(sig, n), {}, [[[sig.zero()]] for _ in range(n)])
 
 
 def suspend_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
@@ -185,13 +180,12 @@ def cr_examples() -> list:
     s3 = t3.sig
     o, z = s3.one(), s3.zero()
     C3 = CourantPresentation(t3)
-    eye3 = [[o if i == j else z for j in range(3)] for i in range(3)]
     out.append(
         {
             "name": "cr-levi-flat-r3",
             "courant": C3,
             "algebroid": t3,
-            "distribution": Distribution(t3, eye3, 2),
+            "distribution": Distribution(t3, linalg.identity(s3, 3), 2),
             "j_matrix": [[z, -o], [o, z]],
             "expected": {"gcr_ok": True},
         }

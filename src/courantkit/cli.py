@@ -34,7 +34,6 @@ from .gcr import (
     validate_gcr,
 )
 from .io import SchemaError
-from .ring import ParseError
 from .schouten import check_jacobi_pair
 
 _ALGEBRA_ALIASES = {
@@ -55,19 +54,9 @@ def _read_text(path: str | None) -> str:
         raise SchemaError(f"cannot read {path!r}: {ex.strerror}", "$") from None
 
 
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as ex:
-        raise SchemaError(
-            f"invalid JSON: {ex.msg} (line {ex.lineno} column {ex.colno})", "$"
-        ) from None
-
-
 def _load_defs(args) -> tuple:
-    doc = _parse_json(_read_text(getattr(args, "defs", None)))
-    payload = io.definition_from_json(doc)
-    return doc, payload
+    doc = io.loads_json(_read_text(getattr(args, "defs", None)))
+    return doc, io.definition_from_json(doc)
 
 
 def _write(args, text: str) -> None:
@@ -95,14 +84,25 @@ def _verdict(name: str, ok: bool, witness=None, residual=None) -> dict:
     return {"name": name, "pass": bool(ok), "witness": witness, "residual": residual}
 
 
+def _reporting(body):
+    """A command that loads the definition and reports what body(args, doc, payload) returns."""
+
+    def command(args) -> int:
+        started = time.monotonic()
+        doc, payload = _load_defs(args)
+        report = {"command": args.command, "inputs": io.digest(doc)}
+        report.update(body(args, doc, payload))
+        return _emit(args, report, started)
+
+    return command
+
+
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
-    alg = payload["algebroid"]
-    v = alg.validate()
+@_reporting
+def _cmd_validate(args, doc, payload) -> dict:
+    v = payload["algebroid"].validate()
     verdicts = [
         _verdict("anchor_morphism", v["anchor_ok"], residual=v["anchor_defects"][:4] or None),
         _verdict("flat_module", v["flat_ok"], residual=v["curvature_defects"][:4] or None),
@@ -111,8 +111,7 @@ def _cmd_validate(args) -> int:
     C = payload.get("courant")
     if C is not None and not C.twist.is_zero():
         verdicts.append(_verdict("closed_twist", C.closed_twist))
-    report = {"command": "validate", "inputs": io.digest(doc), "verdicts": verdicts}
-    return _emit(args, report, started)
+    return {"verdicts": verdicts}
 
 
 def _cmd_cohomology(args) -> int:
@@ -133,26 +132,22 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-def _cmd_bracket(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
+@_reporting
+def _cmd_bracket(args, doc, payload) -> dict:
     C = payload["courant"]
-    e1 = io.csection_from_json(C.alg, _parse_json(args.e1), "$.e1")
-    e2 = io.csection_from_json(C.alg, _parse_json(args.e2), "$.e2")
-    result = C.bracket(e1, e2)
-    report = {
-        "command": "bracket",
-        "inputs": io.digest(doc),
-        "result": io.csection_to_json(result),
+    e1 = io.csection_from_json(C.alg, io.loads_json(args.e1), "$.e1")
+    e2 = io.csection_from_json(C.alg, io.loads_json(args.e2), "$.e2")
+    return {
+        "result": io.csection_to_json(C.bracket(e1, e2)),
         "pairing": [c.to_str() for c in C.pairing(e1, e2)],
         "verdicts": [],
     }
-    return _emit(args, report, started)
 
 
-def _cmd_check_axioms(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
+@_reporting
+def _cmd_check_axioms(args, doc, payload) -> dict:
+    if args.samples < 0:
+        raise SchemaError("--samples must not be negative", "$")
     C = payload["courant"]
     rep = C.verify(seed=args.seed, samples=args.samples, frame_sweep=True)
     ax = rep["axioms"]
@@ -186,9 +181,7 @@ def _cmd_check_axioms(args) -> int:
             residual=ax["invariance"]["violations"] or None,
         ),
     ]
-    report = {
-        "command": "check-axioms",
-        "inputs": io.digest(doc),
+    return {
         "seed": args.seed,
         "samples": {
             "requested": args.samples,
@@ -198,16 +191,14 @@ def _cmd_check_axioms(args) -> int:
         "checked": {k: ax[k]["checked"] for k in sorted(ax)},
         "verdicts": verdicts,
     }
-    return _emit(args, report, started)
 
 
-def _cmd_check_dirac(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
+@_reporting
+def _cmd_check_dirac(args, doc, payload) -> dict:
     C = payload["courant"]
     bundles = dict(payload.get("subbundles", {}))
     if args.subbundle:
-        sdoc = _parse_json(_read_text(args.subbundle))
+        sdoc = io.loads_json(_read_text(args.subbundle))
         if not isinstance(sdoc, list):
             raise SchemaError("expected a list of sections", "$.subbundle")
         name = os.path.splitext(os.path.basename(args.subbundle))[0]
@@ -248,22 +239,15 @@ def _cmd_check_dirac(args) -> int:
             "intersect_A": rank_a,
             "excluded": sorted(set(lag["excluded"]) | set(closed["excluded"])),
         }
-    report = {
-        "command": "check-dirac",
-        "inputs": io.digest(doc),
-        "details": details,
-        "verdicts": verdicts,
-    }
-    return _emit(args, report, started)
+    return {"details": details, "verdicts": verdicts}
 
 
-def _cmd_check_gcr(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
+@_reporting
+def _cmd_check_gcr(args, doc, payload) -> dict:
     C = payload["courant"]
     S = payload.get("gcr")
     if args.gcr:
-        gdoc = _parse_json(_read_text(args.gcr))
+        gdoc = io.loads_json(_read_text(args.gcr))
         wrapped = dict(doc)
         wrapped["gcr"] = gdoc
         S = io.definition_from_json(wrapped).get("gcr")
@@ -309,18 +293,11 @@ def _cmd_check_gcr(args) -> int:
                 }
             except (GCRError, ValueError):
                 details["jacobi_pair"] = None
-    report = {
-        "command": "check-gcr",
-        "inputs": io.digest(doc),
-        "details": details,
-        "verdicts": verdicts,
-    }
-    return _emit(args, report, started)
+    return {"details": details, "verdicts": verdicts}
 
 
-def _cmd_check_jacobi(args) -> int:
-    started = time.monotonic()
-    doc, payload = _load_defs(args)
+@_reporting
+def _cmd_check_jacobi(args, doc, payload) -> dict:
     alg = payload["algebroid"]
     if args.lam or args.evec:
         if not (args.lam and args.evec):
@@ -330,10 +307,10 @@ def _cmd_check_jacobi(args) -> int:
         else:
             tangent = alg
         lam = io.multivector_from_json(
-            tangent.sig, tangent.rank, _parse_json(args.lam), "$.lambda"
+            tangent.sig, tangent.rank, io.loads_json(args.lam), "$.lambda"
         )
         evec = io.multivector_from_json(
-            tangent.sig, tangent.rank, _parse_json(args.evec), "$.e"
+            tangent.sig, tangent.rank, io.loads_json(args.evec), "$.e"
         )
         if lam.degree != 2 or evec.degree != 1:
             raise SchemaError("expected a bivector and a vector", "$.lambda")
@@ -355,13 +332,7 @@ def _cmd_check_jacobi(args) -> int:
             residual=None if rep["e_ok"] else io.multivector_to_json(rep["e_residual"]),
         ),
     ]
-    report = {
-        "command": "check-jacobi",
-        "inputs": io.digest(doc),
-        "details": {"nondegenerate": rep["nondegenerate"]},
-        "verdicts": verdicts,
-    }
-    return _emit(args, report, started)
+    return {"details": {"nondegenerate": rep["nondegenerate"]}, "verdicts": verdicts}
 
 
 def _cmd_catalog(args) -> int:
@@ -451,13 +422,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 2
-    except ParseError as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 2
-    except ValueError as ex:
+    except ValueError as ex:  # schema, parse and construction errors alike
         sys.stderr.write(f"error: {ex}\n")
         return 2
 

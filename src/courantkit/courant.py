@@ -18,7 +18,7 @@ computes exactly that for comparison.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, AlgebroidError
+from .algebroid import Algebroid
 from .exterior import AForm, Multivector, contract
 from .ring import coerce_elem
 
@@ -223,17 +223,8 @@ class CourantPresentation:
         """Derivation coefficients of a(pi[[e1,e2]]) - [a(pi e1), a(pi e2)]."""
         alg = self.alg
         lhs = alg.anchor_vector(self.bracket(e1, e2).x)
-        v1 = alg.anchor_vector(e1.x)
-        v2 = alg.anchor_vector(e2.x)
-        s = alg.sig
-        out = []
-        for m in range(s.ncoords):
-            acc = s.zero()
-            for t in range(s.ncoords):
-                xt = s.coords[t]
-                acc = acc + v1[t] * v2[m].partial(xt) - v2[t] * v1[m].partial(xt)
-            out.append(lhs[m] - acc)
-        return out
+        comm = alg.commutator(alg.anchor_vector(e1.x), alg.anchor_vector(e2.x))
+        return [a - b for a, b in zip(lhs, comm)]
 
     def symmetric_defect(self, e: CSection) -> CSection:
         """[[e,e]] - (1/2) D<e,e>."""

@@ -82,27 +82,24 @@ def perp(C: CourantPresentation, gens) -> list:
 
 def closure_report(C: CourantPresentation, gens) -> dict:
     """Bracket-closure check with a residual witness on failure."""
-    sig = C.alg.sig
-    M = coordinates_matrix(gens)
+    pairs = [(i, j) for i in range(len(gens)) for j in range(len(gens)) if i != j]
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if pairs else None
     witness = None
     closed = True
     excluded: list = []
-    for i, g1 in enumerate(gens):
-        for j, g2 in enumerate(gens):
-            if i == j:
-                continue
-            b = C.bracket(g1, g2)
-            ok, residual, exc = linalg.membership(sig, M, b.coordinates())
-            for e in exc:
-                if not any(x == e for x in excluded):
-                    excluded.append(e)
-            if not ok and witness is None:
-                closed = False
-                witness = {
-                    "pair": [i, j],
-                    "bracket": b.describe(),
-                    "residual": CSection.from_coordinates(C.alg, residual).describe(),
-                }
+    for i, j in pairs:
+        b = C.bracket(gens[i], gens[j])
+        ok, residual, exc = ech.reduce(b.coordinates())
+        for e in exc:
+            if not any(x == e for x in excluded):
+                excluded.append(e)
+        if not ok and witness is None:
+            closed = False
+            witness = {
+                "pair": [i, j],
+                "bracket": b.describe(),
+                "residual": CSection.from_coordinates(C.alg, residual).describe(),
+            }
     return {
         "closed": closed,
         "witness": witness,
@@ -173,19 +170,18 @@ def projection_closure(C: CourantPresentation, gens) -> dict:
     of projected generators; the first failure is returned as a witness.
     """
     alg = C.alg
-    rows = [list(g.x) for g in gens]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    ech = linalg.rref(alg.sig, [list(g.x) for g in gens]) if pairs else None
     excluded: set = set()
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            vec = alg.bracket(gens[i].x, gens[j].x)
-            ok, residual, exc = linalg.membership(alg.sig, rows, vec)
-            excluded |= {str(e) for e in exc}
-            if not ok:
-                return {
-                    "closed": False,
-                    "witness": {"pair": [i, j], "residual": [r.to_str() for r in residual]},
-                    "excluded": sorted(excluded),
-                }
+    for i, j in pairs:
+        ok, residual, exc = ech.reduce(alg.bracket(gens[i].x, gens[j].x))
+        excluded |= {str(e) for e in exc}
+        if not ok:
+            return {
+                "closed": False,
+                "witness": {"pair": [i, j], "residual": [r.to_str() for r in residual]},
+                "excluded": sorted(excluded),
+            }
     return {"closed": True, "excluded": sorted(excluded)}
 
 

@@ -1,13 +1,15 @@
 """Sparse exterior algebra over a fixed frame.
 
 Forms and multivector fields are stored as maps from strictly increasing
-multi-indices to exact coefficients.  Two coefficient systems coexist:
+multi-indices to exact coefficients.  One alternating core (index checks,
+sum, negation, scaling, wedge, equality, conjugation and one contraction
+loop) serves two coefficient kinds:
 
-* AForm carries module-valued (or plain scalar) coefficients: a tuple of ring
-  elements per term, one entry per module frame vector.
-* FForm and Multivector carry graded coefficients (FScalar): finite Laurent
-  sums in the module frame after a rank-one trivialization, the grade counting
-  the power of the frame section.
+* module vectors, in AForm: a tuple of ring elements per term, one entry per
+  module frame vector (a 1-tuple for plain scalar forms);
+* graded scalars (FScalar), in FForm and Multivector: finite Laurent sums in
+  the module frame after a rank-one trivialization, the grade counting the
+  power of the frame section.
 
 Sign conventions are pinned by the duality pairing
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import GaussRat, RingElem, RingError, RingSignature, coerce_elem
+from .ring import GaussRat, RingElem, RingSignature, coerce_elem
 
 
 class ExteriorError(ValueError):
@@ -66,48 +68,37 @@ def insert_index(i: int, I: tuple):
     return merge_indices((i,), I)
 
 
-def contract_front(I: tuple, i: int):
-    """Remove i from I with the front-contraction sign (-1)^position."""
-    if i not in I:
-        return None
-    m = I.index(i)
-    sign = -1 if m % 2 else 1
-    return I[:m] + I[m + 1 :], sign
-
-
 def contract_front_multi(S: tuple, I: tuple):
-    """Iterated front contraction by e_S, innermost factor first."""
+    """Iterated front contraction by e_S, innermost factor first.
+
+    Removing an index at position m carries the sign (-1)^m; None if S is not
+    contained in I.
+    """
     sign = 1
-    cur = I
     for s in S:
-        hit = contract_front(cur, s)
-        if hit is None:
+        if s not in I:
             return None
-        cur, sg = hit
-        sign *= sg
-    return cur, sign
-
-
-def contract_rear(I: tuple, i: int):
-    """Remove i from I with the rear-contraction sign (-1)^(len-1-position)."""
-    if i not in I:
-        return None
-    m = I.index(i)
-    sign = -1 if (len(I) - 1 - m) % 2 else 1
-    return I[:m] + I[m + 1 :], sign
+        m = I.index(s)
+        if m % 2:
+            sign = -sign
+        I = I[:m] + I[m + 1 :]
+    return I, sign
 
 
 def contract_rear_multi(S: tuple, I: tuple):
-    """Iterated rear contraction by the covector monomial S, last factor first."""
+    """Iterated rear contraction by the covector monomial S, last factor first.
+
+    Removing an index at position m carries the sign (-1)^(len - 1 - m).
+    """
     sign = 1
-    cur = I
     for s in reversed(S):
-        hit = contract_rear(cur, s)
-        if hit is None:
+        if s not in I:
             return None
-        cur, sg = hit
-        sign *= sg
-    return cur, sign
+        m = I.index(s)
+        if (len(I) - 1 - m) % 2:
+            sign = -sign
+        I = I[:m] + I[m + 1 :]
+    return I, sign
 
 
 def _check_index(I: tuple, rank: int):
@@ -253,46 +244,194 @@ class FScalar:
         return f"FScalar({self.to_str()})"
 
 
-# -- module-valued forms ------------------------------------------------------
+# -- the alternating core ------------------------------------------------------
 
 
-class AForm:
-    """Alternating form on the frame with module-vector (or scalar) values.
+class _Alternating:
+    """Sparse alternating object: strictly increasing multi-index -> coefficient.
 
-    vvalued distinguishes genuine module-valued forms from plain scalar forms;
-    a wedge of two module-valued forms is rejected since the module carries no
-    product.
+    Subclasses fix the coefficient kind through the hooks _coeff (coerce one
+    coefficient, None when it is zero), _zero_coeff, _plus, _neg, _prod,
+    _conj, _scalar (a scalar as a coefficient) and _coeff_str, and through
+    _like, which builds an object of the same kind and frame.  The Koszul
+    loop and the Lie derivative in the algebroid module work through the same
+    hooks, so they never see the coefficient format.
     """
 
-    __slots__ = ("sig", "rank", "rank_v", "vvalued", "degree", "terms")
+    __slots__ = ("sig", "rank", "degree", "terms")
 
-    def __init__(self, sig, rank, rank_v, vvalued, degree, terms):
-        width = rank_v if vvalued else 1
-        if not 0 <= degree <= rank:
-            if terms:
-                raise ExteriorError(f"degree {degree} out of range for rank {rank}")
+    def _set(self, sig, rank, degree, terms):
+        if terms and not 0 <= degree <= rank:
+            raise ExteriorError(f"degree {degree} out of range for rank {rank}")
         clean = {}
-        for I, vec in terms.items():
+        for I, c in terms.items():
             I = tuple(I)
             _check_index(I, rank)
             if len(I) != degree:
                 raise ExteriorError("term degree does not match form degree")
-            vec = tuple(coerce_elem(sig, x) for x in vec)
-            if len(vec) != width:
-                raise ExteriorError(
-                    f"coefficient vector has {len(vec)} entries, expected {width}"
-                )
-            if any(not x.is_zero() for x in vec):
-                clean[I] = vec
+            c = self._coeff(sig, c)
+            if c is not None:
+                clean[I] = c
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rank_v", rank_v)
-        object.__setattr__(self, "vvalued", vvalued)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _frame(self) -> tuple:
+        return (self.sig, self.rank)
+
+    def _compat(self, other):
+        if type(self) is not type(other):
+            raise ExteriorError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self._frame() != other._frame():
+            raise ExteriorError("objects live over different frames")
+
+    def _product_like(self, other):
+        """Builder for a wedge product with other (after the frame check)."""
+        return self._like
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, I):
+        c = self.terms.get(tuple(I))
+        return self._zero_coeff() if c is None else c
+
+    def eval_frame(self, indices):
+        """Alternating evaluation on a (possibly unsorted) index sequence."""
+        indices = tuple(indices)
+        if len(indices) != self.degree:
+            raise ExteriorError("wrong number of arguments")
+        c = self.terms.get(tuple(sorted(indices)))
+        if c is None:
+            return self._zero_coeff()
+        inversions = sum(a > b for m, a in enumerate(indices) for b in indices[m + 1 :])
+        return self._neg(c) if inversions % 2 else c
+
+    def __add__(self, other):
+        self._compat(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        if self.degree != other.degree:
+            raise ExteriorError("cannot add forms of different degree")
+        items = [(I, 1, c) for w in (self, other) for I, c in w.terms.items()]
+        return self.collect(self.degree, items)
+
+    add = __add__
+
+    def __neg__(self):
+        return self._like(self.degree, {I: self._neg(c) for I, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self._scalar(c)
+        return self._like(self.degree, {I: self._prod(v, c) for I, v in self.terms.items()})
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    def wedge(self, other):
+        _Alternating._compat(self, other)
+        like = self._product_like(other)
+        deg = self.degree + other.degree
+        if deg > self.rank:
+            return like(0, {})
+
+        def items():
+            for I, u in self.terms.items():
+                for J, w in other.terms.items():
+                    hit = merge_indices(I, J)
+                    if hit is not None:
+                        yield hit[0], hit[1], self._prod(u, w)
+
+        return self.collect(deg, items(), like)
+
+    def collect(self, degree, items, like=None):
+        """Object of this kind and frame summing sign * c over (index, sign, c) items."""
+        out: dict = {}
+        for K, sign, c in items:
+            if sign < 0:
+                c = self._neg(c)
+            cur = out.get(K)
+            out[K] = c if cur is None else self._plus(cur, c)
+        return (like or self._like)(degree, out)
+
+    def conjugate(self):
+        return self._like(self.degree, {I: self._conj(c) for I, c in self.terms.items()})
+
+    def equals(self, other) -> bool:
+        self._compat(other)
+        if not self.terms and not other.terms:
+            return True
+        return self.degree == other.degree and self.terms == other.terms
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return self.equals(other)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def to_str(self, covector=None, sep="^") -> str:
+        """Sum of coefficient * monomial, the basis named by covector + index."""
+        if not self.terms:
+            return "0"
+        letter = covector or self._letter
+        return " + ".join(
+            f"{self._coeff_str(c)}*{sep.join(f'{letter}{i + 1}' for i in I) or '1'}"
+            for I, c in self.sorted_terms()
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}[deg={self.degree}]({self.to_str()})"
+
+
+# -- module-valued forms ------------------------------------------------------
+
+
+class AForm(_Alternating):
+    """Alternating form on the frame with module-vector (or scalar) values.
+
+    Each coefficient is a tuple of ring elements, one per module frame vector
+    (width rank_v), or a 1-tuple for a plain scalar form.  vvalued
+    distinguishes the two; a wedge of two module-valued forms is rejected
+    since the module carries no product.
+    """
+
+    __slots__ = ("rank_v", "vvalued")
+    _letter = "dx"
+
+    @staticmethod
+    def _plus(a: tuple, b: tuple) -> tuple:
+        return tuple(x + y for x, y in zip(a, b))
+
+    @staticmethod
+    def _neg(a: tuple) -> tuple:
+        return tuple(-x for x in a)
+
+    @staticmethod
+    def _prod(u: tuple, w: tuple) -> tuple:
+        """Product of two coefficient vectors of which at most one is wider than 1."""
+        return tuple(x * y for x in u for y in w)
+
+    @staticmethod
+    def _conj(a: tuple) -> tuple:
+        return tuple(x.conjugate() for x in a)
+
+    def __init__(self, sig, rank, rank_v, vvalued, degree, terms):
+        object.__setattr__(self, "rank_v", rank_v)
+        object.__setattr__(self, "vvalued", vvalued)
+        self._set(sig, rank, degree, terms)
 
     @staticmethod
     def zero(sig, rank, rank_v, vvalued, degree) -> "AForm":
@@ -302,297 +441,93 @@ class AForm:
     def width(self) -> int:
         return self.rank_v if self.vvalued else 1
 
-    def _zero_vec(self):
+    def _coeff(self, sig, vec):
+        vec = tuple(coerce_elem(sig, x) for x in vec)
+        if len(vec) != self.width:
+            raise ExteriorError(f"coefficient vector has {len(vec)} entries, expected {self.width}")
+        return vec if any(not x.is_zero() for x in vec) else None
+
+    def _zero_coeff(self) -> tuple:
         return (self.sig.zero(),) * self.width
 
-    def _compat(self, other: "AForm", same_degree=True):
-        if (
-            self.sig != other.sig
-            or self.rank != other.rank
-            or self.rank_v != other.rank_v
-        ):
-            raise ExteriorError("forms live over different frames")
+    def _scalar(self, c) -> tuple:
+        return (c if isinstance(c, RingElem) else coerce_elem(self.sig, c),)
+
+    @staticmethod
+    def _coeff_str(vec) -> str:
+        return f"({','.join(str(x) for x in vec)})"
+
+    def _like(self, degree, terms, vvalued=None) -> "AForm":
+        vvalued = self.vvalued if vvalued is None else vvalued
+        return AForm(self.sig, self.rank, self.rank_v, vvalued, degree, terms)
+
+    def _frame(self) -> tuple:
+        return (self.sig, self.rank, self.rank_v)
+
+    def _compat(self, other):
+        super()._compat(other)
         if self.vvalued != other.vvalued:
             raise ExteriorError("cannot mix scalar and module-valued forms")
-        if same_degree and self.degree != other.degree:
-            raise ExteriorError("cannot add forms of different degree")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AForm):
-            return NotImplemented
-        return self.equals(other)
-
-    def coefficient(self, I) -> tuple:
-        return self.terms.get(tuple(I), self._zero_vec())
-
-    def add(self, other: "AForm") -> "AForm":
-        self._compat(other)
-        terms = dict(self.terms)
-        for I, vec in other.terms.items():
-            cur = terms.get(I, self._zero_vec())
-            terms[I] = tuple(a + b for a, b in zip(cur, vec))
-        return AForm(self.sig, self.rank, self.rank_v, self.vvalued, self.degree, terms)
-
-    __add__ = add
-
-    def __neg__(self):
-        return AForm(
-            self.sig,
-            self.rank,
-            self.rank_v,
-            self.vvalued,
-            self.degree,
-            {I: tuple(-x for x in vec) for I, vec in self.terms.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "AForm":
-        c = coerce_elem(self.sig, c) if not isinstance(c, RingElem) else c
-        return AForm(
-            self.sig,
-            self.rank,
-            self.rank_v,
-            self.vvalued,
-            self.degree,
-            {I: tuple(x * c for x in vec) for I, vec in self.terms.items()},
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def wedge(self, other: "AForm") -> "AForm":
-        if self.sig != other.sig or self.rank != other.rank or self.rank_v != other.rank_v:
-            raise ExteriorError("forms live over different frames")
+    def _product_like(self, other):
         if self.vvalued and other.vvalued:
             raise ExteriorError("cannot wedge two module-valued forms")
-        vval = self.vvalued or other.vvalued
-        deg = self.degree + other.degree
-        out: dict = {}
-        width = self.rank_v if vval else 1
-        zero = (self.sig.zero(),) * width
-        for I, u in self.terms.items():
-            for J, w in other.terms.items():
-                hit = merge_indices(I, J)
-                if hit is None:
-                    continue
-                K, sign = hit
-                if self.vvalued:
-                    vec = tuple(x * w[0] for x in u)
-                else:
-                    vec = tuple(u[0] * y for y in w)
-                if sign < 0:
-                    vec = tuple(-x for x in vec)
-                cur = out.get(K, zero)
-                out[K] = tuple(a + b for a, b in zip(cur, vec))
-        if deg > self.rank:
-            return AForm.zero(self.sig, self.rank, self.rank_v, vval, 0)
-        return AForm(self.sig, self.rank, self.rank_v, vval, deg, out)
-
-    def eval_frame(self, indices) -> tuple:
-        """Alternating evaluation on a (possibly unsorted) index sequence."""
-        indices = tuple(indices)
-        if len(indices) != self.degree:
-            raise ExteriorError("wrong number of arguments")
-        if len(set(indices)) != len(indices):
-            return self._zero_vec()
-        order = sorted(range(len(indices)), key=lambda k: indices[k])
-        sign = _perm_sign(order)
-        vec = self.terms.get(tuple(sorted(indices)))
-        if vec is None:
-            return self._zero_vec()
-        return vec if sign > 0 else tuple(-x for x in vec)
-
-    def map_coeffs(self, fn) -> "AForm":
-        return AForm(
-            self.sig,
-            self.rank,
-            self.rank_v,
-            self.vvalued,
-            self.degree,
-            {I: tuple(fn(x) for x in vec) for I, vec in self.terms.items()},
-        )
-
-    def conjugate(self) -> "AForm":
-        return self.map_coeffs(lambda x: x.conjugate())
-
-    def equals(self, other: "AForm") -> bool:
-        self._compat(other, same_degree=False)
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_str(self, covector="dx", sep="^") -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for I, vec in self.sorted_terms():
-            mono = sep.join(f"{covector}{i + 1}" for i in I) or "1"
-            coeff = ",".join(str(x) for x in vec)
-            bits.append(f"({coeff})*{mono}")
-        return " + ".join(bits)
+        return lambda degree, terms: self._like(degree, terms, self.vvalued or other.vvalued)
 
     def __repr__(self):
         kind = "V" if self.vvalued else "scalar"
         return f"AForm[{kind},deg={self.degree}]({self.to_str()})"
 
 
-def _perm_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+# -- graded forms and multivectors ----------------------------------------------
 
 
-class _Graded:
-    """Shared machinery for FForm / Multivector (graded coefficients)."""
+class _Graded(_Alternating):
+    """FScalar coefficients: FForm and Multivector."""
 
-    __slots__ = ("sig", "rank", "degree", "terms")
+    __slots__ = ()
+    _plus = staticmethod(FScalar.__add__)
+    _neg = staticmethod(FScalar.__neg__)
+    _prod = staticmethod(FScalar.__mul__)
+    _conj = staticmethod(FScalar.conjugate)
 
     def __init__(self, sig, rank, degree, terms):
-        if not 0 <= degree <= rank and terms:
-            raise ExteriorError(f"degree {degree} out of range for rank {rank}")
-        clean = {}
-        for I, coeff in terms.items():
-            I = tuple(I)
-            _check_index(I, rank)
-            if len(I) != degree:
-                raise ExteriorError("term degree does not match declared degree")
-            coeff = FScalar.coerce(sig, coeff)
-            if coeff:
-                clean[I] = coeff
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("graded objects are immutable")
+        self._set(sig, rank, degree, terms)
 
     @classmethod
     def zero(cls, sig, rank, degree):
         return cls(sig, rank, degree, {})
 
-    def _compat(self, other, same_degree=True):
-        if type(self) is not type(other):
-            raise ExteriorError("mixing forms with multivectors")
-        if self.sig != other.sig or self.rank != other.rank:
-            raise ExteriorError("objects live over different frames")
-        if same_degree and self.degree != other.degree and self.terms and other.terms:
-            raise ExteriorError("degree mismatch")
+    @staticmethod
+    def _coeff(sig, c):
+        c = FScalar.coerce(sig, c)
+        return c if c else None
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, c) -> FScalar:
+        return FScalar.coerce(self.sig, c)
 
-    def coefficient(self, I) -> FScalar:
-        return self.terms.get(tuple(I), FScalar.zero(self.sig))
+    @staticmethod
+    def _coeff_str(c) -> str:
+        return f"[{c.to_str()}]"
 
-    def __add__(self, other):
-        self._compat(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ExteriorError("cannot add different degrees")
-        terms = dict(self.terms)
-        for I, c in other.terms.items():
-            terms[I] = terms.get(I, FScalar.zero(self.sig)) + c
-        return type(self)(self.sig, self.rank, self.degree, terms)
+    def _like(self, degree, terms):
+        return type(self)(self.sig, self.rank, degree, terms)
 
-    def __neg__(self):
-        return type(self)(
-            self.sig, self.rank, self.degree, {I: -c for I, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = FScalar.coerce(self.sig, c)
-        return type(self)(
-            self.sig, self.rank, self.degree, {I: v * c for I, v in self.terms.items()}
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def wedge(self, other):
-        self._compat(other, same_degree=False)
-        deg = self.degree + other.degree
-        if deg > self.rank:
-            return type(self).zero(self.sig, self.rank, 0)
-        out: dict = {}
-        for I, u in self.terms.items():
-            for J, w in other.terms.items():
-                hit = merge_indices(I, J)
-                if hit is None:
-                    continue
-                K, sign = hit
-                c = u * w
-                if sign < 0:
-                    c = -c
-                out[K] = out.get(K, FScalar.zero(self.sig)) + c
-        return type(self)(self.sig, self.rank, deg, out)
-
-    def conjugate(self):
-        return type(self)(
-            self.sig,
-            self.rank,
-            self.degree,
-            {I: c.conjugate() for I, c in self.terms.items()},
-        )
-
-    def equals(self, other) -> bool:
-        self._compat(other, same_degree=False)
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.equals(other)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def _zero_coeff(self) -> FScalar:
+        return FScalar.zero(self.sig)
 
     def pure_grade(self) -> int | None:
-        grade = None
-        for c in self.terms.values():
-            g = c.pure_grade()
-            if g is None:
-                return None
-            if grade is None:
-                grade = g
-            elif grade != g:
-                return None
-        return 0 if grade is None else grade
+        """The single grade of all coefficients, 0 for zero, None if mixed."""
+        grades = {c.pure_grade() for c in self.terms.values()}
+        if None in grades or len(grades) > 1:
+            return None
+        return grades.pop() if grades else 0
 
 
 class Multivector(_Graded):
     """Graded-coefficient multivector field over the frame."""
+
+    _letter = "e"
 
     @staticmethod
     def section(sig, rank, coeffs) -> "Multivector":
@@ -617,37 +552,15 @@ class Multivector(_Graded):
             out[i] = c.grade_zero_elem()
         return out
 
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for I, c in self.sorted_terms():
-            mono = "^".join(f"e{i + 1}" for i in I) or "1"
-            bits.append(f"[{c.to_str()}]*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"Multivector[deg={self.degree}]({self.to_str()})"
-
 
 class FForm(_Graded):
     """Graded-coefficient alternating form over the frame."""
 
+    _letter = "f"
+
     @staticmethod
     def covector_frame(sig, rank, k, grade=0) -> "FForm":
         return FForm(sig, rank, 1, {(k,): FScalar(sig, {grade: sig.one()})})
-
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for I, c in self.sorted_terms():
-            mono = "^".join(f"f{i + 1}" for i in I) or "1"
-            bits.append(f"[{c.to_str()}]*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"FForm[deg={self.degree}]({self.to_str()})"
 
 
 # -- conversions --------------------------------------------------------------
@@ -687,38 +600,35 @@ def fform_to_aform(w: FForm, rank_v: int = 1, vvalued: bool = True) -> AForm:
 
 def wedge(a, b):
     """Graded-commutative product; at most one AForm factor may be module-valued."""
-    if isinstance(a, AForm) and isinstance(b, AForm):
-        return a.wedge(b)
-    if isinstance(a, type(b)) and isinstance(a, _Graded):
+    if type(a) is type(b) and isinstance(a, _Alternating):
         return a.wedge(b)
     raise ExteriorError("wedge requires two forms or two multivectors of one kind")
+
+
+def _contraction(pairs, target: _Alternating, degree: int, remove) -> _Alternating:
+    """Sum over pairs (S, c) and target terms (I, v) of sign * v * c at remove(S, I).
+
+    remove(S, I) drops the indices S from I and returns (rest, sign), or None
+    when S is not contained in I; front or rear removal is the only difference
+    between the three contractions below.
+    """
+
+    def items():
+        for S, c in pairs:
+            for I, v in target.terms.items():
+                hit = remove(S, I)
+                if hit is not None:
+                    yield hit[0], hit[1], target._prod(v, c)
+
+    return target.collect(degree, items())
 
 
 def contract(X: Multivector, w: AForm) -> AForm:
     """Interior product of a plain section into a module-valued form."""
     if X.degree != 1:
         raise ExteriorError("contraction direction must have degree one")
-    coeffs = X.section_coeffs()
-    out: dict = {}
-    deg = max(w.degree - 1, 0)
-    if w.degree == 0:
-        return AForm.zero(w.sig, w.rank, w.rank_v, w.vvalued, 0)
-    for I, vec in w.terms.items():
-        for m, i in enumerate(I):
-            c = coeffs[i]
-            if c.is_zero():
-                continue
-            K = I[:m] + I[m + 1 :]
-            scaled = tuple(x * c for x in vec)
-            if m % 2:
-                scaled = tuple(-x for x in scaled)
-            cur = out.get(K)
-            out[K] = (
-                scaled
-                if cur is None
-                else tuple(a + b for a, b in zip(cur, scaled))
-            )
-    return AForm(w.sig, w.rank, w.rank_v, w.vvalued, deg, out)
+    pairs = [((i,), (c,)) for i, c in enumerate(X.section_coeffs()) if not c.is_zero()]
+    return _contraction(pairs, w, max(w.degree - 1, 0), contract_front_multi)
 
 
 def iota(P: Multivector, w: FForm) -> FForm:
@@ -727,40 +637,13 @@ def iota(P: Multivector, w: FForm) -> FForm:
     Derived from the duality pairing: <xi, P ^ Q> = <iota(P) xi, Q>, hence
     iota of a decomposable contracts its first factor innermost.
     """
-    if P.degree > w.degree:
-        return FForm.zero(w.sig, w.rank, max(w.degree - P.degree, 0))
-    deg = w.degree - P.degree
-    out: dict = {}
-    for S, c in P.terms.items():
-        for I, v in w.terms.items():
-            hit = contract_front_multi(S, I)
-            if hit is None:
-                continue
-            K, sign = hit
-            val = c * v
-            if sign < 0:
-                val = -val
-            out[K] = out.get(K, FScalar.zero(w.sig)) + val
-    return FForm(w.sig, w.rank, deg, out)
+    return _contraction(P.terms.items(), w, max(w.degree - P.degree, 0), contract_front_multi)
 
 
 def breve_contract(alpha: FForm, P: Multivector) -> Multivector:
     """Rear contraction of a multivector by a form: <xi ^ alpha, P> = <xi, breve(alpha) P>."""
-    if alpha.degree > P.degree:
-        return Multivector.zero(P.sig, P.rank, max(P.degree - alpha.degree, 0))
-    deg = P.degree - alpha.degree
-    out: dict = {}
-    for A, c in alpha.terms.items():
-        for J, v in P.terms.items():
-            hit = contract_rear_multi(A, J)
-            if hit is None:
-                continue
-            K, sign = hit
-            val = c * v
-            if sign < 0:
-                val = -val
-            out[K] = out.get(K, FScalar.zero(P.sig)) + val
-    return Multivector(P.sig, P.rank, deg, out)
+    degree = max(P.degree - alpha.degree, 0)
+    return _contraction(alpha.terms.items(), P, degree, contract_rear_multi)
 
 
 def pair_eval(w, P: Multivector) -> FScalar:

@@ -17,16 +17,13 @@ Jacobi pair after splitting off the suspension direction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product as iproduct
-
 from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
 from .dirac import coordinates_matrix, is_dirac
-from .exterior import AForm, FForm, FScalar, Multivector, contract, wedge
+from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
-from .ring import GR_I, RingElem, coerce_elem
+from .ring import GR_I, coerce_elem
 from .schouten import tilde
 
 
@@ -71,12 +68,7 @@ class Distribution:
 
 
 def full_distribution(alg: Algebroid) -> Distribution:
-    s = alg.sig
-    eye = [
-        [s.one() if i == j else s.zero() for j in range(alg.rank)]
-        for i in range(alg.rank)
-    ]
-    return Distribution(alg, eye, alg.rank)
+    return Distribution(alg, linalg.identity(alg.sig, alg.rank), alg.rank)
 
 
 class HBundle:
@@ -102,9 +94,7 @@ class HBundle:
         zero = [alg.sig.zero()] * alg.rank
         out = [CSection(alg, self.dist.vector_section(a)) for a in range(self.h)]
         for a in range(self.h):
-            row = self.dist.dual_row(a)
-            terms = {(k,): (row[k],) for k in range(alg.rank) if not row[k].is_zero()}
-            out.append(CSection(alg, zero, AForm(alg.sig, alg.rank, 1, True, 1, terms)))
+            out.append(CSection.from_coordinates(alg, zero + self.dist.dual_row(a)))
         return out
 
     def lift(self, coords) -> CSection:
@@ -123,8 +113,7 @@ class HBundle:
             if not c.is_zero():
                 for k, v in enumerate(self.dist.dual_row(a)):
                     xi[k] = xi[k] + c * v
-        terms = {(k,): (v,) for k, v in enumerate(xi) if not v.is_zero()}
-        return CSection(self.C.alg, x, AForm(alg.sig, alg.rank, 1, True, 1, terms))
+        return CSection.from_coordinates(alg, x + xi)
 
     def pairing_matrix(self) -> list:
         basis = self.basis_sections()
@@ -157,18 +146,22 @@ class GCRStructure:
         self.j = tuple(tuple(r) for r in rows)
 
 
-def j_square_defect(S: GCRStructure):
-    """First nonzero entry of J^2 + 1, or None."""
-    sig = S.hb.C.alg.sig
-    n = 2 * S.hb.h
+def _square_plus_one(sig, M):
+    """First nonzero entry of M^2 + 1 as ((i, j), value), or None."""
+    n = len(M)
     for i in range(n):
         for j in range(n):
             acc = sig.one() if i == j else sig.zero()
             for k in range(n):
-                acc = acc + S.j[i][k] * S.j[k][j]
+                acc = acc + M[i][k] * M[k][j]
             if not acc.is_zero():
                 return ((i, j), acc)
     return None
+
+
+def j_square_defect(S: GCRStructure):
+    """First nonzero entry of J^2 + 1, or None."""
+    return _square_plus_one(S.hb.C.alg.sig, S.j)
 
 
 def orthogonality_defect(S: GCRStructure):
@@ -205,8 +198,7 @@ def l_generators(S: GCRStructure) -> list:
     gens = [S.hb.lift(vec) for vec in basis]
     zero = [sig.zero()] * alg.rank
     for row in S.hb.dist.ann_rows():
-        terms = {(k,): (v,) for k, v in enumerate(row) if not v.is_zero()}
-        gens.append(CSection(alg, zero, AForm(sig, alg.rank, 1, True, 1, terms)))
+        gens.append(CSection.from_coordinates(alg, zero + row))
     return gens
 
 
@@ -280,13 +272,8 @@ def cr_to_gcr(C: CourantPresentation, dist: Distribution, jh) -> GCRStructure:
     rows = linalg.coerce_matrix(sig, jh)
     if len(rows) != h or any(len(r) != h for r in rows):
         raise GCRError("complex structure matrix must be h x h")
-    for i in range(h):
-        for j in range(h):
-            acc = sig.one() if i == j else sig.zero()
-            for k in range(h):
-                acc = acc + rows[i][k] * rows[k][j]
-            if not acc.is_zero():
-                raise GCRError("matrix does not square to minus the identity")
+    if _square_plus_one(sig, rows) is not None:
+        raise GCRError("matrix does not square to minus the identity")
     z = sig.zero()
     big = [[z] * (2 * h) for _ in range(2 * h)]
     for i in range(h):
@@ -404,45 +391,11 @@ def parallel_trivializations(alg: Algebroid, P: Multivector, max_degree: int = 2
     Nonempty up to constants exactly when the bracket on module sections is
     of honest Poisson type; contact-type structures admit none.
     """
-    s = alg.sig
-    monos = [
-        deg
-        for deg in iproduct(range(max_degree + 1), repeat=s.ncoords)
-        if sum(deg) <= max_degree
-    ]
-    monos.sort()
-    eq_index: dict = {}
-    rows: list = []
 
-    def eq_row(key):
-        if key not in eq_index:
-            eq_index[key] = len(rows)
-            rows.append([s.zero()] * len(monos))
-        return rows[eq_index[key]]
-
-    zero_c = (0,) * s.ncoords
-    zero_e = (0,) * s.nexps
-    for col, m in enumerate(monos):
-        g = RingElem(s, {(tuple(m), zero_e): 1})
-        dv = alg.d_graded(FForm(s, alg.rank, 0, {(): FScalar(s, {1: g})}))
-        val = tilde(P, dv)
-        for I, w in val.terms.items():
+    def image(_, g):
+        dv = alg.d_graded(FForm(alg.sig, alg.rank, 0, {(): FScalar(alg.sig, {1: g})}))
+        for I, w in tilde(P, dv).terms.items():
             for grade, elem in w.parts.items():
-                for key, coeff in elem.terms.items():
-                    row = eq_row((I, grade, key))
-                    row[col] = row[col] + RingElem(s, {(zero_c, zero_e): coeff})
-    if not rows:
-        sols = [
-            [s.one() if t == col else s.zero() for t in range(len(monos))]
-            for col in range(len(monos))
-        ]
-    else:
-        sols, _ = linalg.nullspace(s, rows)
-    out = []
-    for sol in sols:
-        g = s.zero()
-        for col, m in enumerate(monos):
-            if not sol[col].is_zero():
-                g = g + sol[col] * RingElem(s, {(tuple(m), zero_e): 1})
-        out.append(g)
-    return out
+                yield (I, grade), elem
+
+    return [vec[0] for vec in linalg.polynomial_kernel(alg.sig, max_degree, 1, image)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, FScalar, Multivector
-from .gcr import Distribution, GCRStructure, HBundle, build_H_bundle
+from .gcr import Distribution, GCRStructure, build_H_bundle
 from .ring import ExpGen, ParseError, RingElem, RingSignature
 
 
@@ -38,6 +38,12 @@ def _check_keys(doc, allowed, path):
     extra = set(doc) - set(allowed)
     if extra:
         raise SchemaError(f"unknown keys {sorted(extra)}", path)
+
+
+def _int_at_least(value, minimum: int, what: str, path) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise SchemaError(f"expected a {what}", path)
+    return value
 
 
 def _fraction(value, path) -> Fraction:
@@ -134,28 +140,38 @@ def sig_from_json(doc, path="$.ring") -> RingSignature:
 # -- forms, scalars, sections ------------------------------------------------------
 
 
-def aform_to_json(w: AForm) -> dict:
+def _terms_to_json(w, coeff_to_json) -> dict:
+    """Document of a form or multivector: degree and 1-based index keys."""
     return {
         "degree": w.degree,
-        "terms": {
-            ",".join(str(i + 1) for i in I): [c.to_str() for c in vec]
-            for I, vec in w.sorted_terms()
-        },
+        "terms": {",".join(str(i + 1) for i in I): coeff_to_json(c) for I, c in w.sorted_terms()},
     }
 
 
-def aform_from_json(sig, rank, rank_v, vvalued, doc, path) -> AForm:
+def _terms_from_json(doc, rank, path) -> tuple:
+    """Degree and the (index, value, path) entries of a form or multivector document."""
     _expect(doc, dict, path, "an object")
     _check_keys(doc, ("degree", "terms"), path)
-    degree = doc.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise SchemaError("expected a non-negative integer degree", f"{path}.degree")
+    degree = _int_at_least(doc.get("degree"), 0, "non-negative integer degree", f"{path}.degree")
+    tdoc = _expect(doc.get("terms", {}), dict, f"{path}.terms", "an object")
+
+    def entries():
+        for key, value in tdoc.items():
+            kpath = f"{path}.terms[{key!r}]"
+            yield _index_key(key, rank, degree, kpath), value, kpath
+
+    return degree, entries()
+
+
+def aform_to_json(w: AForm) -> dict:
+    return _terms_to_json(w, lambda vec: [c.to_str() for c in vec])
+
+
+def aform_from_json(sig, rank, rank_v, vvalued, doc, path) -> AForm:
+    degree, entries = _terms_from_json(doc, rank, path)
     width = rank_v if vvalued else 1
     terms = {}
-    tdoc = _expect(doc.get("terms", {}), dict, f"{path}.terms", "an object")
-    for key, vec in tdoc.items():
-        kpath = f"{path}.terms[{key!r}]"
-        I = _index_key(key, rank, degree, kpath)
+    for I, vec, kpath in entries:
         _expect(vec, list, kpath, "a coefficient list")
         if len(vec) != width:
             raise SchemaError(f"expected {width} coefficients, got {len(vec)}", kpath)
@@ -182,27 +198,12 @@ def fscalar_from_json(sig, doc, path) -> FScalar:
 
 
 def multivector_to_json(P: Multivector) -> dict:
-    return {
-        "degree": P.degree,
-        "terms": {
-            ",".join(str(i + 1) for i in I): fscalar_to_json(c)
-            for I, c in P.sorted_terms()
-        },
-    }
+    return _terms_to_json(P, fscalar_to_json)
 
 
 def multivector_from_json(sig, rank, doc, path) -> Multivector:
-    _expect(doc, dict, path, "an object")
-    _check_keys(doc, ("degree", "terms"), path)
-    degree = doc.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise SchemaError("expected a non-negative integer degree", f"{path}.degree")
-    terms = {}
-    tdoc = _expect(doc.get("terms", {}), dict, f"{path}.terms", "an object")
-    for key, value in tdoc.items():
-        kpath = f"{path}.terms[{key!r}]"
-        I = _index_key(key, rank, degree, kpath)
-        terms[I] = fscalar_from_json(sig, value, kpath)
+    degree, entries = _terms_from_json(doc, rank, path)
+    terms = {I: fscalar_from_json(sig, value, kpath) for I, value, kpath in entries}
     return Multivector(sig, rank, degree, terms)
 
 
@@ -253,16 +254,14 @@ def algebroid_to_json(alg: Algebroid) -> dict:
 
 
 def algebroid_from_json(sig: RingSignature, doc, path="$") -> Algebroid:
-    rank = doc.get("rankA")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise SchemaError("expected a positive integer rankA", f"{path}.rankA")
+    rank = _int_at_least(doc.get("rankA"), 1, "positive integer rankA", f"{path}.rankA")
     rank_v = 1
     if "module" in doc:
         mdoc = _expect(doc["module"], dict, f"{path}.module", "an object")
         _check_keys(mdoc, ("rankV", "action"), f"{path}.module")
-        rank_v = mdoc.get("rankV", 1)
-        if not isinstance(rank_v, int) or isinstance(rank_v, bool) or rank_v < 1:
-            raise SchemaError("expected a positive integer rankV", f"{path}.module.rankV")
+        rank_v = _int_at_least(
+            mdoc.get("rankV", 1), 1, "positive integer rankV", f"{path}.module.rankV"
+        )
     anchor = _matrix(sig, doc.get("anchor", []), rank, sig.ncoords, f"{path}.anchor")
     structure = {}
     sdoc = _expect(doc.get("structure", {}), dict, f"{path}.structure", "an object")
@@ -405,9 +404,7 @@ def definition_from_json(doc, path="$") -> dict:
     if "gcr" in doc:
         gdoc = _expect(doc["gcr"], dict, f"{path}.gcr", "an object")
         _check_keys(gdoc, ("h", "frame", "j"), f"{path}.gcr")
-        h = gdoc.get("h")
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-            raise SchemaError("expected a positive integer h", f"{path}.gcr.h")
+        h = _int_at_least(gdoc.get("h"), 1, "positive integer h", f"{path}.gcr.h")
         frame = _matrix(sig, gdoc.get("frame", []), alg.rank, alg.rank, f"{path}.gcr.frame")
         j = _matrix(sig, gdoc.get("j", []), 2 * h, 2 * h, f"{path}.gcr.j")
         try:
@@ -453,10 +450,14 @@ def digest(doc) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
-def loads_definition(text: str) -> dict:
-    """JSON text to a rich payload; JSON syntax errors keep their position."""
+def loads_json(text: str):
+    """JSON text to a document; syntax errors keep their position."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"invalid JSON: {ex.msg} (line {ex.lineno} column {ex.colno})", "$") from None
-    return definition_from_json(doc)
+
+
+def loads_definition(text: str) -> dict:
+    """JSON text to a rich payload; JSON syntax errors keep their position."""
+    return definition_from_json(loads_json(text))

@@ -11,6 +11,7 @@ list returned alongside each verdict names those factors.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .ring import GaussRat, RingElem, RingSignature, coerce_elem
 
@@ -113,6 +114,28 @@ class Echelon:
     def excluded_strs(self) -> list:
         return sorted({str(e) for e in self.excluded})
 
+    def reduce(self, v) -> tuple:
+        """Generic span membership of v in the row space, with a residual witness.
+
+        Returns (in_span, residual, excluded): residual is v reduced against
+        the echelon rows (scaled by nonzero pivots), so a nonzero residual
+        certifies v outside the span over the fraction field.
+        """
+        sig = self.sig
+        vec = [coerce_elem(sig, x) for x in v]
+        excluded = list(self.excluded)
+        for r, c in self.pivots:
+            if vec[c].is_zero():
+                continue
+            p = self.rows[r][c]
+            _note_excluded(excluded, p)
+            coef = vec[c]
+            vec = [p * a - coef * b for a, b in zip(vec, self.rows[r])]
+            vec, w = _strip_row(sig, vec)
+            if w is not None:
+                _note_excluded(excluded, w)
+        return all(x.is_zero() for x in vec), vec, excluded
+
 
 def _note_excluded(excluded, elem: RingElem):
     if elem.is_constant():
@@ -200,26 +223,8 @@ def nullspace(sig: RingSignature, M) -> tuple:
 
 
 def membership(sig: RingSignature, rows, v) -> tuple:
-    """Generic span membership with a residual witness.
-
-    Returns (in_span, residual, excluded): residual is v reduced against an
-    echelon form of the rows (scaled by nonzero pivots), so a nonzero residual
-    certifies v outside the span over the fraction field.
-    """
-    ech = rref(sig, rows)
-    vec = [coerce_elem(sig, x) for x in v]
-    excluded = list(ech.excluded)
-    for r, c in ech.pivots:
-        if vec[c].is_zero():
-            continue
-        p = ech.rows[r][c]
-        _note_excluded(excluded, p)
-        coef = vec[c]
-        vec = [p * a - coef * b for a, b in zip(vec, ech.rows[r])]
-        vec, w = _strip_row(sig, vec)
-        if w is not None:
-            _note_excluded(excluded, w)
-    return all(x.is_zero() for x in vec), vec, excluded
+    """Generic span membership with a residual witness (see Echelon.reduce)."""
+    return rref(sig, rows).reduce(v)
 
 
 def solve_exact(sig: RingSignature, M, b) -> list:
@@ -298,3 +303,39 @@ def determinant(sig: RingSignature, M) -> RingElem:
         prev = M[k][k]
     det = M[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) -> list:
+    """Width-vectors of polynomials of bounded degree killed by a linear map.
+
+    The unknowns are the coefficients of each coordinate monomial of total
+    degree at most max_degree in each of the width slots.  image(b, m) gives
+    the image of the monomial m placed in slot b as (key, ring element)
+    pairs; each monomial of each such element is one linear equation.  The
+    map may raise polynomial degree, so the cut-off applies to the unknowns
+    only and every output lies exactly in the kernel.
+    """
+    zero_c, zero_e = (0,) * sig.ncoords, (0,) * sig.nexps
+    monos = sorted(
+        m for m in product(range(max_degree + 1), repeat=sig.ncoords) if sum(m) <= max_degree
+    )
+    unknowns = [(RingElem(sig, {(m, zero_e): 1}), b) for m in monos for b in range(width)]
+    eq_index: dict = {}
+    rows: list = []
+    for col, (mono, b) in enumerate(unknowns):
+        for key, elem in image(b, mono):
+            for mkey, coeff in elem.terms.items():
+                if (key, mkey) not in eq_index:
+                    eq_index[(key, mkey)] = len(rows)
+                    rows.append([sig.zero()] * len(unknowns))
+                row = rows[eq_index[(key, mkey)]]
+                row[col] = row[col] + RingElem(sig, {(zero_c, zero_e): coeff})
+    sols = nullspace(sig, rows)[0] if rows else identity(sig, len(unknowns))
+    out = []
+    for sol in sols:
+        vec = [sig.zero()] * width
+        for c, (mono, b) in zip(sol, unknowns):
+            if not c.is_zero():
+                vec[b] = vec[b] + c * mono
+        out.append(vec)
+    return out

@@ -16,9 +16,7 @@ against the calculus rather than against themselves.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebroid import Algebroid, AlgebroidError
+from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import (
     AForm,
@@ -31,24 +29,11 @@ from .exterior import (
     pair_eval,
     wedge,
 )
-from .ring import RingElem, coerce_elem
+from .ring import coerce_elem
 
 
 class SchoutenError(ValueError):
     pass
-
-
-def _ev(alg: Algebroid, k: int, w: FScalar) -> FScalar:
-    """Frame section acting on a graded function: anchor plus grade * theta."""
-    th = alg.theta_scalar(k)
-    parts = {}
-    for g, elem in w.parts.items():
-        e = alg.apply_frame_anchor(k, elem)
-        if g and not th.is_zero():
-            e = e + elem * th * g
-        if not e.is_zero():
-            parts[g] = e
-    return FScalar(alg.sig, parts)
 
 
 def _frame_mv(alg: Algebroid, I: tuple) -> Multivector:
@@ -62,10 +47,10 @@ def _bracket_frame_fn(alg: Algebroid, I: tuple, w: FScalar) -> Multivector:
     if not I:
         return Multivector.zero(alg.sig, alg.rank, 0)
     if len(I) == 1:
-        return Multivector(alg.sig, alg.rank, 0, {(): _ev(alg, I[0], w)})
+        return Multivector(alg.sig, alg.rank, 0, {(): alg.act_graded(I[0], w)})
     head, rest = I[0], I[1:]
     a = wedge(_frame_mv(alg, (head,)), _bracket_frame_fn(alg, rest, w))
-    b = _frame_mv(alg, rest).scale(_ev(alg, head, w))
+    b = _frame_mv(alg, rest).scale(alg.act_graded(head, w))
     return a + b if len(rest) % 2 == 0 else a - b
 
 

@@ -72,7 +72,7 @@ def differential_matrix(alg, k: int):
                     continue
                 sgn = (-1) ** pos
                 for a in range(s):
-                    val = theta[i][a][b]
+                    val = theta[i][b][a]
                     if val:
                         row[index[(J, a)]] += sgn * val
             for p in range(k + 1):

@@ -247,3 +247,15 @@ def test_cohomology_requires_exactly_one_source():
     assert r.returncode == 2
     r = run_cli("cohomology", "--k", "1", stdin="")
     assert r.returncode == 2
+
+
+def test_negative_sample_count_exits_2():
+    doc = build_doc("tangent-r2")
+    r = run_cli("check-axioms", "--samples", "-5", stdin=doc)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:")
+    assert "(at $)" in r.stderr
+    r = run_cli("check-axioms", "--samples", "0", stdin=doc)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["samples"]["requested"] == 0

@@ -1,0 +1,191 @@
+"""Invariants that pin the shared exterior/differential core.
+
+* The module-valued differential and the graded differential agree on every
+  rank-one catalog entry once the module is trivialized.
+* Default reports of every catalog entry hash to fixed digests.
+* The public names and the per-layer functions the benchmark counts exist as
+  plain functions, classes or methods.
+"""
+
+import contextlib
+import hashlib
+import inspect
+import io as _stdio
+import json
+from itertools import combinations
+
+import pytest
+
+import courantkit
+from courantkit import catalog, cli, io
+from courantkit.exterior import AForm, aform_to_fform
+from courantkit.sampling import SplitMix
+
+
+def _rand_form(rng, alg, degree, vvalued):
+    terms = {}
+    width = alg.rank_v if vvalued else 1
+    for I in combinations(range(alg.rank), degree):
+        if rng.randint(0, 2):
+            vec = tuple(rng.ring_elem(alg.sig, max_degree=1, terms=2) for _ in range(width))
+            if any(not c.is_zero() for c in vec):
+                terms[I] = vec
+    return AForm(alg.sig, alg.rank, alg.rank_v, vvalued, degree, terms)
+
+
+def test_d_agrees_with_graded_d_on_rank_one_entries():
+    rng = SplitMix(2024)
+    checked = 0
+    twisted = set()
+    for name in catalog.names():
+        alg = catalog.load(name)["algebroid"]
+        if alg.rank_v != 1:
+            continue
+        if any(not alg.theta_scalar(i).is_zero() for i in range(alg.rank)):
+            twisted.add(name)
+        for degree in range(alg.rank + 1):
+            for vvalued in (True, False):
+                w = _rand_form(rng, alg, degree, vvalued)
+                assert aform_to_fform(alg.d(w)) == alg.d_graded(aform_to_fform(w)), (
+                    name,
+                    degree,
+                    vvalued,
+                )
+                checked += 1
+    assert checked >= 100
+    assert len(twisted) >= 4
+
+
+# -- report digests -----------------------------------------------------------
+
+# Exit code and sha256 of the default report bytes.  Reports are part of the
+# contract, so a change here is a change of report content, not of layout.
+DIGESTS = {
+    "check-axioms/cr-complex-r2": [0, "199b44468ca77cd4fb5b5c7950a7b612cd98a982688e279216aff526663280d8"],
+    "check-axioms/cr-levi-flat-r3": [0, "58c4a0e16ac664b2460c9dcbc0131762deb4e9325f282b131ede824ac0ef193f"],
+    "check-axioms/curvature-control-r2": [1, "541c4674092fcf5d9f413d838f696b4f5985cb7fbeb286af6a4d3b64edc607bc"],
+    "check-axioms/dirac-graph-r2": [0, "42cc7e9e47697b2b305e93437495026fd7f5e2c195840a166c5659c59615f963"],
+    "check-axioms/dirac-nonclosed-r3": [0, "8368291a5f4320d40bc4bea4442517c36340b587959cc8d6deba2899c3d8a52d"],
+    "check-axioms/e1m-r1": [0, "8422f4c8c9930db9f570aa6071d96029c3726a850ce05a0aacf815553f07698f"],
+    "check-axioms/e1m-r2": [0, "d89aff3249398d765bd3cc768c2cf6882bfae1e9647e859d40084ba67520e2e3"],
+    "check-axioms/point-abelian2": [0, "db3ee8d4d9baae92bd7e5d77bb7207b291f37db53bf208c53b3bdf74ced6732e"],
+    "check-axioms/point-heisenberg": [0, "b7d0bc93c1ce2a60d546ef7d0c34b2df67cb0c4b491a6f05f58af8b52cc7a17d"],
+    "check-axioms/point-heisenberg-mod": [0, "bf3eefbd1e9ec9d0f96a8a18e2a3deef042cd8348fcdd82471cdc8a449d4ffd8"],
+    "check-axioms/point-sl2": [0, "a7298c89b030f5211894c04fd44449fff83e6aa3b8e57f225b467791f4c6c3f0"],
+    "check-axioms/standard-r3-twisted": [0, "4318c604dc184cab53641c85544a69cd3e96e545739ff483e1846f452c0adecf"],
+    "check-axioms/symplectic-r2": [0, "57b4e298993bfacf136373a1e789739c782bd2d6ea09497f03506e4ddd75052b"],
+    "check-axioms/tangent-r2": [0, "8b9268dd8faee369e94ff94299169716d767800c04cf5cd061b5e510ea55620b"],
+    "check-axioms/tangent-r3": [0, "e49f8b469443326934f6cdc9b4b012397ebb1d141fea4ad16f48946c7bed4158"],
+    "check-dirac/contact-r3": [0, "d01f7e579a1898a8cfe1cad43625412bc787e2f5861940abbcb02b7b997764d3"],
+    "check-dirac/dirac-graph-r2": [0, "914f7578c0a3705670cc993ccb01579a3fa0d1da0cdd6a445644055f95719f1b"],
+    "check-dirac/dirac-nonclosed-r3": [1, "cf40572bf3f49853dba36fd69616b61a61f6f1e390a71a255469d809f0d04648"],
+    "check-gcr/contact-r3": [0, "7a6c4d80a034d08c6416d92d4edf994dd41723ec0713e58b333a443b25186b60"],
+    "check-gcr/cr-complex-r2": [0, "92bf0c5e3db072e2ea55abc6b3ecbb63a8cf0ef8afd539b6192e5082de08bdaf"],
+    "check-gcr/cr-control-r5": [1, "5618e8491742f808d634383b0129621bf62255b4e8f4cf211410b5581e59982a"],
+    "check-gcr/cr-levi-flat-r3": [0, "8d21f2a0e2709a1eb5dece9669bb86ab463fda20d44f23b4372e91e66f06add0"],
+    "check-gcr/symplectic-r2": [0, "34d61072899e2876fa2d910dae2b61674a8cac7666f93c1d9ea01204c6872120"],
+    "check-jacobi/contact-r3": [0, "295d11585bdd03231d5953df43842ddd5d3355704c6cd0fa5efdbf8fe2255e34"],
+    "validate/contact-r3": [0, "0c0c37608997ea76f66caba8ff0290000081d88efbf3194427136497ce4ab280"],
+    "validate/cr-complex-r2": [0, "160264b58c8c464a12d2249c68d8b04a1181f5afbe50a2a3a30dfbb0d7b68278"],
+    "validate/cr-control-r5": [0, "dc5a3a7ce09be02689d461fd13a33a9cf1799f7bd33cf04aa083756cf2bf885a"],
+    "validate/cr-levi-flat-r3": [0, "85b43006ccf8e964070905ed0694bac6a4e463d06cce3638a1b1426d6bc37b48"],
+    "validate/curvature-control-r2": [1, "0e401473ac2fc895e8bd9f095b09079a8dca86cccd6dec17786fb8e82c6611f5"],
+    "validate/dirac-graph-r2": [0, "54b975f6d2267b68b9db3aaece1bef7a241f07e929f39290e2afad8063aad8bc"],
+    "validate/dirac-nonclosed-r3": [0, "598a30e53a13eebf117d01cfd7ea53495c6bffe4a2853bd04bf42d4fc52c5c8e"],
+    "validate/e1m-r1": [0, "a42b6f52c01ec98a592e85e4c3cd08ca4e988896b32b5fc68ba739dcb098092c"],
+    "validate/e1m-r2": [0, "71d1157b0d8129271e69255228fece08da96664e9202cf9c204b3e8089a5233d"],
+    "validate/e1m-r3": [0, "411e57f1dffe006f8512f28df763c02bcb935b5740dd7f56e78a9cd7b10b1f59"],
+    "validate/nonclosed-r4": [1, "724e36651fdf928ceafb0b63c3f63f54f2e845a1175262426d8269c733fad3dd"],
+    "validate/point-abelian2": [0, "b6a647cedfb1c3d1b8638d44326d186843a0a38c430d97befa48480c2823013c"],
+    "validate/point-heisenberg": [0, "0758ab48ed18b136bc7165a3df270310db0b5a13808a6b2e6c025c6161d1605d"],
+    "validate/point-heisenberg-mod": [0, "dd2754deeaf0b46e64dbbad49a29bc23f9ca60ddd206274157dee1785aea972a"],
+    "validate/point-sl2": [0, "d27717d339d12f35dbf312a2f0f7a72e0effd83e37e964b5b60a1c1a2ecc73ac"],
+    "validate/standard-r3-twisted": [0, "107c5bd26858bf57d63998a6cddd7af0cdae85644d874c84174c11595d2d227c"],
+    "validate/symplectic-r2": [0, "92468706746e2a00e59b00bb4c939ca97e2bfa59fe915d40baa16f80fc07cef1"],
+    "validate/tangent-r2": [0, "7514bdf65f88620cf12267d7af2bfd545192e160a9d08f3e3470dd11650f65f0"],
+    "validate/tangent-r3": [0, "d1c25bc0559564f67a3fc15ebb5ad87b12b648b51409fc10d8259a57842c4d41"],
+}
+
+
+def _run(argv) -> tuple:
+    out = _stdio.StringIO()
+    err = _stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _report_cases(tmp_path):
+    for name in catalog.names():
+        doc = io.definition_to_json(catalog.load(name))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        defs = ["--defs", str(path)]
+        yield f"validate/{name}", ["validate"] + defs
+        if "subbundles" in doc:
+            yield f"check-dirac/{name}", ["check-dirac"] + defs
+        if "gcr" in doc:
+            yield f"check-gcr/{name}", ["check-gcr"] + defs
+        if "jacobi" in doc:
+            yield f"check-jacobi/{name}", ["check-jacobi"] + defs
+        if doc["rankA"] <= 3:
+            yield f"check-axioms/{name}", ["check-axioms", "--samples", "2"] + defs
+
+
+def report_digests(tmp_path) -> dict:
+    out = {}
+    for label, argv in _report_cases(tmp_path):
+        code, text = _run(argv)
+        out[label] = [code, hashlib.sha256(text.encode("utf-8")).hexdigest()]
+    return out
+
+
+def test_default_reports_are_byte_identical(tmp_path):
+    got = report_digests(tmp_path)
+    assert sorted(got) == sorted(DIGESTS)
+    for label in sorted(DIGESTS):
+        assert got[label] == DIGESTS[label], label
+
+
+# -- names that must stay plain functions ----------------------------------------
+
+# Functions the benchmark's traced run counts or times by module and qualified
+# name; a name that disappears reads 0 there with only a warning.
+COUNTED = [
+    ("ring", "RingElem.__mul__"),
+    ("ring", "RingElem.__add__"),
+    ("ring", "RingElem.__init__"),
+    ("ring", "RingElem.partial"),
+    ("ring", "RingElem.exact_div"),
+    ("ring", "RingSignature.parse"),
+    ("exterior", "contract"),
+    ("exterior", "wedge"),
+    ("exterior", "iota"),
+    ("exterior", "breve_contract"),
+    ("algebroid", "Algebroid.d"),
+    ("algebroid", "Algebroid.d_graded"),
+    ("algebroid", "Algebroid.lie"),
+    ("algebroid", "Algebroid.bracket"),
+    ("algebroid", "Algebroid.anchor_vector"),
+    ("algebroid", "Algebroid.validate"),
+    ("courant", "CourantPresentation.bracket"),
+    ("courant", "CourantPresentation.jacobiator"),
+    ("schouten", "schouten"),
+    ("linalg", "rref"),
+    ("cli", "_emit"),
+]
+
+
+@pytest.mark.parametrize("module,path", COUNTED)
+def test_counted_functions_are_plain(module, path):
+    obj = __import__(f"courantkit.{module}", fromlist=["_"])
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    assert inspect.isfunction(obj), (module, path)
+    assert obj.__qualname__ == path
+
+
+def test_public_names_exist():
+    for name in courantkit.__all__:
+        obj = getattr(courantkit, name)
+        assert inspect.isfunction(obj) or inspect.isclass(obj), name
