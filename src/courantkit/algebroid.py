@@ -18,7 +18,6 @@ from .exterior import (
     AForm,
     FForm,
     FScalar,
-    Multivector,
     insert_index,
     merge_indices,
 )
@@ -469,11 +468,6 @@ class Algebroid:
                     yield (I, c), e
 
         return linalg.polynomial_kernel(self.sig, max_degree, self.rank_v, image)
-
-    # -- conversions -----------------------------------------------------------------
-
-    def section_multivector(self, X) -> Multivector:
-        return Multivector.section(self.sig, self.rank, X)
 
     def describe(self) -> dict:
         return {

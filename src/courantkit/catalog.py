@@ -21,7 +21,7 @@ from .courant import CourantPresentation
 from .dirac import graph_two_form
 from .exterior import AForm, FScalar, Multivector
 from .gcr import Distribution, full_distribution, symplectic_gcr, tangent_restriction
-from .ring import ExpGen, RingElem, RingSignature
+from .ring import ExpGen, RingError, RingSignature
 
 
 class CatalogError(ValueError):
@@ -96,13 +96,8 @@ def tangent_algebroid_over(sig: RingSignature) -> Algebroid:
 def suspend_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
     """Module-valued form to an invariant plain form: weight one in the unit."""
     ssig = sus.sig
-    terms = {}
-    for I, vec in w.terms.items():
-        elem = vec[0]
-        acc = {}
-        for (cdeg, edeg), coeff in elem.terms.items():
-            acc[(cdeg + (0,), (1,))] = coeff
-        terms[I] = (RingElem(ssig, acc),)
+    unit = ssig.exp_gen(ssig.exps[0].name)
+    terms = {I: (vec[0].embed(ssig) * unit,) for I, vec in w.terms.items()}
     return AForm(ssig, sus.rank, 1, False, w.degree, terms)
 
 
@@ -112,18 +107,13 @@ def reduce_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
     Invariance means every coefficient is exactly weight one in the unit and
     free of the suspension coordinate.
     """
-    sig = alg.sig
-    n = sig.ncoords
-    terms = {}
-    for I, vec in w.terms.items():
-        elem = vec[0]
-        acc = {}
-        for (cdeg, edeg), coeff in elem.terms.items():
-            if edeg != (1,) or cdeg[n] != 0:
-                raise CatalogError("form is not invariant of weight one")
-            acc[(cdeg[:n], ())] = coeff
-        terms[I] = (RingElem(sig, acc),)
-    return AForm(sig, alg.rank, 1, True, w.degree, terms)
+    ssig = sus.sig
+    unit = ssig.exp_gen(ssig.exps[0].name)
+    try:
+        terms = {I: ((vec[0] / unit).embed(alg.sig),) for I, vec in w.terms.items()}
+    except RingError:
+        raise CatalogError("form is not invariant of weight one") from None
+    return AForm(alg.sig, alg.rank, 1, True, w.degree, terms)
 
 
 def contact_r3() -> dict:

@@ -115,6 +115,8 @@ def _cmd_validate(args, doc, payload) -> dict:
 
 
 def _cmd_cohomology(args) -> int:
+    if args.k < 0:
+        raise SchemaError("--k must not be negative", "$")
     if (args.algebra is None) == (args.defs is None):
         raise SchemaError("pass exactly one of --algebra or --defs", "$")
     if args.algebra is not None:
@@ -247,10 +249,7 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
     C = payload["courant"]
     S = payload.get("gcr")
     if args.gcr:
-        gdoc = io.loads_json(_read_text(args.gcr))
-        wrapped = dict(doc)
-        wrapped["gcr"] = gdoc
-        S = io.definition_from_json(wrapped).get("gcr")
+        S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr)), "$.gcr")
     if S is None:
         raise SchemaError("no gcr block to check", "$.gcr")
     rep = validate_gcr(S)

@@ -125,7 +125,7 @@ class CSection:
 
 
 class CourantPresentation:
-    __slots__ = ("alg", "twist", "closed_twist")
+    __slots__ = ("alg", "twist", "dtwist")
 
     def __init__(self, alg: Algebroid, twist: AForm | None = None, allow_nonclosed=False):
         if twist is None:
@@ -134,17 +134,21 @@ class CourantPresentation:
             raise CourantError("twist must be a module-valued 3-form")
         if twist.sig != alg.sig or twist.rank != alg.rank or twist.rank_v != alg.rank_v:
             raise CourantError("twist does not live on this algebroid")
-        closed = alg.d(twist).is_zero()
-        if not closed and not allow_nonclosed:
+        dtwist = alg.d(twist)
+        if not dtwist.is_zero() and not allow_nonclosed:
             raise CourantError(
                 "twist is not closed; pass allow_nonclosed=True to study the defect"
             )
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "closed_twist", closed)
+        object.__setattr__(self, "dtwist", dtwist)
 
     def __setattr__(self, name, value):
         raise AttributeError("CourantPresentation is immutable")
+
+    @property
+    def closed_twist(self) -> bool:
+        return self.dtwist.is_zero()
 
     # -- sections ----------------------------------------------------------------
 
@@ -213,8 +217,7 @@ class CourantPresentation:
     def jacobiator_expected(self, e1: CSection, e2: CSection, e3: CSection) -> CSection:
         """Insertion of the three section legs into dH (zero for a closed twist)."""
         alg = self.alg
-        dh = alg.d(self.twist)
-        w = contract(self._mv(e3.x), dh)
+        w = contract(self._mv(e3.x), self.dtwist)
         w = contract(self._mv(e2.x), w)
         w = contract(self._mv(e1.x), w)
         return CSection(alg, alg.zero_section(), w)

@@ -300,17 +300,6 @@ class _Alternating:
         c = self.terms.get(tuple(I))
         return self._zero_coeff() if c is None else c
 
-    def eval_frame(self, indices):
-        """Alternating evaluation on a (possibly unsorted) index sequence."""
-        indices = tuple(indices)
-        if len(indices) != self.degree:
-            raise ExteriorError("wrong number of arguments")
-        c = self.terms.get(tuple(sorted(indices)))
-        if c is None:
-            return self._zero_coeff()
-        inversions = sum(a > b for m, a in enumerate(indices) for b in indices[m + 1 :])
-        return self._neg(c) if inversions % 2 else c
-
     def __add__(self, other):
         self._compat(other)
         if not self.terms:

@@ -353,6 +353,20 @@ def definition_to_json(payload: dict) -> dict:
     return doc
 
 
+def gcr_from_json(C: CourantPresentation, doc, path) -> GCRStructure:
+    """A gcr block ({h, frame, j}) on an already built presentation."""
+    alg = C.alg
+    _expect(doc, dict, path, "an object")
+    _check_keys(doc, ("h", "frame", "j"), path)
+    h = _int_at_least(doc.get("h"), 1, "positive integer h", f"{path}.h")
+    frame = _matrix(alg.sig, doc.get("frame", []), alg.rank, alg.rank, f"{path}.frame")
+    j = _matrix(alg.sig, doc.get("j", []), 2 * h, 2 * h, f"{path}.j")
+    try:
+        return GCRStructure(build_H_bundle(C, Distribution(alg, frame, h)), j)
+    except ValueError as ex:
+        raise SchemaError(str(ex), path) from None
+
+
 def definition_from_json(doc, path="$") -> dict:
     """Parse a definition document back into rich objects.
 
@@ -402,17 +416,7 @@ def definition_from_json(doc, path="$") -> dict:
         }
 
     if "gcr" in doc:
-        gdoc = _expect(doc["gcr"], dict, f"{path}.gcr", "an object")
-        _check_keys(gdoc, ("h", "frame", "j"), f"{path}.gcr")
-        h = _int_at_least(gdoc.get("h"), 1, "positive integer h", f"{path}.gcr.h")
-        frame = _matrix(sig, gdoc.get("frame", []), alg.rank, alg.rank, f"{path}.gcr.frame")
-        j = _matrix(sig, gdoc.get("j", []), 2 * h, 2 * h, f"{path}.gcr.j")
-        try:
-            dist = Distribution(alg, frame, h)
-            hb = build_H_bundle(payload["courant"], dist)
-            payload["gcr"] = GCRStructure(hb, j)
-        except ValueError as ex:
-            raise SchemaError(str(ex), f"{path}.gcr") from None
+        payload["gcr"] = gcr_from_json(payload["courant"], doc["gcr"], f"{path}.gcr")
 
     if "jacobi" in doc:
         jdoc = _expect(doc["jacobi"], dict, f"{path}.jacobi", "an object")

@@ -2,18 +2,17 @@
 
 Matrices hold exact ring elements; elimination uses cross-multiplication so no
 step ever leaves the ring.  Row operations divide out rational content and
-common coordinate monomials, which is legitimate over the fraction field: the
-verdicts (rank, span membership, nullspace) are *generic*, valid off the
-vanishing locus of the recorded pivots and stripped factors.  The `excluded`
-list returned alongside each verdict names those factors.
+common monomials (ring.normalize_row), which is legitimate over the fraction
+field: the verdicts (rank, span membership, nullspace) are *generic*, valid off
+the vanishing locus of the recorded pivots and stripped factors.  The
+`excluded` list returned alongside each verdict names those factors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
-from .ring import GaussRat, RingElem, RingSignature, coerce_elem
+from .ring import RingElem, RingSignature, coerce_elem, normalize_row
 
 
 class LinalgError(ValueError):
@@ -45,57 +44,6 @@ def mat_mul(sig: RingSignature, A, B) -> list:
     ]
 
 
-def mat_vec(sig: RingSignature, A, v) -> list:
-    return [sum((A[i][k] * v[k] for k in range(len(v))), sig.zero()) for i in range(len(A))]
-
-
-def _strip_row(sig: RingSignature, row):
-    """Divide a row by its rational content and common monomial.
-
-    Returns (row, monomial_factor_or_None); only coordinate monomials can
-    vanish, so only those are worth excluding.
-    """
-    live = [e for e in row if not e.is_zero()]
-    if not live:
-        return row, None
-    gcds = [e.monomial_gcd() for e in live]
-    common = tuple(
-        (
-            tuple(min(g[0][k] for g in gcds) for k in range(len(gcds[0][0]))),
-            tuple(min(g[1][k] for g in gcds) for k in range(len(gcds[0][1]))),
-        )
-    )
-    cdeg, edeg = common
-    content = None
-    for e in live:
-        c = e.rational_content()
-        content = c if content is None else _frac_gcd(content, c)
-    changed = any(cdeg) or any(edeg) or content != Fraction(1)
-    if not changed:
-        return row, None
-    inv = Fraction(1) / content
-    out = []
-    for e in row:
-        if e.is_zero():
-            out.append(e)
-        else:
-            out.append(e.shift_monomial((cdeg, edeg), negate=True) * inv)
-    witness = None
-    if any(cdeg):
-        witness = RingElem(
-            sig, {(cdeg, (0,) * sig.nexps): GaussRat.coerce(1)}
-        )
-    return out, witness
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-
-    num = gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class Echelon:
     """Result of a fraction-free Gauss-Jordan pass."""
 
@@ -110,9 +58,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def excluded_strs(self) -> list:
-        return sorted({str(e) for e in self.excluded})
 
     def reduce(self, v) -> tuple:
         """Generic span membership of v in the row space, with a residual witness.
@@ -131,7 +76,7 @@ class Echelon:
             _note_excluded(excluded, p)
             coef = vec[c]
             vec = [p * a - coef * b for a, b in zip(vec, self.rows[r])]
-            vec, w = _strip_row(sig, vec)
+            vec, w = normalize_row(vec)
             if w is not None:
                 _note_excluded(excluded, w)
         return all(x.is_zero() for x in vec), vec, excluded
@@ -150,7 +95,7 @@ def rref(sig: RingSignature, M) -> Echelon:
     rows = [list(r) for r in coerce_matrix(sig, M)]
     excluded: list = []
     for i in range(len(rows)):
-        rows[i], w = _strip_row(sig, rows[i])
+        rows[i], w = normalize_row(rows[i])
         if w is not None:
             _note_excluded(excluded, w)
     nrows = len(rows)
@@ -180,7 +125,7 @@ def rref(sig: RingSignature, M) -> Echelon:
                 continue
             c = rows[r2][col]
             rows[r2] = [p * a - c * b for a, b in zip(rows[r2], rows[prow])]
-            rows[r2], w = _strip_row(sig, rows[r2])
+            rows[r2], w = normalize_row(rows[r2])
             if w is not None:
                 _note_excluded(excluded, w)
         pivots.append((prow, col))
@@ -217,7 +162,7 @@ def nullspace(sig: RingSignature, M) -> tuple:
             if q is None:
                 raise LinalgError("pivot product division failed")
             vec[c] = -a * q
-        vec, _ = _strip_row(sig, vec)
+        vec, _ = normalize_row(vec)
         basis.append(vec)
     return basis, ech.excluded
 
@@ -225,30 +170,6 @@ def nullspace(sig: RingSignature, M) -> tuple:
 def membership(sig: RingSignature, rows, v) -> tuple:
     """Generic span membership with a residual witness (see Echelon.reduce)."""
     return rref(sig, rows).reduce(v)
-
-
-def solve_exact(sig: RingSignature, M, b) -> list:
-    """One exact solution of M x = b (free variables set to zero).
-
-    Requires consistency and divisions that land back in the ring; raises
-    LinalgError otherwise.
-    """
-    M = coerce_matrix(sig, M)
-    bvec = [coerce_elem(sig, x) for x in b]
-    if len(bvec) != len(M):
-        raise LinalgError("right-hand side length mismatch")
-    ncols = len(M[0]) if M else 0
-    aug = [row + [bvec[i]] for i, row in enumerate(M)]
-    ech = rref(sig, aug)
-    xs = [sig.zero()] * ncols
-    for r, c in ech.pivots:
-        if c == ncols:
-            raise LinalgError("inconsistent linear system")
-        q = ech.rows[r][ncols].exact_div(ech.rows[r][c])
-        if q is None:
-            raise LinalgError("solution does not lie in the ring")
-        xs[c] = q
-    return xs
 
 
 def invert(sig: RingSignature, M) -> list:
@@ -315,11 +236,10 @@ def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) ->
     map may raise polynomial degree, so the cut-off applies to the unknowns
     only and every output lies exactly in the kernel.
     """
-    zero_c, zero_e = (0,) * sig.ncoords, (0,) * sig.nexps
     monos = sorted(
         m for m in product(range(max_degree + 1), repeat=sig.ncoords) if sum(m) <= max_degree
     )
-    unknowns = [(RingElem(sig, {(m, zero_e): 1}), b) for m in monos for b in range(width)]
+    unknowns = [(sig.monomial(m), b) for m in monos for b in range(width)]
     eq_index: dict = {}
     rows: list = []
     for col, (mono, b) in enumerate(unknowns):
@@ -329,7 +249,7 @@ def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) ->
                     eq_index[(key, mkey)] = len(rows)
                     rows.append([sig.zero()] * len(unknowns))
                 row = rows[eq_index[(key, mkey)]]
-                row[col] = row[col] + RingElem(sig, {(zero_c, zero_e): coeff})
+                row[col] = row[col] + sig.const(coeff)
     sols = nullspace(sig, rows)[0] if rows else identity(sig, len(unknowns))
     out = []
     for sol in sols:

@@ -7,9 +7,13 @@ carries a constant derivative row (c_1, ..., c_n) declaring dE/dx_j = c_j * E,
 which makes partial derivatives close on the ring.  All arithmetic is exact;
 no floats ever appear.
 
-Elements are kept in canonical form: a sparse map from monomials (a pair of
-exponent tuples, coordinates then exponentials) to nonzero Gaussian-rational
-coefficients.  Equality is therefore literal dict equality.
+Elements are kept in canonical form: a sparse map from monomials to nonzero
+Gaussian-rational coefficients.  Equality is therefore literal dict equality.
+A monomial key is one flat tuple of exponents, the coordinates first and then
+the exponential generators.  This module owns that format: other modules build
+elements through the signature (const, coord, exp_gen, monomial, parse),
+move them between rings with RingElem.embed, and divide matrix rows by their
+content and common monomial with normalize_row.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 
 
 class RingError(ValueError):
@@ -172,11 +177,14 @@ class RingSignature:
     exps: tuple[ExpGen, ...] = ()
     # mode excluded from comparisons: same generators -> same ring
     mode: str = field(default="gaussian", compare=False)
+    # generator names in monomial-key order: coordinates, then exponentials
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "rational"):
             raise RingError(f"unknown scalar mode {self.mode!r}")
-        names = list(self.coords) + [e.name for e in self.exps]
+        names = self.coords + tuple(e.name for e in self.exps)
+        object.__setattr__(self, "names", names)
         if len(set(names)) != len(names):
             raise RingError("coordinate/exponential names must be distinct")
         for nm in names:
@@ -210,69 +218,66 @@ class RingSignature:
                 return k
         raise RingError(f"unknown exponential generator {name!r}")
 
-    def _key(self, cdeg, edeg):
-        return (tuple(cdeg), tuple(edeg))
-
-    def elem(self, terms: dict) -> "RingElem":
-        return RingElem(self, terms)
-
     def zero(self) -> "RingElem":
-        return RingElem(self, {})
+        return _elem(self, {})
 
     def one(self) -> "RingElem":
         return self.const(1)
 
     def const(self, c) -> "RingElem":
         c = GaussRat.coerce(c)
-        key = ((0,) * self.ncoords, (0,) * self.nexps)
-        return RingElem(self, {key: c} if c else {})
+        return _elem(self, {(0,) * len(self.names): c} if c else {})
+
+    def monomial(self, cdeg, edeg=None, coeff=1) -> "RingElem":
+        """coeff * x^cdeg * E^edeg, checked like any outside input; edeg
+        defaults to no exponential part."""
+        edeg = (0,) * self.nexps if edeg is None else tuple(edeg)
+        return RingElem(self, {tuple(cdeg) + edeg: coeff})
+
+    def _generator(self, j: int) -> "RingElem":
+        return _elem(self, {tuple(int(k == j) for k in range(len(self.names))): GR_ONE})
 
     def coord(self, name: str) -> "RingElem":
-        j = self.coord_index(name)
-        cdeg = tuple(1 if k == j else 0 for k in range(self.ncoords))
-        return RingElem(self, {(cdeg, (0,) * self.nexps): GR_ONE})
+        return self._generator(self.coord_index(name))
 
     def exp_gen(self, name: str) -> "RingElem":
-        j = self.exp_index(name)
-        edeg = tuple(1 if k == j else 0 for k in range(self.nexps))
-        return RingElem(self, {((0,) * self.ncoords, edeg): GR_ONE})
+        return self._generator(self.ncoords + self.exp_index(name))
 
     def parse(self, text: str) -> "RingElem":
         return _Parser(self, text).run()
 
     def monomial_str(self, key) -> str:
-        cdeg, edeg = key
-        parts = []
-        for name, d in zip(self.coords, cdeg):
-            if d == 1:
-                parts.append(name)
-            elif d != 0:
-                parts.append(f"{name}^{d}")
-        for e, d in zip(self.exps, edeg):
-            if d == 1:
-                parts.append(e.name)
-            elif d != 0:
-                parts.append(f"{e.name}^{d}")
-        return "*".join(parts)
+        return "*".join(
+            name if d == 1 else f"{name}^{d}" for name, d in zip(self.names, key) if d
+        )
 
 
 class RingElem:
-    """Sparse exact element of the coefficient ring attached to a signature."""
+    """Sparse exact element of the coefficient ring attached to a signature.
+
+    terms maps monomial keys to nonzero Gaussian rationals.  A key is one flat
+    tuple of exponents: the coordinates, then the exponential generators.  Only
+    this module builds or takes one apart.  The constructor checks outside
+    input (key arity, integer exponents, nonnegative coordinate exponents,
+    exact coefficients); arithmetic results skip the checks via _elem.
+    """
 
     __slots__ = ("sig", "terms")
 
     def __init__(self, sig: RingSignature, terms: dict):
+        nvars, nc = len(sig.names), sig.ncoords
         clean = {}
-        nc, ne = sig.ncoords, sig.nexps
         for key, coeff in terms.items():
-            cdeg, edeg = key
-            if len(cdeg) != nc or len(edeg) != ne:
+            key = tuple(key)
+            if len(key) != nvars:
                 raise RingError("monomial arity does not match signature")
-            if any(d < 0 for d in cdeg):
+            if not all(isinstance(d, int) for d in key):
+                raise RingError("monomial exponents must be integers")
+            if any(d < 0 for d in key[:nc]):
                 raise RingError("coordinate exponents must be nonnegative")
             coeff = GaussRat.coerce(coeff)
             if coeff:
-                clean[(tuple(cdeg), tuple(edeg))] = coeff
+                clean[key] = coeff
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", clean)
 
@@ -292,8 +297,7 @@ class RingElem:
             return True
         if len(self.terms) != 1:
             return False
-        (cdeg, edeg), _ = next(iter(self.terms.items()))
-        return not any(cdeg) and not any(edeg)
+        return not any(next(iter(self.terms)))
 
     def constant_value(self) -> GaussRat:
         if self.is_zero():
@@ -308,7 +312,7 @@ class RingElem:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "RingElem"):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatch("ring elements come from different signatures")
 
     def __add__(self, other):
@@ -319,12 +323,8 @@ class RingElem:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, GR_ZERO) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return RingElem(self.sig, terms)
+            _accumulate(terms, key, c)
+        return _elem(self.sig, terms)
 
     __radd__ = __add__
 
@@ -339,30 +339,22 @@ class RingElem:
         return (-self) + other
 
     def __neg__(self):
-        return RingElem(self.sig, {k: -c for k, c in self.terms.items()})
+        return _elem(self.sig, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             c = GaussRat.coerce(other)
             if not c:
                 return self.sig.zero()
-            return RingElem(self.sig, {k: v * c for k, v in self.terms.items()})
+            return _elem(self.sig, {k: v * c for k, v in self.terms.items()})
         if not isinstance(other, RingElem):
             return NotImplemented
         self._check(other)
         out: dict = {}
-        for (c1, e1), a in self.terms.items():
-            for (c2, e2), b in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(c1, c2)),
-                    tuple(x + y for x, y in zip(e1, e2)),
-                )
-                s = out.get(key, GR_ZERO) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return RingElem(self.sig, out)
+        for k1, a in self.terms.items():
+            for k2, b in other.terms.items():
+                _accumulate(out, tuple(map(_add, k1, k2)), a * b)
+        return _elem(self.sig, out)
 
     __rmul__ = __mul__
 
@@ -377,12 +369,10 @@ class RingElem:
         """Inverse of a unit: one term, no coordinate part (Laurent monomial)."""
         if len(self.terms) != 1:
             raise RingError("only single-term elements are invertible")
-        (cdeg, edeg), c = next(iter(self.terms.items()))
-        if any(cdeg):
+        ((key, c),) = self.terms.items()
+        if any(key[: self.sig.ncoords]):
             raise RingError("coordinate monomials are not invertible")
-        return RingElem(
-            self.sig, {(cdeg, tuple(-d for d in edeg)): c.inverse()}
-        )
+        return _elem(self.sig, {tuple(-d for d in key): c.inverse()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -403,84 +393,56 @@ class RingElem:
             other = self.sig.const(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
+        return (self.sig is other.sig or self.sig == other.sig) and self.terms == other.terms
 
     # -- calculus -----------------------------------------------------------
 
     def partial(self, var: str) -> "RingElem":
         """Exact partial derivative with respect to a coordinate."""
-        j = self.sig.coord_index(var)
+        sig = self.sig
+        j = sig.coord_index(var)
+        rates = [(sig.ncoords + m, e.row[j]) for m, e in enumerate(sig.exps) if e.row[j]]
         out: dict = {}
-        for (cdeg, edeg), c in self.terms.items():
-            if cdeg[j]:
-                key = (
-                    tuple(d - 1 if k == j else d for k, d in enumerate(cdeg)),
-                    edeg,
-                )
-                s = out.get(key, GR_ZERO) + c * cdeg[j]
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            for m, e in enumerate(self.sig.exps):
-                if edeg[m] and e.row[j]:
-                    s = out.get((cdeg, edeg), GR_ZERO) + c * (edeg[m] * e.row[j])
-                    if s:
-                        out[(cdeg, edeg)] = s
-                    else:
-                        out.pop((cdeg, edeg), None)
-        return RingElem(self.sig, out)
+        for key, c in self.terms.items():
+            d = key[j]
+            if d:
+                _accumulate(out, key[:j] + (d - 1,) + key[j + 1 :], c * d)
+            for p, rate in rates:
+                if key[p]:
+                    _accumulate(out, key, c * (key[p] * rate))
+        return _elem(sig, out)
 
     def conjugate(self) -> "RingElem":
-        return RingElem(self.sig, {k: c.conjugate() for k, c in self.terms.items()})
+        return _elem(self.sig, {k: c.conjugate() for k, c in self.terms.items()})
 
-    # -- normal-form helpers (used by the fraction-field linear algebra) ----
+    def embed(self, target: RingSignature) -> "RingElem":
+        """The same element over another signature, generators matched by name.
 
-    def monomial_gcd(self):
-        """Componentwise minimum of all exponent vectors, or None if zero."""
-        if not self.terms:
-            return None
-        keys = list(self.terms)
-        cmin = tuple(min(k[0][j] for k in keys) for j in range(self.sig.ncoords))
-        emin = tuple(min(k[1][j] for k in keys) for j in range(self.sig.nexps))
-        return (cmin, emin)
-
-    def rational_content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer parts."""
-        nums: list[int] = []
-        dens: list[int] = []
-        for c in self.terms.values():
-            for q in (c.re, c.im):
-                if q:
-                    nums.append(abs(q.numerator))
-                    dens.append(q.denominator)
-        if not nums:
-            return Fraction(1)
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // math.gcd(l, d)
-        return Fraction(g, l)
-
-    def shift_monomial(self, key, negate=False) -> "RingElem":
-        cdeg0, edeg0 = key
-        if negate:
-            cdeg0 = tuple(-d for d in cdeg0)
-            edeg0 = tuple(-d for d in edeg0)
+        Raises RingError when the element uses a generator the target lacks.
+        """
+        where = {name: k for k, name in enumerate(target.names)}
+        moves = []
+        for j, name in enumerate(self.sig.names):
+            if any(key[j] for key in self.terms):
+                if name not in where:
+                    raise RingError(f"generator {name!r} is not in the target ring")
+                moves.append((j, where[name]))
         out = {}
-        for (cdeg, edeg), c in self.terms.items():
-            out[
-                (
-                    tuple(a + b for a, b in zip(cdeg, cdeg0)),
-                    tuple(a + b for a, b in zip(edeg, edeg0)),
-                )
-            ] = c
-        return RingElem(self.sig, out)
+        for key, c in self.terms.items():
+            new = [0] * len(where)
+            for j, k in moves:
+                new[k] = key[j]
+            out[tuple(new)] = c
+        return RingElem(target, out)
 
-    def _lead(self):
-        return max(self.terms)
+    # -- exact division -----------------------------------------------------
+
+    def _min_key(self) -> tuple:
+        """Componentwise minimum of the exponent keys of a nonzero element."""
+        return tuple(map(min, zip(*self.terms)))
+
+    def _shift(self, key) -> "RingElem":
+        return _elem(self.sig, {tuple(map(_add, k, key)): c for k, c in self.terms.items()})
 
     def exact_div(self, g: "RingElem"):
         """Return self/g if g divides exactly, else None."""
@@ -489,34 +451,25 @@ class RingElem:
             raise ZeroDivisionError("division by zero ring element")
         if self.is_zero():
             return self.sig.zero()
-        mf, me = self.monomial_gcd(), g.monomial_gcd()
-        if any(a < b for a, b in zip(mf[0], me[0])):
+        nc = self.sig.ncoords
+        mf, mg = self._min_key(), g._min_key()
+        if any(a < b for a, b in zip(mf[:nc], mg[:nc])):
             return None
-        shift = (
-            tuple(a - b for a, b in zip(mf[0], me[0])),
-            tuple(a - b for a, b in zip(mf[1], me[1])),
-        )
-        f0 = self.shift_monomial(mf, negate=True)
-        g0 = g.shift_monomial(me, negate=True)
+        f0 = self._shift(tuple(-d for d in mf))
+        g0 = g._shift(tuple(-d for d in mg))
         # classic multivariate division with lex order; exponents now >= 0
         quot = self.sig.zero()
         rem = f0
-        glead = g0._lead()
+        glead = max(g0.terms)
         gc = g0.terms[glead]
-        while not rem.is_zero():
-            rlead = rem._lead()
-            if any(a < b for a, b in zip(rlead[0], glead[0])) or any(
-                a < b for a, b in zip(rlead[1], glead[1])
-            ):
+        while rem.terms:
+            rlead = max(rem.terms)
+            if any(a < b for a, b in zip(rlead, glead)):
                 return None
-            key = (
-                tuple(a - b for a, b in zip(rlead[0], glead[0])),
-                tuple(a - b for a, b in zip(rlead[1], glead[1])),
-            )
-            t = RingElem(self.sig, {key: rem.terms[rlead] / gc})
+            t = _elem(self.sig, {tuple(map(_sub, rlead, glead)): rem.terms[rlead] / gc})
             quot = quot + t
             rem = rem - t * g0
-        return quot.shift_monomial(shift)
+        return quot._shift(tuple(map(_sub, mf, mg)))
 
     # -- display ------------------------------------------------------------
 
@@ -552,10 +505,59 @@ class RingElem:
         return f"RingElem({self.to_str()})"
 
 
+def _elem(sig: RingSignature, terms: dict) -> RingElem:
+    """Unchecked constructor for results that are canonical by construction."""
+    e = object.__new__(RingElem)
+    object.__setattr__(e, "sig", sig)
+    object.__setattr__(e, "terms", terms)
+    return e
+
+
+def _accumulate(terms: dict, key, c):
+    s = terms.get(key, GR_ZERO) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def normalize_row(row: list) -> tuple:
+    """Divide a row by its rational content and common monomial.
+
+    Returns (row, witness).  The witness is the stripped coordinate monomial,
+    or None when there is none: only coordinate monomials can vanish, so only
+    those are worth excluding.
+    """
+    live = [e for e in row if e.terms]
+    if not live:
+        return row, None
+    sig = live[0].sig
+    common = tuple(map(min, zip(*(k for e in live for k in e.terms))))
+    num, den = 0, 1
+    for e in live:
+        for c in e.terms.values():
+            for q in (c.re, c.im):
+                if q:
+                    num = math.gcd(num, q.numerator)
+                    den = den * q.denominator // math.gcd(den, q.denominator)
+    if not any(common) and num == den == 1:
+        return row, None
+    inv = GaussRat(Fraction(den, num))
+    out = [
+        _elem(sig, {tuple(map(_sub, k, common)): c * inv for k, c in e.terms.items()})
+        if e.terms
+        else e
+        for e in row
+    ]
+    cdeg = common[: sig.ncoords]
+    witness = _elem(sig, {cdeg + (0,) * sig.nexps: GR_ONE}) if any(cdeg) else None
+    return out, witness
+
+
 def coerce_elem(sig: RingSignature, value) -> RingElem:
     """Accept a RingElem, an exact scalar, or parseable text."""
     if isinstance(value, RingElem):
-        if value.sig != sig:
+        if value.sig is not sig and value.sig != sig:
             raise SignatureMismatch("ring element from a different signature")
         return value
     if isinstance(value, (int, Fraction, GaussRat)):

@@ -59,19 +59,19 @@ class SplitMix:
         """Small sparse polynomial (unit exponential factors allowed)."""
         out = sig.zero()
         for _ in range(terms):
-            cdeg = [0] * sig.ncoords
+            cpow = [0] * sig.ncoords
             budget = self.randint(0, max_degree)
             for _ in range(budget):
                 if sig.ncoords:
-                    cdeg[self.randint(0, sig.ncoords - 1)] += 1
-            edeg = tuple(
+                    cpow[self.randint(0, sig.ncoords - 1)] += 1
+            epow = tuple(
                 self.randint(-1, 1) if self.randint(0, 3) == 0 else 0
                 for _ in range(sig.nexps)
             )
             coeff = self.gauss(complex_ok)
             if coeff.is_zero():
                 continue
-            out = out + RingElem(sig, {(tuple(cdeg), edeg): coeff})
+            out = out + sig.monomial(cpow, epow, coeff)
         return out
 
     def coeff_vector(self, sig: RingSignature, n: int, **kw) -> list:

@@ -110,10 +110,6 @@ def tilde(P: Multivector, alpha) -> Multivector:
     return -breve_contract(alpha, P)
 
 
-def grade_of(P: Multivector) -> int | None:
-    return P.pure_grade()
-
-
 def bivector_from_matrix(alg: Algebroid, rows, grade: int = -1) -> Multivector:
     """Antisymmetric coefficient matrix -> graded bivector sum_{a<b} m[a][b] e_a^e_b."""
     terms = {}

@@ -259,3 +259,30 @@ def test_negative_sample_count_exits_2():
     r = run_cli("check-axioms", "--samples", "0", stdin=doc)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["samples"]["requested"] == 0
+
+
+def test_negative_cohomology_degree_exits_2():
+    r = run_cli("cohomology", "--algebra", "sl2", "--k", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == "error: --k must not be negative (at $)"
+
+
+def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
+    doc = json.loads(build_doc("symplectic-r2"))
+    embedded = run_cli("check-gcr", stdin=json.dumps(doc))
+    assert embedded.returncode == 0, embedded.stderr
+    gfile = tmp_path / "gcr.json"
+    gfile.write_text(json.dumps(doc.pop("gcr")))
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps(doc))
+    r = run_cli("check-gcr", "--defs", str(defs), "--gcr", str(gfile))
+    assert r.returncode == 0, r.stderr
+    want, got = json.loads(embedded.stdout), json.loads(r.stdout)
+    assert got["verdicts"] == want["verdicts"]
+    assert got["details"] == want["details"]
+    gfile.write_text(json.dumps({"h": 1, "frame": [["1", "0"], ["0", "1"]], "j": "oops"}))
+    r = run_cli("check-gcr", "--defs", str(defs), "--gcr", str(gfile))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "(at $.gcr" in r.stderr

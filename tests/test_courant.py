@@ -251,3 +251,21 @@ def test_nonclosed_twist_requires_flag():
     twist = AForm(sig, 4, 1, True, 3, {(0, 1, 2): (sig.coord("w"),)})
     with pytest.raises(CourantError):
         CourantPresentation(alg, twist)
+
+
+def test_twist_differential_computed_once(monkeypatch):
+    from courantkit.algebroid import Algebroid
+
+    C = catalog.load("nonclosed-r4")["courant"]
+    assert C.dtwist.equals(C.alg.d(C.twist)) and not C.closed_twist
+    calls = []
+    real_d = Algebroid.d
+
+    def counting_d(self, w):
+        calls.append(w)
+        return real_d(self, w)
+
+    monkeypatch.setattr(Algebroid, "d", counting_d)
+    f = C.full_frame()
+    assert not C.jacobiator_expected(f[0], f[1], f[2]).xi.is_zero()
+    assert calls == []

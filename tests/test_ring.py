@@ -10,6 +10,7 @@ from courantkit.ring import (
     RingError,
     RingSignature,
     SignatureMismatch,
+    normalize_row,
 )
 from courantkit.sampling import SplitMix
 
@@ -139,3 +140,63 @@ def test_mode_excluded_from_equality():
     b = RingSignature(("x",), (), mode="gaussian")
     assert a == b
     assert a.coord("x") + b.coord("x") == b.const(2) * a.coord("x")
+
+
+# -- the monomial format and the helpers that keep it inside the ring ------------
+
+
+def test_checked_constructor_rejects_malformed_keys():
+    assert RingElem(SIG, {(1, 2, -1): Fraction(1, 2), (0, 0, 0): 0}) == SIG.parse("1/2*x*y^2*Et^-1")
+    with pytest.raises(RingError):
+        RingElem(SIG, {(1, 0): 1})  # wrong arity
+    with pytest.raises(RingError):
+        RingElem(SIG, {((1, 0), (0,)): 1})  # a (coordinates, exponentials) pair
+    with pytest.raises(RingError):
+        RingElem(SIG, {(-1, 0, 0): 1})  # negative coordinate exponent
+    with pytest.raises(RingError):
+        RingElem(SIG, {(0, 0, 0): 0.5})  # inexact coefficient
+
+
+def test_signature_monomial():
+    assert SIG.monomial((1, 2)) == SIG.parse("x*y^2")
+    assert SIG.monomial([0, 1], (-1,), GaussRat(0, 2)) == SIG.parse("2*i*y*Et^-1")
+    with pytest.raises(RingError):
+        SIG.monomial((1,))
+
+
+def test_embed_round_trip_and_missing_generator():
+    row_t, row_y = (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))
+    big = RingSignature(("t", "y", "x"), (ExpGen("F", row_t), ExpGen("Et", row_y)))
+    rng = SplitMix(7)
+    for _ in range(20):
+        a = rng.ring_elem(SIG, max_degree=3, terms=4, complex_ok=True)
+        up = a.embed(big)
+        assert up == big.parse(a.to_str())
+        assert up.embed(SIG) == a
+    with pytest.raises(RingError):
+        (big.coord("x") * big.coord("t")).embed(SIG)
+    with pytest.raises(RingError):
+        SIG.exp_gen("Et").embed(RingSignature(("x", "y")))
+    assert SIG.coord("x").embed(RingSignature(("x", "y"))) == RingSignature(("x", "y")).coord("x")
+
+
+def test_normalize_row_strips_content_and_common_monomial():
+    row = [
+        SIG.parse("(3/2+3/4*i)*x^2*y*Et^-1"),
+        SIG.parse("9/4*x^3*Et"),
+        SIG.zero(),
+        SIG.parse("3/8*i*x^2*y^2*Et^-1"),
+    ]
+    out, witness = normalize_row(row)
+    assert out == [SIG.parse("(4+2*i)*y"), SIG.parse("6*x*Et^2"), SIG.zero(), SIG.parse("i*y^2")]
+    assert witness == SIG.parse("x^2")
+    # the stripped factor times the normalised row gives the row back
+    factor = SIG.parse("3/8*x^2*Et^-1")
+    assert [factor * e for e in out] == row
+    # an exponential common factor is stripped but cannot vanish: no witness
+    out, witness = normalize_row([SIG.parse("x*Et"), SIG.parse("y*Et^2")])
+    assert out == [SIG.parse("x"), SIG.parse("y*Et")] and witness is None
+    # already normal rows come back unchanged
+    row = [SIG.parse("x + 2"), SIG.parse("3*i*y")]
+    assert normalize_row(row) == (row, None)
+    assert normalize_row([SIG.zero()]) == ([SIG.zero()], None)

@@ -12,11 +12,14 @@ from courantkit.exterior import (
     pair_eval,
     wedge,
 )
+from courantkit.dirac import is_dirac
 from courantkit.gcr import extract_bivector
 from courantkit.sampling import SplitMix
 from courantkit.schouten import (
     SchoutenError,
+    bivector_from_matrix,
     check_jacobi_pair,
+    graph_sections,
     hamiltonian_section,
     induced_bracket,
     is_poisson,
@@ -453,3 +456,26 @@ def test_parallel_sections_detection():
     assert flat.parallel_sections() == [[flat.sig.one()]]
     acted = catalog.load("contact-r3")["algebroid"]
     assert acted.parallel_sections() == []
+
+
+# -- graph subbundles ---------------------------------------------------------------
+
+
+def test_graph_of_poisson_bivector_is_dirac():
+    C = catalog.standard_courant(3)
+    P = bivector_from_matrix(C.alg, [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]])
+    assert is_poisson(C.alg, P)
+    ok, report = is_dirac(C, graph_sections(C, P))
+    assert ok and report["lagrangian"] and report["involutive"]
+
+
+def test_graph_of_non_poisson_bivector_is_not_dirac():
+    # the bivector of v = (-y^2, x^2, 1); v . curl v = 2x + 2y, so it is not Poisson
+    C = catalog.standard_courant(3)
+    rows = [["0", "1", "-x^2"], ["-1", "0", "-y^2"], ["x^2", "y^2", "0"]]
+    P = bivector_from_matrix(C.alg, rows)
+    assert not is_poisson(C.alg, P)
+    ok, report = is_dirac(C, graph_sections(C, P))
+    assert not ok
+    assert report["lagrangian"] and not report["involutive"]
+    assert report["involutive_witness"]["residual"]["x"] == ["0", "0", "-2*x - 2*y"]
