@@ -19,17 +19,11 @@ import sys
 import time
 
 from . import catalog, io
-from .dirac import (
-    anchor_intersection,
-    closure_report,
-    is_lagrangian,
-    projection_closure,
-)
+from .dirac import anchor_intersection, is_dirac, merged_locus, projection_closure
 from .gcr import (
     GCRError,
     decompose_jacobi,
     extract_bivector,
-    l_generators,
     tangent_restriction,
     validate_gcr,
 )
@@ -56,7 +50,11 @@ def _read_text(path: str | None) -> str:
 
 def _load_defs(args) -> tuple:
     doc = io.loads_json(_read_text(getattr(args, "defs", None)))
-    return doc, io.definition_from_json(doc)
+    built = doc
+    if getattr(args, "gcr", None) and isinstance(doc, dict):
+        # the --gcr file replaces the embedded block, so that block is not built
+        built = {k: v for k, v in doc.items() if k != "gcr"}
+    return doc, io.definition_from_json(built)
 
 
 def _write(args, text: str) -> None:
@@ -214,32 +212,25 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     details = {}
     for name in sorted(bundles):
         gens = bundles[name]
-        lag_ok, lag = is_lagrangian(C, gens)
-        closed = closure_report(C, gens)
+        _, rep = is_dirac(C, gens)
         proj = projection_closure(C, gens)
-        rank_a, _, _ = anchor_intersection(C, gens)
-        verdicts.append(
+        rank_a, _, excluded_a = anchor_intersection(C, gens)
+        verdicts += [
             _verdict(
                 f"{name}.lagrangian",
-                lag_ok,
-                witness=lag.get("pairing_witness"),
-                residual={"rank": lag["rank"], "expected_rank": lag["expected_rank"]},
-            )
-        )
-        verdicts.append(
-            _verdict(
-                f"{name}.involutive",
-                closed["closed"],
-                witness=closed.get("witness"),
-            )
-        )
-        verdicts.append(
-            _verdict(f"{name}.projection_closed", proj["closed"], witness=proj.get("witness"))
-        )
+                rep["lagrangian"],
+                witness=rep.get("pairing_witness"),
+                residual={"rank": rep["rank"], "expected_rank": rep["expected_rank"]},
+            ),
+            _verdict(f"{name}.involutive", rep["involutive"], witness=rep["involutive_witness"]),
+            _verdict(f"{name}.projection_closed", proj["closed"], witness=proj.get("witness")),
+        ]
         details[name] = {
             "generators": len(gens),
             "intersect_A": rank_a,
-            "excluded": sorted(set(lag["excluded"]) | set(closed["excluded"])),
+            "excluded": merged_locus(
+                rep["excluded"], rep["involutive_excluded"], excluded_a, proj["excluded"]
+            ),
         }
     return {"details": details, "verdicts": verdicts}
 
@@ -258,25 +249,16 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
         _verdict("orthogonal", rep["orthogonal_ok"], witness=rep.get("orthogonal_witness")),
     ]
     if not rep.get("dirac_skipped"):
-        verdicts.append(_verdict("lagrangian", rep["lagrangian_ok"]))
-        verdicts.append(
-            _verdict(
-                "involutive",
-                rep["involutive_ok"],
-                witness=rep["dirac_report"].get("involutive_witness"),
-            )
-        )
-        verdicts.append(
-            _verdict(
-                "conjugate_intersection",
-                rep["intersection_ok"],
-                residual={"span_rank": rep["conjugate_span_rank"]},
-            )
-        )
+        span = {"span_rank": rep["conjugate_span_rank"]}
+        witness = rep["dirac_report"]["involutive_witness"]
+        verdicts += [
+            _verdict("lagrangian", rep["lagrangian_ok"]),
+            _verdict("involutive", rep["involutive_ok"], witness=witness),
+            _verdict("conjugate_intersection", rep["intersection_ok"], residual=span),
+        ]
     details = {"excluded": sorted(rep.get("excluded", []))}
     if rep["ok"]:
-        gens = l_generators(S)
-        details["l_generators"] = [io.csection_to_json(g) for g in gens]
+        details["l_generators"] = [io.csection_to_json(g) for g in rep["l_generators"]]
         try:
             P = extract_bivector(S)
             details["bivector"] = io.multivector_to_json(P)

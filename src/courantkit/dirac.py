@@ -49,19 +49,23 @@ def is_lagrangian(C: CourantPresentation, gens) -> tuple:
     With a rank-one module the pairing is a split form on a rank-2r bundle, so
     maximal isotropic means isotropic of generic rank r.
     """
+    return _lagrangian(C, gens, linalg.rref(C.alg.sig, coordinates_matrix(gens)))
+
+
+def _lagrangian(C: CourantPresentation, gens, ech) -> tuple:
+    """is_lagrangian on the echelon ech of the generator coordinates."""
     if C.alg.rank_v != 1:
         raise DiracError("maximal-isotropy test requires a rank-one module")
     iso, witness = is_isotropic(C, gens)
-    r, excluded = span_rank(C, gens)
     report = {
         "isotropic": iso,
-        "rank": r,
+        "rank": ech.rank,
         "expected_rank": C.alg.rank,
-        "excluded": [str(e) for e in excluded],
+        "excluded": [str(e) for e in ech.excluded],
     }
     if witness:
         report["pairing_witness"] = witness
-    return iso and r == C.alg.rank, report
+    return iso and ech.rank == C.alg.rank, report
 
 
 def perp(C: CourantPresentation, gens) -> list:
@@ -82,17 +86,20 @@ def perp(C: CourantPresentation, gens) -> list:
 
 def closure_report(C: CourantPresentation, gens) -> dict:
     """Bracket-closure check with a residual witness on failure."""
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if len(gens) > 1 else None
+    return _closure(C, gens, ech)
+
+
+def _closure(C: CourantPresentation, gens, ech) -> dict:
+    """closure_report on the echelon ech of the generator coordinates."""
     pairs = [(i, j) for i in range(len(gens)) for j in range(len(gens)) if i != j]
-    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if pairs else None
     witness = None
     closed = True
-    excluded: list = []
+    excluded: dict = {}  # first-seen order
     for i, j in pairs:
         b = C.bracket(gens[i], gens[j])
         ok, residual, exc = ech.reduce(b.coordinates())
-        for e in exc:
-            if not any(x == e for x in excluded):
-                excluded.append(e)
+        excluded.update(dict.fromkeys(str(e) for e in exc))
         if not ok and witness is None:
             closed = False
             witness = {
@@ -103,15 +110,18 @@ def closure_report(C: CourantPresentation, gens) -> dict:
     return {
         "closed": closed,
         "witness": witness,
-        "excluded": [str(e) for e in excluded],
+        "excluded": list(excluded),
     }
 
 
 def is_dirac(C: CourantPresentation, gens) -> tuple:
-    """(verdict, report): maximal isotropy plus bracket closure."""
-    lag, report = is_lagrangian(C, gens)
-    report = dict(report)
-    closure = closure_report(C, gens)
+    """(verdict, report): maximal isotropy plus bracket closure.
+
+    The rank and the closure check share one echelon of the generators.
+    """
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
+    lag, report = _lagrangian(C, gens, ech)
+    closure = _closure(C, gens, ech)
     report.update(
         {
             "lagrangian": lag,
@@ -121,6 +131,11 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
         }
     )
     return lag and closure["closed"], report
+
+
+def merged_locus(*loci) -> list:
+    """One sorted excluded list from the loci of several generic verdicts."""
+    return sorted(set().union(*loci))
 
 
 def graph_two_form(C: CourantPresentation, B: AForm) -> list:
@@ -140,7 +155,7 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
     alg = C.alg
     r, s = alg.rank, alg.rank_v
     form_cols = [g.coordinates()[r : r + r * s] for g in gens]
-    combos, excluded = linalg.nullspace(alg.sig, _transpose(alg.sig, form_cols))
+    combos, excluded = linalg.nullspace(alg.sig, [list(col) for col in zip(*form_cols)])
     vectors = []
     for c in combos:
         vec = [alg.sig.zero()] * r
@@ -184,8 +199,3 @@ def projection_closure(C: CourantPresentation, gens) -> dict:
             }
     return {"closed": True, "excluded": sorted(excluded)}
 
-
-def _transpose(sig, rows):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]

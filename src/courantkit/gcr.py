@@ -3,12 +3,15 @@
 A distribution inside the base algebroid is presented by an adapted frame:
 an invertible matrix of sections whose first h rows span the distribution.
 The reduced bundle then has the basis (X_1..X_h, u (x) D^1..u (x) D^h), where
-the D^a are the dual rows of the adapted frame, and the pairing restricts to
-the split form on that basis.  An endomorphism J of the reduced bundle is
-admissible when J^2 = -1 and J preserves the pairing; its +i eigenspace,
-lifted back and padded with the annihilator covectors, is a complex
-subbundle handed to the Dirac checker, so "valid" means exactly "the lifted
-eigenspace is involutive and Lagrangian".
+the D^a are the dual rows of the adapted frame.  The pairing is the split form
+[[0, 1], [1, 0]] on that basis by construction (the D^a are rows of the exact
+inverse of the frame, so <X_a, D^b> = delta_ab), so nothing checks or builds
+it on the way to a verdict; HBundle.pairing_matrix computes it for reference.
+
+An endomorphism J of the reduced bundle is admissible when J^2 = -1 and J
+preserves the pairing; its +i eigenspace, lifted back and padded with the
+annihilator covectors, is a complex subbundle handed to the Dirac checker, so
+"valid" means exactly "the lifted eigenspace is involutive and Lagrangian".
 
 The bivector attached to an admissible J pairs two module covectors through
 J and lives one grade down; on the contact fixtures its pieces recover the
@@ -20,7 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
-from .dirac import coordinates_matrix, is_dirac
+from .dirac import coordinates_matrix, is_dirac, merged_locus
 from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
 from .ring import GR_I, coerce_elem
@@ -121,15 +124,7 @@ class HBundle:
 
 
 def build_H_bundle(C: CourantPresentation, dist: Distribution) -> HBundle:
-    hb = HBundle(C, dist)
-    gram = hb.pairing_matrix()
-    try:
-        det = linalg.determinant(C.alg.sig, gram)
-    except LinalgError as exc:
-        raise GCRError(f"restricted pairing is not computable: {exc}")
-    if det.is_zero():
-        raise GCRError("pairing degenerates on the reduced bundle")
-    return hb
+    return HBundle(C, dist)
 
 
 class GCRStructure:
@@ -165,18 +160,19 @@ def j_square_defect(S: GCRStructure):
 
 
 def orthogonality_defect(S: GCRStructure):
-    """First nonzero entry of J^T G J - G over the reduced pairing G."""
+    """First nonzero entry of J^T G J - G over the split pairing G.
+
+    With G = [[0, 1], [1, 0]] in h x h blocks, entry (i, j) of J^T G J is
+    sum_a J[a][i] J[h+a][j] + J[h+a][i] J[a][j], so no Gram matrix is built.
+    """
     sig = S.hb.C.alg.sig
-    n = 2 * S.hb.h
-    G = S.hb.pairing_matrix()
-    for i in range(n):
-        for j in range(n):
-            acc = -G[i][j]
-            for p in range(n):
-                for q in range(n):
-                    if G[p][q].is_zero():
-                        continue
-                    acc = acc + S.j[p][i] * G[p][q] * S.j[q][j]
+    h = S.hb.h
+    J = S.j
+    for i in range(2 * h):
+        for j in range(2 * h):
+            acc = -sig.one() if abs(i - j) == h else sig.zero()
+            for a in range(h):
+                acc = acc + J[a][i] * J[h + a][j] + J[h + a][i] * J[a][j]
             if not acc.is_zero():
                 return ((i, j), acc)
     return None
@@ -203,7 +199,11 @@ def l_generators(S: GCRStructure) -> list:
 
 
 def validate_gcr(S: GCRStructure) -> dict:
-    """Full verdict: algebraic conditions, then the lifted-eigenspace checks."""
+    """Full verdict: algebraic conditions, then the lifted-eigenspace checks.
+
+    When the algebraic conditions hold, report["l_generators"] holds the
+    generators that the Dirac and conjugate-intersection checks ran on.
+    """
     report: dict = {"ok": False}
     sq = j_square_defect(S)
     report["j_square_ok"] = sq is None
@@ -217,6 +217,7 @@ def validate_gcr(S: GCRStructure) -> dict:
         report["dirac_skipped"] = True
         return report
     gens = l_generators(S)
+    report["l_generators"] = gens
     dirac_ok, dirac_report = is_dirac(S.hb.C, gens)
     report["lagrangian_ok"] = dirac_report["lagrangian"]
     report["involutive_ok"] = dirac_report["involutive"]
@@ -228,8 +229,8 @@ def validate_gcr(S: GCRStructure) -> dict:
     r, excluded = linalg.rank(alg.sig, stacked)
     report["conjugate_span_rank"] = r
     report["intersection_ok"] = r == alg.rank + S.hb.h
-    report["excluded"] = sorted(
-        set(dirac_report.get("excluded", [])) | {str(e) for e in excluded}
+    report["excluded"] = merged_locus(
+        dirac_report["excluded"], dirac_report["involutive_excluded"], map(str, excluded)
     )
     report["ok"] = bool(dirac_ok and report["intersection_ok"])
     return report

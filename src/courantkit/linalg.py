@@ -1,18 +1,21 @@
 """Fraction-free linear algebra over the coefficient ring.
 
-Matrices hold exact ring elements; elimination uses cross-multiplication so no
-step ever leaves the ring.  Row operations divide out rational content and
-common monomials (ring.normalize_row), which is legitimate over the fraction
-field: the verdicts (rank, span membership, nullspace) are *generic*, valid off
-the vanishing locus of the recorded pivots and stripped factors.  The
-`excluded` list returned alongside each verdict names those factors.
+Matrices hold exact ring elements.  rref is the one elimination routine:
+rank, nullspace, membership and invert all read its echelon.  Elimination
+uses cross-multiplication so no step ever leaves the ring; only invert
+divides, to bring its result back into the ring.  Row operations divide out
+rational content and common monomials (ring.normalize_row), which is
+legitimate over the fraction field: the verdicts (rank, span membership,
+nullspace) are *generic*, valid off the vanishing locus of the recorded pivots
+and stripped factors.  The `excluded` list returned alongside each verdict
+names those factors.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .ring import RingElem, RingSignature, coerce_elem, normalize_row
+from .ring import RingSignature, coerce_elem, normalize_row
 
 
 class LinalgError(ValueError):
@@ -72,32 +75,35 @@ class Echelon:
         for r, c in self.pivots:
             if vec[c].is_zero():
                 continue
-            p = self.rows[r][c]
-            _note_excluded(excluded, p)
-            coef = vec[c]
-            vec = [p * a - coef * b for a, b in zip(vec, self.rows[r])]
-            vec, w = normalize_row(vec)
-            if w is not None:
-                _note_excluded(excluded, w)
+            _note_excluded(excluded, self.rows[r][c])
+            vec = _eliminate(vec, self.rows[r], c, excluded)
         return all(x.is_zero() for x in vec), vec, excluded
 
 
-def _note_excluded(excluded, elem: RingElem):
-    if elem.is_constant():
+def _note_excluded(excluded, elem):
+    if elem is None or elem.is_constant():
         return
     if any(e == elem for e in excluded):
         return
     excluded.append(elem)
 
 
+def _normalized(row, excluded) -> list:
+    row, witness = normalize_row(row)
+    _note_excluded(excluded, witness)
+    return row
+
+
+def _eliminate(row, prow, col, excluded) -> list:
+    """p*row - row[col]*prow for the pivot p = prow[col], normalised."""
+    p, c = prow[col], row[col]
+    return _normalized([p * a - c * b for a, b in zip(row, prow)], excluded)
+
+
 def rref(sig: RingSignature, M) -> Echelon:
     """Fraction-free reduced echelon form over the fraction field."""
-    rows = [list(r) for r in coerce_matrix(sig, M)]
     excluded: list = []
-    for i in range(len(rows)):
-        rows[i], w = normalize_row(rows[i])
-        if w is not None:
-            _note_excluded(excluded, w)
+    rows = [_normalized(r, excluded) for r in coerce_matrix(sig, M)]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -118,16 +124,10 @@ def rref(sig: RingSignature, M) -> Echelon:
             continue
         r = best[1]
         rows[prow], rows[r] = rows[r], rows[prow]
-        p = rows[prow][col]
-        _note_excluded(excluded, p)
+        _note_excluded(excluded, rows[prow][col])
         for r2 in range(nrows):
-            if r2 == prow or rows[r2][col].is_zero():
-                continue
-            c = rows[r2][col]
-            rows[r2] = [p * a - c * b for a, b in zip(rows[r2], rows[prow])]
-            rows[r2], w = normalize_row(rows[r2])
-            if w is not None:
-                _note_excluded(excluded, w)
+            if r2 != prow and not rows[r2][col].is_zero():
+                rows[r2] = _eliminate(rows[r2], rows[prow], col, excluded)
         pivots.append((prow, col))
         prow += 1
     return Echelon(sig, rows, pivots, excluded)
@@ -139,7 +139,12 @@ def rank(sig: RingSignature, M) -> tuple:
 
 
 def nullspace(sig: RingSignature, M) -> tuple:
-    """Denominator-cleared basis of the right nullspace."""
+    """Denominator-cleared basis of the right nullspace.
+
+    Each basis vector is scaled by the product of all pivots; its entry in a
+    pivot column is then that pivot's cofactor (the product of the other
+    pivots), so no division is needed.
+    """
     M = coerce_matrix(sig, M)
     if not M:
         return [], []
@@ -147,21 +152,26 @@ def nullspace(sig: RingSignature, M) -> tuple:
     ech = rref(sig, M)
     pivot_cols = {c for _, c in ech.pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if not free_cols:
+        return [], ech.excluded
+    pivots = [ech.rows[r][c] for r, c in ech.pivots]
+    # cofactor k = (product of pivots before k) * (product of pivots after k)
+    before = [sig.one()]
+    for p in pivots[:-1]:
+        before.append(before[-1] * p)
+    cofactors = [sig.one()] * len(pivots)
     prod = sig.one()
-    for r, c in ech.pivots:
-        prod = prod * ech.rows[r][c]
+    for k in reversed(range(len(pivots))):
+        cofactors[k] = before[k] * prod
+        prod = prod * pivots[k]
     basis = []
     for f in free_cols:
         vec = [sig.zero()] * ncols
         vec[f] = prod
-        for r, c in ech.pivots:
+        for (r, c), q in zip(ech.pivots, cofactors):
             a = ech.rows[r][f]
-            if a.is_zero():
-                continue
-            q = prod.exact_div(ech.rows[r][c])
-            if q is None:
-                raise LinalgError("pivot product division failed")
-            vec[c] = -a * q
+            if not a.is_zero():
+                vec[c] = -a * q
         vec, _ = normalize_row(vec)
         basis.append(vec)
     return basis, ech.excluded
@@ -178,7 +188,7 @@ def invert(sig: RingSignature, M) -> list:
     n = len(M)
     if any(len(r) != n for r in M):
         raise LinalgError("inverse of a non-square matrix")
-    aug = [list(M[i]) + identity(sig, n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(M, identity(sig, n))]
     ech = rref(sig, aug)
     left_pivots = [(r, c) for r, c in ech.pivots if c < n]
     if len(left_pivots) < n:
@@ -192,38 +202,6 @@ def invert(sig: RingSignature, M) -> list:
                 raise LinalgError("inverse entries do not lie in the ring")
             out[c][j] = q
     return out
-
-
-def determinant(sig: RingSignature, M) -> RingElem:
-    """Bareiss fraction-free determinant."""
-    M = [list(r) for r in coerce_matrix(sig, M)]
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise LinalgError("determinant of a non-square matrix")
-    if n == 0:
-        return sig.one()
-    sign = 1
-    prev = sig.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return sig.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q = num.exact_div(prev)
-                if q is None:
-                    raise LinalgError("Bareiss division failed")
-                M[i][j] = q
-            M[i][k] = sig.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) -> list:

@@ -377,16 +377,7 @@ class RingElem:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponents must be integers")
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = self.sig.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, lambda e: e)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -441,9 +432,6 @@ class RingElem:
         """Componentwise minimum of the exponent keys of a nonzero element."""
         return tuple(map(min, zip(*self.terms)))
 
-    def _shift(self, key) -> "RingElem":
-        return _elem(self.sig, {tuple(map(_add, k, key)): c for k, c in self.terms.items()})
-
     def exact_div(self, g: "RingElem"):
         """Return self/g if g divides exactly, else None."""
         self._check(g)
@@ -455,21 +443,23 @@ class RingElem:
         mf, mg = self._min_key(), g._min_key()
         if any(a < b for a, b in zip(mf[:nc], mg[:nc])):
             return None
-        f0 = self._shift(tuple(-d for d in mf))
-        g0 = g._shift(tuple(-d for d in mg))
-        # classic multivariate division with lex order; exponents now >= 0
-        quot = self.sig.zero()
-        rem = f0
-        glead = max(g0.terms)
-        gc = g0.terms[glead]
-        while rem.terms:
-            rlead = max(rem.terms)
+        # classic multivariate division with lex order on exponents made >= 0;
+        # the quotient and remainder are accumulated in place
+        rem = {tuple(map(_sub, k, mf)): c for k, c in self.terms.items()}
+        g0 = [(tuple(map(_sub, k, mg)), c) for k, c in g.terms.items()]
+        glead, gc = max(g0)
+        shift = tuple(map(_sub, mf, mg))
+        quot: dict = {}
+        while rem:
+            rlead = max(rem)
             if any(a < b for a, b in zip(rlead, glead)):
                 return None
-            t = _elem(self.sig, {tuple(map(_sub, rlead, glead)): rem.terms[rlead] / gc})
-            quot = quot + t
-            rem = rem - t * g0
-        return quot._shift(tuple(map(_sub, mf, mg)))
+            step = tuple(map(_sub, rlead, glead))
+            t = rem[rlead] / gc
+            quot[tuple(map(_add, step, shift))] = t
+            for k, c in g0:
+                _accumulate(rem, tuple(map(_add, k, step)), -(t * c))
+        return _elem(self.sig, quot)
 
     # -- display ------------------------------------------------------------
 
@@ -511,6 +501,20 @@ def _elem(sig: RingSignature, terms: dict) -> RingElem:
     object.__setattr__(e, "sig", sig)
     object.__setattr__(e, "terms", terms)
     return e
+
+
+def _power(base: RingElem, n: int, check) -> RingElem:
+    """base**n by repeated squaring; every product passes through check."""
+    if n < 0:
+        base, n = base.unit_inverse(), -n
+    out = base.sig.one()
+    while n:
+        if n & 1:
+            out = check(out * base)
+        n >>= 1
+        if n:
+            base = check(base * base)
+    return out
 
 
 def _accumulate(terms: dict, key, c):
@@ -576,6 +580,12 @@ def coerce_elem(sig: RingSignature, value) -> RingElem:
 #
 # Multiplication is always explicit.  '/' admits exact rationals and unit
 # (Laurent-monomial) divisors only.  'i' is rejected for rational-mode rings.
+# Input budgets: '^' takes exponents up to MAX_EXPONENT in absolute value, and
+# no value built while reading (sums, products, the squares inside a power) may
+# exceed MAX_TERMS terms; a breach is a ParseError at the operator.
+
+MAX_EXPONENT = 64
+MAX_TERMS = 200
 
 
 class _Parser:
@@ -603,12 +613,13 @@ class _Parser:
         value = self.term()
         while True:
             ch = self.peek()
+            at = self.pos
             if ch == "+":
                 self.pos += 1
-                value = value + self.term()
+                value = self.budget(value + self.term(), at)
             elif ch == "-":
                 self.pos += 1
-                value = value - self.term()
+                value = self.budget(value - self.term(), at)
             else:
                 return value
 
@@ -621,8 +632,9 @@ class _Parser:
         while True:
             ch = self.peek()
             if ch == "*":
+                at = self.pos
                 self.pos += 1
-                value = value * self.factor()
+                value = self.budget(value * self.factor(), at)
             elif ch == "/":
                 at = self.pos
                 self.pos += 1
@@ -641,10 +653,19 @@ class _Parser:
             at = self.pos
             self.pos += 1
             n = self.signed_int()
+            if abs(n) > MAX_EXPONENT:
+                raise ParseError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}", at)
             try:
-                value = value**n
+                value = _power(value, n, lambda e: self.budget(e, at))
+            except ParseError:
+                raise
             except RingError as exc:
                 raise ParseError(str(exc), at) from None
+        return value
+
+    def budget(self, value: RingElem, at: int) -> RingElem:
+        if len(value.terms) > MAX_TERMS:
+            raise ParseError(f"expression exceeds the limit of {MAX_TERMS} terms", at)
         return value
 
     def signed_int(self) -> int:
@@ -662,7 +683,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # beyond the digits int() converts
+            raise ParseError(f"{what} has too many digits", start) from None
 
     def atom(self) -> RingElem:
         ch = self.peek()

@@ -1,10 +1,14 @@
+import contextlib
+import io as _stdio
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from courantkit import catalog
+from courantkit import catalog, cli, gcr, io
+from courantkit.dirac import anchor_intersection, projection_closure
 
 CLI = [sys.executable, "-m", "courantkit"]
 
@@ -286,3 +290,67 @@ def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
     assert "(at $.gcr" in r.stderr
+
+
+def test_check_dirac_excluded_covers_every_verdict():
+    # anchor_intersection on the non-closed graph excludes z: at z = 0 the
+    # form vanishes and the generic rank changes, so the report must say so
+    r = run_cli("check-dirac", stdin=build_doc("dirac-nonclosed-r3"))
+    assert r.returncode == 1
+    excluded = json.loads(r.stdout)["details"]["graph"]["excluded"]
+    assert "z" in excluded
+    p = catalog.load("dirac-nonclosed-r3")
+    C, gens = p["courant"], p["subbundles"]["graph"]
+    assert "z" in anchor_intersection(C, gens)[2]
+    assert set(anchor_intersection(C, gens)[2]) <= set(excluded)
+    assert set(projection_closure(C, gens)["excluded"]) <= set(excluded)
+
+
+def _counting(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_check_gcr_structure_file_builds_only_that_block(tmp_path, monkeypatch):
+    doc = io.definition_to_json(catalog.load("symplectic-r2"))
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps(doc))  # keeps its own gcr block
+    gfile = tmp_path / "gcr.json"
+    gfile.write_text(json.dumps(doc["gcr"]))
+    distributions = _counting(monkeypatch, io, "Distribution")
+    generators = _counting(monkeypatch, gcr, "l_generators")
+    out = _stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check-gcr", "--defs", str(defs), "--gcr", str(gfile)])
+    assert code == 0
+    assert len(distributions) == 1
+    assert len(generators) == 1
+    rep = json.loads(out.getvalue())
+    assert rep["inputs"] == io.digest(doc)
+    assert rep["details"]["l_generators"]
+
+
+@pytest.mark.parametrize(
+    "entry,text,message",
+    [
+        ("tangent-r2", "(x+1)^3000", "exponent 3000 exceeds the limit of 64"),
+        ("tangent-r3", "(x+y+z+1)^60", "expression exceeds the limit of 200 terms"),
+    ],
+)
+def test_oversized_ring_expression_exits_2_quickly(entry, text, message):
+    doc = json.loads(build_doc(entry))
+    doc["anchor"][0][0] = text
+    started = time.monotonic()
+    r = run_cli("validate", stdin=json.dumps(doc))
+    assert time.monotonic() - started < 5
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+    assert r.stderr.strip().endswith("(at $.anchor[0][0])")

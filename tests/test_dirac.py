@@ -154,3 +154,23 @@ def test_graph_pairing_encodes_antisymmetry():
     gens = graph_two_form(C, B)
     ok, _ = is_lagrangian(C, gens)
     assert ok
+
+
+def test_is_dirac_eliminates_the_generators_once(monkeypatch):
+    from courantkit import linalg
+
+    p = catalog.load("dirac-nonclosed-r3")
+    C, gens = p["courant"], p["subbundles"]["graph"]
+    lag_ok, lag = is_lagrangian(C, gens)
+    closure = closure_report(C, gens)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda sig, M: calls.append(1) or real(sig, M))
+    ok, rep = is_dirac(C, gens)
+    assert len(calls) == 1
+    assert not ok
+    assert rep["lagrangian"] == lag_ok
+    assert {k: rep[k] for k in lag} == lag
+    assert rep["involutive"] == closure["closed"]
+    assert rep["involutive_witness"] == closure["witness"]
+    assert rep["involutive_excluded"] == closure["excluded"]

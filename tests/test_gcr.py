@@ -201,3 +201,103 @@ def test_cr_to_gcr_block_shape():
             # off-diagonal blocks vanish
             assert S.j[i][h + j] == sig.zero()
             assert S.j[h + i][j] == sig.zero()
+
+
+# -- the reduced pairing is split by construction --------------------------------
+
+
+def _catalog_structures():
+    """Every GCR structure of the catalog: embedded blocks and complex-structure fixtures."""
+    for name in catalog.names():
+        p = catalog.load(name)
+        if p.get("gcr") is not None:
+            yield name, p["gcr"]
+        elif p.get("distribution") is not None:
+            yield name, cr_to_gcr(p["courant"], p["distribution"], p["j_matrix"])
+
+
+def _split_form(sig, h):
+    o, z = sig.one(), sig.zero()
+    return [[o if abs(i - j) == h else z for j in range(2 * h)] for i in range(2 * h)]
+
+
+def _twisted_frame_bundle():
+    """Rank-2 distribution in the tangent presentation of R^3 over Q(i) with a
+    Laurent exponential, framed by a non-identity unimodular matrix."""
+    from courantkit import linalg
+    from courantkit.catalog import tangent_algebroid_over
+    from courantkit.courant import CourantPresentation
+    from courantkit.gcr import HBundle
+    from courantkit.ring import ExpGen, RingSignature
+
+    sig = RingSignature(("x", "y", "z"), (ExpGen("E", (Fraction(1), Fraction(-2), Fraction(0))),))
+    p = sig.parse
+    lower = [["1", "0", "0"], ["z", "1", "0"], ["i*E^-1", "x", "1"]]
+    upper = [["1", "x*E", "i"], ["0", "1", "(2-i)*y"], ["0", "0", "1"]]
+    frame = linalg.mat_mul(sig, [[p(c) for c in r] for r in lower], [[p(c) for c in r] for r in upper])
+    alg = tangent_algebroid_over(sig)
+    return HBundle(CourantPresentation(alg), Distribution(alg, frame, 2))
+
+
+def _gram_orthogonality_defect(S):
+    """First nonzero entry of J^T G J - G with G built from the pairing itself."""
+    n = 2 * S.hb.h
+    G = S.hb.pairing_matrix()
+    for i in range(n):
+        for j in range(n):
+            acc = -G[i][j]
+            for p in range(n):
+                for q in range(n):
+                    acc = acc + S.j[p][i] * G[p][q] * S.j[q][j]
+            if not acc.is_zero():
+                return ((i, j), acc)
+    return None
+
+
+def test_reduced_pairing_is_split_on_every_catalog_structure():
+    names = []
+    for name, S in _catalog_structures():
+        assert S.hb.pairing_matrix() == _split_form(S.hb.C.alg.sig, S.hb.h), name
+        names.append(name)
+    assert len(names) == 5
+
+
+def test_reduced_pairing_is_split_on_a_gaussian_exponential_frame():
+    from courantkit.gcr import GCRStructure
+    from courantkit.sampling import SplitMix
+
+    hb = _twisted_frame_bundle()
+    sig = hb.C.alg.sig
+    assert any(not x.is_constant() for row in hb.dist.frame for x in row)
+    assert hb.pairing_matrix() == _split_form(sig, 2)
+    # the block formula gives the same witness as J^T G J - G over the Gram matrix
+    o, z = sig.one(), sig.zero()
+    structures = [cr_to_gcr(hb.C, hb.dist, [[z, -o], [o, z]])]
+    rng = SplitMix(23)
+    for _ in range(6):
+        J = [[rng.ring_elem(sig, max_degree=1, terms=2, complex_ok=True) for _ in range(4)] for _ in range(4)]
+        structures.append(GCRStructure(hb, J))
+    assert orthogonality_defect(structures[0]) is None
+    for S in structures:
+        assert orthogonality_defect(S) == _gram_orthogonality_defect(S)
+    assert sum(orthogonality_defect(S) is not None for S in structures) >= 5
+
+
+def test_validation_builds_no_gram_matrix(monkeypatch):
+    from courantkit.gcr import HBundle
+
+    def refuse(self):
+        raise AssertionError("Gram matrix built")
+
+    monkeypatch.setattr(HBundle, "pairing_matrix", refuse)
+    for _, S in _catalog_structures():
+        validate_gcr(S)
+
+
+def test_validation_reports_the_checked_generators():
+    _, S = cr_payload("cr-levi-flat-r3")
+    rep = validate_gcr(S)
+    assert [g.coordinates() for g in rep["l_generators"]] == [
+        g.coordinates() for g in l_generators(S)
+    ]
+    assert set(rep["dirac_report"]["involutive_excluded"]) <= set(rep["excluded"])

@@ -78,7 +78,7 @@ DIGESTS = {
     "check-axioms/tangent-r3": [0, "e49f8b469443326934f6cdc9b4b012397ebb1d141fea4ad16f48946c7bed4158"],
     "check-dirac/contact-r3": [0, "d01f7e579a1898a8cfe1cad43625412bc787e2f5861940abbcb02b7b997764d3"],
     "check-dirac/dirac-graph-r2": [0, "914f7578c0a3705670cc993ccb01579a3fa0d1da0cdd6a445644055f95719f1b"],
-    "check-dirac/dirac-nonclosed-r3": [1, "cf40572bf3f49853dba36fd69616b61a61f6f1e390a71a255469d809f0d04648"],
+    "check-dirac/dirac-nonclosed-r3": [1, "16bd0fb943c3bce358044cd4f2e3c1649c0c560e137fb258347f40ac5743a804"],
     "check-gcr/contact-r3": [0, "7a6c4d80a034d08c6416d92d4edf994dd41723ec0713e58b333a443b25186b60"],
     "check-gcr/cr-complex-r2": [0, "92bf0c5e3db072e2ea55abc6b3ecbb63a8cf0ef8afd539b6192e5082de08bdaf"],
     "check-gcr/cr-control-r5": [1, "5618e8491742f808d634383b0129621bf62255b4e8f4cf211410b5581e59982a"],

@@ -4,7 +4,7 @@ import pytest
 
 from courantkit import linalg
 from courantkit.linalg import LinalgError
-from courantkit.ring import RingSignature
+from courantkit.ring import RingElem, RingSignature, normalize_row
 from courantkit.sampling import SplitMix
 
 
@@ -95,13 +95,34 @@ def test_invert_and_failure():
         linalg.invert(SIG, [[SIG.coord("x"), SIG.coord("x")], [SIG.one(), SIG.one()]])
 
 
-def test_determinant_small_cases():
-    x, y = SIG.coord("x"), SIG.coord("y")
-    assert linalg.determinant(SIG, [[x]]) == x
-    d = linalg.determinant(SIG, [[x, SIG.one()], [y, x]])
-    assert d == x * x - y
-    # alternating: equal rows kill the determinant
-    assert linalg.determinant(SIG, [[x, y], [x, y]]).is_zero()
+def _nullspace_by_division(A) -> list:
+    """Reference basis: the product of all pivots, divided by each pivot in turn."""
+    ech = linalg.rref(SIG, A)
+    ncols = len(A[0])
+    prod = SIG.one()
+    for r, c in ech.pivots:
+        prod = prod * ech.rows[r][c]
+    basis = []
+    for f in sorted(set(range(ncols)) - {c for _, c in ech.pivots}):
+        vec = [SIG.zero()] * ncols
+        vec[f] = prod
+        for r, c in ech.pivots:
+            vec[c] = -ech.rows[r][f] * prod.exact_div(ech.rows[r][c])
+        basis.append(normalize_row(vec)[0])
+    return basis
+
+
+def test_nullspace_divides_nothing(monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("nullspace divided")
+
+    rng = SplitMix(29)
+    cases = [rand_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), degree=2) for _ in range(15)]
+    want = [_nullspace_by_division(A) for A in cases]
+    assert sum(len(b) for b in want) >= 20
+    monkeypatch.setattr(RingElem, "exact_div", refuse)
+    for A, basis in zip(cases, want):
+        assert linalg.nullspace(SIG, A)[0] == basis
 
 
 def test_rank_excluded_locus_reported():

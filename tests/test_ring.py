@@ -93,6 +93,54 @@ def test_exact_div():
         f.exact_div(SIG.zero())
 
 
+def test_exact_div_round_trip_gaussian_laurent():
+    rng = SplitMix(41)
+    u = SIG.exp_gen("Et")
+    checked = 0
+    for k in range(40):
+        f = rng.ring_elem(SIG, max_degree=3, terms=4, complex_ok=True)
+        g = rng.ring_elem(SIG, max_degree=2, terms=3, complex_ok=True) * u ** (k % 5 - 2)
+        if g.is_zero():
+            continue
+        assert (f * g).exact_div(g) == f
+        if len(g.terms) > 1:
+            # g is no unit, so it cannot divide f*g + 1
+            assert (f * g + SIG.one()).exact_div(g) is None
+        checked += 1
+    assert checked >= 30
+    # a Laurent quotient with negative exponential and i in the coefficients
+    x = SIG.coord("x")
+    g = x * u + SIG.const(GaussRat(0, 1))
+    q = SIG.parse("(2-i)*x^2*Et^-3 + 1/3*y")
+    assert (q * g).exact_div(g) == q
+
+
+def test_parse_budgets():
+    from courantkit.ring import MAX_EXPONENT, MAX_TERMS
+
+    x, y = SIG.coord("x"), SIG.coord("y")
+    assert SIG.parse(f"x^{MAX_EXPONENT}") == x ** MAX_EXPONENT
+    assert SIG.parse(f"Et^-{MAX_EXPONENT}") == SIG.exp_gen("Et") ** -MAX_EXPONENT
+    for text in (f"x^{MAX_EXPONENT + 1}", f"(x+1)^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError, match="exponent"):
+            SIG.parse(text)
+    monos = [f"x^{a}*y^{b}" for a in range(MAX_EXPONENT) for b in range(MAX_EXPONENT)]
+    at_limit = " + ".join(monos[:MAX_TERMS])
+    assert len(SIG.parse(at_limit).terms) == MAX_TERMS
+    with pytest.raises(ParseError, match="terms"):
+        SIG.parse(f"{at_limit} + {monos[MAX_TERMS]}")
+    with pytest.raises(ParseError, match="too many digits"):
+        SIG.parse("1" * 5000 + "*x")
+    # intermediate squares count too, and powers equal repeated products
+    with pytest.raises(ParseError, match="terms"):
+        SIG.parse("(x+y+1)^30")
+    p = x + y * SIG.exp_gen("Et") + SIG.one()
+    acc = SIG.one()
+    for n in range(8):
+        assert SIG.parse(f"(x+y*Et+1)^{n}") == acc == p**n
+        acc = acc * p
+
+
 def test_parse_round_trip_random():
     rng = SplitMix(31)
     for _ in range(80):
