@@ -14,6 +14,9 @@ subjects rather than constructor errors.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 from .exterior import (
     AForm,
     FForm,
@@ -26,6 +29,15 @@ from . import linalg
 
 
 class AlgebroidError(ValueError):
+    pass
+
+
+# Largest cochain space, C(rank, j) * rank_v, that one cohomology query builds:
+# d_k is a dense matrix between two such spaces.
+MAX_COCHAINS = 500
+
+
+class CochainLimitError(AlgebroidError):
     pass
 
 
@@ -412,44 +424,58 @@ class Algebroid:
 
     # -- cohomology over a point ---------------------------------------------------
 
-    def _point_basis(self, degree: int) -> list:
-        from itertools import combinations
+    def _require_point(self):
+        if self.sig.ncoords or self.sig.nexps:
+            raise AlgebroidError("cohomology requires a presentation over a point")
 
+    def _point_basis(self, degree: int) -> list:
         return [
             (I, b)
             for I in combinations(range(self.rank), degree)
             for b in range(self.rank_v)
         ]
 
+    def _point_dim(self, degree: int) -> int:
+        return comb(self.rank, degree) * self.rank_v if degree >= 0 else 0
+
+    def _point_rank(self, degree: int) -> int:
+        """Rank of d from degree to degree + 1 over a point (0 outside 0..rank-1)."""
+        if not 0 <= degree < self.rank:
+            return 0
+        basis = self._point_basis(degree)
+        target = {pair: idx for idx, pair in enumerate(self._point_basis(degree + 1))}
+        rows = [[self.sig.zero()] * len(basis) for _ in target]
+        for col, (I, b) in enumerate(basis):
+            vec = [self.sig.zero()] * self.rank_v
+            vec[b] = self.sig.one()
+            dw = self.d(AForm(self.sig, self.rank, self.rank_v, True, degree, {I: tuple(vec)}))
+            for J, w in dw.terms.items():
+                for c in range(self.rank_v):
+                    if not w[c].is_zero():
+                        rows[target[(J, c)]][col] = w[c]
+        return linalg.rank(self.sig, rows)[0]
+
     def ce_cohomology(self) -> list:
-        """Betti numbers of the module-valued complex over a point."""
-        if self.sig.ncoords or self.sig.nexps:
-            raise AlgebroidError("cohomology requires a presentation over a point")
-        dims = []
-        ranks = []
-        for deg in range(self.rank + 1):
-            basis = self._point_basis(deg)
-            dims.append(len(basis))
-            target = {pair: idx for idx, pair in enumerate(self._point_basis(deg + 1))}
-            rows = [[self.sig.zero()] * len(basis) for _ in target] if target else []
-            for col, (I, b) in enumerate(basis):
-                vec = [self.sig.zero()] * self.rank_v
-                vec[b] = self.sig.one()
-                dw = self.d(AForm(self.sig, self.rank, self.rank_v, True, deg, {I: tuple(vec)}))
-                for J, w in dw.terms.items():
-                    for c in range(self.rank_v):
-                        if not w[c].is_zero():
-                            rows[target[(J, c)]][col] = w[c]
-            if rows:
-                r, _ = linalg.rank(self.sig, rows)
-            else:
-                r = 0
-            ranks.append(r)
-        out = []
-        for deg in range(self.rank + 1):
-            below = ranks[deg - 1] if deg else 0
-            out.append(dims[deg] - ranks[deg] - below)
-        return out
+        """Betti numbers of the module-valued complex over a point, every degree."""
+        self._require_point()
+        ranks = [self._point_rank(deg) for deg in range(-1, self.rank + 1)]
+        return [
+            self._point_dim(deg) - ranks[deg + 1] - ranks[deg] for deg in range(self.rank + 1)
+        ]
+
+    def cohomology_dim(self, k: int) -> int:
+        """dim H^k over a point, from the ranks of d_{k-1} and d_k alone.
+
+        Raises CochainLimitError when a cochain space of degree k-1, k or k+1
+        has more than MAX_COCHAINS basis elements.
+        """
+        self._require_point()
+        size = max(self._point_dim(j) for j in (k - 1, k, k + 1))
+        if size > MAX_COCHAINS:
+            raise CochainLimitError(
+                f"degree-{k} cohomology needs {size} cochains, over the limit of {MAX_COCHAINS}"
+            )
+        return self._point_dim(k) - self._point_rank(k) - self._point_rank(k - 1)
 
     # -- parallel sections ----------------------------------------------------------
 

@@ -124,6 +124,19 @@ class CSection:
         return f"CSection(x={[str(c) for c in self.x]}, xi={self.xi.to_str()})"
 
 
+def _shown(defect):
+    """Report form of a defect (a CSection or a list of ring elements), None where it vanishes."""
+    if isinstance(defect, CSection):
+        return None if defect.is_zero() else defect.describe()
+    return [str(c) for c in defect] if any(not c.is_zero() for c in defect) else None
+
+
+def _sweep(cases, defect) -> dict:
+    """Run defect(*case) on every case; a non-None result is a violation in report form."""
+    bad = [shown for shown in (defect(*case) for case in cases) if shown is not None]
+    return {"checked": len(cases), "holds": not bad, "violations": bad[:4]}
+
+
 class CourantPresentation:
     __slots__ = ("alg", "twist", "dtwist")
 
@@ -311,6 +324,7 @@ class CourantPresentation:
             return CSection(alg, x, AForm(alg.sig, alg.rank, alg.rank_v, True, 1, terms))
 
         drawn = [rand_section() for _ in range(samples)]
+        randoms = [tuple(rand_section() for _ in range(3)) for _ in range(samples)]
         pool = list(frame) + drawn
         report = {
             "rank": alg.rank,
@@ -320,105 +334,43 @@ class CourantPresentation:
             "samples": [s.describe() for s in drawn],
             "axioms": {},
         }
+        ax = report["axioms"]
 
         # left-Leibniz property against the dH insertion law
-        checked = 0
-        violations = []
-        matches = 0
         n = len(frame)
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        for i, j, k in triples:
-            defect = self.jacobiator(frame[i], frame[j], frame[k])
-            expected = self.jacobiator_expected(frame[i], frame[j], frame[k])
-            checked += 1
-            if defect.equals(expected):
-                matches += 1
-            if not defect.is_zero():
-                violations.append(
-                    {"triple": [i, j, k], "defect": defect.describe()}
-                )
-        triples_drawn = []
-        for _ in range(samples):
-            a, b, c = rand_section(), rand_section(), rand_section()
-            triples_drawn.append([a.describe(), b.describe(), c.describe()])
-            defect = self.jacobiator(a, b, c)
-            expected = self.jacobiator_expected(a, b, c)
-            checked += 1
-            if defect.equals(expected):
-                matches += 1
-            if not defect.is_zero():
-                violations.append({"triple": "random", "defect": defect.describe()})
-        report["axioms"]["leibniz"] = {
-            "checked": checked,
-            "holds": not violations,
-            "defect_matches_insertion": matches == checked,
-            "violations": violations[:4],
-            "random_triples": triples_drawn,
-        }
+        triples = [
+            ([i, j, k], frame[i], frame[j], frame[k])
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+        ] + [("random",) + t for t in randoms]
+        matches = []
 
-        # anchor compatibility
-        bad = []
-        checked = 0
-        for e1 in pool:
-            for e2 in pool[: max(4, len(frame))]:
-                d = self.anchor_defect(e1, e2)
-                checked += 1
-                if any(not c.is_zero() for c in d):
-                    bad.append([str(c) for c in d])
-        report["axioms"]["anchor"] = {
-            "checked": checked,
-            "holds": not bad,
-            "violations": bad[:4],
-        }
+        def leibniz(label, e1, e2, e3):
+            defect = self.jacobiator(e1, e2, e3)
+            matches.append(defect.equals(self.jacobiator_expected(e1, e2, e3)))
+            shown = _shown(defect)
+            return None if shown is None else {"triple": label, "defect": shown}
 
-        # symmetric part
-        bad = []
-        checked = 0
-        for e in pool:
-            d = self.symmetric_defect(e)
-            checked += 1
-            if not d.is_zero():
-                bad.append(d.describe())
-        report["axioms"]["symmetric_part"] = {
-            "checked": checked,
-            "holds": not bad,
-            "violations": bad[:4],
-        }
+        ax["leibniz"] = _sweep(triples, leibniz)
+        ax["leibniz"]["defect_matches_insertion"] = all(matches)
+        ax["leibniz"]["random_triples"] = [[e.describe() for e in t] for t in randoms]
 
-        # pairing invariance
-        bad = []
-        checked = 0
-        short = pool[: max(6, len(frame))]
-        for e1 in short:
-            for e2 in short[:4]:
-                for e3 in short[:4]:
-                    d = self.invariance_defect(e1, e2, e3)
-                    checked += 1
-                    if any(not c.is_zero() for c in d):
-                        bad.append([str(c) for c in d])
-        report["axioms"]["invariance"] = {
-            "checked": checked,
-            "holds": not bad,
-            "violations": bad[:4],
-        }
+        pairs = [(e1, e2) for e1 in pool for e2 in pool[: max(4, n)]]
+        ax["anchor"] = _sweep(pairs, lambda e1, e2: _shown(self.anchor_defect(e1, e2)))
+        ax["symmetric_part"] = _sweep(
+            [(e,) for e in pool], lambda e: _shown(self.symmetric_defect(e))
+        )
+        short = pool[: max(6, n)]
+        ax["invariance"] = _sweep(
+            [(e1, e2, e3) for e1 in short for e2 in short[:4] for e3 in short[:4]],
+            lambda e1, e2, e3: _shown(self.invariance_defect(e1, e2, e3)),
+        )
         report["ok"] = (
-            all(
-                report["axioms"][k]["holds"]
-                for k in ("leibniz", "anchor", "symmetric_part", "invariance")
-            )
-            and report["axioms"]["leibniz"]["defect_matches_insertion"]
+            all(a["holds"] for a in ax.values())
+            and ax["leibniz"]["defect_matches_insertion"]
             and report["algebroid"]["jacobi_ok"]
             and report["algebroid"]["anchor_ok"]
             and report["algebroid"]["flat_ok"]
         )
         return report
-
-    def describe(self) -> dict:
-        return {
-            "algebroid": self.alg.describe(),
-            "twist": {
-                ",".join(str(i + 1) for i in I): [str(c) for c in vec]
-                for I, vec in self.twist.sorted_terms()
-            },
-            "closed_twist": self.closed_twist,
-        }

@@ -27,7 +27,7 @@ from .dirac import coordinates_matrix, is_dirac, merged_locus
 from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
 from .ring import GR_I, coerce_elem
-from .schouten import tilde
+from .schouten import bivector_from_matrix, tilde
 
 
 class GCRError(ValueError):
@@ -258,12 +258,7 @@ def extract_bivector(S: GCRStructure) -> Multivector:
         for mp in range(m, r):
             if not (full[m][mp] + full[mp][m]).is_zero():
                 raise GCRError("bivector extraction needs an orthogonal J with J^2=-1")
-    terms = {}
-    for m in range(r):
-        for mp in range(m + 1, r):
-            if not full[m][mp].is_zero():
-                terms[(m, mp)] = FScalar(sig, {-1: full[m][mp]})
-    return Multivector(sig, r, 2, terms)
+    return bivector_from_matrix(alg, full, grade=-1)
 
 
 def cr_to_gcr(C: CourantPresentation, dist: Distribution, jh) -> GCRStructure:

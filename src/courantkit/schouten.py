@@ -241,20 +241,16 @@ def hamiltonian_section(alg: Algebroid, P: Multivector, v) -> Multivector:
 # -- Jacobi pairs ---------------------------------------------------------------
 
 
-def check_jacobi_pair(alg: Algebroid, lam: Multivector, e: Multivector,
-                      top_power: int = 1) -> dict:
+def check_jacobi_pair(alg: Algebroid, lam: Multivector, e: Multivector) -> dict:
     """Verdict on [lam,lam] = -2 lam^e and [lam,e] = 0, with a nondegeneracy report.
 
-    top_power n reports whether lam^n ^ e vanishes (contact-type nondegeneracy).
+    The pair is reported nondegenerate when lam ^ e does not vanish.
     """
     if lam.degree != 2 or e.degree != 1:
         raise SchoutenError("expected a bivector and a vector")
-    r1 = schouten(alg, lam, lam) + wedge(lam, e).scale(FScalar.of(alg.sig.const(2)))
+    top = wedge(lam, e)
+    r1 = schouten(alg, lam, lam) + top.scale(FScalar.of(alg.sig.const(2)))
     r2 = schouten(alg, lam, e)
-    power = lam
-    for _ in range(top_power - 1):
-        power = wedge(power, lam)
-    top = wedge(power, e)
     return {
         "square_ok": r1.is_zero(),
         "square_residual": r1,

@@ -1,6 +1,7 @@
 import ce_oracle
+import pytest
 from courantkit import catalog
-from courantkit.algebroid import Algebroid
+from courantkit.algebroid import Algebroid, CochainLimitError
 from courantkit.exterior import AForm, contract
 from courantkit.ring import RingSignature
 from courantkit.sampling import SplitMix
@@ -127,6 +128,22 @@ def test_betti_golden_values():
     assert catalog.load("point-heisenberg")["algebroid"].ce_cohomology() == [1, 2, 2, 1]
     assert catalog.load("point-heisenberg-mod")["algebroid"].ce_cohomology() == [0, 0, 0, 0]
     assert catalog.load("point-abelian2")["algebroid"].ce_cohomology() == [1, 2, 1]
+
+
+def test_one_degree_cohomology_matches_the_full_complex():
+    for name in ("point-abelian2", "point-sl2", "point-heisenberg", "point-heisenberg-mod"):
+        alg = catalog.load(name)["algebroid"]
+        got = [alg.cohomology_dim(k) for k in range(alg.rank + 3)]
+        assert got == alg.ce_cohomology() + [0, 0], name
+
+
+def test_one_degree_cohomology_refuses_oversized_cochain_spaces():
+    sig = RingSignature(())
+    alg = Algebroid(sig, 24, 1, [[] for _ in range(24)], {})
+    with pytest.raises(CochainLimitError):
+        alg.cohomology_dim(3)
+    # degree 24 touches only C(24, 23), C(24, 24) and C(24, 25) = 0 cochains
+    assert alg.cohomology_dim(24) == 1
 
 
 def test_anchor_bracket_homomorphism_defect_zero():

@@ -272,6 +272,30 @@ def test_negative_cohomology_degree_exits_2():
     assert r.stderr.strip() == "error: --k must not be negative (at $)"
 
 
+def _bare_point_doc(rank):
+    return json.dumps({
+        "name": f"point-{rank}",
+        "ring": {"coords": [], "mode": "rational"},
+        "rankA": rank,
+        "anchor": [[] for _ in range(rank)],
+        "module": {"rankV": 1},
+    })
+
+
+def test_oversized_cohomology_query_exits_2_fast():
+    # degree 3 at rankA 24 needs C(24, 4) = 10626 degree-4 cochains
+    started = time.monotonic()
+    r = run_cli("cohomology", "--defs", "-", "--k", "3", stdin=_bare_point_doc(24))
+    assert time.monotonic() - started < 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:")
+    assert "(at $.rankA)" in r.stderr
+    r = run_cli("cohomology", "--defs", "-", "--k", "3", stdin=_bare_point_doc(12))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == '{"dim":220}'
+
+
 def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
     doc = json.loads(build_doc("symplectic-r2"))
     embedded = run_cli("check-gcr", stdin=json.dumps(doc))

@@ -147,6 +147,25 @@ def test_default_reports_are_byte_identical(tmp_path):
         assert got[label] == DIGESTS[label], label
 
 
+# check-axioms on the entries above rankA 3, kept apart because the frame sweep
+# there takes seconds: nonclosed-r4 is the one entry whose Leibniz sweep reports
+# violations, and cr-control-r5 has the largest frame.
+LARGE_AXIOM_DIGESTS = {
+    "nonclosed-r4": [1, "bb379e5dd15cd39fda2290c1aac0ddc27123514b70105e62c068db58d124c0bb"],
+    "cr-control-r5": [0, "cee74e2446a2fa2814d377ca66d77697533fd3448b488d0c17ce934b259eec6d"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_AXIOM_DIGESTS))
+def test_large_check_axioms_reports_are_byte_identical(tmp_path, name):
+    doc = io.definition_to_json(catalog.load(name))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    code, text = _run(["check-axioms", "--samples", "2", "--defs", str(path)])
+    got = [code, hashlib.sha256(text.encode("utf-8")).hexdigest()]
+    assert got == LARGE_AXIOM_DIGESTS[name]
+
+
 # -- names that must stay plain functions ----------------------------------------
 
 # Functions the benchmark's traced run counts or times by module and qualified
