@@ -20,6 +20,7 @@ import time
 
 from . import catalog, io
 from .algebroid import CochainLimitError
+from .courant import MAX_SAMPLES, SweepLimitError
 from .dirac import anchor_intersection, is_dirac, merged_locus, projection_closure
 from .gcr import (
     GCRError,
@@ -151,7 +152,10 @@ def _cmd_check_axioms(args, doc, payload) -> dict:
     if args.samples < 0:
         raise SchemaError("--samples must not be negative", "$")
     C = payload["courant"]
-    rep = C.verify(seed=args.seed, samples=args.samples, frame_sweep=True)
+    try:
+        rep = C.verify(seed=args.seed, samples=args.samples, frame_sweep=True)
+    except SweepLimitError as ex:
+        raise SchemaError(str(ex), "$" if args.samples > MAX_SAMPLES else "$.rankA") from None
     ax = rep["axioms"]
     alg_ok = rep["algebroid"]
     verdicts = [

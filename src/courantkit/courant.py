@@ -27,6 +27,17 @@ class CourantError(ValueError):
     pass
 
 
+# Budget of `verify`.  The frame sweep walks n^3 Leibniz triples over the full
+# frame of n = rank * (1 + rank_v) sections, and each random sample adds its
+# own triple and bracket pairs to every axiom.
+MAX_FRAME = 10
+MAX_SAMPLES = 100
+
+
+class SweepLimitError(CourantError):
+    pass
+
+
 class CSection:
     """Section of the extension: a plain section plus a module-valued 1-form."""
 
@@ -302,12 +313,21 @@ class CourantPresentation:
         """Exact axiom sweep over the full frame and random sections.
 
         Every defect is computed exactly; a single nonzero entry marks the
-        axiom as violated and is reported in string form.
+        axiom as violated and is reported in string form.  Raises
+        SweepLimitError, before any work, when samples exceeds MAX_SAMPLES or
+        the swept frame has more than MAX_FRAME sections.
         """
         from .sampling import SplitMix
 
         rng = SplitMix(seed)
         alg = self.alg
+        size = alg.rank * (1 + alg.rank_v)
+        if samples > MAX_SAMPLES:
+            raise SweepLimitError(f"{samples} samples requested, over the limit of {MAX_SAMPLES}")
+        if frame_sweep and size > MAX_FRAME:
+            raise SweepLimitError(
+                f"the frame sweep needs {size} sections, over the limit of {MAX_FRAME}"
+            )
         frame = self.full_frame() if frame_sweep else []
 
         def rand_section() -> CSection:

@@ -296,6 +296,25 @@ def test_oversized_cohomology_query_exits_2_fast():
     assert r.stdout.strip() == '{"dim":220}'
 
 
+def test_oversized_axiom_sweep_exits_2_fast():
+    # rankA 10 with rankV 1 has a full frame of 20 sections, over MAX_FRAME = 10
+    started = time.monotonic()
+    r = run_cli("check-axioms", "--defs", "-", "--samples", "0", stdin=_bare_point_doc(10))
+    assert time.monotonic() - started < 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        "error: the frame sweep needs 20 sections, over the limit of 10 (at $.rankA)"
+    )
+    r = run_cli("check-axioms", "--defs", "-", "--samples", "0", stdin=_bare_point_doc(5))
+    assert r.returncode == 0, r.stderr
+    doc = build_doc("tangent-r2")
+    r = run_cli("check-axioms", "--samples", "101", stdin=doc)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == "error: 101 samples requested, over the limit of 100 (at $)"
+
+
 def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
     doc = json.loads(build_doc("symplectic-r2"))
     embedded = run_cli("check-gcr", stdin=json.dumps(doc))

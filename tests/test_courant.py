@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from courantkit import catalog
-from courantkit.courant import CourantError, CourantPresentation, CSection
+from courantkit.algebroid import Algebroid
+from courantkit.courant import (
+    MAX_FRAME,
+    MAX_SAMPLES,
+    CourantError,
+    CourantPresentation,
+    CSection,
+    SweepLimitError,
+)
 from courantkit.exterior import AForm, Multivector, contract
 from courantkit.sampling import SplitMix
 
@@ -106,6 +114,18 @@ def test_every_frame_triple_defect_matches_insertion_on_control():
         for b in frame:
             for c in frame:
                 assert C.jacobiator(a, b, c).equals(C.jacobiator_expected(a, b, c))
+
+
+def test_verify_budget_refuses_before_any_work():
+    point = catalog.load("point-abelian2")["algebroid"].sig
+    big = CourantPresentation(Algebroid(point, MAX_FRAME, 1, [[]] * MAX_FRAME, {}))
+    with pytest.raises(SweepLimitError, match=f"frame sweep needs {2 * MAX_FRAME} sections"):
+        big.verify(samples=0)
+    # the sampled sweep without the frame stays available at any rank
+    assert big.verify(samples=1, frame_sweep=False)["ok"]
+    C = catalog.standard_courant(2)
+    with pytest.raises(SweepLimitError, match="samples requested"):
+        C.verify(samples=MAX_SAMPLES + 1)
 
 
 def test_change_splitting_shifts_twist_and_transport_intertwines():

@@ -166,6 +166,26 @@ def test_large_check_axioms_reports_are_byte_identical(tmp_path, name):
     assert got == LARGE_AXIOM_DIGESTS[name]
 
 
+# check-jacobi with a live connection and mixed grades: the residuals of both
+# verdicts carry grades -1, 0 and 1, which the catalog's contact pair (null
+# residuals) never shows.
+GRADED_JACOBI_ARGS = [
+    "--lambda",
+    '{"degree":2,"terms":{"1,3":{"-1":"x","1":"y"},"2,3":{"0":"x*y"}}}',
+    "--e",
+    '{"degree":1,"terms":{"2":{"0":"1"}}}',
+]
+GRADED_JACOBI_DIGEST = [1, "f9e244171c1619b67a4a888d8aa6023300b83803e6cd882c853d8c754d29ee51"]
+
+
+def test_graded_check_jacobi_report_is_byte_identical(tmp_path):
+    doc = io.definition_to_json(catalog.load("e1m-r2"))
+    path = tmp_path / "e1m-r2.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    code, text = _run(["check-jacobi", "--defs", str(path)] + GRADED_JACOBI_ARGS)
+    assert [code, hashlib.sha256(text.encode("utf-8")).hexdigest()] == GRADED_JACOBI_DIGEST
+
+
 # -- names that must stay plain functions ----------------------------------------
 
 # Functions the benchmark's traced run counts or times by module and qualified

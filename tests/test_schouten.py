@@ -62,6 +62,18 @@ def sign_scale(P, s):
 
 # -- the five bracket identities -------------------------------------------------
 
+# The identity oracles run first on an abelian frame with grade-0 coefficients,
+# then on entries whose structure functions (point-sl2, point-heisenberg-mod)
+# or connection (e1m-r3) are live, with mixed grades, so that the structure
+# term and the grade * theta term of the bracket are both exercised.
+LIVE_ENTRIES = ("point-sl2", "point-heisenberg-mod", "e1m-r3")
+JACOBI_CASES = [("e1m-r2", (0,), 19)] + [
+    (n, (-1, 0, 1), 23 + i) for i, n in enumerate(LIVE_ENTRIES)
+]
+ORACLE_CASES = [("tangent-r3", (0,), 5, 30)] + [
+    (n, (-1, 0, 1), 29 + i, 20) for i, n in enumerate(LIVE_ENTRIES)
+]
+
 
 def test_degree_one_bracket_is_algebroid_bracket():
     rng = SplitMix(11)
@@ -110,6 +122,30 @@ def test_decomposable_square_picks_up_structure_vector():
     assert got.equals(expected)
 
 
+def test_schouten_requires_rank_one_module():
+    # colliding frame monomials never reach the connection, so the module
+    # rank is checked up front rather than left to act_graded
+    from courantkit.algebroid import Algebroid
+    from courantkit.ring import RingSignature
+
+    sig = RingSignature((), (), mode="rational")
+    flat = [[sig.zero()] * 2 for _ in range(2)]
+    alg = Algebroid(sig, 2, 2, [[], []], {}, [flat, flat])
+    P = Multivector(sig, 2, 2, {(0, 1): FScalar.of(sig.one())})
+    with pytest.raises(SchoutenError, match="rank-one module"):
+        schouten(alg, P, P)
+
+
+def test_schouten_rejects_multivectors_of_another_rank():
+    alg = catalog.load("tangent-r3")["algebroid"]
+    sig = alg.sig
+    small = Multivector(sig, 2, 1, {(1,): FScalar.of(sig.one())})
+    big = Multivector.frame(sig, 3, 2)
+    for P, Q in ((small, big), (big, small)):
+        with pytest.raises(SchoutenError, match="do not live on this algebroid"):
+            schouten(alg, P, Q)
+
+
 def test_graded_antisymmetry():
     rng = SplitMix(13)
     alg = catalog.load("tangent-r3")["algebroid"]
@@ -142,45 +178,47 @@ def test_graded_leibniz():
 
 def test_graded_jacobi():
     # [a,[b,c]] = [[a,b],c] + (-1)^{(|a|-1)(|b|-1)} [b,[a,c]]
-    rng = SplitMix(19)
-    alg = catalog.load("e1m-r2")["algebroid"]
-    for _ in range(10):
-        p, q, r = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
-        a, b, c = (
-            rand_mv(rng, alg, p),
-            rand_mv(rng, alg, q),
-            rand_mv(rng, alg, r),
-        )
-        lhs = schouten(alg, a, schouten(alg, b, c))
-        sgn = -1 if ((p - 1) * (q - 1)) % 2 else 1
-        rhs = schouten(alg, schouten(alg, a, b), c) + sign_scale(
-            schouten(alg, b, schouten(alg, a, c)), sgn
-        )
-        assert lhs.equals(rhs)
+    for name, grades, seed in JACOBI_CASES:
+        rng = SplitMix(seed)
+        alg = catalog.load(name)["algebroid"]
+        for _ in range(10):
+            p, q, r = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+            a, b, c = (
+                rand_mv(rng, alg, p, grades),
+                rand_mv(rng, alg, q, grades),
+                rand_mv(rng, alg, r, grades),
+            )
+            lhs = schouten(alg, a, schouten(alg, b, c))
+            sgn = -1 if ((p - 1) * (q - 1)) % 2 else 1
+            rhs = schouten(alg, schouten(alg, a, b), c) + sign_scale(
+                schouten(alg, b, schouten(alg, a, c)), sgn
+            )
+            assert lhs.equals(rhs), name
 
 
 def test_operator_identity_oracle():
     # iota_{[P,Q]} = -[[iota_Q, d], iota_P] with |d| = 1, |iota_P| = -p
-    rng = SplitMix(5)
-    alg = catalog.load("tangent-r3")["algebroid"]
-    d = alg.d_graded
-    neg = FScalar.of(alg.sig.const(-1))
-    for _ in range(30):
-        p, q = rng.randint(1, 2), rng.randint(1, 2)
-        P, Q = rand_mv(rng, alg, p), rand_mv(rng, alg, q)
-        k = rng.randint(max(p + q - 1, 0), alg.rank)
-        w = rand_fform(rng, alg, k, grades=(-1, 0, 1))
+    for name, grades, seed, trials in ORACLE_CASES:
+        rng = SplitMix(seed)
+        alg = catalog.load(name)["algebroid"]
+        d = alg.d_graded
+        neg = FScalar.of(alg.sig.const(-1))
+        for _ in range(trials):
+            p, q = rng.randint(1, 2), rng.randint(1, 2)
+            P, Q = rand_mv(rng, alg, p, grades), rand_mv(rng, alg, q, grades)
+            k = rng.randint(max(p + q - 1, 0), alg.rank)
+            w = rand_fform(rng, alg, k, grades=(-1, 0, 1))
 
-        def inner(u):
-            r = iota(Q, d(u))
-            s = d(iota(Q, u))
-            return r - s if q % 2 == 0 else r + s
+            def inner(u):
+                r = iota(Q, d(u))
+                s = d(iota(Q, u))
+                return r - s if q % 2 == 0 else r + s
 
-        rhs = inner(iota(P, w))
-        back = iota(P, inner(w))
-        rhs = rhs - back if ((1 - q) * p) % 2 == 0 else rhs + back
-        lhs = iota(schouten(alg, P, Q), w)
-        assert lhs.equals(rhs.scale(neg))
+            rhs = inner(iota(P, w))
+            back = iota(P, inner(w))
+            rhs = rhs - back if ((1 - q) * p) % 2 == 0 else rhs + back
+            lhs = iota(schouten(alg, P, Q), w)
+            assert lhs.equals(rhs.scale(neg)), name
 
 
 def test_breve_right_derivation_law():
