@@ -41,6 +41,15 @@ class CochainLimitError(AlgebroidError):
     pass
 
 
+# Largest rankA that validate sweeps: the Jacobi check alone takes C(rank, 3)
+# frame triples, each built from brackets whose cost grows with the rank.
+MAX_VALIDATE_RANK = 12
+
+
+class RankLimitError(AlgebroidError):
+    pass
+
+
 class Algebroid:
     __slots__ = ("sig", "rank", "rank_v", "anchor", "structure", "theta")
 
@@ -356,7 +365,15 @@ class Algebroid:
         return out
 
     def validate(self) -> dict:
-        """Exact defect report for Jacobi, anchor morphism and flatness."""
+        """Exact defect report for Jacobi, anchor morphism and flatness.
+
+        Raises RankLimitError, before any work, when rank exceeds
+        MAX_VALIDATE_RANK.
+        """
+        if self.rank > MAX_VALIDATE_RANK:
+            raise RankLimitError(
+                f"validation at rankA {self.rank} is over the limit of {MAX_VALIDATE_RANK}"
+            )
         jac = []
         for i in range(self.rank):
             for j in range(i + 1, self.rank):

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import catalog, io
-from .algebroid import CochainLimitError
+from .algebroid import CochainLimitError, RankLimitError
 from .courant import MAX_SAMPLES, SweepLimitError
 from .dirac import anchor_intersection, is_dirac, merged_locus, projection_closure
 from .gcr import (
@@ -102,7 +102,10 @@ def _reporting(body):
 
 @_reporting
 def _cmd_validate(args, doc, payload) -> dict:
-    v = payload["algebroid"].validate()
+    try:
+        v = payload["algebroid"].validate()
+    except RankLimitError as ex:
+        raise SchemaError(str(ex), "$.rankA") from None
     verdicts = [
         _verdict("anchor_morphism", v["anchor_ok"], residual=v["anchor_defects"][:4] or None),
         _verdict("flat_module", v["flat_ok"], residual=v["curvature_defects"][:4] or None),
@@ -154,7 +157,7 @@ def _cmd_check_axioms(args, doc, payload) -> dict:
     C = payload["courant"]
     try:
         rep = C.verify(seed=args.seed, samples=args.samples, frame_sweep=True)
-    except SweepLimitError as ex:
+    except (SweepLimitError, RankLimitError) as ex:
         raise SchemaError(str(ex), "$" if args.samples > MAX_SAMPLES else "$.rankA") from None
     ax = rep["axioms"]
     alg_ok = rep["algebroid"]

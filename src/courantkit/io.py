@@ -46,12 +46,31 @@ def _int_at_least(value, minimum: int, what: str, path) -> int:
     return value
 
 
+# Length a rational in a document may reach once its exponent is written out
+# as digits: the 4300-digit integer conversion limit that also bounds the
+# literals of the ring parser.
+MAX_RATIONAL_DIGITS = 4300
+
+
+def _spelled_length(text: str) -> int:
+    """Length of text with its exponent written out as digits ("1e5": 6)."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if not exponent or len(text) > MAX_RATIONAL_DIGITS:
+        return len(text)
+    try:
+        return len(mantissa) + abs(int(exponent))
+    except ValueError:  # not an exponent: Fraction rejects the text
+        return len(text)
+
+
 def _fraction(value, path) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError("expected a rational number", path)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _spelled_length(value) > MAX_RATIONAL_DIGITS:
+            raise SchemaError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", path)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

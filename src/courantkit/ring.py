@@ -14,6 +14,11 @@ the exponential generators.  This module owns that format: other modules build
 elements through the signature (const, coord, exp_gen, monomial, parse),
 move them between rings with RingElem.embed, and divide matrix rows by their
 content and common monomial with normalize_row.
+
+A coefficient, GaussRat, is one canonical integer triple (a + b*i)/d with
+d > 0 and gcd(a, b, d) = 1, in rational and Gaussian rings alike.  Its
+arithmetic uses only int, with one gcd per result at most; Fraction appears
+only where rationals enter or leave (the constructor, re and im).
 """
 
 from __future__ import annotations
@@ -49,23 +54,50 @@ def _as_fraction(x) -> Fraction:
     raise RingError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class GaussRat:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d, held as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1)
+    and equal values have equal triples.  Equality and hashing are therefore
+    integer comparisons, and RingElem equality stays dict equality.  Arithmetic
+    uses only int: a product of two real values multiplies a and d alone, a
+    result over d = 1 needs no gcd, and any other result is brought back to
+    canonical form with one math.gcd(a, b, d).  re and im give the two parts as
+    Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if re.__class__ is int and im.__class__ is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            d = math.lcm(re.denominator, im.denominator)
+            # over the least common denominator of two reduced fractions the
+            # triple is already canonical
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "GaussRat":
@@ -76,41 +108,46 @@ class GaussRat:
         raise RingError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRat:
+            other = GaussRat.coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + -GaussRat.coerce(other)
 
     def __rsub__(self, other):
         return GaussRat.coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = GaussRat.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if not (b1 or b2):
+            return _reduced(a1 * a2, 0, self._d * other._d)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * GaussRat.coerce(other).inverse()
@@ -119,35 +156,63 @@ class GaussRat:
         return GaussRat.coerce(other) * self.inverse()
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except RingError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRat:
+            try:
+                other = GaussRat.coerce(other)
+            except RingError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def to_str(self) -> str:
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.im == 1:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        if b == d:
             ipart = "i"
-        elif self.im == -1:
+        elif b == -d:
             ipart = "-i"
         else:
-            ipart = f"{_frac_str(self.im)}*i"
-        if self.re == 0:
+            ipart = f"{_ratio_str(b, d)}*i"
+        if not a:
             return ipart
         if ipart.startswith("-"):
-            return f"{_frac_str(self.re)}-{ipart[1:]}"
-        return f"{_frac_str(self.re)}+{ipart}"
+            return f"{_ratio_str(a, d)}-{ipart[1:]}"
+        return f"{_ratio_str(a, d)}+{ipart}"
 
     def __repr__(self):
         return f"GaussRat({self.to_str()})"
+
+
+# Exact scalars that coerce to GaussRat.  Fraction comes last: it is an ABC, so
+# testing it costs an abc.__instancecheck__ call.
+_SCALARS = (int, GaussRat, Fraction)
+
+# The slots are written only here and in __init__; __setattr__ refuses the rest.
+_set_a, _set_b, _set_d = GaussRat._a.__set__, GaussRat._b.__set__, GaussRat._d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRat:
+    """Unchecked constructor for a triple that is canonical by construction."""
+    g = object.__new__(GaussRat)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """The canonical form of (a + b*i)/d for d > 0."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _gr(a, b, d)
 
 
 GR_ZERO = GaussRat(0)
@@ -307,7 +372,7 @@ class RingElem:
         return next(iter(self.terms.values()))
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.terms.values())
+        return not any(c._b for c in self.terms.values())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -315,12 +380,20 @@ class RingElem:
         if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatch("ring elements come from different signatures")
 
+    # The arithmetic methods test other.__class__ before _SCALARS, whose
+    # Fraction check is slow for the common case, another RingElem.
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = self.sig.const(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
+        if other.__class__ is not RingElem:
+            if isinstance(other, _SCALARS):
+                other = self.sig.const(other)
+            elif not isinstance(other, RingElem):
+                return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms and other.sig is self.sig:
+            return other
         terms = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(terms, key, c)
@@ -329,10 +402,11 @@ class RingElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = self.sig.const(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
+        if other.__class__ is not RingElem:
+            if isinstance(other, _SCALARS):
+                other = self.sig.const(other)
+            elif not isinstance(other, RingElem):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -342,14 +416,19 @@ class RingElem:
         return _elem(self.sig, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.coerce(other)
-            if not c:
-                return self.sig.zero()
-            return _elem(self.sig, {k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, RingElem):
-            return NotImplemented
+        if other.__class__ is not RingElem:
+            if isinstance(other, _SCALARS):
+                c = GaussRat.coerce(other)
+                if not c:
+                    return self.sig.zero()
+                return _elem(self.sig, {k: v * c for k, v in self.terms.items()})
+            if not isinstance(other, RingElem):
+                return NotImplemented
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms and other.sig is self.sig:
+            return other
         out: dict = {}
         for k1, a in self.terms.items():
             for k2, b in other.terms.items():
@@ -359,7 +438,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, _SCALARS):
             return self * GaussRat.coerce(other).inverse()
         if isinstance(other, RingElem):
             return self * other.unit_inverse()
@@ -380,10 +459,11 @@ class RingElem:
         return _power(self, n, lambda e: e)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = self.sig.const(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
+        if other.__class__ is not RingElem:
+            if isinstance(other, _SCALARS):
+                other = self.sig.const(other)
+            elif not isinstance(other, RingElem):
+                return NotImplemented
         return (self.sig is other.sig or self.sig == other.sig) and self.terms == other.terms
 
     # -- calculus -----------------------------------------------------------
@@ -392,7 +472,9 @@ class RingElem:
         """Exact partial derivative with respect to a coordinate."""
         sig = self.sig
         j = sig.coord_index(var)
-        rates = [(sig.ncoords + m, e.row[j]) for m, e in enumerate(sig.exps) if e.row[j]]
+        rates = [
+            (sig.ncoords + m, GaussRat(e.row[j])) for m, e in enumerate(sig.exps) if e.row[j]
+        ]
         out: dict = {}
         for key, c in self.terms.items():
             d = key[j]
@@ -495,11 +577,14 @@ class RingElem:
         return f"RingElem({self.to_str()})"
 
 
+_set_sig, _set_terms = RingElem.sig.__set__, RingElem.terms.__set__
+
+
 def _elem(sig: RingSignature, terms: dict) -> RingElem:
     """Unchecked constructor for results that are canonical by construction."""
     e = object.__new__(RingElem)
-    object.__setattr__(e, "sig", sig)
-    object.__setattr__(e, "terms", terms)
+    _set_sig(e, sig)
+    _set_terms(e, terms)
     return e
 
 
@@ -518,11 +603,19 @@ def _power(base: RingElem, n: int, check) -> RingElem:
 
 
 def _accumulate(terms: dict, key, c):
-    s = terms.get(key, GR_ZERO) + c
+    # c is stored as it comes on the first write to a key, so it must be
+    # nonzero.  Every caller passes a term of a canonical element (no zero
+    # coefficients) or a product of nonzero scalars, which is nonzero because
+    # Q(i) is a field.
+    s = terms.get(key)
+    if s is None:
+        terms[key] = c
+        return
+    s = s + c
     if s:
         terms[key] = s
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 def normalize_row(row: list) -> tuple:
@@ -537,16 +630,16 @@ def normalize_row(row: list) -> tuple:
         return row, None
     sig = live[0].sig
     common = tuple(map(min, zip(*(k for e in live for k in e.terms))))
+    # the content is the gcd of the numerators over the lcm of the denominators;
+    # a canonical triple (a + b*i)/d contributes gcd(a, b)/d in lowest terms
     num, den = 0, 1
     for e in live:
         for c in e.terms.values():
-            for q in (c.re, c.im):
-                if q:
-                    num = math.gcd(num, q.numerator)
-                    den = den * q.denominator // math.gcd(den, q.denominator)
+            num = math.gcd(num, c._a, c._b)
+            den = math.lcm(den, c._d)
     if not any(common) and num == den == 1:
         return row, None
-    inv = GaussRat(Fraction(den, num))
+    inv = _gr(den, 0, num)  # coprime: a prime of some d divides not both its a, b
     out = [
         _elem(sig, {tuple(map(_sub, k, common)): c * inv for k, c in e.terms.items()})
         if e.terms
@@ -564,7 +657,7 @@ def coerce_elem(sig: RingSignature, value) -> RingElem:
         if value.sig is not sig and value.sig != sig:
             raise SignatureMismatch("ring element from a different signature")
         return value
-    if isinstance(value, (int, Fraction, GaussRat)):
+    if isinstance(value, _SCALARS):
         return sig.const(value)
     if isinstance(value, str):
         return sig.parse(value)

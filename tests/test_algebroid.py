@@ -1,7 +1,8 @@
 import ce_oracle
 import pytest
 from courantkit import catalog
-from courantkit.algebroid import Algebroid, CochainLimitError
+from courantkit.algebroid import MAX_VALIDATE_RANK, Algebroid, CochainLimitError, RankLimitError
+from courantkit.courant import CourantPresentation
 from courantkit.exterior import AForm, contract
 from courantkit.ring import RingSignature
 from courantkit.sampling import SplitMix
@@ -144,6 +145,23 @@ def test_one_degree_cohomology_refuses_oversized_cochain_spaces():
         alg.cohomology_dim(3)
     # degree 24 touches only C(24, 23), C(24, 24) and C(24, 25) = 0 cochains
     assert alg.cohomology_dim(24) == 1
+
+
+def test_validate_refuses_oversized_ranks_before_any_work(monkeypatch):
+    sig = RingSignature(())
+    n = MAX_VALIDATE_RANK
+    assert Algebroid(sig, n, 1, [[] for _ in range(n)], {}).is_valid()
+    big = Algebroid(sig, n + 1, 1, [[] for _ in range(n + 1)], {})
+
+    def refuse(*args):
+        raise AssertionError("the Jacobi sweep ran")
+
+    monkeypatch.setattr(Algebroid, "jacobi_defect", refuse)
+    with pytest.raises(RankLimitError, match=f"rankA {n + 1} is over the limit of {n}"):
+        big.validate()
+    # verify reports the algebroid checks, so its sampled sweep has the same budget
+    with pytest.raises(RankLimitError):
+        CourantPresentation(big).verify(samples=1, frame_sweep=False)
 
 
 def test_anchor_bracket_homomorphism_defect_zero():

@@ -315,6 +315,37 @@ def test_oversized_axiom_sweep_exits_2_fast():
     assert r.stderr.strip() == "error: 101 samples requested, over the limit of 100 (at $)"
 
 
+def test_oversized_validate_exits_2_fast():
+    # the Jacobi sweep alone would take C(24, 3) = 2024 frame triples
+    started = time.monotonic()
+    r = run_cli("validate", "--defs", "-", stdin=_bare_point_doc(24))
+    assert time.monotonic() - started < 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        "error: validation at rankA 24 is over the limit of 12 (at $.rankA)"
+    )
+    r = run_cli("validate", "--defs", "-", stdin=_bare_point_doc(12))
+    assert r.returncode == 0, r.stderr
+
+
+def test_huge_exponential_rate_exits_2_fast():
+    doc = {
+        "name": "huge-rate",
+        "ring": {"coords": ["x"], "mode": "rational", "exps": [{"name": "E", "row": ["1e30000000"]}]},
+        "rankA": 1,
+        "anchor": [["1"]],
+    }
+    started = time.monotonic()
+    r = run_cli("validate", stdin=json.dumps(doc))
+    assert time.monotonic() - started < 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        "error: rational has more than 4300 digits (at $.ring.exps[0].row[0])"
+    )
+
+
 def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
     doc = json.loads(build_doc("symplectic-r2"))
     embedded = run_cli("check-gcr", stdin=json.dumps(doc))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -132,3 +133,23 @@ def test_rank_v_mismatch_rejected():
     doc["H"] = {"degree": 2, "terms": {"1,2": ["x"]}}  # wrong arity: two components required
     with pytest.raises(SchemaError):
         definition_from_json(doc)
+
+
+def test_exponential_rates_read_under_the_digit_budget():
+    def rate(value):
+        doc = minimal_doc()
+        doc["ring"]["exps"] = [{"name": "E", "row": [value, "0"]}]
+        return definition_from_json(doc)["algebroid"].sig.exps[0].row[0]
+
+    assert rate("1/2") == Fraction(1, 2)
+    assert rate("-3") == -3 and rate(2) == 2
+    assert rate("0.5") == Fraction(1, 2) and rate("25e-2") == Fraction(1, 4)
+    assert rate("1e4299") == 10**4299
+    for value in ("1e30000000", "1E-30000000", "1e4300", "0." + "1" * 5000, "1" * 4301):
+        with pytest.raises(SchemaError) as ei:
+            rate(value)
+        assert str(ei.value) == "rational has more than 4300 digits (at $.ring.exps[0].row[0])"
+    for value in ("1/0", "half", "1e", True, 0.5):
+        with pytest.raises(SchemaError) as ei:
+            rate(value)
+        assert str(ei.value).endswith("(at $.ring.exps[0].row[0])")

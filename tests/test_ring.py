@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,3 +250,128 @@ def test_normalize_row_strips_content_and_common_monomial():
     row = [SIG.parse("x + 2"), SIG.parse("3*i*y")]
     assert normalize_row(row) == (row, None)
     assert normalize_row([SIG.zero()]) == ([SIG.zero()], None)
+
+
+# -- the scalar: Gaussian rationals as canonical integer triples -----------------
+
+
+def _draw_part(rng):
+    """A zero, an integer or a small fraction."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-10**6, 10**6)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def _assert_canonical(g, re, im):
+    """g is (re + im*i) as the triple (a + b*i)/d with d > 0 and gcd(a, b, d) = 1."""
+    a, b, d = g._a, g._b, g._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (g.re, g.im) == (re, im)
+    # equal values have equal triples and equal hashes, however they were built
+    fresh = GaussRat(re, im)
+    assert g == fresh and (a, b, d) == (fresh._a, fresh._b, fresh._d)
+    assert hash(g) == hash(fresh)
+
+
+def test_gauss_rat_matches_a_fraction_pair_reference():
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(400):
+        p = (Fraction(_draw_part(rng)), Fraction(_draw_part(rng)))
+        q = (Fraction(_draw_part(rng)), Fraction(_draw_part(rng)))
+        x, y = GaussRat(*p), GaussRat(*q)
+        prod = (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+        cases = [
+            (x + y, (p[0] + q[0], p[1] + q[1])),
+            (x - y, (p[0] - q[0], p[1] - q[1])),
+            (x * y, prod),
+            (x.conjugate(), (p[0], -p[1])),
+            (-x, (-p[0], -p[1])),
+            ((x + y) - y, p),
+            (x * p[0] + 0, (p[0] * p[0], p[1] * p[0])),
+            (1 - y, (1 - q[0], -q[1])),
+        ]
+        norm = q[0] * q[0] + q[1] * q[1]
+        if norm:
+            cases.append((y.inverse(), (q[0] / norm, -q[1] / norm)))
+            cases.append(((x * y) / y, p))
+            cases.append((x / y, ((p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for got, (re, im) in cases:
+            _assert_canonical(got, re, im)
+            checked += 1
+        if not p[1]:
+            assert x == p[0] and GaussRat.coerce(p[0]) == x
+        assert bool(x) == any(p) and x.is_zero() == (not any(p))
+    assert checked >= 2000
+
+
+def test_gauss_rat_text_and_immutability():
+    assert GaussRat(Fraction(-6, 4), Fraction(3, 2)).to_str() == "-3/2+3/2*i"
+    assert GaussRat(Fraction(2, 4), -1).to_str() == "1/2-i"
+    assert GaussRat(0, Fraction(-1, 3)).to_str() == "-1/3*i"
+    assert GaussRat(Fraction(10, 4)).to_str() == "5/2"
+    with pytest.raises(AttributeError):
+        GaussRat(1).re = Fraction(2)
+    with pytest.raises(AttributeError):
+        GaussRat(1)._a = 2
+
+
+def test_zero_operands_match_the_general_sum_and_product():
+    rng = SplitMix(17)
+    rational = RingSignature(SIG.coords, SIG.exps, mode="rational")
+    for _ in range(30):
+        x = rng.ring_elem(SIG, max_degree=2, terms=3, complex_ok=True)
+        x = x * SIG.exp_gen("Et") ** rng.randint(-2, 2)
+        # the general loop's answers, built term by term
+        plus = RingElem(SIG, dict(x.terms))
+        results = []
+        for zero in (SIG.zero(), 0, Fraction(0), GaussRat(0)):
+            results += [(x + zero, plus), (x * zero, SIG.zero())]
+            if not isinstance(zero, GaussRat):  # GaussRat takes no RingElem operand
+                results += [(zero + x, plus), (zero * x, SIG.zero())]
+        for got, want in results:
+            assert isinstance(got, RingElem) and got.sig is SIG
+            assert got == want and got.terms == want.terms
+        # an equal signature of another mode keeps the left operand's signature
+        zero = rational.zero()
+        assert (zero + x).sig is rational and zero + x == plus
+        assert (x * zero).sig is SIG and (x * zero).is_zero()
+
+
+def test_normalize_row_leaves_gaussian_integers_of_content_one():
+    rng = random.Random(12)
+    for _ in range(150):
+        row = [
+            sum(
+                (
+                    SIG.monomial((rng.randint(1, 2), rng.randint(0, 2)), (rng.randint(-1, 1),),
+                                 GaussRat(_draw_part(rng), _draw_part(rng)))
+                    for _ in range(rng.randint(1, 3))
+                ),
+                SIG.zero(),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        parts = [q for e in row for c in e.terms.values() for q in (c.re, c.im) if q]
+        if not parts:
+            continue
+        out, witness = normalize_row(row)
+        # the reference content from the Fraction parts
+        content = Fraction(
+            math.gcd(*(q.numerator for q in parts)), math.lcm(*(q.denominator for q in parts))
+        )
+        out_parts = [q for e in out for c in e.terms.values() for q in (c.re, c.im) if q]
+        assert all(q.denominator == 1 for q in out_parts)
+        assert math.gcd(*(q.numerator for q in out_parts)) == 1
+        common = tuple(map(min, zip(*(k for e in row for k in e.terms))))
+        factor = RingElem(SIG, {common: content})
+        assert [factor * e for e in out] == row
+        assert witness == (RingElem(SIG, {common[:2] + (0,): 1}) if any(common[:2]) else None)

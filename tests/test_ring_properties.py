@@ -1,0 +1,72 @@
+"""Property tests: the field axioms of GaussRat and the commutative-ring axioms
+plus the Leibniz rule of partial for RingElem, on small random elements.
+
+hypothesis is a test-only dependency; without it this module is skipped.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature  # noqa: E402
+
+SIG = RingSignature(("x", "y"), (ExpGen("Et", (Fraction(0), Fraction(-2, 3))),))
+ZERO, ONE = GaussRat(0), GaussRat(1)
+
+parts = st.one_of(
+    st.just(0),
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+scalars = st.builds(GaussRat, parts, parts)
+keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+elements = st.dictionaries(keys, scalars, max_size=3).map(lambda t: RingElem(SIG, t))
+
+properties = settings(max_examples=60, deadline=None)
+
+
+def _canonical(e: RingElem) -> bool:
+    return all(e.terms.values())
+
+
+@properties
+@given(scalars, scalars, scalars)
+def test_gauss_rat_field_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert a + (-a) == ZERO and a - b == a + (-b)
+    if a:
+        assert a * a.inverse() == ONE and (b / a) * a == b
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+@properties
+@given(elements, elements, elements)
+def test_ring_elem_commutative_ring_axioms(a, b, c):
+    zero, one = SIG.zero(), SIG.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and zero + a == a and a * one == a
+    assert (a * zero).is_zero() and (zero * a).is_zero()
+    assert (a - a).is_zero() and a - b == a + (-b)
+    for e in (a + b, a - b, a * b, a * c + b):
+        assert _canonical(e)
+
+
+@properties
+@given(elements, elements)
+def test_partial_is_a_derivation(a, b):
+    for var in SIG.coords:
+        assert (a * b).partial(var) == a.partial(var) * b + a * b.partial(var)
+        assert (a + b).partial(var) == a.partial(var) + b.partial(var)
+        assert _canonical((a * b).partial(var))
