@@ -157,7 +157,7 @@ def _cmd_check_axioms(args, doc, payload) -> dict:
     C = payload["courant"]
     try:
         rep = C.verify(seed=args.seed, samples=args.samples, frame_sweep=True)
-    except (SweepLimitError, RankLimitError) as ex:
+    except SweepLimitError as ex:
         raise SchemaError(str(ex), "$" if args.samples > MAX_SAMPLES else "$.rankA") from None
     ax = rep["axioms"]
     alg_ok = rep["algebroid"]

@@ -18,7 +18,7 @@ from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, FScalar, Multivector
 from .gcr import Distribution, GCRStructure, build_H_bundle
-from .ring import ExpGen, ParseError, RingElem, RingSignature
+from .ring import MAX_LITERAL_DIGITS, ExpGen, ParseError, RingElem, RingSignature
 
 
 class SchemaError(ValueError):
@@ -46,16 +46,10 @@ def _int_at_least(value, minimum: int, what: str, path) -> int:
     return value
 
 
-# Length a rational in a document may reach once its exponent is written out
-# as digits: the 4300-digit integer conversion limit that also bounds the
-# literals of the ring parser.
-MAX_RATIONAL_DIGITS = 4300
-
-
 def _spelled_length(text: str) -> int:
     """Length of text with its exponent written out as digits ("1e5": 6)."""
     mantissa, _, exponent = text.lower().partition("e")
-    if not exponent or len(text) > MAX_RATIONAL_DIGITS:
+    if not exponent or len(text) > MAX_LITERAL_DIGITS:
         return len(text)
     try:
         return len(mantissa) + abs(int(exponent))
@@ -69,8 +63,9 @@ def _fraction(value, path) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if _spelled_length(value) > MAX_RATIONAL_DIGITS:
-            raise SchemaError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", path)
+        # the literal budget of the ring parser, with the exponent spelled out
+        if _spelled_length(value) > MAX_LITERAL_DIGITS:
+            raise SchemaError(f"rational has more than {MAX_LITERAL_DIGITS} digits", path)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

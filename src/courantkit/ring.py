@@ -117,8 +117,6 @@ class GaussRat:
         if other.__class__ is not GaussRat:
             other = GaussRat.coerce(other)
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
         return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
@@ -673,12 +671,15 @@ def coerce_elem(sig: RingSignature, value) -> RingElem:
 #
 # Multiplication is always explicit.  '/' admits exact rationals and unit
 # (Laurent-monomial) divisors only.  'i' is rejected for rational-mode rings.
-# Input budgets: '^' takes exponents up to MAX_EXPONENT in absolute value, and
-# no value built while reading (sums, products, the squares inside a power) may
-# exceed MAX_TERMS terms; a breach is a ParseError at the operator.
+# Input budgets: '^' takes exponents up to MAX_EXPONENT in absolute value, no
+# value built while reading (sums, products, the squares inside a power) may
+# exceed MAX_TERMS terms, and a literal has at most MAX_LITERAL_DIGITS digits;
+# a breach is a ParseError at the operator or literal.  io reads the rationals
+# of a document under the same MAX_LITERAL_DIGITS.
 
 MAX_EXPONENT = 64
 MAX_TERMS = 200
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Parser:
@@ -776,10 +777,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # beyond the digits int() converts
-            raise ParseError(f"{what} has too many digits", start) from None
+        if self.pos - start <= MAX_LITERAL_DIGITS:
+            try:
+                return int(self.text[start : self.pos])
+            except ValueError:  # a lower integer-conversion limit of the runtime
+                pass
+        raise ParseError(f"{what} has too many digits", start)
 
     def atom(self) -> RingElem:
         ch = self.peek()

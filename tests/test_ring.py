@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,24 @@ def test_parse_budgets():
     for n in range(8):
         assert SIG.parse(f"(x+y*Et+1)^{n}") == acc == p**n
         acc = acc * p
+
+
+def test_literal_digit_budget_does_not_follow_the_runtime_limit():
+    from courantkit.ring import MAX_LITERAL_DIGITS
+
+    assert SIG.parse("1" * MAX_LITERAL_DIGITS) == SIG.const(int("1" * MAX_LITERAL_DIGITS))
+    with pytest.raises(ParseError, match="too many digits"):
+        SIG.parse("1" * (MAX_LITERAL_DIGITS + 1))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no runtime limit: the budget still holds
+    try:
+        with pytest.raises(ParseError, match="too many digits"):
+            SIG.parse("1" * (MAX_LITERAL_DIGITS + 1))
+        sys.set_int_max_str_digits(640)  # a lower runtime limit is a parse error too
+        with pytest.raises(ParseError, match="too many digits"):
+            SIG.parse("1" * 1000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_round_trip_random():
