@@ -50,6 +50,11 @@ class RankLimitError(AlgebroidError):
     pass
 
 
+# Largest module rank rankV that io reads: without an explicit action the
+# constructor builds rankA zero matrices of rankV x rankV entries.
+MAX_MODULE_RANK = 16
+
+
 class Algebroid:
     __slots__ = ("sig", "rank", "rank_v", "anchor", "structure", "theta")
 
@@ -124,13 +129,16 @@ class Algebroid:
         for i, c in enumerate(X):
             if c.is_zero():
                 continue
-            for j in range(self.sig.ncoords):
-                out[j] = out[j] + c * self.anchor[i][j]
+            for j, a in enumerate(self.anchor[i]):
+                if not a.is_zero():
+                    out[j] = out[j] + c * a
         return out
 
     def derivation(self, v, f: RingElem) -> RingElem:
         """The coordinate derivation with coefficient vector v applied to f."""
         out = self.sig.zero()
+        if f.is_zero():
+            return out
         for j, vj in enumerate(v):
             if not vj.is_zero():
                 out = out + vj * f.partial(self.sig.coords[j])
@@ -335,10 +343,12 @@ class Algebroid:
     # -- validation -------------------------------------------------------------
 
     def jacobi_defect(self, i: int, j: int, k: int) -> list:
-        ei, ej, ek = (self.frame_section(t) for t in (i, j, k))
-        t1 = self.bracket(ei, self.bracket(ej, ek))
-        t2 = self.bracket(ej, self.bracket(ek, ei))
-        t3 = self.bracket(ek, self.bracket(ei, ej))
+        # frame sections have constant coefficients, so the anchor terms of an
+        # inner bracket vanish and [e_j, e_k] is frame_bracket(j, k) exactly
+        e = self.frame_section
+        t1 = self.bracket(e(i), self.frame_bracket(j, k))
+        t2 = self.bracket(e(j), self.frame_bracket(k, i))
+        t3 = self.bracket(e(k), self.frame_bracket(i, j))
         return [a + b + c for a, b, c in zip(t1, t2, t3)]
 
     def anchor_defect(self, i: int, j: int) -> list:

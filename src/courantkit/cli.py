@@ -13,6 +13,7 @@ input (JSON syntax, schema violation, unbuildable object, unknown name).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -326,7 +327,9 @@ def _cmd_catalog(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing does not change it."""
     top = argparse.ArgumentParser(
         prog="courantkit",
         description="exact checks for bracket presentations and their structures",

@@ -14,7 +14,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .algebroid import Algebroid
+from .algebroid import MAX_MODULE_RANK, Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, FScalar, Multivector
 from .gcr import Distribution, GCRStructure, build_H_bundle
@@ -276,6 +276,11 @@ def algebroid_from_json(sig: RingSignature, doc, path="$") -> Algebroid:
         rank_v = _int_at_least(
             mdoc.get("rankV", 1), 1, "positive integer rankV", f"{path}.module.rankV"
         )
+        if rank_v > MAX_MODULE_RANK:
+            raise SchemaError(
+                f"module rank {rank_v} is over the limit of {MAX_MODULE_RANK}",
+                f"{path}.module.rankV",
+            )
     anchor = _matrix(sig, doc.get("anchor", []), rank, sig.ncoords, f"{path}.anchor")
     structure = {}
     sdoc = _expect(doc.get("structure", {}), dict, f"{path}.structure", "an object")

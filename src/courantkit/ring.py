@@ -101,11 +101,13 @@ class GaussRat:
 
     @staticmethod
     def coerce(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        raise RingError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
+        g = _operand(x)
+        if g is None:
+            raise RingError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
+        return g
+
+    def __reduce__(self):
+        return _gr, (self._a, self._b, self._d)
 
     def is_zero(self) -> bool:
         return not (self._a or self._b)
@@ -113,26 +115,35 @@ class GaussRat:
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
+    # + - * return NotImplemented for an operand that is not an exact scalar,
+    # so that a RingElem operand answers through its reflected method.
+
     def __add__(self, other):
         if other.__class__ is not GaussRat:
-            other = GaussRat.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self._d, other._d
         return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -GaussRat.coerce(other)
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return GaussRat.coerce(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if other.__class__ is not GaussRat:
-            other = GaussRat.coerce(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         if not (b1 or b2):
             return _reduced(a1 * a2, 0, self._d * other._d)
@@ -158,9 +169,8 @@ class GaussRat:
 
     def __eq__(self, other):
         if other.__class__ is not GaussRat:
-            try:
-                other = GaussRat.coerce(other)
-            except RingError:
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
@@ -193,6 +203,15 @@ _SCALARS = (int, GaussRat, Fraction)
 
 # The slots are written only here and in __init__; __setattr__ refuses the rest.
 _set_a, _set_b, _set_d = GaussRat._a.__set__, GaussRat._b.__set__, GaussRat._d.__set__
+
+
+def _operand(x):
+    """x as a GaussRat, or None when it is not an exact scalar."""
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussRat(x)
+    return None
 
 
 def _gr(a: int, b: int, d: int) -> GaussRat:
@@ -260,6 +279,11 @@ class RingSignature:
                 raise RingError(
                     f"derivative row of {e.name!r} must have {len(self.coords)} entries"
                 )
+
+    def __deepcopy__(self, memo):
+        # immutable: a deep copy of an element keeps its signature object,
+        # which element arithmetic compares by identity first
+        return self
 
     @property
     def ncoords(self) -> int:
@@ -346,6 +370,9 @@ class RingElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
+
+    def __reduce__(self):
+        return _elem, (self.sig, self.terms)
 
     # -- predicates ---------------------------------------------------------
 

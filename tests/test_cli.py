@@ -428,3 +428,65 @@ def test_oversized_ring_expression_exits_2_quickly(entry, text, message):
     assert r.stdout == ""
     assert message in r.stderr
     assert r.stderr.strip().endswith("(at $.anchor[0][0])")
+
+
+def test_oversized_module_rank_exits_2_fast():
+    # without an action the constructor would build rankV x rankV zero matrices
+    from courantkit.algebroid import MAX_MODULE_RANK
+
+    doc = json.loads(_bare_point_doc(1))
+    doc["module"]["rankV"] = 20000
+    started = time.monotonic()
+    r = run_cli("validate", stdin=json.dumps(doc))
+    assert time.monotonic() - started < 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        f"error: module rank 20000 is over the limit of {MAX_MODULE_RANK} (at $.module.rankV)"
+    )
+    doc["module"]["rankV"] = MAX_MODULE_RANK
+    r = run_cli("validate", stdin=json.dumps(doc))
+    assert r.returncode == 0, r.stderr
+
+
+def test_successive_main_calls_share_no_state(tmp_path):
+    # the parser is built once per process; what one call parses must not
+    # reach the next, so each report equals the one from a fresh process
+    defs = {}
+    for name in ("tangent-r3", "standard-r3-twisted", "dirac-graph-r2"):
+        defs[name] = tmp_path / f"{name}.json"
+        defs[name].write_text(build_doc(name))
+    report = tmp_path / "report.json"
+    calls = [
+        ["check-axioms", "--defs", defs["tangent-r3"], "--samples", "3", "--seed", "5",
+         "--timing", "--out", report],
+        ["check-axioms", "--defs", defs["tangent-r3"], "--samples", "2"],
+        ["validate", "--defs", defs["standard-r3-twisted"], "--timing"],
+        ["validate", "--defs", defs["standard-r3-twisted"]],
+        ["check-dirac", "--defs", defs["dirac-graph-r2"]],
+        ["catalog", "list"],
+        ["check-axioms", "--defs", defs["standard-r3-twisted"], "--samples", "1"],
+    ]
+
+    def outcome(code, stdout, argv):
+        if "--out" in argv:
+            assert stdout == ""
+            stdout = report.read_text()
+            report.unlink()
+        rep = json.loads(stdout)
+        if isinstance(rep, dict):
+            timing = rep.pop("timing")
+            assert (timing is not None) == ("--timing" in argv)
+        return code, rep
+
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        out = _stdio.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        mine = outcome(code, out.getvalue(), argv)
+        fresh = run_cli(*argv)
+        assert mine == outcome(fresh.returncode, fresh.stdout, argv), argv
+    rep = mine[1]
+    assert rep["seed"] == 0 and rep["samples"]["requested"] == 1
+    assert cli._build_parser() is cli._build_parser()

@@ -289,3 +289,23 @@ def test_twist_differential_computed_once(monkeypatch):
     f = C.full_frame()
     assert not C.jacobiator_expected(f[0], f[1], f[2]).xi.is_zero()
     assert calls == []
+
+
+@pytest.mark.parametrize("name,n", [("standard-r3-twisted", 6), ("cr-control-r5", 10)])
+def test_frame_sweep_computes_each_bracket_once(monkeypatch, name, n):
+    # n^2 inner brackets, n^3 of the form [e_a, [e_b, e_c]] and n^3 of the form
+    # [[e_a, e_b], e_c]; the anchor, symmetric and invariance sweeps add none
+    C = catalog.load(name)["courant"]
+    assert C.alg.rank * (1 + C.alg.rank_v) == n
+    calls = []
+    real_bracket = CourantPresentation.bracket
+
+    def counting_bracket(self, e1, e2):
+        calls.append(None)
+        return real_bracket(self, e1, e2)
+
+    monkeypatch.setattr(CourantPresentation, "bracket", counting_bracket)
+    rep = C.verify(samples=0)
+    assert rep["ok"]
+    assert len(calls) == 2 * n**3 + n**2
+    assert rep["axioms"]["leibniz"]["checked"] == n**3

@@ -394,3 +394,54 @@ def test_normalize_row_leaves_gaussian_integers_of_content_one():
         factor = RingElem(SIG, {common: content})
         assert [factor * e for e in out] == row
         assert witness == (RingElem(SIG, {common[:2] + (0,): 1}) if any(common[:2]) else None)
+
+
+def test_gauss_rat_with_a_ring_element_operand_in_both_orders():
+    rng = SplitMix(23)
+    for _ in range(20):
+        x = rng.ring_elem(SIG, max_degree=2, terms=3, complex_ok=True)
+        for c in (GaussRat(2), GaussRat(Fraction(-1, 3), 5), GaussRat(0)):
+            k = SIG.const(c)
+            for got, want in (
+                (c + x, k + x), (x + c, x + k),
+                (c - x, k - x), (x - c, x - k),
+                (c * x, k * x), (x * c, x * k),
+            ):
+                assert isinstance(got, RingElem) and got.sig is SIG
+                assert got == want
+    x = SIG.parse("x + i*y")
+    assert GaussRat(2) * x == 2 * x == Fraction(2) * x
+    assert GaussRat(2) - x == 2 - x
+    assert GaussRat.__add__(GaussRat(1), "1") is NotImplemented
+    with pytest.raises(TypeError):
+        GaussRat(1) + "1"
+    with pytest.raises(RingError):  # RingElem has no __rtruediv__
+        GaussRat(1) / x
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    import copy
+    import pickle
+
+    x = SIG.parse("(1/2+i)*x^2*Et^-1 - 3*y + 7")
+    scalars = [GaussRat(Fraction(-6, 4), Fraction(3, 2)), GaussRat(0), GaussRat(5)]
+
+    def via_pickle(v):
+        return pickle.loads(pickle.dumps(v))
+
+    for clone in (copy.copy, copy.deepcopy, via_pickle):
+        for g in scalars:
+            h = clone(g)
+            assert h.__class__ is GaussRat and h == g and hash(h) == hash(g)
+            assert (h._a, h._b, h._d) == (g._a, g._b, g._d)
+        y = clone(x)
+        assert y.__class__ is RingElem and y == x and y.to_str() == x.to_str()
+        if clone is via_pickle:
+            # a new signature, equal to the old one and shared by one pickle's elements
+            a, b = clone([x, x * x])
+            assert a.sig == SIG and a.sig is b.sig and b == x * x
+        else:
+            assert y.sig is SIG
+        with pytest.raises(AttributeError):
+            y.terms = {}
+    assert copy.deepcopy([x, SIG.zero()])[1].sig is SIG
