@@ -7,6 +7,9 @@ Theta_i describing the action on a module frame u_1..u_s:
 
     nabla_{e_i} u_b = sum_c Theta_i[b][c] u_c.
 
+Sections are plain lists of rank ring elements.  The connection matrix along
+a section X, sum_i X_i Theta_i, is formed in one place, `_connection`.
+
 Nothing forces the axioms to hold: `validate` reports Jacobi, anchor-morphism
 and curvature defects exactly, so broken presentations are first-class test
 subjects rather than constructor errors.
@@ -53,6 +56,17 @@ class RankLimitError(AlgebroidError):
 # Largest module rank rankV that io reads: without an explicit action the
 # constructor builds rankA zero matrices of rankV x rankV entries.
 MAX_MODULE_RANK = 16
+
+
+def _vec_mat(v, M, out) -> list:
+    """out + v M, in place, for a row vector v and a matrix M; zero entries are skipped."""
+    for b, vb in enumerate(v):
+        if vb.is_zero():
+            continue
+        for c, t in enumerate(M[b]):
+            if not t.is_zero():
+                out[c] = out[c] + vb * t
+    return out
 
 
 class Algebroid:
@@ -116,6 +130,14 @@ class Algebroid:
         vec = self.structure.get((j, i))
         return [-x for x in vec] if vec else self.zero_section()
 
+    def _connection(self, X) -> list:
+        """The connection matrix along the section X: sum_i X_i Theta_i."""
+        zero = self.sig.zero()
+        return [
+            _vec_mat(X, [th[b] for th in self.theta], [zero] * self.rank_v)
+            for b in range(self.rank_v)
+        ]
+
     def theta_scalar(self, i: int) -> RingElem:
         if self.rank_v != 1:
             raise AlgebroidError("scalar connection requires a rank-one module")
@@ -178,18 +200,7 @@ class Algebroid:
         X = [coerce_elem(self.sig, x) for x in X]
         v = [coerce_elem(self.sig, w) for w in v]
         ax = self.anchor_vector(X)
-        out = [self.derivation(ax, vb) for vb in v]
-        for i, xi in enumerate(X):
-            if xi.is_zero():
-                continue
-            for b in range(self.rank_v):
-                if v[b].is_zero():
-                    continue
-                for c in range(self.rank_v):
-                    t = self.theta[i][b][c]
-                    if not t.is_zero():
-                        out[c] = out[c] + xi * v[b] * t
-        return out
+        return _vec_mat(v, self._connection(X), [self.derivation(ax, vb) for vb in v])
 
     def act_module(self, i: int, vec, connected: bool):
         """Frame section i on a module vector: anchor derivative plus theta_i.
@@ -199,12 +210,7 @@ class Algebroid:
         """
         out = [self.apply_frame_anchor(i, x) for x in vec]
         if connected:
-            for b, vb in enumerate(vec):
-                if vb.is_zero():
-                    continue
-                for c, t in enumerate(self.theta[i][b]):
-                    if not t.is_zero():
-                        out[c] = out[c] + vb * t
+            _vec_mat(vec, self.theta[i], out)
         return tuple(out) if any(not x.is_zero() for x in out) else None
 
     def act_graded(self, i: int, w: FScalar) -> FScalar:
@@ -297,36 +303,25 @@ class Algebroid:
         """
         X = [coerce_elem(self.sig, x) for x in X]
         ax = self.anchor_vector(X)
-        # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j
-        cov = [[self.sig.zero()] * self.rank for _ in range(self.rank)]
-        for k in range(self.rank):
-            for j in range(self.rank):
-                acc = self.apply_frame_anchor(j, X[k])
-                for i, xi in enumerate(X):
-                    if xi.is_zero() or i == j:
-                        continue
-                    c = self.frame_bracket(i, j)[k]
+        # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j, one column j at a time
+        cols = []
+        for j in range(self.rank):
+            col = [self.apply_frame_anchor(j, xk) for xk in X]
+            for i, xi in enumerate(X):
+                if xi.is_zero() or i == j:
+                    continue
+                for k, c in enumerate(self.frame_bracket(i, j)):
                     if not c.is_zero():
-                        acc = acc - xi * c
-                cov[k][j] = acc
-        # the connection along X: sum_i X_i Theta_i
-        live = [i for i in range(self.rank) if not X[i].is_zero()]
-        r = self.rank_v
-        xtheta = [
-            [sum((X[i] * self.theta[i][b][c] for i in live), self.sig.zero()) for c in range(r)]
-            for b in range(r)
-        ]
+                        col[k] = col[k] - xi * c
+            cols.append(col)
+        cov = list(zip(*cols))
+        xtheta = self._connection(X) if w.vvalued else None
 
         def items():
             for I, vec in w.terms.items():
                 fn = [self.derivation(ax, x) for x in vec]
                 if w.vvalued:
-                    for b, vb in enumerate(vec):
-                        if vb.is_zero():
-                            continue
-                        for c, t in enumerate(xtheta[b]):
-                            if not t.is_zero():
-                                fn[c] = fn[c] + vb * t
+                    _vec_mat(vec, xtheta, fn)
                 if any(not x.is_zero() for x in fn):
                     yield I, 1, tuple(fn)
                 for pos, k in enumerate(I):
@@ -358,20 +353,18 @@ class Algebroid:
 
     def curvature(self, i: int, j: int) -> list:
         """R(e_i, e_j) on the module frame, as a rank_v x rank_v matrix."""
-        s = self.sig
         ti, tj = self.theta[i], self.theta[j]
-        out = [[s.zero()] * self.rank_v for _ in range(self.rank_v)]
+        tij = self._connection(self.frame_bracket(i, j))
+        out = []
         for b in range(self.rank_v):
-            for c in range(self.rank_v):
-                acc = self.apply_frame_anchor(i, tj[b][c]) - self.apply_frame_anchor(
-                    j, ti[b][c]
-                )
-                for m in range(self.rank_v):
-                    acc = acc + tj[b][m] * ti[m][c] - ti[b][m] * tj[m][c]
-                for k, ck in enumerate(self.frame_bracket(i, j)):
-                    if not ck.is_zero():
-                        acc = acc - ck * self.theta[k][b][c]
-                out[b][c] = acc
+            row = [
+                self.apply_frame_anchor(i, tj[b][c]) - self.apply_frame_anchor(j, ti[b][c])
+                - tij[b][c]
+                for c in range(self.rank_v)
+            ]
+            _vec_mat(tj[b], ti, row)
+            _vec_mat([-t for t in ti[b]], tj, row)
+            out.append(row)
         return out
 
     def validate(self) -> dict:
@@ -424,29 +417,13 @@ class Algebroid:
         M = linalg.coerce_matrix(s, M)
         Minv = linalg.invert(s, M)
         anchor = linalg.mat_mul(s, M, self.anchor) if s.ncoords else [[] for _ in range(self.rank)]
-        structure = {}
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                br = self.bracket(M[i], M[j])
-                # re-express in the primed frame: coefficients br . Minv
-                coeffs = [
-                    sum((br[a] * Minv[a][k] for a in range(self.rank)), s.zero())
-                    for k in range(self.rank)
-                ]
-                structure[(i, j)] = coeffs
-        theta = []
-        for i in range(self.rank):
-            mat = [[s.zero()] * self.rank_v for _ in range(self.rank_v)]
-            for j in range(self.rank):
-                c = M[i][j]
-                if c.is_zero():
-                    continue
-                for b in range(self.rank_v):
-                    for d2 in range(self.rank_v):
-                        t = self.theta[j][b][d2]
-                        if not t.is_zero():
-                            mat[b][d2] = mat[b][d2] + c * t
-            theta.append(mat)
+        # brackets re-expressed in the primed frame: coefficients br . Minv
+        structure = {
+            (i, j): _vec_mat(self.bracket(M[i], M[j]), Minv, [s.zero()] * self.rank)
+            for i in range(self.rank)
+            for j in range(i + 1, self.rank)
+        }
+        theta = [self._connection(row) for row in M]
         return Algebroid(s, self.rank, self.rank_v, anchor, structure, theta)
 
     # -- cohomology over a point ---------------------------------------------------

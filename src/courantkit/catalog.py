@@ -162,69 +162,52 @@ def contact_r3() -> dict:
 # -- almost-complex fixtures --------------------------------------------------
 
 
-def cr_examples() -> list:
-    """Distribution-plus-rotation fixtures with their expected verdicts."""
-    out = []
+def _cr_entry(alg: Algebroid, distribution: Distribution, j_matrix, expected: dict) -> dict:
+    """Distribution-plus-rotation fixture over a tangent algebroid."""
+    return {
+        "courant": CourantPresentation(alg),
+        "algebroid": alg,
+        "distribution": distribution,
+        "j_matrix": j_matrix,
+        "expected": expected,
+    }
 
-    t3 = tangent_algebroid(_coords(3))
-    s3 = t3.sig
-    o, z = s3.one(), s3.zero()
-    C3 = CourantPresentation(t3)
-    out.append(
-        {
-            "name": "cr-levi-flat-r3",
-            "courant": C3,
-            "algebroid": t3,
-            "distribution": Distribution(t3, linalg.identity(s3, 3), 2),
-            "j_matrix": [[z, -o], [o, z]],
-            "expected": {"gcr_ok": True},
-        }
-    )
 
-    t5 = tangent_algebroid(_coords(5))
-    s5 = t5.sig
-    o5, z5 = s5.one(), s5.zero()
-    x1 = s5.coord("x1")
-    C5 = CourantPresentation(t5)
-    frame5 = [
-        [o5, z5, z5, z5, z5],
-        [z5, o5, z5, z5, z5],
-        [z5, z5, o5, z5, z5],
-        [z5, z5, z5, o5, x1],
-        [z5, z5, z5, z5, o5],
+def cr_levi_flat_r3() -> dict:
+    alg = tangent_algebroid(_coords(3))
+    s = alg.sig
+    o, z = s.one(), s.zero()
+    dist = Distribution(alg, linalg.identity(s, 3), 2)
+    return _cr_entry(alg, dist, [[z, -o], [o, z]], {"gcr_ok": True})
+
+
+def cr_control_r5() -> dict:
+    alg = tangent_algebroid(_coords(5))
+    s = alg.sig
+    o, z = s.one(), s.zero()
+    x1 = s.coord("x1")
+    frame = [
+        [o, z, z, z, z],
+        [z, o, z, z, z],
+        [z, z, o, z, z],
+        [z, z, z, o, x1],
+        [z, z, z, z, o],
     ]
-    j5 = [
-        [z5, -o5, z5, z5],
-        [o5, z5, z5, z5],
-        [z5, z5, z5, -o5],
-        [z5, z5, o5, z5],
+    j = [
+        [z, -o, z, z],
+        [o, z, z, z],
+        [z, z, z, -o],
+        [z, z, o, z],
     ]
-    out.append(
-        {
-            "name": "cr-control-r5",
-            "courant": C5,
-            "algebroid": t5,
-            "distribution": Distribution(t5, frame5, 4),
-            "j_matrix": j5,
-            "expected": {"gcr_ok": False, "involutive": False},
-        }
+    return _cr_entry(
+        alg, Distribution(alg, frame, 4), j, {"gcr_ok": False, "involutive": False}
     )
 
-    t2 = tangent_algebroid(_coords(2))
-    s2 = t2.sig
-    o2, z2 = s2.one(), s2.zero()
-    C2 = CourantPresentation(t2)
-    out.append(
-        {
-            "name": "cr-complex-r2",
-            "courant": C2,
-            "algebroid": t2,
-            "distribution": full_distribution(t2),
-            "j_matrix": [[z2, -o2], [o2, z2]],
-            "expected": {"gcr_ok": True},
-        }
-    )
-    return out
+
+def cr_complex_r2() -> dict:
+    alg = tangent_algebroid(_coords(2))
+    o, z = alg.sig.one(), alg.sig.zero()
+    return _cr_entry(alg, full_distribution(alg), [[z, -o], [o, z]], {"gcr_ok": True})
 
 
 def symplectic_r2() -> dict:
@@ -296,42 +279,9 @@ def _point_algebroid(rank: int, structure: dict, theta_scalars) -> Algebroid:
     return Algebroid(sig, rank, 1, anchor, struct, theta)
 
 
-def point_algebras() -> list:
-    """Constant-coefficient fixtures with frozen cohomology tables."""
-    out = []
-    out.append(
-        {
-            "name": "point-abelian2",
-            "algebroid": _point_algebroid(2, {}, (0, 0)),
-            "expected": {"betti": [1, 2, 1], "h3": 0, "invariants": 1},
-        }
-    )
-    out.append(
-        {
-            "name": "point-sl2",
-            "algebroid": _point_algebroid(
-                3,
-                {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)},
-                (0, 0, 0),
-            ),
-            "expected": {"betti": [1, 0, 0, 1], "h3": 1, "invariants": 1},
-        }
-    )
-    out.append(
-        {
-            "name": "point-heisenberg",
-            "algebroid": _point_algebroid(3, {(0, 1): (0, 0, 1)}, (0, 0, 0)),
-            "expected": {"betti": [1, 2, 2, 1], "h3": 1, "invariants": 1},
-        }
-    )
-    out.append(
-        {
-            "name": "point-heisenberg-mod",
-            "algebroid": _point_algebroid(3, {(0, 1): (0, 0, 1)}, (1, 0, 0)),
-            "expected": {"betti": [0, 0, 0, 0], "h3": 0, "invariants": 0},
-        }
-    )
-    return out
+def _point_entry(rank: int, structure: dict, theta_scalars, expected: dict) -> dict:
+    """Constant-coefficient fixture with its frozen cohomology table."""
+    return {"algebroid": _point_algebroid(rank, structure, theta_scalars), "expected": expected}
 
 
 def curvature_control_r2() -> dict:
@@ -385,16 +335,6 @@ def _courant_entry(C: CourantPresentation) -> dict:
     }
 
 
-def _from_list(maker, name):
-    def build():
-        for fixture in maker():
-            if fixture["name"] == name:
-                return dict(fixture)
-        raise CatalogError(f"missing fixture {name!r}")
-
-    return build
-
-
 _BUILDERS = {
     "tangent-r2": lambda: _courant_entry(standard_courant(2)),
     "tangent-r3": lambda: _courant_entry(standard_courant(3)),
@@ -408,13 +348,24 @@ _BUILDERS = {
     "dirac-graph-r2": dirac_graph_r2,
     "dirac-nonclosed-r3": dirac_nonclosed_r3,
     "curvature-control-r2": curvature_control_r2,
-    "cr-levi-flat-r3": _from_list(cr_examples, "cr-levi-flat-r3"),
-    "cr-control-r5": _from_list(cr_examples, "cr-control-r5"),
-    "cr-complex-r2": _from_list(cr_examples, "cr-complex-r2"),
-    "point-abelian2": _from_list(point_algebras, "point-abelian2"),
-    "point-sl2": _from_list(point_algebras, "point-sl2"),
-    "point-heisenberg": _from_list(point_algebras, "point-heisenberg"),
-    "point-heisenberg-mod": _from_list(point_algebras, "point-heisenberg-mod"),
+    "cr-levi-flat-r3": cr_levi_flat_r3,
+    "cr-control-r5": cr_control_r5,
+    "cr-complex-r2": cr_complex_r2,
+    "point-abelian2": lambda: _point_entry(
+        2, {}, (0, 0), {"betti": [1, 2, 1], "h3": 0, "invariants": 1}
+    ),
+    "point-sl2": lambda: _point_entry(
+        3,
+        {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)},
+        (0, 0, 0),
+        {"betti": [1, 0, 0, 1], "h3": 1, "invariants": 1},
+    ),
+    "point-heisenberg": lambda: _point_entry(
+        3, {(0, 1): (0, 0, 1)}, (0, 0, 0), {"betti": [1, 2, 2, 1], "h3": 1, "invariants": 1}
+    ),
+    "point-heisenberg-mod": lambda: _point_entry(
+        3, {(0, 1): (0, 0, 1)}, (1, 0, 0), {"betti": [0, 0, 0, 0], "h3": 0, "invariants": 0}
+    ),
 }
 
 

@@ -142,8 +142,8 @@ def _cmd_cohomology(args) -> int:
 @_reporting
 def _cmd_bracket(args, doc, payload) -> dict:
     C = payload["courant"]
-    e1 = io.csection_from_json(C.alg, io.loads_json(args.e1), "$.e1")
-    e2 = io.csection_from_json(C.alg, io.loads_json(args.e2), "$.e2")
+    e1 = io.csection_from_json(C.alg, io.loads_json(args.e1, "$.e1"), "$.e1")
+    e2 = io.csection_from_json(C.alg, io.loads_json(args.e2, "$.e2"), "$.e2")
     return {
         "result": io.csection_to_json(C.bracket(e1, e2)),
         "pairing": [c.to_str() for c in C.pairing(e1, e2)],
@@ -191,7 +191,7 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     C = payload["courant"]
     bundles = dict(payload.get("subbundles", {}))
     if args.subbundle:
-        sdoc = io.loads_json(_read_text(args.subbundle))
+        sdoc = io.loads_json(_read_text(args.subbundle), "$.subbundle")
         if not isinstance(sdoc, list):
             raise SchemaError("expected a list of sections", "$.subbundle")
         name = os.path.splitext(os.path.basename(args.subbundle))[0]
@@ -233,7 +233,7 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
     C = payload["courant"]
     S = payload.get("gcr")
     if args.gcr:
-        S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr)), "$.gcr")
+        S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr), "$.gcr"), "$.gcr")
     if S is None:
         raise SchemaError("no gcr block to check", "$.gcr")
     rep = validate_gcr(S)
@@ -252,21 +252,18 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
     details = {"excluded": sorted(rep.get("excluded", []))}
     if rep["ok"]:
         details["l_generators"] = [io.csection_to_json(g) for g in rep["l_generators"]]
+        # validate_gcr found J^2 = -1 and J^T G J = G, so G J is antisymmetric and
+        # so is the block that extract_bivector reads: it cannot refuse here
+        P = extract_bivector(S)
+        details["bivector"] = io.multivector_to_json(P)
         try:
-            P = extract_bivector(S)
-            details["bivector"] = io.multivector_to_json(P)
-        except GCRError:
-            P = None
-            details["bivector"] = None
-        if P is not None:
-            try:
-                dec = decompose_jacobi(C.alg, P)
-                details["jacobi_pair"] = {
-                    "lambda": io.multivector_to_json(dec["lambda"]),
-                    "e": io.multivector_to_json(dec["e"]),
-                }
-            except (GCRError, ValueError):
-                details["jacobi_pair"] = None
+            dec = decompose_jacobi(C.alg, P)
+            details["jacobi_pair"] = {
+                "lambda": io.multivector_to_json(dec["lambda"]),
+                "e": io.multivector_to_json(dec["e"]),
+            }
+        except (GCRError, ValueError):
+            details["jacobi_pair"] = None
     return {"details": details, "verdicts": verdicts}
 
 
@@ -281,10 +278,10 @@ def _cmd_check_jacobi(args, doc, payload) -> dict:
         else:
             tangent = alg
         lam = io.multivector_from_json(
-            tangent.sig, tangent.rank, io.loads_json(args.lam), "$.lambda"
+            tangent.sig, tangent.rank, io.loads_json(args.lam, "$.lambda"), "$.lambda"
         )
         evec = io.multivector_from_json(
-            tangent.sig, tangent.rank, io.loads_json(args.evec), "$.e"
+            tangent.sig, tangent.rank, io.loads_json(args.evec, "$.e"), "$.e"
         )
         if lam.degree != 2 or evec.degree != 1:
             raise SchemaError("expected a bivector and a vector", "$.lambda")

@@ -18,8 +18,10 @@ computes exactly that for comparison.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebroid import Algebroid
-from .exterior import AForm, Multivector, contract
+from .exterior import AForm, contract
 from .ring import coerce_elem
 
 
@@ -202,9 +204,6 @@ class CourantPresentation:
                 out.append(self.coframe_section(i, b))
         return out
 
-    def _mv(self, x) -> Multivector:
-        return Multivector.section(self.alg.sig, self.alg.rank, x)
-
     # -- structure operations -------------------------------------------------------
 
     def pairing(self, e1: CSection, e2: CSection) -> list:
@@ -222,8 +221,8 @@ class CourantPresentation:
         alg = self.alg
         x = alg.bracket(e1.x, e2.x)
         xi = alg.lie(e1.x, e2.xi)
-        xi = xi - contract(self._mv(e2.x), alg.d(e1.xi))
-        xi = xi + contract(self._mv(e1.x), contract(self._mv(e2.x), self.twist))
+        xi = xi - contract(e2.x, alg.d(e1.xi))
+        xi = xi + contract(e1.x, contract(e2.x, self.twist))
         return CSection(alg, x, xi)
 
     def differential(self, fvec) -> CSection:
@@ -245,9 +244,9 @@ class CourantPresentation:
     def jacobiator_expected(self, e1: CSection, e2: CSection, e3: CSection) -> CSection:
         """Insertion of the three section legs into dH (zero for a closed twist)."""
         alg = self.alg
-        w = contract(self._mv(e3.x), self.dtwist)
-        w = contract(self._mv(e2.x), w)
-        w = contract(self._mv(e1.x), w)
+        w = contract(e3.x, self.dtwist)
+        w = contract(e2.x, w)
+        w = contract(e1.x, w)
         return CSection(alg, alg.zero_section(), w)
 
     def anchor_defect(self, e1: CSection, e2: CSection, br=None) -> list:
@@ -259,8 +258,6 @@ class CourantPresentation:
 
     def symmetric_defect(self, e: CSection, br=None) -> CSection:
         """[[e,e]] - (1/2) D<e,e>."""
-        from fractions import Fraction
-
         half = Fraction(1, 2)
         pe = self.pairing(e, e)
         return (br or self.bracket)(e, e) - self.differential(pe).scale(half)
@@ -285,7 +282,7 @@ class CourantPresentation:
 
     def transport(self, e: CSection, beta: AForm) -> CSection:
         """Coordinate change matching change_splitting: (X, xi) -> (X, xi + i_X beta)."""
-        return CSection(self.alg, e.x, e.xi + contract(self._mv(e.x), beta))
+        return CSection(self.alg, e.x, e.xi + contract(e.x, beta))
 
     def isotropize(self, sigma) -> tuple:
         """Split off the symmetric part of a non-isotropic splitting.
@@ -294,8 +291,6 @@ class CourantPresentation:
         Returns (presentation, beta) with beta the antisymmetric part; the new
         presentation is the one induced by the corrected isotropic splitting.
         """
-        from fractions import Fraction
-
         alg = self.alg
         sigma = list(sigma)
         if len(sigma) != alg.rank:

@@ -10,7 +10,7 @@ the open complement.
 from __future__ import annotations
 
 from .courant import CourantPresentation, CSection
-from .exterior import AForm, Multivector, contract
+from .exterior import AForm, contract
 from . import linalg
 
 
@@ -143,11 +143,9 @@ def graph_two_form(C: CourantPresentation, B: AForm) -> list:
     if not B.vvalued or B.degree != 2:
         raise DiracError("graph requires a module-valued 2-form")
     alg = C.alg
-    out = []
-    for i in range(alg.rank):
-        X = Multivector.frame(alg.sig, alg.rank, i)
-        out.append(CSection(alg, alg.frame_section(i), contract(X, B)))
-    return out
+    return [
+        CSection(alg, X, contract(X, B)) for X in map(alg.frame_section, range(alg.rank))
+    ]
 
 
 def anchor_intersection(C: CourantPresentation, gens) -> tuple:

@@ -11,6 +11,10 @@ loop) serves two coefficient kinds:
   the module frame after a rank-one trivialization, the grade counting the
   power of the frame section.
 
+`contract` inserts a plain section (a list of rank ring elements, like
+`CSection.x`) into an AForm, so the Courant path builds no multivector;
+`iota` and `breve_contract` are the graded contractions.
+
 Sign conventions are pinned by the duality pairing
 
     <a_1 ^ ... ^ a_p , X_1 ^ ... ^ X_q> = det(a_i(X_j))  if p == q else 0,
@@ -612,11 +616,14 @@ def _contraction(pairs, target: _Alternating, degree: int, remove) -> _Alternati
     return target.collect(degree, items())
 
 
-def contract(X: Multivector, w: AForm) -> AForm:
-    """Interior product of a plain section into a module-valued form."""
-    if X.degree != 1:
-        raise ExteriorError("contraction direction must have degree one")
-    pairs = [((i,), (c,)) for i, c in enumerate(X.section_coeffs()) if not c.is_zero()]
+def contract(X, w: AForm) -> AForm:
+    """Interior product of a plain section X = sum_i X[i] e_i into an AForm.
+
+    X is a list of rank ring elements, like `CSection.x`; `iota` takes multivectors.
+    """
+    if isinstance(X, _Alternating) or len(X) != w.rank:
+        raise ExteriorError(f"contraction direction must be a plain section of length {w.rank}")
+    pairs = [((i,), (c,)) for i, c in enumerate(X) if not c.is_zero()]
     return _contraction(pairs, w, max(w.degree - 1, 0), contract_front_multi)
 
 

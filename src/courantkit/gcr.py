@@ -286,11 +286,8 @@ def symplectic_gcr(C: CourantPresentation, omega: AForm) -> GCRStructure:
     if omega.degree != 2 or not omega.vvalued or alg.rank_v != 1:
         raise GCRError("expected a module-valued 2-form over a rank-one module")
     r = alg.rank
-    B = [[sig.zero()] * r for _ in range(r)]
-    for b in range(r):
-        cb = contract(Multivector.frame(sig, r, b), omega)
-        for (a,), vec in cb.terms.items():
-            B[a][b] = vec[0]
+    cols = [contract(alg.frame_section(b), omega) for b in range(r)]
+    B = [[col.coefficient((a,))[0] for col in cols] for a in range(r)]
     try:
         Binv = linalg.invert(sig, B)
     except LinalgError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebroid import MAX_MODULE_RANK, Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, FScalar, Multivector
-from .gcr import Distribution, GCRStructure, build_H_bundle
+from .gcr import Distribution, GCRStructure, build_H_bundle, cr_to_gcr, tangent_restriction
 from .ring import MAX_LITERAL_DIGITS, ExpGen, ParseError, RingElem, RingSignature
 
 
@@ -96,16 +96,28 @@ def _matrix(sig, doc, nrows, ncols, path):
     return out
 
 
+def _canonical_int(text: str):
+    """The integer that text spells in canonical decimal ("-2", "17"), else None.
+
+    "01", " 1" and "+1" are refused, so that no two spellings of one key can
+    both appear in a JSON object and the later one silently win.
+    """
+    try:
+        k = int(text)
+    except ValueError:
+        return None
+    return k if str(k) == text else None
+
+
 def _index_key(key, size, width, path) -> tuple:
     parts = key.split(",") if key else []
     if len(parts) != width:
         raise SchemaError(f"expected {width} indices, got {len(parts)}", path)
     out = []
     for p in parts:
-        try:
-            k = int(p)
-        except ValueError:
-            raise SchemaError(f"bad index {p!r}", path) from None
+        k = _canonical_int(p)
+        if k is None:
+            raise SchemaError(f"bad index {p!r}", path)
         if not 1 <= k <= size:
             raise SchemaError(f"index {k} out of range 1..{size}", path)
         out.append(k - 1)
@@ -201,10 +213,9 @@ def fscalar_from_json(sig, doc, path) -> FScalar:
     _expect(doc, dict, path, "an object mapping grade to expression")
     parts = {}
     for key, value in doc.items():
-        try:
-            g = int(key)
-        except ValueError:
-            raise SchemaError(f"bad grade {key!r}", path) from None
+        g = _canonical_int(key)
+        if g is None:
+            raise SchemaError(f"bad grade {key!r}", path)
         e = parse_elem(sig, value, f"{path}[{key!r}]")
         if not e.is_zero():
             parts[g] = e
@@ -350,8 +361,6 @@ def definition_to_json(payload: dict) -> dict:
         }
     S = payload.get("gcr")
     if S is None and payload.get("distribution") is not None:
-        from .gcr import cr_to_gcr
-
         S = cr_to_gcr(payload["courant"], payload["distribution"], payload["j_matrix"])
     if S is not None:
         dist = S.hb.dist
@@ -444,8 +453,6 @@ def definition_from_json(doc, path="$") -> dict:
         if not isinstance(restrict, bool):
             raise SchemaError("expected a boolean", f"{path}.jacobi.restrict")
         if restrict:
-            from .gcr import tangent_restriction
-
             try:
                 tangent = tangent_restriction(alg)
             except ValueError as ex:
@@ -473,12 +480,16 @@ def digest(doc) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
-def loads_json(text: str):
-    """JSON text to a document; syntax errors keep their position."""
+def loads_json(text: str, path: str = "$"):
+    """JSON text to a document; syntax errors keep their position.
+
+    path names the document in the error, "$.e1" for the --e1 argument.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
-        raise SchemaError(f"invalid JSON: {ex.msg} (line {ex.lineno} column {ex.colno})", "$") from None
+        where = f"line {ex.lineno} column {ex.colno}"
+        raise SchemaError(f"invalid JSON: {ex.msg} ({where})", path) from None
 
 
 def loads_definition(text: str) -> dict:

@@ -490,3 +490,64 @@ def test_successive_main_calls_share_no_state(tmp_path):
     rep = mine[1]
     assert rep["seed"] == 0 and rep["samples"]["requested"] == 1
     assert cli._build_parser() is cli._build_parser()
+
+
+def _main(*argv):
+    out, err = _stdio.StringIO(), _stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_index_keys_have_one_spelling(tmp_path):
+    # "1" and "01" name the same index; accepting both would let the later
+    # one silently win, so only the canonical decimal spelling parses
+    defs = tmp_path / "tangent-r2.json"
+    defs.write_text(build_doc("tangent-r2"))
+    e1 = '{"x":["1","0"],"xi":{"degree":1,"terms":{"1":["x"],"01":["y"]}}}'
+    code, out, err = _main("bracket", "--defs", defs, "--e1", e1, "--e2", '{"x":["0","1"]}')
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bad index '01' (at $.e1.xi.terms['01'])"
+    doc = json.loads(build_doc("point-sl2"))
+    doc["structure"][" 1,2"] = doc["structure"].pop("1,2")
+    r = run_cli("validate", stdin=json.dumps(doc))
+    assert r.returncode == 2
+    assert r.stderr.strip() == "error: bad index ' 1' (at $.structure[' 1,2'])"
+
+
+def test_grades_have_one_spelling(tmp_path):
+    defs = tmp_path / "contact-r3.json"
+    defs.write_text(build_doc("contact-r3"))
+    lam = '{"degree":2,"terms":{"1,2":{"0":"1","00":"y"}}}'
+    code, out, err = _main(
+        "check-jacobi", "--defs", defs, "--lambda", lam, "--e", '{"degree":1}', "--restrict"
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bad grade '00' (at $.lambda.terms['1,2'])"
+    sig = catalog.load("contact-r3")["algebroid"].sig
+    assert io.fscalar_from_json(sig, {"-1": "x", "2": "1"}, "$").grades() == [-1, 2]
+
+
+@pytest.mark.parametrize("flag", ["--e1", "--e2", "--lambda", "--e", "--subbundle", "--gcr"])
+def test_invalid_json_in_an_argument_names_that_argument(tmp_path, flag):
+    entry, command, args = {
+        "--e1": ("tangent-r2", "bracket", {"--e1": None, "--e2": '{"x":["0","1"]}'}),
+        "--e2": ("tangent-r2", "bracket", {"--e1": '{"x":["1","0"]}', "--e2": None}),
+        "--lambda": ("contact-r3", "check-jacobi", {"--lambda": None, "--e": '{"degree":1}'}),
+        "--e": ("contact-r3", "check-jacobi", {"--lambda": '{"degree":2}', "--e": None}),
+        "--subbundle": ("dirac-graph-r2", "check-dirac", {"--subbundle": None}),
+        "--gcr": ("symplectic-r2", "check-gcr", {"--gcr": None}),
+    }[flag]
+    defs = tmp_path / f"{entry}.json"
+    defs.write_text(build_doc(entry))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    argv = [command, "--defs", defs]
+    for name, value in args.items():
+        if value is None:
+            value = bad if name in ("--subbundle", "--gcr") else "{bad"
+        argv += [name, value]
+    code, out, err = _main(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ")
+    assert err.strip().endswith(f"(at $.{flag.lstrip('-')})")

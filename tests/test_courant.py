@@ -185,7 +185,7 @@ def test_isotropize_splits_symmetric_part():
         # the corrected splitting e_i -> (e_i, i_{e_i} beta) is exactly isotropic
         corrected = [
             C.section(list(C.frame_section(i).x)) + CSection(
-                alg, alg.zero_section(), contract(C._mv(C.frame_section(i).x), beta)
+                alg, alg.zero_section(), contract(C.frame_section(i).x, beta)
             )
             for i in range(alg.rank)
         ]
@@ -209,8 +209,7 @@ def test_coisotropic_leg_brackets():
         assert left.xi.equals(alg.lie(e.x, xi))
         right = C.bracket(jxi, e)
         assert right.x == alg.zero_section()
-        mv = Multivector.section(alg.sig, alg.rank, e.x)
-        assert right.xi.equals(contract(mv, alg.d(xi)).scale(alg.sig.const(-1)))
+        assert right.xi.equals(contract(e.x, alg.d(xi)).scale(alg.sig.const(-1)))
 
 
 def test_pairing_with_coisotropic_leg_is_insertion():
@@ -221,8 +220,7 @@ def test_pairing_with_coisotropic_leg_is_insertion():
         e = rand_section(rng, C)
         xi = rand_section(rng, C).xi
         jxi = CSection(alg, alg.zero_section(), xi)
-        mv = Multivector.section(alg.sig, alg.rank, e.x)
-        inserted = contract(mv, xi)
+        inserted = contract(e.x, xi)
         got = C.pairing(e, jxi)
         assert got == list(inserted.coefficient(()))
 
@@ -309,3 +307,21 @@ def test_frame_sweep_computes_each_bracket_once(monkeypatch, name, n):
     assert rep["ok"]
     assert len(calls) == 2 * n**3 + n**2
     assert rep["axioms"]["leibniz"]["checked"] == n**3
+
+
+def test_default_verify_builds_no_multivector(monkeypatch):
+    # the Courant bracket contracts plain sections, so a default sweep over the
+    # largest catalog frame wraps none of them into a graded multivector
+    C = catalog.load("cr-control-r5")["courant"]
+    built = []
+    real_init = Multivector.__init__
+
+    def counting_init(self, *args):
+        built.append(None)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    assert C.verify()["ok"]
+    assert built == []
+    Multivector.section(C.alg.sig, C.alg.rank, C.alg.frame_section(0))
+    assert len(built) == 1

@@ -42,7 +42,7 @@ def _subsets(pool, k):
 
 
 def frame(i):
-    return Multivector.frame(SIG, RANK, i)
+    return [SIG.one() if j == i else SIG.zero() for j in range(RANK)]
 
 
 def test_pairing_is_determinant_delta():
@@ -179,3 +179,44 @@ def test_multivector_section_round_trip():
     m = Multivector.section(SIG, RANK, coeffs)
     assert m.degree == 1
     assert m.section_coeffs() == coeffs
+
+
+def test_contract_of_a_plain_section_matches_graded_iota():
+    # the module-valued contraction agrees with the graded one after the
+    # rank-one trivialization: dense sections, dense forms of every degree
+    from itertools import combinations
+
+    from courantkit import catalog
+
+    rng = SplitMix(61)
+    connected = []
+    for name in catalog.names():
+        alg = catalog.load(name)["algebroid"]
+        if alg.rank_v != 1:
+            continue
+        sig = alg.sig
+        if any(not t.is_zero() for mat in alg.theta for row in mat for t in row):
+            connected.append(name)
+
+        def dense():
+            c = sig.zero()
+            while c.is_zero():
+                c = rng.ring_elem(sig, max_degree=1, terms=2)
+            return c
+
+        for degree in range(alg.rank + 1):
+            X = [dense() for _ in range(alg.rank)]
+            terms = {I: (dense(),) for I in combinations(range(alg.rank), degree)}
+            w = AForm(sig, alg.rank, 1, True, degree, terms)
+            lhs = aform_to_fform(contract(X, w))
+            rhs = iota(Multivector.section(sig, alg.rank, X), aform_to_fform(w))
+            assert lhs == rhs, (name, degree)
+    assert "e1m-r2" in connected and "point-heisenberg-mod" in connected
+
+
+def test_contract_refuses_a_multivector_or_a_wrong_length():
+    w = AForm(SIG, RANK, 1, True, 1, {(0,): (SIG.one(),)})
+    with pytest.raises(ExteriorError):
+        contract(Multivector.frame(SIG, RANK, 0), w)
+    with pytest.raises(ExteriorError):
+        contract(frame(0)[:2], w)
