@@ -41,14 +41,15 @@ _ALGEBRA_ALIASES = {
 }
 
 
-def _read_text(path: str | None) -> str:
+def _read_text(path: str | None, at: str = "$") -> str:
+    """The text of a file ('-' or None: stdin); a read error is reported at the $-path `at`."""
     if path in (None, "-"):
         return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as ex:
-        raise SchemaError(f"cannot read {path!r}: {ex.strerror}", "$") from None
+        raise SchemaError(f"cannot read {path!r}: {ex.strerror}", at) from None
 
 
 def _load_defs(args) -> tuple:
@@ -191,7 +192,7 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     C = payload["courant"]
     bundles = dict(payload.get("subbundles", {}))
     if args.subbundle:
-        sdoc = io.loads_json(_read_text(args.subbundle), "$.subbundle")
+        sdoc = io.loads_json(_read_text(args.subbundle, "$.subbundle"), "$.subbundle")
         if not isinstance(sdoc, list):
             raise SchemaError("expected a list of sections", "$.subbundle")
         name = os.path.splitext(os.path.basename(args.subbundle))[0]
@@ -233,7 +234,7 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
     C = payload["courant"]
     S = payload.get("gcr")
     if args.gcr:
-        S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr), "$.gcr"), "$.gcr")
+        S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr, "$.gcr"), "$.gcr"), "$.gcr")
     if S is None:
         raise SchemaError("no gcr block to check", "$.gcr")
     rep = validate_gcr(S)

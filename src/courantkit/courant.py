@@ -14,6 +14,52 @@ rule [[e,e]] = (1/2) D<e,e>, and pairing invariance.  When the twist is not
 closed the Leibniz defect is nonzero but still predictable: it equals the
 insertion of the three anchored legs into dH, and `jacobiator_expected`
 computes exactly that for comparison.
+
+The bracket from the frame structure tensor
+-------------------------------------------
+
+The full frame E_1..E_n, n = r(1+s) for rank r and module rank s, lists the
+sections e_i (i < r) and then the coframe legs eps^j (x) u_b at position
+r + j*s + b, the order of `CSection.coordinates`.  The bracket above obeys two
+Leibniz rules in the functions f, g:
+
+    [[e, g e']] = g [[e, e']] + rho(e)(g) e'
+    [[f e, e']] = f [[e, e']] - rho(e')(f) e + df (x) <e, e'>
+
+where df (x) w = sum_k rho_k(f) eps^k (x) w for a module vector w.  The first
+holds term by term: [X, gY] = g[X,Y] + rho(X)(g) Y, L_X(g eta) =
+g L_X eta + rho(X)(g) eta, and both contractions are function-linear.  The
+second collects three terms: [fX, Y] = f[X,Y] - rho(Y)(f) X;
+L_{fX} eta = f L_X eta + eta(X) df, since the coframe columns of L_{fX} pick
+up rho_j(f X_k); and i_Y d(f xi) = f i_Y d xi + rho(Y)(f) xi - xi(Y) df,
+from d(f xi) = df ^ xi + f d xi.  The two df terms add up to
+(eta(X) + xi(Y)) df = df (x) <e, e'>, the term the module-valued pairing
+brings.  Every step is an identity of the derivations rho_k (the Leibniz rule
+of `RingElem.partial`), of the Koszul formula in `Algebroid.d`, of the column
+formula in `Algebroid.lie` and of `Algebroid.bracket`; none uses Jacobi, the
+anchor morphism, flatness or dH = 0.  So the expansion below equals the
+Cartan formula for every presentation, broken ones included.
+
+Writing e1 = sum_a f_a E_a and e2 = sum_b g_b E_b and applying both rules,
+
+    [[e1, e2]] = sum_ab f_a g_b T_ab + sum_{k<r} (f_k rho_k(g) - g_k rho_k(f))
+                 + sum_ab g_b df_a (x) <E_a, E_b>,
+
+with T_ab = [[E_a, E_b]] the frame structure tensor and rho_k(f) the vector
+of rho_k(f_a).  Coframe legs have zero anchor, and the only nonzero frame
+pairings are <e_i, eps^i (x) u_c> = <eps^i (x) u_c, e_i> = u_c, so the last
+sum has coordinate (k, c) equal to
+sum_i (g_{(i,c)} rho_k(f_i) + g_i rho_k(f_{(i,c)})).  T itself has closed
+formulas in the structure functions c_ij^k, the connection matrices Theta_i
+and H, each the Cartan formula on constant sections:
+
+    [[e_i, e_j]] = sum_k c_ij^k e_k + i_{e_i} i_{e_j} H
+    [[e_i, eps^j u_b]] = eps^j (x) Theta_i[b] - sum_j' c_ij'^j eps^j' (x) u_b
+    [[eps^j u_b, e_i]] = -[[e_i, eps^j u_b]] + delta_ij sum_k eps^k (x) Theta_k[b]
+    [[eps^j u_b, eps^j' u_c]] = 0
+
+The Cartan formula itself is kept in the tests as the oracle for T and for
+the expansion.
 """
 
 from __future__ import annotations
@@ -106,9 +152,9 @@ class CSection:
     def coordinates(self) -> list:
         """Flat coordinate vector: rank section entries then rank*rank_v form entries."""
         out = list(self.x)
+        terms, zero = self.xi.terms, (self.alg.sig.zero(),) * self.alg.rank_v
         for i in range(self.alg.rank):
-            vec = self.xi.coefficient((i,))
-            out.extend(vec)
+            out.extend(terms.get((i,), zero))
         return out
 
     @staticmethod
@@ -150,8 +196,70 @@ def _sweep(cases, defect) -> dict:
     return {"checked": len(cases), "holds": not bad, "violations": bad[:4]}
 
 
+def _structure_tensor(alg: Algebroid, twist: AForm) -> list:
+    """T[a] = {b: [[E_a, E_b]]}, each bracket a sparse row {coordinate: entry}.
+
+    Pairs with a zero bracket and zero entries are left out.  Built from the
+    closed formulas in the module docstring, not from
+    `CourantPresentation.bracket`; coframe leg (j, b) sits at r + j*s + b.
+    """
+    r, s = alg.rank, alg.rank_v
+    zero = alg.sig.zero()
+    T = [{} for _ in range(r + r * s)]
+
+    def add(a, b, k, c):
+        row = T[a].setdefault(b, {})
+        row[k] = row.get(k, zero) + c
+
+    for (i, j), vec in alg.structure.items():
+        for k, c in enumerate(vec):
+            if c:
+                add(i, j, k, c)
+                add(j, i, k, -c)
+                # [e_i, eps^k u_b] has -c_ij^k at eps^j u_b and
+                # [e_j, eps^k u_b] has +c_ij^k at eps^i u_b
+                for b in range(s):
+                    add(i, r + k * s + b, r + j * s + b, -c)
+                    add(j, r + k * s + b, r + i * s + b, c)
+    # i_{e_i} i_{e_j} H has eps^k coefficient H(e_j, e_i, e_k): each term
+    # h eps^p ^ eps^q ^ eps^t gives sign(sigma) h at the six orderings sigma
+    for (p, q, t), vec in twist.terms.items():
+        for c, h in enumerate(vec):
+            if not h:
+                continue
+            for a, b, k, hs in (
+                (p, q, t, h), (q, t, p, h), (t, p, q, h),
+                (q, p, t, -h), (p, t, q, -h), (t, q, p, -h),
+            ):
+                add(b, a, r + k * s + c, hs)
+    for i, theta in enumerate(alg.theta):
+        for b, th in enumerate(theta):
+            for c, t in enumerate(th):
+                if t:
+                    for j in range(r):
+                        add(i, r + j * s + b, r + j * s + c, t)
+    # [eps^j u_b, e_i] = -[e_i, eps^j u_b] + delta_ij sum_k eps^k (x) Theta_k[b]
+    dtheta = [
+        [(r + k * s + c, t) for k, th in enumerate(alg.theta) for c, t in enumerate(th[b]) if t]
+        for b in range(s)
+    ]
+    for i in range(r):
+        for leg, row in T[i].items():
+            if leg >= r:
+                for k, c in row.items():
+                    add(leg, i, k, -c)
+        for b in range(s):
+            for k, t in dtheta[b]:
+                add(r + i * s + b, i, k, t)
+    out = []
+    for pairs in T:
+        rows = {b: {k: c for k, c in row.items() if c} for b, row in pairs.items()}
+        out.append({b: row for b, row in rows.items() if row})
+    return out
+
+
 class CourantPresentation:
-    __slots__ = ("alg", "twist", "dtwist")
+    __slots__ = ("alg", "twist", "dtwist", "tensor")
 
     def __init__(self, alg: Algebroid, twist: AForm | None = None, allow_nonclosed=False):
         if twist is None:
@@ -168,6 +276,7 @@ class CourantPresentation:
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "dtwist", dtwist)
+        object.__setattr__(self, "tensor", _structure_tensor(alg, twist))
 
     def __setattr__(self, name, value):
         raise AttributeError("CourantPresentation is immutable")
@@ -218,12 +327,78 @@ class CourantPresentation:
         return out
 
     def bracket(self, e1: CSection, e2: CSection) -> CSection:
+        """[[e1, e2]] by the Leibniz expansion over the frame structure tensor.
+
+        With f, g the coordinates of e1, e2 and R_f[k][a] = rho_k(f_a), each
+        computed once here, the result is
+
+            sum_ab f_a g_b T_ab + sum_{k<r} (f_k R_g[k] - g_k R_f[k])
+
+        plus, at coframe coordinate (k, c), the pairing term
+        sum_i (g_{(i,c)} R_f[k][i] + g_i R_f[k][(i,c)]), which is
+        sum_ab g_b df_a (x) <E_a, E_b>.  The module docstring derives this
+        from the two Leibniz rules of the Cartan formula, which hold in every
+        presentation: no axiom is assumed, so broken presentations get the
+        same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.
+        """
         alg = self.alg
-        x = alg.bracket(e1.x, e2.x)
-        xi = alg.lie(e1.x, e2.xi)
-        xi = xi - contract(e2.x, alg.d(e1.xi))
-        xi = xi + contract(e1.x, contract(e2.x, self.twist))
-        return CSection(alg, x, xi)
+        r, s = alg.rank, alg.rank_v
+        f, g = e1.coordinates(), e2.coordinates()
+        out = [alg.sig.zero()] * len(f)
+        for fa, pairs in zip(f, self.tensor):
+            if not fa:
+                continue
+            for b, t in pairs.items():
+                if g[b]:
+                    fg = fa * g[b]
+                    for k, c in t.items():
+                        out[k] = out[k] + fg * c
+        rf, rg = self._anchored(f), self._anchored(g)
+        for k in range(r):
+            fk, gk = f[k], g[k]
+            if fk:
+                for b, d in rg[k].items():
+                    out[b] = out[b] + fk * d
+            for a, d in rf[k].items():
+                if gk:
+                    out[a] = out[a] - gk * d
+                # the pairing term: <e_i, eps^i u_c> = u_c pairs coordinate i with leg (i, c)
+                if a < r:
+                    for c in range(s):
+                        gic = g[r + a * s + c]
+                        if gic:
+                            out[r + k * s + c] = out[r + k * s + c] + gic * d
+                else:
+                    i, c = divmod(a - r, s)
+                    if g[i]:
+                        out[r + k * s + c] = out[r + k * s + c] + g[i] * d
+        return CSection.from_coordinates(alg, out)
+
+    def _anchored(self, coords) -> list:
+        """R[k] = {a: rho_k(coords[a])}, nonzero entries only, per frame section e_k.
+
+        Constants have zero derivative, and a unit anchor entry adds its
+        partial derivative without a product.
+        """
+        sig = self.alg.sig
+        live = [(a, c) for a, c in enumerate(coords) if not c.is_constant()]
+        if not live:
+            return [{} for _ in self.alg.anchor]
+        one = sig.one()
+        out = []
+        for row in self.alg.anchor:
+            R = {}
+            for j, x in enumerate(row):
+                if not x:
+                    continue
+                name, unit = sig.coords[j], x == one
+                for a, c in live:
+                    d = c.partial(name)
+                    if d:
+                        d = d if unit else x * d
+                        R[a] = R[a] + d if a in R else d
+            out.append({a: d for a, d in R.items() if d})
+        return out
 
     def differential(self, fvec) -> CSection:
         """D f: the image of d f under the coisotropic inclusion."""

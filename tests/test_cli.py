@@ -551,3 +551,25 @@ def test_invalid_json_in_an_argument_names_that_argument(tmp_path, flag):
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid JSON: ")
     assert err.strip().endswith(f"(at $.{flag.lstrip('-')})")
+
+
+@pytest.mark.parametrize(
+    "flag,entry,command,at",
+    [
+        ("--defs", "tangent-r2", "validate", "$"),
+        ("--subbundle", "dirac-graph-r2", "check-dirac", "$.subbundle"),
+        ("--gcr", "symplectic-r2", "check-gcr", "$.gcr"),
+    ],
+)
+def test_unreadable_file_names_its_argument(tmp_path, flag, entry, command, at):
+    defs = tmp_path / f"{entry}.json"
+    defs.write_text(build_doc(entry))
+    missing = tmp_path / "missing.json"
+    argv = [command, "--defs", missing if flag == "--defs" else defs]
+    if flag != "--defs":
+        argv += [flag, missing]
+    code, out, err = _main(*argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        f"error: cannot read '{missing}': No such file or directory (at {at})"
+    )
