@@ -27,7 +27,7 @@ from .exterior import (
     insert_index,
     merge_indices,
 )
-from .ring import RingElem, RingSignature, coerce_elem
+from .ring import Accumulator, RingElem, RingSignature, coerce_elem
 from . import linalg
 
 
@@ -157,14 +157,18 @@ class Algebroid:
         return out
 
     def derivation(self, v, f: RingElem) -> RingElem:
-        """The coordinate derivation with coefficient vector v applied to f."""
-        out = self.sig.zero()
-        if f.is_zero():
-            return out
-        for j, vj in enumerate(v):
-            if not vj.is_zero():
-                out = out + vj * f.partial(self.sig.coords[j])
-        return out
+        """The coordinate derivation with coefficient vector v applied to f.
+
+        f is differentiated only along the nonzero entries of v, and the
+        products are summed in one Accumulator.
+        """
+        if f.is_constant():
+            return self.sig.zero()
+        out = Accumulator(self.sig)
+        for vj, name in zip(v, self.sig.coords):
+            if vj.terms:
+                out.add_product(vj, f.partial(name))
+        return out.elem()
 
     def commutator(self, v, w) -> list:
         """Commutator of two coordinate derivations, as a coefficient vector."""

@@ -67,8 +67,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebroid import Algebroid
-from .exterior import AForm, contract
-from .ring import coerce_elem
+from .exterior import AForm, _aform, contract
+from .ring import Accumulator, coerce_elem
 
 
 class CourantError(ValueError):
@@ -87,9 +87,14 @@ class SweepLimitError(CourantError):
 
 
 class CSection:
-    """Section of the extension: a plain section plus a module-valued 1-form."""
+    """Section of the extension: a plain section plus a module-valued 1-form.
 
-    __slots__ = ("alg", "x", "xi")
+    The slot _rows is set once a bracket asks for the anchored derivatives
+    of the coordinates, and holds them with the Algebroid whose anchor gave
+    them (see `_anchored`); it is the only slot written after construction.
+    """
+
+    __slots__ = ("alg", "x", "xi", "_rows")
 
     def __init__(self, alg: Algebroid, x, xi: AForm | None = None):
         x = [coerce_elem(alg.sig, c) for c in x]
@@ -101,9 +106,10 @@ class CSection:
             raise CourantError("covector part must be a module-valued 1-form")
         if xi.sig != alg.sig or xi.rank != alg.rank or xi.rank_v != alg.rank_v:
             raise CourantError("covector part does not live on this algebroid")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
+        _set_alg(self, alg)
+        _set_x(self, x)
+        _set_xi(self, xi)
+        _set_rows(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CSection is immutable")
@@ -160,15 +166,9 @@ class CSection:
     @staticmethod
     def from_coordinates(alg: Algebroid, coords) -> "CSection":
         coords = [coerce_elem(alg.sig, c) for c in coords]
-        r, s = alg.rank, alg.rank_v
-        if len(coords) != r + r * s:
+        if len(coords) != alg.rank * (1 + alg.rank_v):
             raise CourantError("coordinate vector has the wrong length")
-        terms = {}
-        for i in range(r):
-            vec = tuple(coords[r + i * s : r + (i + 1) * s])
-            if any(not c.is_zero() for c in vec):
-                terms[(i,)] = vec
-        return CSection(alg, coords[:r], AForm(alg.sig, r, s, True, 1, terms))
+        return _from_coordinates(alg, coords)
 
     def describe(self) -> dict:
         return {
@@ -181,6 +181,51 @@ class CSection:
 
     def __repr__(self):
         return f"CSection(x={[str(c) for c in self.x]}, xi={self.xi.to_str()})"
+
+
+_set_alg, _set_x, _set_xi, _set_rows = (
+    CSection.alg.__set__, CSection.x.__set__, CSection.xi.__set__, CSection._rows.__set__
+)
+
+
+def _from_coordinates(alg: Algebroid, coords: list) -> CSection:
+    """Unchecked inverse of `CSection.coordinates` for entries over alg.sig."""
+    r, s = alg.rank, alg.rank_v
+    terms = {}
+    for i in range(r):
+        vec = tuple(coords[r + i * s : r + (i + 1) * s])
+        if any(c.terms for c in vec):
+            terms[(i,)] = vec
+    e = object.__new__(CSection)
+    _set_alg(e, alg)
+    _set_x(e, coords[:r])
+    _set_xi(e, _aform(alg.sig, r, s, True, 1, terms))
+    _set_rows(e, None)
+    return e
+
+
+def _anchored(alg: Algebroid, e: CSection, coords: list) -> list:
+    """R[k] = {a: rho_k(coords[a])}, nonzero entries only, per frame section e_k.
+
+    coords are the coordinates of e.  The rows are kept on e with alg, so a
+    section bracketed many times under one algebroid differentiates once;
+    rows made under another algebroid, even one of equal signature, are
+    computed again.  Constants have zero derivative.
+    """
+    hit = e._rows
+    if hit is not None and hit[0] is alg:
+        return hit[1]
+    live = [(a, c) for a, c in enumerate(coords) if not c.is_constant()]
+    rows = []
+    for row in alg.anchor:
+        R = {}
+        for a, c in live:
+            d = alg.derivation(row, c)
+            if d.terms:
+                R[a] = d
+        rows.append(R)
+    _set_rows(e, (alg, rows))
+    return rows
 
 
 def _shown(defect):
@@ -330,7 +375,7 @@ class CourantPresentation:
         """[[e1, e2]] by the Leibniz expansion over the frame structure tensor.
 
         With f, g the coordinates of e1, e2 and R_f[k][a] = rho_k(f_a), each
-        computed once here, the result is
+        computed once per section (`_anchored`), the result is
 
             sum_ab f_a g_b T_ab + sum_{k<r} (f_k R_g[k] - g_k R_f[k])
 
@@ -339,12 +384,13 @@ class CourantPresentation:
         sum_ab g_b df_a (x) <E_a, E_b>.  The module docstring derives this
         from the two Leibniz rules of the Cartan formula, which hold in every
         presentation: no axiom is assumed, so broken presentations get the
-        same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.
+        same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  Each output
+        coordinate is one Accumulator, reduced once at the end.
         """
         alg = self.alg
         r, s = alg.rank, alg.rank_v
         f, g = e1.coordinates(), e2.coordinates()
-        out = [alg.sig.zero()] * len(f)
+        out = [Accumulator(alg.sig) for _ in f]
         for fa, pairs in zip(f, self.tensor):
             if not fa:
                 continue
@@ -352,53 +398,27 @@ class CourantPresentation:
                 if g[b]:
                     fg = fa * g[b]
                     for k, c in t.items():
-                        out[k] = out[k] + fg * c
-        rf, rg = self._anchored(f), self._anchored(g)
+                        out[k].add_product(fg, c)
+        rf, rg = _anchored(alg, e1, f), _anchored(alg, e2, g)
         for k in range(r):
             fk, gk = f[k], g[k]
             if fk:
                 for b, d in rg[k].items():
-                    out[b] = out[b] + fk * d
+                    out[b].add_product(fk, d)
             for a, d in rf[k].items():
                 if gk:
-                    out[a] = out[a] - gk * d
+                    out[a].add_product(gk, d, -1)
                 # the pairing term: <e_i, eps^i u_c> = u_c pairs coordinate i with leg (i, c)
                 if a < r:
                     for c in range(s):
                         gic = g[r + a * s + c]
                         if gic:
-                            out[r + k * s + c] = out[r + k * s + c] + gic * d
+                            out[r + k * s + c].add_product(gic, d)
                 else:
                     i, c = divmod(a - r, s)
                     if g[i]:
-                        out[r + k * s + c] = out[r + k * s + c] + g[i] * d
-        return CSection.from_coordinates(alg, out)
-
-    def _anchored(self, coords) -> list:
-        """R[k] = {a: rho_k(coords[a])}, nonzero entries only, per frame section e_k.
-
-        Constants have zero derivative, and a unit anchor entry adds its
-        partial derivative without a product.
-        """
-        sig = self.alg.sig
-        live = [(a, c) for a, c in enumerate(coords) if not c.is_constant()]
-        if not live:
-            return [{} for _ in self.alg.anchor]
-        one = sig.one()
-        out = []
-        for row in self.alg.anchor:
-            R = {}
-            for j, x in enumerate(row):
-                if not x:
-                    continue
-                name, unit = sig.coords[j], x == one
-                for a, c in live:
-                    d = c.partial(name)
-                    if d:
-                        d = d if unit else x * d
-                        R[a] = R[a] + d if a in R else d
-            out.append({a: d for a, d in R.items() if d})
-        return out
+                        out[r + k * s + c].add_product(g[i], d)
+        return _from_coordinates(alg, [acc.elem() for acc in out])
 
     def differential(self, fvec) -> CSection:
         """D f: the image of d f under the coisotropic inclusion."""

@@ -472,6 +472,22 @@ class AForm(_Alternating):
         return f"AForm[{kind},deg={self.degree}]({self.to_str()})"
 
 
+def _aform(sig, rank, rank_v, vvalued, degree, terms) -> AForm:
+    """Unchecked constructor for terms that are canonical by construction.
+
+    Every index is a strictly increasing tuple of degree frame indices below
+    rank, and every coefficient is a tuple of the form's width over sig with a
+    nonzero entry.
+    """
+    w = object.__new__(AForm)
+    for name, value in (
+        ("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms),
+        ("rank_v", rank_v), ("vvalued", vvalued),
+    ):
+        object.__setattr__(w, name, value)
+    return w
+
+
 # -- graded forms and multivectors ----------------------------------------------
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ring import RingSignature, coerce_elem, normalize_row
+from .ring import Accumulator, RingSignature, coerce_elem, normalize_row
 
 
 class LinalgError(ValueError):
@@ -95,9 +95,20 @@ def _normalized(row, excluded) -> list:
 
 
 def _eliminate(row, prow, col, excluded) -> list:
-    """p*row - row[col]*prow for the pivot p = prow[col], normalised."""
+    """p*row - row[col]*prow for the pivot p = prow[col], normalised.
+
+    Each entry is one Accumulator, and an empty operand adds nothing.
+    """
     p, c = prow[col], row[col]
-    return _normalized([p * a - c * b for a, b in zip(row, prow)], excluded)
+    out = []
+    for a, b in zip(row, prow):
+        acc = Accumulator(p.sig)
+        if a.terms:
+            acc.add_product(p, a)
+        if b.terms:
+            acc.add_product(c, b, -1)
+        out.append(acc.elem())
+    return _normalized(out, excluded)
 
 
 def rref(sig: RingSignature, M) -> Echelon:

@@ -19,6 +19,13 @@ A coefficient, GaussRat, is one canonical integer triple (a + b*i)/d with
 d > 0 and gcd(a, b, d) = 1, in rational and Gaussian rings alike.  Its
 arithmetic uses only int, with one gcd per result at most; Fraction appears
 only where rationals enter or leave (the constructor, re and im).
+
+A sum of products, such as a bracket coordinate, a derivation along several
+coordinates or an entry p*a - c*b of row elimination, is built in one
+Accumulator.  It keeps a raw triple per monomial, a (a + b*i)/d with d > 0
+that may be unreduced or zero, adds products into it in place, and reduces
+each coefficient once in elem(), which returns a canonical RingElem.  Callers
+see only RingElems: the keys and triples stay inside this module.
 """
 
 from __future__ import annotations
@@ -261,12 +268,15 @@ class RingSignature:
     mode: str = field(default="gaussian", compare=False)
     # generator names in monomial-key order: coordinates, then exponentials
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # the zero element, shared: elements are immutable
+    _zero: "RingElem" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "rational"):
             raise RingError(f"unknown scalar mode {self.mode!r}")
         names = self.coords + tuple(e.name for e in self.exps)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_zero", _elem(self, {}))
         if len(set(names)) != len(names):
             raise RingError("coordinate/exponential names must be distinct")
         for nm in names:
@@ -306,7 +316,7 @@ class RingSignature:
         raise RingError(f"unknown exponential generator {name!r}")
 
     def zero(self) -> "RingElem":
-        return _elem(self, {})
+        return self._zero
 
     def one(self) -> "RingElem":
         return self.const(1)
@@ -494,20 +504,30 @@ class RingElem:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, var: str) -> "RingElem":
-        """Exact partial derivative with respect to a coordinate."""
+        """Exact partial derivative with respect to a coordinate.
+
+        Each term's triple is multiplied by its integer exponent, and by the
+        exponent times the rate of each exponential generator, as raw ints;
+        only a key that two terms reach is summed as GaussRats.
+        """
         sig = self.sig
         j = sig.coord_index(var)
         rates = [
-            (sig.ncoords + m, GaussRat(e.row[j])) for m, e in enumerate(sig.exps) if e.row[j]
+            (sig.ncoords + m, e.row[j].numerator, e.row[j].denominator)
+            for m, e in enumerate(sig.exps)
+            if e.row[j]
         ]
         out: dict = {}
         for key, c in self.terms.items():
+            a, b, den = c._a, c._b, c._d
             d = key[j]
             if d:
-                _accumulate(out, key[:j] + (d - 1,) + key[j + 1 :], c * d)
-            for p, rate in rates:
-                if key[p]:
-                    _accumulate(out, key, c * (key[p] * rate))
+                _accumulate(out, key[:j] + (d - 1,) + key[j + 1 :], _reduced(a * d, b * d, den))
+            for p, num, rden in rates:
+                n = key[p]
+                if n:
+                    n *= num
+                    _accumulate(out, key, _reduced(a * n, b * n, den * rden))
         return _elem(sig, out)
 
     def conjugate(self) -> "RingElem":
@@ -628,10 +648,13 @@ def _power(base: RingElem, n: int, check) -> RingElem:
 
 
 def _accumulate(terms: dict, key, c):
-    # c is stored as it comes on the first write to a key, so it must be
-    # nonzero.  Every caller passes a term of a canonical element (no zero
-    # coefficients) or a product of nonzero scalars, which is nonzero because
-    # Q(i) is a field.
+    # One canonical GaussRat into a term map, reduced at every step: the
+    # single product, sum and division loops of RingElem use it.  A sum of
+    # several products goes through Accumulator instead, which keeps raw
+    # triples and reduces once per output term.  c is stored as it comes on
+    # the first write to a key, so it must be nonzero.  Every caller passes a
+    # term of a canonical element (no zero coefficients) or a product of
+    # nonzero scalars, which is nonzero because Q(i) is a field.
     s = terms.get(key)
     if s is None:
         terms[key] = c
@@ -641,6 +664,65 @@ def _accumulate(terms: dict, key, c):
         terms[key] = s
     else:
         del terms[key]
+
+
+class Accumulator:
+    """A mutable sum of ring elements and products over one signature.
+
+    add_product(x, y) adds x*y and add(x) adds 1*x, each times sign (1 or -1);
+    elem() returns the sum so far as a canonical RingElem, and the sum may go
+    on after it.  Nothing is reduced on the way.  Invariant: each monomial key
+    maps to a list [a, b, d] of ints standing for (a + b*i)/d with d > 0, not
+    necessarily in lowest terms and possibly zero.  Equal denominators add
+    numerators only, others cross-multiply.  elem() brings each coefficient
+    to its canonical triple with at most one gcd and drops the zeros, so a sum
+    of many products builds no intermediate RingElem or GaussRat.
+    """
+
+    __slots__ = ("sig", "_terms")
+
+    def __init__(self, sig: RingSignature):
+        self.sig = sig
+        self._terms: dict = {}
+
+    def _check(self, x: RingElem):
+        if x.sig is not self.sig and x.sig != self.sig:
+            raise SignatureMismatch("ring elements come from different signatures")
+
+    def add(self, x: RingElem, sign: int = 1) -> None:
+        self.add_product(self.sig.one(), x, sign)
+
+    def add_product(self, x: RingElem, y: RingElem, sign: int = 1) -> None:
+        self._check(x)
+        self._check(y)
+        terms = self._terms
+        ys = y.terms.items()
+        for k1, c1 in x.terms.items():
+            a1, b1, d1 = c1._a * sign, c1._b * sign, c1._d
+            shift = any(k1)
+            for k2, c2 in ys:
+                key = tuple(map(_add, k1, k2)) if shift else k2
+                a2, b2 = c2._a, c2._b
+                if b1 or b2:
+                    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                else:
+                    a, b = a1 * a2, 0
+                d = d1 * c2._d
+                s = terms.get(key)
+                if s is None:
+                    terms[key] = [a, b, d]
+                elif s[2] == d:
+                    s[0] += a
+                    s[1] += b
+                else:
+                    sd = s[2]
+                    s[0] = s[0] * d + a * sd
+                    s[1] = s[1] * d + b * sd
+                    s[2] = sd * d
+
+    def elem(self) -> RingElem:
+        terms = {key: _reduced(a, b, d) for key, (a, b, d) in self._terms.items() if a or b}
+        return _elem(self.sig, terms) if terms else self.sig.zero()
 
 
 def normalize_row(row: list) -> tuple:

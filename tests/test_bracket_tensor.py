@@ -18,6 +18,7 @@ from cartan_oracle import (
 from courantkit import catalog
 from courantkit.algebroid import Algebroid
 from courantkit.courant import CourantPresentation
+from courantkit.ring import RingElem
 from courantkit.sampling import SplitMix
 
 PRESENTED = [name for name in catalog.names() if catalog.load(name).get("courant") is not None]
@@ -101,3 +102,59 @@ def test_default_verify_makes_no_lie_derivative(monkeypatch):
     monkeypatch.setattr(Algebroid, "lie", counting_lie)
     assert C.verify()["ok"]
     assert calls == []
+
+
+def _counting(monkeypatch, cls, name) -> list:
+    calls = []
+    real = getattr(cls, name)
+
+    def wrapped(self, *args):
+        calls.append(None)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
+def test_bracket_sums_in_the_accumulator(monkeypatch):
+    # every output coordinate, and every anchored derivative, is one Accumulator
+    C = random_presentation(3, 3)
+    rng = SplitMix(5)
+    pairs = [(random_section(rng, C), random_section(rng, C)) for _ in range(4)]
+    adds = _counting(monkeypatch, RingElem, "__add__")
+    brackets = [C.bracket(e1, e2) for e1, e2 in pairs]
+    assert adds == []
+    for (e1, e2), b in zip(pairs, brackets):
+        assert b.equals(cartan_bracket(C, e1, e2))
+
+
+def test_anchored_rows_are_computed_once_per_section(monkeypatch):
+    C = random_presentation(4, 2)
+    rng = SplitMix(9)
+    e1, e2 = random_section(rng, C), random_section(rng, C)
+    pairs = [(e1, e2), (e2, e1), (e1, e1), (e1, e2)]
+    wants = [cartan_bracket(C, a, b) for a, b in pairs]
+    derivations = _counting(monkeypatch, Algebroid, "derivation")
+    made = []
+    for (a, b), want in zip(pairs, wants):
+        assert C.bracket(a, b).equals(want)
+        made.append(len(derivations))
+    # the first bracket differentiates both operands; the rest reuse their rows
+    assert made[0] > 0 and made == [made[0]] * 4
+
+
+def test_rows_follow_the_algebroid_they_were_made_under():
+    # two presentations over one signature, with the same ranks and different
+    # anchors: rows kept on a section under one must not serve the other
+    C1, C2 = random_presentation(5, 3), random_presentation(6, 3)
+    assert C1.alg.sig is C2.alg.sig and C1.alg.anchor != C2.alg.anchor
+    rng = SplitMix(13)
+    differ = 0
+    for _ in range(3):
+        e1, e2 = random_section(rng, C1), random_section(rng, C1)
+        want1, want2 = cartan_bracket(C1, e1, e2), cartan_bracket(C2, e1, e2)
+        differ += not want1.equals(want2)
+        for C, want in ((C1, want1), (C2, want2), (C1, want1), (C2, want2)):
+            assert C.bracket(e1, e2).equals(want)
+            assert C.bracket(e2, e1).equals(cartan_bracket(C, e2, e1))
+    assert differ == 3

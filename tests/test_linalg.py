@@ -4,7 +4,7 @@ import pytest
 
 from courantkit import linalg
 from courantkit.linalg import LinalgError
-from courantkit.ring import RingElem, RingSignature, normalize_row
+from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature, normalize_row
 from courantkit.sampling import SplitMix
 
 
@@ -132,3 +132,63 @@ def test_rank_excluded_locus_reported():
     assert rk == 2
     # pivoting on x divides by it: the locus x = 0 is excluded from the verdict
     assert any("x" in str(e) for e in excluded)
+
+
+# Q(i) with an exponential generator, for the entrywise elimination step
+GSIG = RingSignature(("x", "y"), (ExpGen("E", (Fraction(1), Fraction(-1, 3))),))
+
+
+def _sparse_row(rng, m):
+    """m entries over GSIG, about a third of them zero, some with mixed denominators."""
+    row = []
+    for _ in range(m):
+        e = GSIG.zero() if rng.randint(0, 2) == 0 else rng.ring_elem(
+            GSIG, max_degree=2, terms=3, complex_ok=True
+        )
+        if rng.randint(0, 3) == 0:
+            e = e * GaussRat(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+        row.append(e)
+    return row
+
+
+def test_eliminate_matches_the_normalized_cross_multiplication():
+    rng = SplitMix(43)
+    checked = 0
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        prow, row = _sparse_row(rng, m), _sparse_row(rng, m)
+        live = [k for k, p in enumerate(prow) if not p.is_zero()]
+        if not live:
+            continue
+        col = rng.choice(live)
+        if rng.randint(0, 3) == 0:  # an entry that cancels exactly
+            row = [a if k != col else prow[col] for k, a in enumerate(row)]
+        excluded = []
+        got = linalg._eliminate(row, prow, col, excluded)
+        p, c = prow[col], row[col]
+        want, witness = normalize_row([p * a - c * b for a, b in zip(row, prow)])
+        assert got == want and got[col].is_zero()
+        assert excluded == ([] if witness is None or witness.is_constant() else [witness])
+        for e in got:
+            assert all(c._d > 0 and c for c in e.terms.values())
+        checked += 1
+    assert checked > 100
+
+
+def test_elimination_sums_in_the_accumulator(monkeypatch):
+    # every p*a - c*b is one Accumulator: rref and reduce add no RingElem
+    rng = SplitMix(47)
+    A = [_sparse_row(rng, 5) for _ in range(4)]
+    v = _sparse_row(rng, 5)
+    want = linalg.membership(GSIG, A, v)
+    calls = []
+    real_add = RingElem.__add__
+
+    def counting_add(self, other):
+        calls.append(None)
+        return real_add(self, other)
+
+    monkeypatch.setattr(RingElem, "__add__", counting_add)
+    ech = linalg.rref(GSIG, A)
+    assert ech.rank == 4 and ech.reduce(v) == want
+    assert calls == []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from courantkit.ring import (
+    Accumulator,
     ExpGen,
     GaussRat,
     ParseError,
@@ -445,3 +446,92 @@ def test_copy_deepcopy_and_pickle_round_trip():
         with pytest.raises(AttributeError):
             y.terms = {}
     assert copy.deepcopy([x, SIG.zero()])[1].sig is SIG
+
+
+# -- the accumulator: sums of products reduced once per output term ----------------
+
+
+def _draw_elem(rng, sig, complex_ok):
+    """Up to four terms over sig with denominators from 1 to 12, an exponential
+    exponent from -2 to 2 and, when complex_ok, imaginary parts."""
+    out = sig.zero()
+    for _ in range(rng.randint(0, 4)):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if complex_ok else 0
+        out = out + sig.monomial((rng.randint(0, 2), rng.randint(0, 1)), (rng.randint(-2, 2),),
+                                 GaussRat(re, im))
+    return out
+
+
+def _assert_canonical_elem(e, sig):
+    assert e.__class__ is RingElem and e.sig is sig
+    for c in e.terms.values():
+        assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1 and (c._a or c._b)
+
+
+def test_accumulator_matches_ring_sums_and_products():
+    rng = random.Random(29)
+    rational = RingSignature(SIG.coords, SIG.exps, mode="rational")
+    cancelled = 0
+    for sig, complex_ok in ((rational, False), (SIG, True)):
+        empty = Accumulator(sig).elem()
+        assert empty.is_zero()
+        _assert_canonical_elem(empty, sig)
+        for _ in range(200):
+            acc, want = Accumulator(sig), sig.zero()
+            parts = []
+            for _ in range(rng.randint(1, 5)):
+                x, y = _draw_elem(rng, sig, complex_ok), _draw_elem(rng, sig, complex_ok)
+                sign = rng.choice((1, -1))
+                if rng.randrange(3):
+                    acc.add_product(x, y, sign)
+                    term = x * y
+                else:
+                    acc.add(x, sign)
+                    term = x
+                want = want + term if sign > 0 else want - term
+                parts.append((term, -sign))
+            got = acc.elem()
+            assert got == want
+            _assert_canonical_elem(got, sig)
+            # the sum goes on after elem(); taking back every part cancels it
+            for term, sign in parts:
+                acc.add(term, sign)
+            got = acc.elem()
+            assert got.is_zero() and got.terms == {}
+            cancelled += bool(want)
+            _assert_canonical_elem(got, sig)
+    assert cancelled > 300
+
+
+def test_accumulator_cancels_term_by_term_and_keeps_its_signature():
+    x, y = SIG.parse("1/2*x*Et - 1/3*y"), SIG.parse("(2/3+i)*x + 5/6*Et^-1")
+    acc = Accumulator(SIG)
+    acc.add_product(x, y)
+    acc.add_product(y, x, -1)
+    assert acc.elem().is_zero()
+    # mixed denominators that cancel only in part
+    acc.add(SIG.parse("1/4*x + 1/6*y"))
+    acc.add(SIG.parse("-1/4*x + 1/3*y"))
+    got = acc.elem()
+    assert got == SIG.parse("1/2*y")
+    _assert_canonical_elem(got, SIG)
+    other = RingSignature(("x", "z"))
+    with pytest.raises(SignatureMismatch):
+        Accumulator(SIG).add(other.coord("x"))
+    with pytest.raises(SignatureMismatch):
+        Accumulator(SIG).add_product(x, other.coord("z"))
+
+
+def test_partial_multiplies_by_exponents_and_fractional_rates():
+    sig = RingSignature(
+        ("x", "y"),
+        (ExpGen("E", (Fraction(3, 4), Fraction(-2, 3))), ExpGen("F", (Fraction(0), Fraction(5)))),
+    )
+    f = sig.parse("(1/2+i)*x^3*E^-2*F + 7/5*y*E")
+    assert f.partial("x") == sig.parse(
+        "(3/2+3*i)*x^2*E^-2*F - (3/4+3/2*i)*x^3*E^-2*F + 21/20*y*E"
+    )
+    assert f.partial("y") == sig.parse("(19/6+19/3*i)*x^3*E^-2*F + 7/5*E - 14/15*y*E")
+    for var in sig.coords:
+        _assert_canonical_elem(f.partial(var), sig)

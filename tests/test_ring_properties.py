@@ -1,5 +1,6 @@
-"""Property tests: the field axioms of GaussRat and the commutative-ring axioms
-plus the Leibniz rule of partial for RingElem, on small random elements.
+"""Property tests: the field axioms of GaussRat, the commutative-ring axioms
+plus the Leibniz rule of partial for RingElem, and the Accumulator against
+RingElem sums and products, on small random elements.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 """
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature  # noqa: E402
+from courantkit.ring import Accumulator, ExpGen, GaussRat, RingElem, RingSignature  # noqa: E402
 
 SIG = RingSignature(("x", "y"), (ExpGen("Et", (Fraction(0), Fraction(-2, 3))),))
 ZERO, ONE = GaussRat(0), GaussRat(1)
@@ -70,3 +71,20 @@ def test_partial_is_a_derivation(a, b):
         assert (a * b).partial(var) == a.partial(var) * b + a * b.partial(var)
         assert (a + b).partial(var) == a.partial(var) + b.partial(var)
         assert _canonical((a * b).partial(var))
+
+
+@properties
+@given(st.lists(st.tuples(elements, elements, st.sampled_from((1, -1)), st.booleans()), max_size=5))
+def test_accumulator_is_the_ring_sum_of_its_products(ops):
+    acc, want = Accumulator(SIG), SIG.zero()
+    for x, y, sign, product in ops:
+        if product:
+            acc.add_product(x, y, sign)
+            term = x * y
+        else:
+            acc.add(x, sign)
+            term = x
+        want = want + term if sign > 0 else want - term
+    got = acc.elem()
+    assert got == want and _canonical(got)
+    assert all(c == GaussRat(c.re, c.im) and c._d > 0 for c in got.terms.values())
