@@ -24,6 +24,7 @@ from .exterior import (
     AForm,
     FForm,
     FScalar,
+    _fscalar,
     insert_index,
     merge_indices,
 )
@@ -59,13 +60,19 @@ MAX_MODULE_RANK = 16
 
 
 def _vec_mat(v, M, out) -> list:
-    """out + v M, in place, for a row vector v and a matrix M; zero entries are skipped."""
-    for b, vb in enumerate(v):
-        if vb.is_zero():
-            continue
-        for c, t in enumerate(M[b]):
-            if not t.is_zero():
-                out[c] = out[c] + vb * t
+    """out + v M, in place, for a row vector v and a matrix M.
+
+    Zero entries are skipped; each entry that changes is one Accumulator sum.
+    """
+    live = [(vb, M[b]) for b, vb in enumerate(v) if vb.terms]
+    for c in range(len(out)):
+        hits = [(vb, row[c]) for vb, row in live if row[c].terms]
+        if hits:
+            acc = Accumulator(hits[0][0].sig)
+            acc.add(out[c])
+            for vb, t in hits:
+                acc.add_product(vb, t)
+            out[c] = acc.elem()
     return out
 
 
@@ -147,13 +154,18 @@ class Algebroid:
 
     def anchor_vector(self, X) -> list:
         """Coordinate-derivation coefficients of the anchored section."""
+        accs: dict = {}
+        for c, row in zip(X, self.anchor):
+            if c.terms:
+                for j, a in enumerate(row):
+                    if a.terms:
+                        acc = accs.get(j)
+                        if acc is None:
+                            acc = accs[j] = Accumulator(self.sig)
+                        acc.add_product(c, a)
         out = [self.sig.zero()] * self.sig.ncoords
-        for i, c in enumerate(X):
-            if c.is_zero():
-                continue
-            for j, a in enumerate(self.anchor[i]):
-                if not a.is_zero():
-                    out[j] = out[j] + c * a
+        for j, acc in accs.items():
+            out[j] = acc.elem()
         return out
 
     def derivation(self, v, f: RingElem) -> RingElem:
@@ -218,16 +230,22 @@ class Algebroid:
         return tuple(out) if any(not x.is_zero() for x in out) else None
 
     def act_graded(self, i: int, w: FScalar) -> FScalar:
-        """Frame section i on a graded function: anchor derivative plus grade * theta_i."""
+        """Frame section i on a graded function: anchor derivative plus grade * theta_i.
+
+        The grade * theta_i term is summed onto the derivative in one Accumulator.
+        """
         th = self.theta_scalar(i)
         parts = {}
         for g, elem in w.parts.items():
             e = self.apply_frame_anchor(i, elem)
-            if g and not th.is_zero():
-                e = e + elem * th * g
-            if not e.is_zero():
+            if g and th.terms:
+                out = Accumulator(self.sig)
+                out.add(e)
+                out.add_product(elem, th, g)
+                e = out.elem()
+            if e.terms:
                 parts[g] = e
-        return FScalar(self.sig, parts)
+        return _fscalar(self.sig, parts)
 
     # -- differential and Lie derivative ----------------------------------------
 

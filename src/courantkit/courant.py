@@ -362,14 +362,14 @@ class CourantPresentation:
 
     def pairing(self, e1: CSection, e2: CSection) -> list:
         """Module-valued symmetric pairing eta(X) + xi(Y)."""
-        s = self.alg.sig
-        out = [s.zero()] * self.alg.rank_v
+        out = [Accumulator(self.alg.sig) for _ in range(self.alg.rank_v)]
         for i in range(self.alg.rank):
-            v1 = e2.xi.coefficient((i,))
-            v2 = e1.xi.coefficient((i,))
-            for b in range(self.alg.rank_v):
-                out[b] = out[b] + e1.x[i] * v1[b] + e2.x[i] * v2[b]
-        return out
+            for x, eta in ((e1.x[i], e2.xi), (e2.x[i], e1.xi)):
+                v = eta.terms.get((i,))
+                if v is not None and x.terms:
+                    for acc, vb in zip(out, v):
+                        acc.add_product(x, vb)
+        return [acc.elem() for acc in out]
 
     def bracket(self, e1: CSection, e2: CSection) -> CSection:
         """[[e1, e2]] by the Leibniz expansion over the frame structure tensor.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, contract
+from .ring import Accumulator
 from . import linalg
 
 
@@ -156,13 +157,13 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
     combos, excluded = linalg.nullspace(alg.sig, [list(col) for col in zip(*form_cols)])
     vectors = []
     for c in combos:
-        vec = [alg.sig.zero()] * r
+        out = [Accumulator(alg.sig) for _ in range(r)]
         for k, ck in enumerate(c):
-            if ck.is_zero():
-                continue
-            for m in range(r):
-                vec[m] = vec[m] + ck * gens[k].x[m]
-        if any(not x.is_zero() for x in vec):
+            if ck.terms:
+                for acc, x in zip(out, gens[k].x):
+                    acc.add_product(ck, x)
+        vec = [acc.elem() for acc in out]
+        if any(x.terms for x in vec):
             vectors.append(vec)
     if not vectors:
         return 0, [], [str(e) for e in excluded]

@@ -248,6 +248,14 @@ class FScalar:
         return f"FScalar({self.to_str()})"
 
 
+def _fscalar(sig: RingSignature, parts: dict) -> FScalar:
+    """Unchecked constructor: every grade an int, every part a nonzero RingElem over sig."""
+    s = object.__new__(FScalar)
+    object.__setattr__(s, "sig", sig)
+    object.__setattr__(s, "parts", parts)
+    return s
+
+
 # -- the alternating core ------------------------------------------------------
 
 
@@ -538,20 +546,6 @@ class Multivector(_Graded):
 
     _letter = "e"
 
-    @staticmethod
-    def section(sig, rank, coeffs) -> "Multivector":
-        """Degree-one, grade-zero multivector from plain ring coefficients."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = coerce_elem(sig, c)
-            if not c.is_zero():
-                terms[(i,)] = FScalar.of(c)
-        return Multivector(sig, rank, 1, terms)
-
-    @staticmethod
-    def frame(sig, rank, i) -> "Multivector":
-        return Multivector(sig, rank, 1, {(i,): FScalar.of(sig.one())})
-
     def section_coeffs(self) -> list:
         """Plain ring coefficients of a degree-one, grade-zero multivector."""
         if self.degree != 1:
@@ -560,6 +554,14 @@ class Multivector(_Graded):
         for (i,), c in self.terms.items():
             out[i] = c.grade_zero_elem()
         return out
+
+
+def _multivector(sig, rank, degree, terms) -> Multivector:
+    """Unchecked constructor: strictly increasing degree-long indices below rank, nonzero FScalars."""
+    P = object.__new__(Multivector)
+    for name, value in (("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms)):
+        object.__setattr__(P, name, value)
+    return P
 
 
 class FForm(_Graded):

@@ -26,7 +26,7 @@ from .courant import CourantPresentation, CSection
 from .dirac import coordinates_matrix, is_dirac, merged_locus
 from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
-from .ring import GR_I, coerce_elem
+from .ring import GR_I, Accumulator, coerce_elem
 from .schouten import bivector_from_matrix, tilde
 
 
@@ -106,17 +106,17 @@ class HBundle:
         coords = [coerce_elem(alg.sig, c) for c in coords]
         if len(coords) != 2 * self.h:
             raise GCRError("expected 2h reduced coordinates")
-        x = [alg.sig.zero()] * alg.rank
-        xi = [alg.sig.zero()] * alg.rank
+        x = [Accumulator(alg.sig) for _ in range(alg.rank)]
+        xi = [Accumulator(alg.sig) for _ in range(alg.rank)]
         for a in range(self.h):
-            if not coords[a].is_zero():
-                for k, v in enumerate(self.dist.vector_section(a)):
-                    x[k] = x[k] + coords[a] * v
-            c = coords[self.h + a]
-            if not c.is_zero():
-                for k, v in enumerate(self.dist.dual_row(a)):
-                    xi[k] = xi[k] + c * v
-        return CSection.from_coordinates(alg, x + xi)
+            for out, c, row in (
+                (x, coords[a], self.dist.vector_section(a)),
+                (xi, coords[self.h + a], self.dist.dual_row(a)),
+            ):
+                if c.terms:
+                    for acc, v in zip(out, row):
+                        acc.add_product(c, v)
+        return CSection.from_coordinates(alg, [acc.elem() for acc in x + xi])
 
     def pairing_matrix(self) -> list:
         basis = self.basis_sections()
@@ -146,11 +146,14 @@ def _square_plus_one(sig, M):
     n = len(M)
     for i in range(n):
         for j in range(n):
-            acc = sig.one() if i == j else sig.zero()
+            acc = Accumulator(sig)
+            if i == j:
+                acc.add(sig.one())
             for k in range(n):
-                acc = acc + M[i][k] * M[k][j]
-            if not acc.is_zero():
-                return ((i, j), acc)
+                acc.add_product(M[i][k], M[k][j])
+            e = acc.elem()
+            if e.terms:
+                return ((i, j), e)
     return None
 
 
@@ -170,11 +173,15 @@ def orthogonality_defect(S: GCRStructure):
     J = S.j
     for i in range(2 * h):
         for j in range(2 * h):
-            acc = -sig.one() if abs(i - j) == h else sig.zero()
+            acc = Accumulator(sig)
+            if abs(i - j) == h:
+                acc.add(sig.one(), -1)
             for a in range(h):
-                acc = acc + J[a][i] * J[h + a][j] + J[h + a][i] * J[a][j]
-            if not acc.is_zero():
-                return ((i, j), acc)
+                acc.add_product(J[a][i], J[h + a][j])
+                acc.add_product(J[h + a][i], J[a][j])
+            e = acc.elem()
+            if e.terms:
+                return ((i, j), e)
     return None
 
 

@@ -669,7 +669,7 @@ def _accumulate(terms: dict, key, c):
 class Accumulator:
     """A mutable sum of ring elements and products over one signature.
 
-    add_product(x, y) adds x*y and add(x) adds 1*x, each times sign (1 or -1);
+    add_product(x, y) adds x*y and add(x) adds 1*x, each times an int sign;
     elem() returns the sum so far as a canonical RingElem, and the sum may go
     on after it.  Nothing is reduced on the way.  Invariant: each monomial key
     maps to a list [a, b, d] of ints standing for (a + b*i)/d with d > 0, not

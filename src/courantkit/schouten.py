@@ -15,9 +15,18 @@ formula (Marle 1997), positions a, b counted from 0:
 (-1)^(p-1-a) and (-1)^a are the signs of rear and front contraction by
 e_{i_a}; each wedge contributes the shuffle sign of its merged indices.
 
+`schouten` sums the formula in place: each product of ring elements goes
+straight into one table, multi-index -> grade -> `ring.Accumulator`, at the
+sum of the grades and with its sign, and the output is built once from the
+table, with zero grades and empty indices dropped.  e_i.w is computed once
+per frame index and operand term in each call, and v w only for a pair of
+terms that meets a nonzero structure function.
+
 An independent operator identity (insertion operators and the differential)
 is used by the tests as an oracle, so the combinatorial signs here are checked
-against the calculus rather than against themselves.
+against the calculus rather than against themselves; the same formula summed
+as a collect over FScalar products (tests/schouten_oracle.py) checks the
+in-place sums.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from .exterior import (
     FForm,
     FScalar,
     Multivector,
+    _fscalar,
+    _multivector,
     aform_to_fform,
     breve_contract,
     contract_front_multi,
@@ -39,20 +50,39 @@ from .exterior import (
     pair_eval,
     wedge,
 )
-from .ring import coerce_elem
+from .ring import Accumulator, coerce_elem
 
 
 class SchoutenError(ValueError):
     pass
 
 
+def _add_graded(row: dict, sig, x: dict, y: dict, sign: int) -> dict:
+    """row[g1 + g2] += sign * x[g1] * y[g2] over grade -> RingElem maps x, y.
+
+    row maps each grade to one Accumulator; returns row.
+    """
+    for g1, e1 in x.items():
+        for g2, e2 in y.items():
+            acc = row.get(g1 + g2)
+            if acc is None:
+                acc = row[g1 + g2] = Accumulator(sig)
+            acc.add_product(e1, e2, sign)
+    return row
+
+
 def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
-    """Graded Schouten bracket of multivectors: the closed formula, one collect."""
+    """Graded Schouten bracket of multivectors: the closed formula, summed in place."""
     if any(M.sig != alg.sig or M.rank != alg.rank for M in (P, Q)):
         raise SchoutenError("multivectors do not live on this algebroid")
     if alg.rank_v != 1:
         raise SchoutenError("graded bracket requires a rank-one module")
+    sig = alg.sig
     swap = -1 if ((P.degree - 1) * (Q.degree - 1)) % 2 else 1
+    table: dict = {}
+    # e_i.w by (i, id(w)): the operand terms outlive this call's dict, so no
+    # id is reused while it is read
+    actions: dict = {}
 
     def acted(I, v, J, w, sign):
         # sign * v [e_I, w] ^ e_J
@@ -60,29 +90,56 @@ def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
             rest, s = contract_rear_multi((i,), I)
             hit = merge_indices(rest, J)
             if hit is not None:
-                a = alg.act_graded(i, w)
+                a = actions.get((i, id(w)))
+                if a is None:
+                    a = actions[i, id(w)] = alg.act_graded(i, w)
                 if a:
-                    yield hit[0], sign * s * hit[1], v * a
+                    row = table.setdefault(hit[0], {})
+                    _add_graded(row, sig, v.parts, a.parts, sign * s * hit[1])
 
-    def items():
-        for I, v in P.terms.items():
-            for J, w in Q.terms.items():
-                yield from acted(I, v, J, w, 1)
-                yield from acted(J, w, I, v, -swap)
-                vw = v * w
-                for i in I:
-                    I_rest, si = contract_front_multi((i,), I)
-                    for j in J:
-                        J_rest, sj = contract_front_multi((j,), J)
-                        hit = merge_indices(I_rest, J_rest)
-                        if hit is None:
+    for I, v in P.terms.items():
+        for J, w in Q.terms.items():
+            acted(I, v, J, w, 1)
+            acted(J, w, I, v, -swap)
+            vw = None
+            for i in I:
+                I_rest, si = contract_front_multi((i,), I)
+                for j in J:
+                    if i == j:
+                        continue
+                    # c_ij^k, read from the stored half of the skew table
+                    cs = alg.structure.get((i, j) if i < j else (j, i))
+                    if cs is None:
+                        continue
+                    J_rest, sj = contract_front_multi((j,), J)
+                    hit = merge_indices(I_rest, J_rest)
+                    if hit is None:
+                        continue
+                    sign = si * sj * hit[1] * (1 if i < j else -1)
+                    for k, c in enumerate(cs):
+                        if not c.terms:
                             continue
-                        for k, c in enumerate(alg.frame_bracket(i, j)):
-                            top = insert_index(k, hit[0])
-                            if top is not None and not c.is_zero():
-                                yield top[0], si * sj * hit[1] * top[1], vw * c
+                        top = insert_index(k, hit[0])
+                        if top is None:
+                            continue
+                        if vw is None:
+                            vw = {
+                                g: acc.elem()
+                                for g, acc in _add_graded({}, sig, v.parts, w.parts, 1).items()
+                            }
+                        row = table.setdefault(top[0], {})
+                        _add_graded(row, sig, vw, {0: c}, sign * top[1])
 
-    return P.collect(max(P.degree + Q.degree - 1, 0), items())
+    terms = {}
+    for K, row in table.items():
+        parts = {}
+        for g, acc in row.items():
+            e = acc.elem()
+            if e.terms:
+                parts[g] = e
+        if parts:
+            terms[K] = _fscalar(sig, parts)
+    return _multivector(sig, alg.rank, max(P.degree + Q.degree - 1, 0), terms)
 
 
 # -- skew maps and their structures -------------------------------------------

@@ -12,7 +12,7 @@ from courantkit.courant import (
     CSection,
     SweepLimitError,
 )
-from courantkit.exterior import AForm, Multivector, contract
+from courantkit.exterior import AForm, FScalar, Multivector, contract
 from courantkit.sampling import SplitMix
 
 
@@ -323,5 +323,5 @@ def test_default_verify_builds_no_multivector(monkeypatch):
     monkeypatch.setattr(Multivector, "__init__", counting_init)
     assert C.verify()["ok"]
     assert built == []
-    Multivector.section(C.alg.sig, C.alg.rank, C.alg.frame_section(0))
+    Multivector(C.alg.sig, C.alg.rank, 1, {(0,): FScalar.of(C.alg.sig.one())})
     assert len(built) == 1

@@ -176,8 +176,8 @@ def test_degree_and_width_guards():
 
 def test_multivector_section_round_trip():
     coeffs = [SIG.coord("x"), SIG.one(), SIG.zero()]
-    m = Multivector.section(SIG, RANK, coeffs)
-    assert m.degree == 1
+    m = Multivector(SIG, RANK, 1, {(i,): FScalar.of(c) for i, c in enumerate(coeffs)})
+    assert m.degree == 1 and sorted(m.terms) == [(0,), (1,)]
     assert m.section_coeffs() == coeffs
 
 
@@ -209,7 +209,8 @@ def test_contract_of_a_plain_section_matches_graded_iota():
             terms = {I: (dense(),) for I in combinations(range(alg.rank), degree)}
             w = AForm(sig, alg.rank, 1, True, degree, terms)
             lhs = aform_to_fform(contract(X, w))
-            rhs = iota(Multivector.section(sig, alg.rank, X), aform_to_fform(w))
+            P = Multivector(sig, alg.rank, 1, {(i,): FScalar.of(c) for i, c in enumerate(X)})
+            rhs = iota(P, aform_to_fform(w))
             assert lhs == rhs, (name, degree)
     assert "e1m-r2" in connected and "point-heisenberg-mod" in connected
 
@@ -217,6 +218,6 @@ def test_contract_of_a_plain_section_matches_graded_iota():
 def test_contract_refuses_a_multivector_or_a_wrong_length():
     w = AForm(SIG, RANK, 1, True, 1, {(0,): (SIG.one(),)})
     with pytest.raises(ExteriorError):
-        contract(Multivector.frame(SIG, RANK, 0), w)
+        contract(Multivector(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())}), w)
     with pytest.raises(ExteriorError):
         contract(frame(0)[:2], w)

@@ -1,19 +1,25 @@
+import importlib
 from itertools import combinations
 
 import pytest
 
 from courantkit import catalog
+from courantkit.algebroid import Algebroid
 from courantkit.exterior import (
     FForm,
     FScalar,
     Multivector,
+    _Graded,
     breve_contract,
+    contract_rear_multi,
     iota,
+    merge_indices,
     pair_eval,
     wedge,
 )
 from courantkit.dirac import is_dirac
 from courantkit.gcr import extract_bivector
+from courantkit.ring import RingElem
 from courantkit.sampling import SplitMix
 from courantkit.schouten import (
     SchoutenError,
@@ -32,6 +38,12 @@ from courantkit.schouten import (
     v_bracket,
     v_jacobiator,
 )
+
+from cartan_oracle import random_presentation
+from schouten_oracle import collect_schouten, mixed_multivector
+
+# the package exports the function under the module's name
+schouten_module = importlib.import_module("courantkit.schouten")
 
 
 def rand_mv(rng, alg, deg, grades=(0,)):
@@ -54,6 +66,16 @@ def rand_fform(rng, alg, deg, grades=(0,)):
             if not e.is_zero():
                 terms[I] = FScalar(alg.sig, {g: e})
     return FForm(alg.sig, alg.rank, deg, terms)
+
+
+def vector(alg, coeffs):
+    """Degree-one, grade-zero multivector sum_i coeffs[i] e_i."""
+    return Multivector(alg.sig, alg.rank, 1, {(i,): FScalar.of(c) for i, c in enumerate(coeffs)})
+
+
+def frame_vector(sig, rank, i):
+    """The frame section e_i as a multivector."""
+    return Multivector(sig, rank, 1, {(i,): FScalar.of(sig.one())})
 
 
 def sign_scale(P, s):
@@ -81,12 +103,8 @@ def test_degree_one_bracket_is_algebroid_bracket():
     for _ in range(10):
         X = [rng.ring_elem(alg.sig, max_degree=1, terms=1) for _ in range(alg.rank)]
         Y = [rng.ring_elem(alg.sig, max_degree=1, terms=1) for _ in range(alg.rank)]
-        lhs = schouten(
-            alg,
-            Multivector.section(alg.sig, alg.rank, X),
-            Multivector.section(alg.sig, alg.rank, Y),
-        )
-        rhs = Multivector.section(alg.sig, alg.rank, alg.bracket(X, Y))
+        lhs = schouten(alg, vector(alg, X), vector(alg, Y))
+        rhs = vector(alg, alg.bracket(X, Y))
         assert lhs.equals(rhs)
 
 
@@ -95,17 +113,17 @@ def test_function_bracket_is_derivation_action():
     alg = catalog.load("tangent-r2" if "tangent-r2" in catalog.names() else "symplectic-r2")["algebroid"]
     sig = alg.sig
     x = sig.coord("x")
-    e0 = Multivector.frame(sig, alg.rank, 0)
+    e0 = frame_vector(sig, alg.rank, 0)
     xe1 = Multivector(sig, alg.rank, 1, {(1,): FScalar.of(x)})
     got = schouten(alg, e0, xe1)
-    assert got.equals(Multivector.frame(sig, alg.rank, 1))
+    assert got.equals(frame_vector(sig, alg.rank, 1))
 
 
 def test_constant_bracket_vanishes_over_point():
     alg = catalog.load("point-sl2")["algebroid"]
     c = Multivector(alg.sig, alg.rank, 0, {(): FScalar.of(alg.sig.const(3))})
     for i in range(alg.rank):
-        got = schouten(alg, Multivector.frame(alg.sig, alg.rank, i), c)
+        got = schouten(alg, frame_vector(alg.sig, alg.rank, i), c)
         assert got.is_zero()
 
 
@@ -116,7 +134,7 @@ def test_decomposable_square_picks_up_structure_vector():
     P = Multivector(sig, 3, 2, {(0, 1): FScalar.of(sig.one())})
     got = schouten(alg, P, P)
     expected = wedge(
-        Multivector.frame(sig, 3, 2),
+        frame_vector(sig, 3, 2),
         Multivector(sig, 3, 2, {(0, 1): FScalar.of(sig.const(2))}),
     )
     assert got.equals(expected)
@@ -140,7 +158,7 @@ def test_schouten_rejects_multivectors_of_another_rank():
     alg = catalog.load("tangent-r3")["algebroid"]
     sig = alg.sig
     small = Multivector(sig, 2, 1, {(1,): FScalar.of(sig.one())})
-    big = Multivector.frame(sig, 3, 2)
+    big = frame_vector(sig, 3, 2)
     for P, Q in ((small, big), (big, small)):
         with pytest.raises(SchoutenError, match="do not live on this algebroid"):
             schouten(alg, P, Q)
@@ -247,6 +265,137 @@ def test_breve_duality_pairing():
         assert pair_eval(wedge(xi, alpha), P) == pair_eval(
             xi, breve_contract(alpha, P)
         )
+
+
+# -- the in-place sum against the collect oracle ------------------------------------
+
+
+def _catalog_algebroids():
+    for name in catalog.names():
+        p = catalog.load(name)
+        yield name, p["algebroid"]
+        if "jacobi" in p:
+            yield name + ":jacobi", p["jacobi"]["algebroid"]
+
+
+def _agrees_with_oracle(alg, rng, trials, label):
+    for _ in range(trials):
+        p, q = rng.randint(0, min(3, alg.rank)), rng.randint(0, min(3, alg.rank))
+        P, Q = mixed_multivector(rng, alg, p), mixed_multivector(rng, alg, q)
+        for A, B in ((P, Q), (Q, P), (P, P)):
+            got = schouten(alg, A, B)
+            assert got.equals(collect_schouten(alg, A, B)), (label, A, B)
+            assert all(c.parts and all(e.terms for e in c.parts.values()) for c in got.terms.values())
+
+
+def test_schouten_equals_the_collect_oracle_on_every_catalog_algebroid():
+    rng = SplitMix(101)
+    algebroids = list(_catalog_algebroids())
+    assert len(algebroids) == 20
+    for label, alg in algebroids:
+        _agrees_with_oracle(alg, rng, 6, label)
+    # the catalog's own Jacobi pair, both brackets of check_jacobi_pair
+    alg, lam, e = contact_pair()
+    for A, B in ((lam, lam), (lam, e), (e, lam)):
+        assert schouten(alg, A, B).equals(collect_schouten(alg, A, B))
+
+
+def test_schouten_equals_the_collect_oracle_on_random_presentations():
+    # Q(i) with an exponential generator; function-valued anchor, every
+    # structure function and Theta drawn, so the grade * theta term of e_i.w
+    # and the structure term are both live
+    for seed, rank in ((41, 2), (42, 3), (43, 3), (44, 4), (45, 4)):
+        alg = random_presentation(seed, rank, rank_v=1).alg
+        assert alg.structure and alg.theta_scalar(0).terms
+        _agrees_with_oracle(alg, SplitMix(seed), 5, (seed, rank))
+
+
+def _calls_inside_schouten(monkeypatch, targets) -> dict:
+    """Count calls of each (owner, name, static) target made while schouten runs."""
+    counts = {}
+    depth = [0]
+    for owner, name, static in targets:
+        real = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+        counts[key] = 0
+
+        def wrapped(*args, real=real, key=key):
+            counts[key] += depth[0] > 0
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, staticmethod(wrapped) if static else wrapped)
+    real_schouten = schouten_module.schouten
+
+    def counted_schouten(*args):
+        depth[0] += 1
+        counts["schouten"] = counts.get("schouten", 0) + 1
+        try:
+            return real_schouten(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(schouten_module, "schouten", counted_schouten)
+    return counts
+
+
+def test_check_jacobi_pair_adds_nothing_inside_schouten(monkeypatch):
+    # every sum inside the bracket is an Accumulator; _Graded._plus is the
+    # alias of FScalar.__add__ that Multivector.collect calls
+    alg, lam, e = contact_pair()
+    counts = _calls_inside_schouten(
+        monkeypatch,
+        [
+            (RingElem, "__add__", False),
+            (FScalar, "__add__", False),
+            (_Graded, "_plus", True),
+        ],
+    )
+    assert schouten_module.check_jacobi_pair(alg, lam, e)["ok"]
+    assert counts == {
+        "RingElem.__add__": 0, "FScalar.__add__": 0, "_Graded._plus": 0, "schouten": 2
+    }
+
+
+def _action_reads(P, Q) -> list:
+    """(i, id(w)) for each e_i.w the closed formula reads, once per pair of terms.
+
+    The formula reads e_i.w for i in I whenever e_{I - i} ^ e_J is nonzero,
+    for every term v e_I of one operand and w e_J of the other.
+    """
+    return [
+        (i, id(w))
+        for A, B in ((P, Q), (Q, P))
+        for I in A.terms
+        for J, w in B.terms.items()
+        for i in I
+        if merge_indices(contract_rear_multi((i,), I)[0], J) is not None
+    ]
+
+
+def test_schouten_acts_once_per_frame_index_and_operand_term(monkeypatch):
+    calls = []
+    real = Algebroid.act_graded
+
+    def counting(self, i, w):
+        calls.append((i, id(w)))
+        return real(self, i, w)
+
+    monkeypatch.setattr(Algebroid, "act_graded", counting)
+    alg, lam, e = contact_pair()
+    cases = [(alg, lam, lam), (alg, lam, lam), (alg, lam, e)]
+    rng = SplitMix(107)
+    for alg in (catalog.load("e1m-r3")["algebroid"], random_presentation(46, 4, rank_v=1).alg):
+        P, Q = mixed_multivector(rng, alg, 2), mixed_multivector(rng, alg, 2)
+        cases += [(alg, P, Q), (alg, P, P), (alg, P, Q)]
+    shared = 0
+    for alg, P, Q in cases:
+        calls.clear()
+        schouten(alg, P, Q)
+        reads = _action_reads(P, Q)
+        # one action per distinct read, and none kept from an earlier call
+        assert sorted(calls) == sorted(set(reads))
+        shared += len(reads) > len(set(reads))
+    assert shared >= 4
 
 
 # -- induced brackets on covectors and sections ----------------------------------
@@ -370,7 +519,7 @@ def test_hamiltonian_section_golden():
     alg = C.alg
     sig = alg.sig
     v = FScalar(sig, {1: sig.coord("x")})
-    assert hamiltonian_section(alg, P, v).equals(Multivector.frame(sig, 2, 1))
+    assert hamiltonian_section(alg, P, v).equals(frame_vector(sig, 2, 1))
 
 
 # -- twisted structures ----------------------------------------------------------
