@@ -188,28 +188,46 @@ class Algebroid:
             self.derivation(v, w[m]) - self.derivation(w, v[m]) for m in range(self.sig.ncoords)
         ]
 
-    def apply_anchor(self, X, f: RingElem) -> RingElem:
-        return self.derivation(self.anchor_vector(X), f)
-
     def apply_frame_anchor(self, i: int, f: RingElem) -> RingElem:
         return self.derivation(self.anchor[i], f)
 
     def bracket(self, X, Y) -> list:
-        """Section bracket with the anchor-Leibniz terms."""
-        X = [coerce_elem(self.sig, x) for x in X]
-        Y = [coerce_elem(self.sig, y) for y in Y]
+        """Section bracket with the anchor-Leibniz terms.
+
+        Each entry that a term reaches is one Accumulator; c_ij^k is read from
+        the stored half of the skew structure table.
+        """
+        sig = self.sig
+        X = [coerce_elem(sig, x) for x in X]
+        Y = [coerce_elem(sig, y) for y in Y]
         ax, ay = self.anchor_vector(X), self.anchor_vector(Y)
-        out = [self.derivation(ax, y) - self.derivation(ay, x) for x, y in zip(X, Y)]
+        out: dict = {}
+
+        def add(k, x, y, sign):
+            acc = out.get(k)
+            if acc is None:
+                acc = out[k] = Accumulator(sig)
+            acc.add_product(x, y, sign)
+
+        one = sig.one()
+        for k, (x, y) in enumerate(zip(X, Y)):
+            for d, sign in ((self.derivation(ax, y), 1), (self.derivation(ay, x), -1)):
+                if d.terms:
+                    add(k, one, d, sign)
         for i, xi in enumerate(X):
             if xi.is_zero():
                 continue
             for j, yj in enumerate(Y):
                 if yj.is_zero() or i == j:
                     continue
-                for k, c in enumerate(self.frame_bracket(i, j)):
-                    if not c.is_zero():
-                        out[k] = out[k] + xi * yj * c
-        return out
+                cs = self.structure.get((i, j) if i < j else (j, i))
+                if cs is None:
+                    continue
+                xy, sign = xi * yj, 1 if i < j else -1
+                for k, c in enumerate(cs):
+                    if c.terms:
+                        add(k, xy, c, sign)
+        return [out[k].elem() if k in out else sig.zero() for k in range(len(X))]
 
     def nabla(self, X, v) -> list:
         """Module connection along a section: nabla_X of a width-rank_v vector."""
@@ -283,7 +301,7 @@ class Algebroid:
                     if hit is not None:
                         a = act(i, coeff)
                         if a:
-                            yield hit[0], hit[1], a
+                            yield hit[0], hit[1], a, None
                 for pos, k in enumerate(I):
                     rest = I[:pos] + I[pos + 1 :]
                     for (p, q), svec in self.structure.items():
@@ -294,7 +312,7 @@ class Algebroid:
                         if hit is not None:
                             # -c_pq^k f^p ^ f^q replaces f^k at position pos
                             sign = -hit[1] if pos % 2 else hit[1]
-                            yield hit[0], -sign, w._prod(coeff, w._scalar(c))
+                            yield hit[0], -sign, coeff, w._scalar(c)
 
         return w.collect(w.degree + 1, items())
 
@@ -345,7 +363,7 @@ class Algebroid:
                 if w.vvalued:
                     _vec_mat(vec, xtheta, fn)
                 if any(not x.is_zero() for x in fn):
-                    yield I, 1, tuple(fn)
+                    yield I, 1, tuple(fn), None
                 for pos, k in enumerate(I):
                     rest = I[:pos] + I[pos + 1 :]
                     for j, g in enumerate(cov[k]):
@@ -353,7 +371,7 @@ class Algebroid:
                             continue
                         hit = insert_index(j, rest)
                         if hit is not None:
-                            yield hit[0], -hit[1] if pos % 2 else hit[1], w._prod(vec, w._scalar(g))
+                            yield hit[0], -hit[1] if pos % 2 else hit[1], vec, w._scalar(g)
 
         return w.collect(w.degree, items())
 

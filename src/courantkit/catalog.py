@@ -94,7 +94,11 @@ def tangent_algebroid_over(sig: RingSignature) -> Algebroid:
 
 
 def suspend_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
-    """Module-valued form to an invariant plain form: weight one in the unit."""
+    """The paper's suspension: a module-valued form to an invariant plain form.
+
+    Each coefficient is taken to weight one in the unit of the suspension; the
+    inverse is `reduce_form`.
+    """
     ssig = sus.sig
     unit = ssig.exp_gen(ssig.exps[0].name)
     terms = {I: (vec[0].embed(ssig) * unit,) for I, vec in w.terms.items()}

@@ -23,17 +23,6 @@ def coordinates_matrix(gens) -> list:
     return [g.coordinates() for g in gens]
 
 
-def span_rank(C: CourantPresentation, gens) -> tuple:
-    return linalg.rank(C.alg.sig, coordinates_matrix(gens))
-
-
-def pairing_gram(C: CourantPresentation, gens, component: int = 0) -> list:
-    """Gram matrix of the module-valued pairing, one module component at a time."""
-    return [
-        [C.pairing(g1, g2)[component] for g2 in gens] for g1 in gens
-    ]
-
-
 def is_isotropic(C: CourantPresentation, gens) -> tuple:
     """(verdict, witness): witness names the first nonvanishing pairing."""
     for i, g1 in enumerate(gens):

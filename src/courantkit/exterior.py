@@ -2,14 +2,24 @@
 
 Forms and multivector fields are stored as maps from strictly increasing
 multi-indices to exact coefficients.  One alternating core (index checks,
-sum, negation, scaling, wedge, equality, conjugation and one contraction
-loop) serves two coefficient kinds:
+sums, products, equality and one contraction loop) serves two coefficient
+kinds, each coefficient seen as its parts, a map from slot to ring element:
 
 * module vectors, in AForm: a tuple of ring elements per term, one entry per
-  module frame vector (a 1-tuple for plain scalar forms);
+  module frame vector (a 1-tuple for plain scalar forms); the slot of an
+  entry is its module component b;
 * graded scalars (FScalar), in FForm and Multivector: finite Laurent sums in
-  the module frame after a rank-one trivialization, the grade counting the
-  power of the frame section.
+  the module frame after a rank-one trivialization; the slot of a part is its
+  grade, the power of the frame section.
+
+Two coefficients multiply part by part at slot s1 + s2; for module vectors
+this holds because at most one factor of a wedge or contraction is wider
+than a scalar, whose one slot is 0.  Every sum of signed products (sum,
+scaling, wedge, the contractions, d, the Lie derivative, the Schouten
+bracket) is one `_Alternating.collect`: each product goes straight into one
+`ring.Accumulator` per (index, slot), and the result is built once,
+unchecked.  FScalar arithmetic and `pair_eval` share its kernel,
+`_sum_parts`; negation and conjugation map the parts.
 
 `contract` inserts a plain section (a list of rank ring elements, like
 `CSection.x`) into an AForm, so the Courant path builds no multivector;
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import GaussRat, RingElem, RingSignature, coerce_elem
+from .ring import Accumulator, GaussRat, RingElem, RingSignature, coerce_elem
 
 
 class ExteriorError(ValueError):
@@ -163,9 +173,6 @@ class FScalar:
     def get(self, k: int) -> RingElem:
         return self.parts.get(k, self.sig.zero())
 
-    def grades(self):
-        return sorted(self.parts)
-
     def pure_grade(self) -> int | None:
         """The single grade present, 0 for the zero element, None if mixed."""
         if not self.parts:
@@ -181,19 +188,12 @@ class FScalar:
 
     def __add__(self, other):
         other = FScalar.coerce(self.sig, other)
-        parts = dict(self.parts)
-        for k, e in other.parts.items():
-            s = parts.get(k, self.sig.zero()) + e
-            if s.is_zero():
-                parts.pop(k, None)
-            else:
-                parts[k] = s
-        return FScalar(self.sig, parts)
+        return _fsum(self.sig, ((1, self, None), (1, other, None)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FScalar(self.sig, {k: -e for k, e in self.parts.items()})
+        return _fscalar(self.sig, {k: -e for k, e in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-FScalar.coerce(self.sig, other))
@@ -206,24 +206,12 @@ class FScalar:
             other = FScalar.coerce(self.sig, other)
         if not isinstance(other, FScalar):
             return NotImplemented
-        out: dict = {}
-        for k1, e1 in self.parts.items():
-            for k2, e2 in other.parts.items():
-                k = k1 + k2
-                s = out.get(k, self.sig.zero()) + e1 * e2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return FScalar(self.sig, out)
+        return _fsum(self.sig, ((1, self, other),))
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "FScalar":
-        return FScalar(self.sig, {g + k: e for g, e in self.parts.items()})
-
     def conjugate(self) -> "FScalar":
-        return FScalar(self.sig, {k: e.conjugate() for k, e in self.parts.items()})
+        return _fscalar(self.sig, {k: e.conjugate() for k, e in self.parts.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, RingElem, str)):
@@ -256,6 +244,62 @@ def _fscalar(sig: RingSignature, parts: dict) -> FScalar:
     return s
 
 
+def _graded_parts(c: FScalar):
+    return c.parts.items()
+
+
+def _fsum(sig: RingSignature, items) -> FScalar:
+    """The FScalar summing sign * x * y over (sign, x, y) items of FScalars (y None: x alone)."""
+    summed = _sum_parts(sig, (((), s, x, y) for s, x, y in items), _graded_parts)
+    return _fscalar(sig, summed.get((), {}))
+
+
+# -- the summation kernel ----------------------------------------------------------
+
+
+def _sum_parts(sig: RingSignature, items, parts) -> dict:
+    """K -> {slot: nonzero RingElem}: the sum of sign * x * y over (K, sign, x, y) items.
+
+    parts(c) yields the (slot, RingElem) pairs of a coefficient c, afresh
+    for each part of x; y None stands for 1.  Each product goes straight into
+    one Accumulator per (K, slot); an index whose parts all cancel is dropped.
+    A part added alone with sign 1 is held as it is until a second term lands
+    on its slot, so a sum of objects with few shared indices re-reduces none.
+    """
+    table: dict = {}
+    one = sig.one()
+    alone = ((0, one),)
+    for K, sign, x, y in items:
+        row = table.get(K)
+        if row is None:
+            row = table[K] = {}
+        for s1, e1 in parts(x):
+            if e1.terms:
+                for s2, e2 in alone if y is None else parts(y):
+                    if e2.terms:
+                        s = s1 + s2
+                        acc = row.get(s)
+                        if acc is None and y is None and sign == 1:
+                            row[s] = e1
+                            continue
+                        if acc is None or acc.__class__ is RingElem:
+                            held, acc = acc, Accumulator(sig)
+                            row[s] = acc
+                            if held is not None:
+                                acc.add_product(one, held)
+                        acc.add_product(e2, e1, sign)
+    out = {}
+    for K, row in table.items():
+        kept = {}
+        for s, acc in row.items():
+            e = acc if acc.__class__ is RingElem else acc.elem()
+            if e.terms:
+                kept[s] = e
+        if kept:
+            out[K] = kept
+    return out
+
+
 # -- the alternating core ------------------------------------------------------
 
 
@@ -263,11 +307,13 @@ class _Alternating:
     """Sparse alternating object: strictly increasing multi-index -> coefficient.
 
     Subclasses fix the coefficient kind through the hooks _coeff (coerce one
-    coefficient, None when it is zero), _zero_coeff, _plus, _neg, _prod,
-    _conj, _scalar (a scalar as a coefficient) and _coeff_str, and through
-    _like, which builds an object of the same kind and frame.  The Koszul
-    loop and the Lie derivative in the algebroid module work through the same
-    hooks, so they never see the coefficient format.
+    outside coefficient, None when it is zero), _zero_coeff, _scalar (a
+    scalar as a coefficient), _coeff_str, _parts (the (slot, RingElem) pairs
+    of a coefficient), _from_parts (the coefficient with given parts) and
+    _build (an unchecked object of the same kind and frame).  Every sum of
+    signed products is one `collect` over (index, sign, x, y) items; the
+    Koszul loop, the Lie derivative and the Schouten bracket hand their items
+    to it as well, so they never see the coefficient format.
     """
 
     __slots__ = ("sig", "rank", "degree", "terms")
@@ -302,8 +348,8 @@ class _Alternating:
             raise ExteriorError("objects live over different frames")
 
     def _product_like(self, other):
-        """Builder for a wedge product with other (after the frame check)."""
-        return self._like
+        """The operand whose kind and frame a wedge with other has (after the frame check)."""
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -320,20 +366,24 @@ class _Alternating:
             return self
         if self.degree != other.degree:
             raise ExteriorError("cannot add forms of different degree")
-        items = [(I, 1, c) for w in (self, other) for I, c in w.terms.items()]
+        items = [(I, 1, c, None) for w in (self, other) for I, c in w.terms.items()]
         return self.collect(self.degree, items)
 
-    add = __add__
+    def _map(self, f):
+        """This object with f applied to every part; f maps nonzero to nonzero."""
+        parts, build = self._parts, self._from_parts
+        terms = {I: build({s: f(e) for s, e in parts(c)}) for I, c in self.terms.items()}
+        return self._build(self.degree, terms)
 
     def __neg__(self):
-        return self._like(self.degree, {I: self._neg(c) for I, c in self.terms.items()})
+        return self._map(RingElem.__neg__)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self._scalar(c)
-        return self._like(self.degree, {I: self._prod(v, c) for I, v in self.terms.items()})
+        return self.collect(self.degree, ((I, 1, v, c) for I, v in self.terms.items()))
 
     def __mul__(self, c):
         return self.scale(c)
@@ -342,32 +392,32 @@ class _Alternating:
 
     def wedge(self, other):
         _Alternating._compat(self, other)
-        like = self._product_like(other)
+        out = self._product_like(other)
         deg = self.degree + other.degree
         if deg > self.rank:
-            return like(0, {})
+            return out.collect(0, ())
 
         def items():
             for I, u in self.terms.items():
                 for J, w in other.terms.items():
                     hit = merge_indices(I, J)
                     if hit is not None:
-                        yield hit[0], hit[1], self._prod(u, w)
+                        yield hit[0], hit[1], u, w
 
-        return self.collect(deg, items(), like)
+        return out.collect(deg, items())
 
-    def collect(self, degree, items, like=None):
-        """Object of this kind and frame summing sign * c over (index, sign, c) items."""
-        out: dict = {}
-        for K, sign, c in items:
-            if sign < 0:
-                c = self._neg(c)
-            cur = out.get(K)
-            out[K] = c if cur is None else self._plus(cur, c)
-        return (like or self._like)(degree, out)
+    def collect(self, degree, items):
+        """Object of this kind and frame summing sign * x * y over (index, sign, x, y) items.
+
+        x and y are coefficients, y None for x alone; they multiply part by
+        part (`_sum_parts`), and the result is built once, unchecked.
+        """
+        build = self._from_parts
+        summed = _sum_parts(self.sig, items, self._parts)
+        return self._build(degree, {K: build(p) for K, p in summed.items()})
 
     def conjugate(self):
-        return self._like(self.degree, {I: self._conj(c) for I, c in self.terms.items()})
+        return self._map(RingElem.conjugate)
 
     def equals(self, other) -> bool:
         self._compat(other)
@@ -412,22 +462,7 @@ class AForm(_Alternating):
     __slots__ = ("rank_v", "vvalued")
     _letter = "dx"
 
-    @staticmethod
-    def _plus(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    @staticmethod
-    def _neg(a: tuple) -> tuple:
-        return tuple(-x for x in a)
-
-    @staticmethod
-    def _prod(u: tuple, w: tuple) -> tuple:
-        """Product of two coefficient vectors of which at most one is wider than 1."""
-        return tuple(x * y for x in u for y in w)
-
-    @staticmethod
-    def _conj(a: tuple) -> tuple:
-        return tuple(x.conjugate() for x in a)
+    _parts = staticmethod(enumerate)
 
     def __init__(self, sig, rank, rank_v, vvalued, degree, terms):
         object.__setattr__(self, "rank_v", rank_v)
@@ -458,9 +493,12 @@ class AForm(_Alternating):
     def _coeff_str(vec) -> str:
         return f"({','.join(str(x) for x in vec)})"
 
-    def _like(self, degree, terms, vvalued=None) -> "AForm":
-        vvalued = self.vvalued if vvalued is None else vvalued
-        return AForm(self.sig, self.rank, self.rank_v, vvalued, degree, terms)
+    def _from_parts(self, parts: dict) -> tuple:
+        zero = self.sig.zero()
+        return tuple(parts.get(b, zero) for b in range(self.width))
+
+    def _build(self, degree, terms) -> "AForm":
+        return _aform(self.sig, self.rank, self.rank_v, self.vvalued, degree, terms)
 
     def _frame(self) -> tuple:
         return (self.sig, self.rank, self.rank_v)
@@ -473,27 +511,30 @@ class AForm(_Alternating):
     def _product_like(self, other):
         if self.vvalued and other.vvalued:
             raise ExteriorError("cannot wedge two module-valued forms")
-        return lambda degree, terms: self._like(degree, terms, self.vvalued or other.vvalued)
+        return other if other.vvalued else self
 
     def __repr__(self):
         kind = "V" if self.vvalued else "scalar"
         return f"AForm[{kind},deg={self.degree}]({self.to_str()})"
 
 
-def _aform(sig, rank, rank_v, vvalued, degree, terms) -> AForm:
+def _unchecked(cls, sig, rank, degree, terms, **more):
     """Unchecked constructor for terms that are canonical by construction.
 
     Every index is a strictly increasing tuple of degree frame indices below
-    rank, and every coefficient is a tuple of the form's width over sig with a
-    nonzero entry.
+    rank, and every coefficient is nonzero and over sig: a tuple of the
+    form's width with a nonzero entry, or an FScalar with nonzero parts.
     """
-    w = object.__new__(AForm)
-    for name, value in (
-        ("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms),
-        ("rank_v", rank_v), ("vvalued", vvalued),
-    ):
+    w = object.__new__(cls)
+    for name, value in (("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms)):
+        object.__setattr__(w, name, value)
+    for name, value in more.items():
         object.__setattr__(w, name, value)
     return w
+
+
+def _aform(sig, rank, rank_v, vvalued, degree, terms) -> AForm:
+    return _unchecked(AForm, sig, rank, degree, terms, rank_v=rank_v, vvalued=vvalued)
 
 
 # -- graded forms and multivectors ----------------------------------------------
@@ -503,10 +544,7 @@ class _Graded(_Alternating):
     """FScalar coefficients: FForm and Multivector."""
 
     __slots__ = ()
-    _plus = staticmethod(FScalar.__add__)
-    _neg = staticmethod(FScalar.__neg__)
-    _prod = staticmethod(FScalar.__mul__)
-    _conj = staticmethod(FScalar.conjugate)
+    _parts = staticmethod(_graded_parts)
 
     def __init__(self, sig, rank, degree, terms):
         self._set(sig, rank, degree, terms)
@@ -527,8 +565,11 @@ class _Graded(_Alternating):
     def _coeff_str(c) -> str:
         return f"[{c.to_str()}]"
 
-    def _like(self, degree, terms):
-        return type(self)(self.sig, self.rank, degree, terms)
+    def _from_parts(self, parts: dict) -> FScalar:
+        return _fscalar(self.sig, parts)
+
+    def _build(self, degree, terms):
+        return _unchecked(type(self), self.sig, self.rank, degree, terms)
 
     def _zero_coeff(self) -> FScalar:
         return FScalar.zero(self.sig)
@@ -554,14 +595,6 @@ class Multivector(_Graded):
         for (i,), c in self.terms.items():
             out[i] = c.grade_zero_elem()
         return out
-
-
-def _multivector(sig, rank, degree, terms) -> Multivector:
-    """Unchecked constructor: strictly increasing degree-long indices below rank, nonzero FScalars."""
-    P = object.__new__(Multivector)
-    for name, value in (("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms)):
-        object.__setattr__(P, name, value)
-    return P
 
 
 class FForm(_Graded):
@@ -596,16 +629,6 @@ def aform_to_fform(w: AForm, grade: int | None = None) -> FForm:
     )
 
 
-def fform_to_aform(w: FForm, rank_v: int = 1, vvalued: bool = True) -> AForm:
-    grade = 1 if vvalued else 0
-    terms = {}
-    for I, c in w.terms.items():
-        if set(c.grades()) - {grade}:
-            raise ExteriorError("graded form is not homogeneous of the expected grade")
-        terms[I] = (c.get(grade),)
-    return AForm(w.sig, w.rank, rank_v, vvalued, w.degree, terms)
-
-
 # -- the four spec operations -------------------------------------------------
 
 
@@ -629,7 +652,7 @@ def _contraction(pairs, target: _Alternating, degree: int, remove) -> _Alternati
             for I, v in target.terms.items():
                 hit = remove(S, I)
                 if hit is not None:
-                    yield hit[0], hit[1], target._prod(v, c)
+                    yield hit[0], hit[1], v, c
 
     return target.collect(degree, items())
 
@@ -670,11 +693,6 @@ def pair_eval(w, P: Multivector) -> FScalar:
         w = aform_to_fform(w)
     if w.sig != P.sig or w.rank != P.rank:
         raise ExteriorError("pairing across different frames")
-    total = FScalar.zero(w.sig)
     if w.degree != P.degree:
-        return total
-    for I, c in w.terms.items():
-        v = P.terms.get(I)
-        if v is not None:
-            total = total + c * v
-    return total
+        return FScalar.zero(w.sig)
+    return _fsum(w.sig, ((1, c, P.terms[I]) for I, c in w.terms.items() if I in P.terms))

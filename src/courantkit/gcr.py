@@ -249,18 +249,9 @@ def extract_bivector(S: GCRStructure) -> Multivector:
     sig = alg.sig
     h, r = S.hb.h, alg.rank
     M = S.hb.dist.h_rows()
-    full = [[sig.zero()] * r for _ in range(r)]
-    for m in range(r):
-        for mp in range(r):
-            acc = sig.zero()
-            for a in range(h):
-                if M[a][mp].is_zero():
-                    continue
-                for b in range(h):
-                    if S.j[a][h + b].is_zero() or M[b][m].is_zero():
-                        continue
-                    acc = acc + S.j[a][h + b] * M[b][m] * M[a][mp]
-            full[m][mp] = acc
+    # full[m][mp] = sum_{a,b} J[a][h + b] M[b][m] M[a][mp], that is (J_12 M)^T M
+    JM = linalg.mat_mul(sig, [row[h:] for row in S.j[:h]], M)
+    full = linalg.mat_mul(sig, [list(col) for col in zip(*JM)], M)
     for m in range(r):
         for mp in range(m, r):
             if not (full[m][mp] + full[mp][m]).is_zero():

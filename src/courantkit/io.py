@@ -484,12 +484,15 @@ def loads_json(text: str, path: str = "$"):
     """JSON text to a document; syntax errors keep their position.
 
     path names the document in the error, "$.e1" for the --e1 argument.
+    Nesting deeper than the decoder's recursion allows is an error at path too.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
         where = f"line {ex.lineno} column {ex.colno}"
         raise SchemaError(f"invalid JSON: {ex.msg} ({where})", path) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays and objects nest too deeply", path) from None
 
 
 def loads_definition(text: str) -> dict:

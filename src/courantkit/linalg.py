@@ -38,13 +38,14 @@ def identity(sig: RingSignature, n: int) -> list:
 def mat_mul(sig: RingSignature, A, B) -> list:
     if A and B and len(A[0]) != len(B):
         raise LinalgError("shape mismatch in product")
-    return [
-        [
-            sum((A[i][k] * B[k][j] for k in range(len(B))), sig.zero())
-            for j in range(len(B[0]) if B else 0)
-        ]
-        for i in range(len(A))
-    ]
+    out = [[Accumulator(sig) for _ in (B[0] if B else ())] for _ in A]
+    for row, line in zip(A, out):
+        for a, brow in zip(row, B):
+            if a.terms:
+                for acc, b in zip(line, brow):
+                    if b.terms:
+                        acc.add_product(a, b)
+    return [[acc.elem() for acc in line] for line in out]
 
 
 class Echelon:
@@ -229,22 +230,20 @@ def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) ->
         m for m in product(range(max_degree + 1), repeat=sig.ncoords) if sum(m) <= max_degree
     )
     unknowns = [(sig.monomial(m), b) for m in monos for b in range(width)]
-    eq_index: dict = {}
-    rows: list = []
+    eqs: dict = {}  # (key, monomial) -> one equation, an Accumulator per unknown
     for col, (mono, b) in enumerate(unknowns):
         for key, elem in image(b, mono):
             for mkey, coeff in elem.terms.items():
-                if (key, mkey) not in eq_index:
-                    eq_index[(key, mkey)] = len(rows)
-                    rows.append([sig.zero()] * len(unknowns))
-                row = rows[eq_index[(key, mkey)]]
-                row[col] = row[col] + sig.const(coeff)
+                row = eqs.get((key, mkey))
+                if row is None:
+                    row = eqs[key, mkey] = [Accumulator(sig) for _ in unknowns]
+                row[col].add(sig.const(coeff))
+    rows = [[acc.elem() for acc in row] for row in eqs.values()]
     sols = nullspace(sig, rows)[0] if rows else identity(sig, len(unknowns))
     out = []
     for sol in sols:
-        vec = [sig.zero()] * width
+        vec = [Accumulator(sig) for _ in range(width)]
         for c, (mono, b) in zip(sol, unknowns):
-            if not c.is_zero():
-                vec[b] = vec[b] + c * mono
-        out.append(vec)
+            vec[b].add_product(c, mono)
+        out.append([acc.elem() for acc in vec])
     return out

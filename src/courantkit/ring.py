@@ -239,7 +239,6 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
     return _gr(a, b, d)
 
 
-GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
 
@@ -398,16 +397,6 @@ class RingElem:
         if len(self.terms) != 1:
             return False
         return not any(next(iter(self.terms)))
-
-    def constant_value(self) -> GaussRat:
-        if self.is_zero():
-            return GR_ZERO
-        if not self.is_constant():
-            raise RingError("element is not constant")
-        return next(iter(self.terms.values()))
-
-    def is_real(self) -> bool:
-        return not any(c._b for c in self.terms.values())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -782,13 +771,15 @@ def coerce_elem(sig: RingSignature, value) -> RingElem:
 # (Laurent-monomial) divisors only.  'i' is rejected for rational-mode rings.
 # Input budgets: '^' takes exponents up to MAX_EXPONENT in absolute value, no
 # value built while reading (sums, products, the squares inside a power) may
-# exceed MAX_TERMS terms, and a literal has at most MAX_LITERAL_DIGITS digits;
-# a breach is a ParseError at the operator or literal.  io reads the rationals
-# of a document under the same MAX_LITERAL_DIGITS.
+# exceed MAX_TERMS terms, a literal has at most MAX_LITERAL_DIGITS digits and
+# parentheses nest at most MAX_NESTING deep (the parser recurses once per
+# level); a breach is a ParseError at the operator, literal or '('.  io reads
+# the rationals of a document under the same MAX_LITERAL_DIGITS.
 
 MAX_EXPONENT = 64
 MAX_TERMS = 200
 MAX_LITERAL_DIGITS = 4300
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -796,6 +787,7 @@ class _Parser:
         self.sig = sig
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> RingElem:
         value = self.expr()
@@ -897,11 +889,15 @@ class _Parser:
         ch = self.peek()
         at = self.pos
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}", at)
+            self.depth += 1
             self.pos += 1
             value = self.expr()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             num = self.digits("number")

@@ -15,18 +15,18 @@ formula (Marle 1997), positions a, b counted from 0:
 (-1)^(p-1-a) and (-1)^a are the signs of rear and front contraction by
 e_{i_a}; each wedge contributes the shuffle sign of its merged indices.
 
-`schouten` sums the formula in place: each product of ring elements goes
-straight into one table, multi-index -> grade -> `ring.Accumulator`, at the
-sum of the grades and with its sign, and the output is built once from the
-table, with zero grades and empty indices dropped.  e_i.w is computed once
-per frame index and operand term in each call, and v w only for a pair of
-terms that meets a nonzero structure function.
+`schouten` hands the formula to one `Multivector.collect` as items
+(K, sign, v, e_i.w) and (K, sign, v w, c_ij^k): collect multiplies their
+parts grade by grade and sums every product in place, one `ring.Accumulator`
+per (multi-index, grade), like every other alternating sum.  e_i.w is
+computed once per frame index and operand term in each call, and v w only
+for a pair of terms that meets a nonzero structure function.
 
 An independent operator identity (insertion operators and the differential)
 is used by the tests as an oracle, so the combinatorial signs here are checked
 against the calculus rather than against themselves; the same formula summed
-as a collect over FScalar products (tests/schouten_oracle.py) checks the
-in-place sums.
+term by term with plain ring arithmetic (tests/schouten_oracle.py) checks the
+sums.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .exterior import (
     FScalar,
     Multivector,
     _fscalar,
-    _multivector,
     aform_to_fform,
     breve_contract,
     contract_front_multi,
@@ -50,36 +49,21 @@ from .exterior import (
     pair_eval,
     wedge,
 )
-from .ring import Accumulator, coerce_elem
+from .ring import coerce_elem
 
 
 class SchoutenError(ValueError):
     pass
 
 
-def _add_graded(row: dict, sig, x: dict, y: dict, sign: int) -> dict:
-    """row[g1 + g2] += sign * x[g1] * y[g2] over grade -> RingElem maps x, y.
-
-    row maps each grade to one Accumulator; returns row.
-    """
-    for g1, e1 in x.items():
-        for g2, e2 in y.items():
-            acc = row.get(g1 + g2)
-            if acc is None:
-                acc = row[g1 + g2] = Accumulator(sig)
-            acc.add_product(e1, e2, sign)
-    return row
-
-
 def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
-    """Graded Schouten bracket of multivectors: the closed formula, summed in place."""
+    """Graded Schouten bracket of multivectors: the closed formula, in one collect."""
     if any(M.sig != alg.sig or M.rank != alg.rank for M in (P, Q)):
         raise SchoutenError("multivectors do not live on this algebroid")
     if alg.rank_v != 1:
         raise SchoutenError("graded bracket requires a rank-one module")
     sig = alg.sig
     swap = -1 if ((P.degree - 1) * (Q.degree - 1)) % 2 else 1
-    table: dict = {}
     # e_i.w by (i, id(w)): the operand terms outlive this call's dict, so no
     # id is reused while it is read
     actions: dict = {}
@@ -94,52 +78,39 @@ def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
                 if a is None:
                     a = actions[i, id(w)] = alg.act_graded(i, w)
                 if a:
-                    row = table.setdefault(hit[0], {})
-                    _add_graded(row, sig, v.parts, a.parts, sign * s * hit[1])
+                    yield hit[0], sign * s * hit[1], v, a
 
-    for I, v in P.terms.items():
-        for J, w in Q.terms.items():
-            acted(I, v, J, w, 1)
-            acted(J, w, I, v, -swap)
-            vw = None
-            for i in I:
-                I_rest, si = contract_front_multi((i,), I)
-                for j in J:
-                    if i == j:
-                        continue
-                    # c_ij^k, read from the stored half of the skew table
-                    cs = alg.structure.get((i, j) if i < j else (j, i))
-                    if cs is None:
-                        continue
-                    J_rest, sj = contract_front_multi((j,), J)
-                    hit = merge_indices(I_rest, J_rest)
-                    if hit is None:
-                        continue
-                    sign = si * sj * hit[1] * (1 if i < j else -1)
-                    for k, c in enumerate(cs):
-                        if not c.terms:
+    def items():
+        for I, v in P.terms.items():
+            for J, w in Q.terms.items():
+                yield from acted(I, v, J, w, 1)
+                yield from acted(J, w, I, v, -swap)
+                vw = None
+                for i in I:
+                    I_rest, si = contract_front_multi((i,), I)
+                    for j in J:
+                        if i == j:
                             continue
-                        top = insert_index(k, hit[0])
-                        if top is None:
+                        # c_ij^k, read from the stored half of the skew table
+                        cs = alg.structure.get((i, j) if i < j else (j, i))
+                        if cs is None:
                             continue
-                        if vw is None:
-                            vw = {
-                                g: acc.elem()
-                                for g, acc in _add_graded({}, sig, v.parts, w.parts, 1).items()
-                            }
-                        row = table.setdefault(top[0], {})
-                        _add_graded(row, sig, vw, {0: c}, sign * top[1])
+                        J_rest, sj = contract_front_multi((j,), J)
+                        hit = merge_indices(I_rest, J_rest)
+                        if hit is None:
+                            continue
+                        sign = si * sj * hit[1] * (1 if i < j else -1)
+                        for k, c in enumerate(cs):
+                            if not c.terms:
+                                continue
+                            top = insert_index(k, hit[0])
+                            if top is None:
+                                continue
+                            if vw is None:
+                                vw = v * w
+                            yield top[0], sign * top[1], vw, _fscalar(sig, {0: c})
 
-    terms = {}
-    for K, row in table.items():
-        parts = {}
-        for g, acc in row.items():
-            e = acc.elem()
-            if e.terms:
-                parts[g] = e
-        if parts:
-            terms[K] = _fscalar(sig, parts)
-    return _multivector(sig, alg.rank, max(P.degree + Q.degree - 1, 0), terms)
+    return P.collect(max(P.degree + Q.degree - 1, 0), items())
 
 
 # -- skew maps and their structures -------------------------------------------

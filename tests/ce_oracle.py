@@ -11,7 +11,11 @@ from itertools import combinations
 
 
 def _const(e) -> Fraction:
-    v = e.constant_value()
+    if not e.terms:
+        return Fraction(0)
+    ((key, v),) = e.terms.items()
+    if any(key):
+        raise ValueError("oracle handles constant structure functions only")
     if v.im != 0:
         raise ValueError("oracle handles rational structure constants only")
     return v.re

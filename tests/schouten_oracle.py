@@ -1,11 +1,14 @@
-"""The graded Schouten bracket as a collect over FScalar products, as an oracle.
+"""The graded Schouten bracket summed term by term with plain ring arithmetic, as an oracle.
 
-The closed frame formula of `courantkit.schouten`, summed term by term: every
-product v (e_i.w) and (v w) c_ij^k is formed as an FScalar and merged through
-`FScalar.__add__` in `Multivector.collect`, with e_i.w formed afresh for every
-pair of terms and v w for every pair, whether or not a structure function
-meets it.  `schouten.schouten` sums the same terms in place; the two agree on
-every presentation, whether or not it satisfies the axioms.
+The closed frame formula of `courantkit.schouten`, summed on its own: every
+product v (e_i.w) and (v w) c_ij^k is multiplied grade by grade with
+`RingElem.__mul__` and added into a table, multi-index -> grade -> RingElem,
+with `RingElem.__add__`; e_i.w is formed afresh for every pair of terms and
+v w for every pair, whether or not a structure function meets it.  No
+`collect` and no FScalar arithmetic is used; the checked constructors build
+the result.  `schouten.schouten` sums the same terms through
+`Multivector.collect`; the two agree on every presentation, whether or not
+it satisfies the axioms.
 """
 
 from itertools import combinations
@@ -21,12 +24,29 @@ from courantkit.exterior import (
 from courantkit.schouten import SchoutenError
 
 
-def collect_schouten(alg, P, Q):
+def _times(x: dict, y: dict) -> dict:
+    """Grade -> RingElem product of two grade -> RingElem maps."""
+    out = {}
+    for g1, e1 in x.items():
+        for g2, e2 in y.items():
+            p = e1 * e2
+            out[g1 + g2] = out[g1 + g2] + p if g1 + g2 in out else p
+    return out
+
+
+def termwise_schouten(alg, P, Q):
     if any(M.sig != alg.sig or M.rank != alg.rank for M in (P, Q)):
         raise SchoutenError("multivectors do not live on this algebroid")
     if alg.rank_v != 1:
         raise SchoutenError("graded bracket requires a rank-one module")
     swap = -1 if ((P.degree - 1) * (Q.degree - 1)) % 2 else 1
+    table = {}
+
+    def add(K, sign, parts):
+        row = table.setdefault(K, {})
+        for g, e in parts.items():
+            e = e if sign > 0 else -e
+            row[g] = row[g] + e if g in row else e
 
     def acted(I, v, J, w, sign):
         # sign * v [e_I, w] ^ e_J
@@ -34,29 +54,27 @@ def collect_schouten(alg, P, Q):
             rest, s = contract_rear_multi((i,), I)
             hit = merge_indices(rest, J)
             if hit is not None:
-                a = alg.act_graded(i, w)
-                if a:
-                    yield hit[0], sign * s * hit[1], v * a
+                add(hit[0], sign * s * hit[1], _times(v.parts, alg.act_graded(i, w).parts))
 
-    def items():
-        for I, v in P.terms.items():
-            for J, w in Q.terms.items():
-                yield from acted(I, v, J, w, 1)
-                yield from acted(J, w, I, v, -swap)
-                vw = v * w
-                for i in I:
-                    I_rest, si = contract_front_multi((i,), I)
-                    for j in J:
-                        J_rest, sj = contract_front_multi((j,), J)
-                        hit = merge_indices(I_rest, J_rest)
-                        if hit is None:
-                            continue
-                        for k, c in enumerate(alg.frame_bracket(i, j)):
-                            top = insert_index(k, hit[0])
-                            if top is not None and not c.is_zero():
-                                yield top[0], si * sj * hit[1] * top[1], vw * c
+    for I, v in P.terms.items():
+        for J, w in Q.terms.items():
+            acted(I, v, J, w, 1)
+            acted(J, w, I, v, -swap)
+            vw = _times(v.parts, w.parts)
+            for i in I:
+                I_rest, si = contract_front_multi((i,), I)
+                for j in J:
+                    J_rest, sj = contract_front_multi((j,), J)
+                    hit = merge_indices(I_rest, J_rest)
+                    if hit is None:
+                        continue
+                    for k, c in enumerate(alg.frame_bracket(i, j)):
+                        top = insert_index(k, hit[0])
+                        if top is not None and not c.is_zero():
+                            add(top[0], si * sj * hit[1] * top[1], _times(vw, {0: c}))
 
-    return P.collect(max(P.degree + Q.degree - 1, 0), items())
+    terms = {K: FScalar(alg.sig, row) for K, row in table.items()}
+    return Multivector(alg.sig, alg.rank, max(P.degree + Q.degree - 1, 0), terms)
 
 
 def mixed_multivector(rng, alg, degree, grades=(-2, -1, 0, 1, 2)):

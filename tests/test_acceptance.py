@@ -316,8 +316,8 @@ def test_c08_schouten_suite_100_triples():
         assert schouten(alg, X, Y).equals(
             Multivector(alg.sig, alg.rank, 1, {(i,): FScalar.of(c) for i, c in enumerate(XY)})
         )
-        acted = alg.apply_anchor(
-            flat_coeffs(X), g.terms.get((), FScalar.zero(alg.sig)).get(0)
+        acted = alg.derivation(
+            alg.anchor_vector(flat_coeffs(X)), g.terms.get((), FScalar.zero(alg.sig)).get(0)
         )
         assert schouten(alg, X, g).equals(
             Multivector(alg.sig, alg.rank, 0, {(): FScalar.of(acted)})

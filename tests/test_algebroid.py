@@ -4,7 +4,7 @@ from courantkit import catalog
 from courantkit.algebroid import MAX_VALIDATE_RANK, Algebroid, CochainLimitError, RankLimitError
 from courantkit.courant import CourantPresentation
 from courantkit.exterior import AForm, contract
-from courantkit.ring import RingSignature
+from courantkit.ring import RingElem, RingSignature
 from courantkit.sampling import SplitMix
 
 
@@ -207,8 +207,10 @@ def test_lie_function_linearity_with_leibniz_correction():
                 1,
                 {
                     (i,): (
-                        alg.apply_anchor(
-                            [sig.one() if j == i else sig.zero() for j in range(alg.rank)],
+                        alg.derivation(
+                            alg.anchor_vector(
+                                [sig.one() if j == i else sig.zero() for j in range(alg.rank)]
+                            ),
                             f,
                         ),
                     )
@@ -221,3 +223,44 @@ def test_lie_function_linearity_with_leibniz_correction():
             assert alg.lie(fX, w).equals(alg.lie(X, w).scale(f) + corr)
             w0 = rand_vform(rng, alg, 0)
             assert alg.lie(fX, w0).equals(alg.lie(X, w0).scale(f))
+
+
+def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
+    # no RingElem.__add__ inside Algebroid.bracket, on random sections of every
+    # catalog algebroid and in validate's Jacobi sweep; the values are those
+    # of the term-by-term formula
+    rng = SplitMix(239)
+    cases = []
+    for name in catalog.names():
+        alg = catalog.load(name)["algebroid"]
+        X, Y = ([rng.ring_elem(alg.sig, 2, 3) for _ in range(alg.rank)] for _ in range(2))
+        ax, ay = alg.anchor_vector(X), alg.anchor_vector(Y)
+        want = [alg.derivation(ax, y) - alg.derivation(ay, x) for x, y in zip(X, Y)]
+        for i in range(alg.rank):
+            for j in range(alg.rank):
+                for k, c in enumerate(alg.frame_bracket(i, j)):
+                    want[k] = want[k] + X[i] * Y[j] * c
+        cases.append((alg, X, Y, want))
+    adds, depth, brackets = [0], [0], [0]
+    real_bracket, real_add = Algebroid.bracket, RingElem.__add__
+
+    def bracket(self, X, Y):
+        brackets[0] += 1
+        depth[0] += 1
+        try:
+            return real_bracket(self, X, Y)
+        finally:
+            depth[0] -= 1
+
+    def add(self, other):
+        adds[0] += depth[0] > 0
+        return real_add(self, other)
+
+    monkeypatch.setattr(Algebroid, "bracket", bracket)
+    monkeypatch.setattr(RingElem, "__add__", add)
+    for alg, X, Y, want in cases:
+        assert alg.bracket(X, Y) == want
+        if alg.rank <= 5:
+            alg.validate()
+    assert brackets[0] > 100
+    assert adds[0] == 0

@@ -430,6 +430,37 @@ def test_oversized_ring_expression_exits_2_quickly(entry, text, message):
     assert r.stderr.strip().endswith("(at $.anchor[0][0])")
 
 
+def test_deeply_nested_ring_expression_exits_2_at_its_path_and_position(tmp_path):
+    from courantkit.ring import MAX_NESTING
+
+    doc = json.loads(build_doc("tangent-r2"))
+    doc["anchor"][0][0] = "(" * 400 + "x" + ")" * 400
+    defs = tmp_path / "deep.json"
+    defs.write_text(json.dumps(doc))
+    r = run_cli("validate", "--defs", str(defs))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == (
+        f"error: parentheses nest deeper than the limit of {MAX_NESTING}"
+        f" (at position {MAX_NESTING}) (at $.anchor[0][0])"
+    )
+
+
+def test_deeply_nested_json_on_stdin_exits_2_at_the_root():
+    r = run_cli("validate", stdin="[" * 200000)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == "error: invalid JSON: arrays and objects nest too deeply (at $)"
+
+
+def test_deeply_nested_json_in_a_flag_exits_2_at_that_flag(tmp_path):
+    defs = tmp_path / "contact-r3.json"
+    defs.write_text(build_doc("contact-r3"))
+    r = run_cli("check-jacobi", "--defs", str(defs), "--lambda", "[" * 20000, "--e", '{"degree":1}')
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == (
+        "error: invalid JSON: arrays and objects nest too deeply (at $.lambda)"
+    )
+
+
 def test_oversized_module_rank_exits_2_fast():
     # without an action the constructor would build rankV x rankV zero matrices
     from courantkit.algebroid import MAX_MODULE_RANK
@@ -525,7 +556,7 @@ def test_grades_have_one_spelling(tmp_path):
     assert (code, out) == (2, "")
     assert err.strip() == "error: bad grade '00' (at $.lambda.terms['1,2'])"
     sig = catalog.load("contact-r3")["algebroid"].sig
-    assert io.fscalar_from_json(sig, {"-1": "x", "2": "1"}, "$").grades() == [-1, 2]
+    assert sorted(io.fscalar_from_json(sig, {"-1": "x", "2": "1"}, "$").parts) == [-1, 2]
 
 
 @pytest.mark.parametrize("flag", ["--e1", "--e2", "--lambda", "--e", "--subbundle", "--gcr"])

@@ -68,7 +68,7 @@ def test_bracket_function_leibniz_rule():
     e1 = C.frame_section(0)
     e2 = C.frame_section(2)
     lhs = C.bracket(e1, e2.scale(f))
-    rhs = C.bracket(e1, e2).scale(f) + e2.scale(alg.apply_anchor(e1.x, f))
+    rhs = C.bracket(e1, e2).scale(f) + e2.scale(alg.derivation(alg.anchor_vector(e1.x), f))
     assert lhs.equals(rhs)
 
 

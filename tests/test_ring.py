@@ -37,7 +37,7 @@ def test_constants_and_generators():
     one = SIG.one()
     x = SIG.coord("x")
     u = SIG.exp_gen("Et")
-    assert one.is_constant() and one.constant_value() == GaussRat(1, 0)
+    assert one.is_constant() and one.terms == {(0, 0, 0): GaussRat(1, 0)}
     assert not x.is_constant()
     assert (x * SIG.zero()).is_zero()
     assert u.partial("y") == u  # derivative row (0, 1)
@@ -145,6 +145,20 @@ def test_parse_budgets():
         acc = acc * p
 
 
+def test_parenthesis_nesting_budget():
+    from courantkit.ring import MAX_NESTING
+
+    x = SIG.coord("x")
+    assert SIG.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+    # nesting that closes before the next group opens does not add up
+    assert SIG.parse(" + ".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 3)) == 3 * x
+    for depth, lead in ((MAX_NESTING + 1, "1 + "), (400, ""), (20000, "x*")):
+        with pytest.raises(ParseError, match="nest deeper") as ex:
+            SIG.parse(lead + "(" * depth + "x" + ")" * depth)
+        # the error sits at the first '(' beyond the budget
+        assert ex.value.pos == len(lead) + MAX_NESTING
+
+
 def test_literal_digit_budget_does_not_follow_the_runtime_limit():
     from courantkit.ring import MAX_LITERAL_DIGITS
 
@@ -186,7 +200,7 @@ def test_rational_mode_rejects_imaginary():
         rat.parse("i*x")
     # gaussian mode accepts it
     gau = RingSignature(("x",))
-    assert not gau.parse("i*x").is_real()
+    assert [c.im for c in gau.parse("i*x").terms.values()] == [1]
 
 
 def test_signature_name_rules():

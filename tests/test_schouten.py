@@ -9,7 +9,7 @@ from courantkit.exterior import (
     FForm,
     FScalar,
     Multivector,
-    _Graded,
+    _Alternating,
     breve_contract,
     contract_rear_multi,
     iota,
@@ -40,7 +40,7 @@ from courantkit.schouten import (
 )
 
 from cartan_oracle import random_presentation
-from schouten_oracle import collect_schouten, mixed_multivector
+from schouten_oracle import mixed_multivector, termwise_schouten
 
 # the package exports the function under the module's name
 schouten_module = importlib.import_module("courantkit.schouten")
@@ -267,7 +267,7 @@ def test_breve_duality_pairing():
         )
 
 
-# -- the in-place sum against the collect oracle ------------------------------------
+# -- the collect against the term-by-term oracle ----------------------------------
 
 
 def _catalog_algebroids():
@@ -284,11 +284,11 @@ def _agrees_with_oracle(alg, rng, trials, label):
         P, Q = mixed_multivector(rng, alg, p), mixed_multivector(rng, alg, q)
         for A, B in ((P, Q), (Q, P), (P, P)):
             got = schouten(alg, A, B)
-            assert got.equals(collect_schouten(alg, A, B)), (label, A, B)
+            assert got.equals(termwise_schouten(alg, A, B)), (label, A, B)
             assert all(c.parts and all(e.terms for e in c.parts.values()) for c in got.terms.values())
 
 
-def test_schouten_equals_the_collect_oracle_on_every_catalog_algebroid():
+def test_schouten_equals_the_termwise_oracle_on_every_catalog_algebroid():
     rng = SplitMix(101)
     algebroids = list(_catalog_algebroids())
     assert len(algebroids) == 20
@@ -297,10 +297,10 @@ def test_schouten_equals_the_collect_oracle_on_every_catalog_algebroid():
     # the catalog's own Jacobi pair, both brackets of check_jacobi_pair
     alg, lam, e = contact_pair()
     for A, B in ((lam, lam), (lam, e), (e, lam)):
-        assert schouten(alg, A, B).equals(collect_schouten(alg, A, B))
+        assert schouten(alg, A, B).equals(termwise_schouten(alg, A, B))
 
 
-def test_schouten_equals_the_collect_oracle_on_random_presentations():
+def test_schouten_equals_the_termwise_oracle_on_random_presentations():
     # Q(i) with an exponential generator; function-valued anchor, every
     # structure function and Theta drawn, so the grade * theta term of e_i.w
     # and the structure term are both live
@@ -311,10 +311,10 @@ def test_schouten_equals_the_collect_oracle_on_random_presentations():
 
 
 def _calls_inside_schouten(monkeypatch, targets) -> dict:
-    """Count calls of each (owner, name, static) target made while schouten runs."""
+    """Count calls of each (owner, name) target made while schouten runs."""
     counts = {}
     depth = [0]
-    for owner, name, static in targets:
+    for owner, name in targets:
         real = getattr(owner, name)
         key = f"{owner.__name__}.{name}"
         counts[key] = 0
@@ -323,7 +323,7 @@ def _calls_inside_schouten(monkeypatch, targets) -> dict:
             counts[key] += depth[0] > 0
             return real(*args)
 
-        monkeypatch.setattr(owner, name, staticmethod(wrapped) if static else wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
     real_schouten = schouten_module.schouten
 
     def counted_schouten(*args):
@@ -339,20 +339,20 @@ def _calls_inside_schouten(monkeypatch, targets) -> dict:
 
 
 def test_check_jacobi_pair_adds_nothing_inside_schouten(monkeypatch):
-    # every sum inside the bracket is an Accumulator; _Graded._plus is the
-    # alias of FScalar.__add__ that Multivector.collect calls
+    # every sum inside the bracket is an Accumulator, reached through exactly
+    # one Multivector.collect per bracket
     alg, lam, e = contact_pair()
     counts = _calls_inside_schouten(
         monkeypatch,
         [
-            (RingElem, "__add__", False),
-            (FScalar, "__add__", False),
-            (_Graded, "_plus", True),
+            (RingElem, "__add__"),
+            (FScalar, "__add__"),
+            (_Alternating, "collect"),
         ],
     )
     assert schouten_module.check_jacobi_pair(alg, lam, e)["ok"]
     assert counts == {
-        "RingElem.__add__": 0, "FScalar.__add__": 0, "_Graded._plus": 0, "schouten": 2
+        "RingElem.__add__": 0, "FScalar.__add__": 0, "_Alternating.collect": 2, "schouten": 2
     }
 
 
