@@ -182,11 +182,17 @@ class Algebroid:
                 out.add_product(vj, f.partial(name))
         return out.elem()
 
-    def commutator(self, v, w) -> list:
-        """Commutator of two coordinate derivations, as a coefficient vector."""
-        return [
-            self.derivation(v, w[m]) - self.derivation(w, v[m]) for m in range(self.sig.ncoords)
-        ]
+    def commutator(self, v, w, minus=None) -> list:
+        """[v, w] of two coordinate derivations as a coefficient vector, less minus if given."""
+        out = []
+        for m in range(self.sig.ncoords):
+            acc = Accumulator(self.sig)
+            acc.add(self.derivation(v, w[m]))
+            acc.add(self.derivation(w, v[m]), -1)
+            if minus is not None:
+                acc.add(minus[m], -1)
+            out.append(acc.elem())
+        return out
 
     def apply_frame_anchor(self, i: int, f: RingElem) -> RingElem:
         return self.derivation(self.anchor[i], f)
@@ -376,34 +382,40 @@ class Algebroid:
         return w.collect(w.degree, items())
 
     # -- validation -------------------------------------------------------------
+    # Each defect entry is one Accumulator of signed terms: validate builds no
+    # RingElem sum and, for i < j < k, no negated structure vector.
 
     def jacobi_defect(self, i: int, j: int, k: int) -> list:
-        # frame sections have constant coefficients, so the anchor terms of an
-        # inner bracket vanish and [e_j, e_k] is frame_bracket(j, k) exactly
-        e = self.frame_section
-        t1 = self.bracket(e(i), self.frame_bracket(j, k))
-        t2 = self.bracket(e(j), self.frame_bracket(k, i))
-        t3 = self.bracket(e(k), self.frame_bracket(i, j))
-        return [a + b + c for a, b, c in zip(t1, t2, t3)]
+        # frame sections have constant coefficients, so an inner bracket is
+        # frame_bracket exactly; [e_j, [e_k, e_i]] enters as -[e_j, [e_i, e_k]]
+        out = [Accumulator(self.sig) for _ in range(self.rank)]
+        for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
+            for acc, t in zip(out, self.bracket(self.frame_section(a), self.frame_bracket(b, c))):
+                acc.add(t, sign)
+        return [acc.elem() for acc in out]
 
     def anchor_defect(self, i: int, j: int) -> list:
         """[a(e_i), a(e_j)] - a([e_i, e_j]) as a coordinate-derivation vector."""
         br = self.anchor_vector(self.frame_bracket(i, j))
-        return [a - b for a, b in zip(self.commutator(self.anchor[i], self.anchor[j]), br)]
+        return self.commutator(self.anchor[i], self.anchor[j], br)
 
     def curvature(self, i: int, j: int) -> list:
-        """R(e_i, e_j) on the module frame, as a rank_v x rank_v matrix."""
+        """R(e_i, e_j) on the module frame, as a rank_v x rank_v matrix:
+        a(e_i) Theta_j - a(e_j) Theta_i - Theta_[e_i,e_j] + Theta_j Theta_i - Theta_i Theta_j."""
         ti, tj = self.theta[i], self.theta[j]
         tij = self._connection(self.frame_bracket(i, j))
         out = []
         for b in range(self.rank_v):
-            row = [
-                self.apply_frame_anchor(i, tj[b][c]) - self.apply_frame_anchor(j, ti[b][c])
-                - tij[b][c]
-                for c in range(self.rank_v)
-            ]
-            _vec_mat(tj[b], ti, row)
-            _vec_mat([-t for t in ti[b]], tj, row)
+            row = []
+            for c in range(self.rank_v):
+                acc = Accumulator(self.sig)
+                acc.add(self.apply_frame_anchor(i, tj[b][c]))
+                acc.add(self.apply_frame_anchor(j, ti[b][c]), -1)
+                acc.add(tij[b][c], -1)
+                for d in range(self.rank_v):
+                    acc.add_product(tj[b][d], ti[d][c])
+                    acc.add_product(ti[b][d], tj[d][c], -1)
+                row.append(acc.elem())
             out.append(row)
         return out
 

@@ -1,8 +1,8 @@
 """Module-twisted Courant structures on A + V (x) A*.
 
 A presentation consists of a validated algebroid and a module-valued 3-form
-twist H.  Sections are pairs (X, xi) with X a plain section and xi a
-module-valued 1-form; the operations are
+twist H.  Sections X + xi, a plain section X plus a module-valued 1-form
+xi, are stored as their coordinates in the frame below; the operations are
 
     <X+xi, Y+eta> = eta(X) + xi(Y)                      (module-valued pairing)
     [[X+xi, Y+eta]] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H
@@ -20,7 +20,7 @@ The bracket from the frame structure tensor
 
 The full frame E_1..E_n, n = r(1+s) for rank r and module rank s, lists the
 sections e_i (i < r) and then the coframe legs eps^j (x) u_b at position
-r + j*s + b, the order of `CSection.coordinates`.  The bracket above obeys two
+r + j*s + b, the order `CSection` stores them in.  The bracket above obeys two
 Leibniz rules in the functions f, g:
 
     [[e, g e']] = g [[e, e']] + rho(e)(g) e'
@@ -87,18 +87,21 @@ class SweepLimitError(CourantError):
 
 
 class CSection:
-    """Section of the extension: a plain section plus a module-valued 1-form.
+    """Section of the extension, stored as one immutable tuple of frame coordinates.
 
-    The slot _rows is set once a bracket asks for the anchored derivatives
-    of the coordinates, and holds them with the Algebroid whose anchor gave
-    them (see `_anchored`); it is the only slot written after construction.
+    The n = r(1+s) coordinates are in frame order, e_i at i and eps^j (x) u_b
+    at r + j*s + b.  `x` (a fresh list) and `xi` (an AForm built on demand)
+    are read-only views; the public constructor takes these two parts and
+    checks them.  _rows, set once a bracket asks for the anchored derivatives
+    of the coordinates, holds them with the Algebroid whose anchor gave them
+    (see `_anchored`); it is the only slot written after construction.
     """
 
-    __slots__ = ("alg", "x", "xi", "_rows")
+    __slots__ = ("alg", "_coords", "_rows")
 
-    def __init__(self, alg: Algebroid, x, xi: AForm | None = None):
-        x = [coerce_elem(alg.sig, c) for c in x]
-        if len(x) != alg.rank:
+    def __new__(cls, alg: Algebroid, x, xi: AForm | None = None):
+        coords = [coerce_elem(alg.sig, c) for c in x]
+        if len(coords) != alg.rank:
             raise CourantError("section coefficients must have length rank")
         if xi is None:
             xi = alg.zero_form(1)
@@ -106,29 +109,42 @@ class CSection:
             raise CourantError("covector part must be a module-valued 1-form")
         if xi.sig != alg.sig or xi.rank != alg.rank or xi.rank_v != alg.rank_v:
             raise CourantError("covector part does not live on this algebroid")
-        _set_alg(self, alg)
-        _set_x(self, x)
-        _set_xi(self, xi)
-        _set_rows(self, None)
+        zero = (alg.sig.zero(),) * alg.rank_v
+        for i in range(alg.rank):
+            coords.extend(xi.terms.get((i,), zero))
+        return _from_coordinates(alg, tuple(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("CSection is immutable")
 
+    @property
+    def x(self) -> list:
+        return list(self._coords[: self.alg.rank])
+
+    @property
+    def xi(self) -> AForm:
+        alg = self.alg
+        return _aform(alg.sig, alg.rank, alg.rank_v, True, 1, {(i,): v for i, v in self._legs()})
+
+    def _legs(self) -> list:
+        """(i, module vector at eps^i) for every nonzero coframe leg, i increasing."""
+        r, s, c = self.alg.rank, self.alg.rank_v, self._coords
+        legs = ((i, c[r + i * s : r + (i + 1) * s]) for i in range(r))
+        return [(i, vec) for i, vec in legs if any(vec)]
+
     def __add__(self, other: "CSection") -> "CSection":
         self._check(other)
-        return CSection(
-            self.alg, [a + b for a, b in zip(self.x, other.x)], self.xi + other.xi
-        )
+        return _combine(self.alg, ((self, 1, None), (other, 1, None)))
 
     def __sub__(self, other: "CSection") -> "CSection":
-        return self + (-other)
+        self._check(other)
+        return _combine(self.alg, ((self, 1, None), (other, -1, None)))
 
     def __neg__(self) -> "CSection":
-        return CSection(self.alg, [-a for a in self.x], -self.xi)
+        return _from_coordinates(self.alg, tuple(-c for c in self._coords))
 
     def scale(self, c) -> "CSection":
-        c = coerce_elem(self.alg.sig, c)
-        return CSection(self.alg, [a * c for a in self.x], self.xi.scale(c))
+        return _combine(self.alg, ((self, 1, coerce_elem(self.alg.sig, c)),))
 
     def __mul__(self, c):
         return self.scale(c)
@@ -136,16 +152,16 @@ class CSection:
     __rmul__ = __mul__
 
     def _check(self, other: "CSection"):
-        if self.alg is not other.alg and self.alg.sig != other.alg.sig:
+        a, b = self.alg, other.alg
+        if a is not b and (a.sig != b.sig or a.rank != b.rank or a.rank_v != b.rank_v):
             raise CourantError("sections from different presentations")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.x) and self.xi.is_zero()
+        return not any(self._coords)
 
     def equals(self, other: "CSection") -> bool:
-        return all((a - b).is_zero() for a, b in zip(self.x, other.x)) and (
-            self.xi.equals(other.xi)
-        )
+        self._check(other)
+        return self._coords == other._coords
 
     def __eq__(self, other):
         if not isinstance(other, CSection):
@@ -153,61 +169,57 @@ class CSection:
         return self.equals(other)
 
     def conjugate(self) -> "CSection":
-        return CSection(self.alg, [c.conjugate() for c in self.x], self.xi.conjugate())
+        return _from_coordinates(self.alg, tuple(c.conjugate() for c in self._coords))
 
     def coordinates(self) -> list:
         """Flat coordinate vector: rank section entries then rank*rank_v form entries."""
-        out = list(self.x)
-        terms, zero = self.xi.terms, (self.alg.sig.zero(),) * self.alg.rank_v
-        for i in range(self.alg.rank):
-            out.extend(terms.get((i,), zero))
-        return out
+        return list(self._coords)
 
     @staticmethod
     def from_coordinates(alg: Algebroid, coords) -> "CSection":
-        coords = [coerce_elem(alg.sig, c) for c in coords]
+        coords = tuple(coerce_elem(alg.sig, c) for c in coords)
         if len(coords) != alg.rank * (1 + alg.rank_v):
             raise CourantError("coordinate vector has the wrong length")
         return _from_coordinates(alg, coords)
 
     def describe(self) -> dict:
         return {
-            "x": [str(c) for c in self.x],
-            "xi": {
-                "+".join(str(i + 1) for i in I): [str(c) for c in vec]
-                for I, vec in self.xi.sorted_terms()
-            },
+            "x": [str(c) for c in self._coords[: self.alg.rank]],
+            "xi": {str(i + 1): [str(c) for c in vec] for i, vec in self._legs()},
         }
 
     def __repr__(self):
         return f"CSection(x={[str(c) for c in self.x]}, xi={self.xi.to_str()})"
 
 
-_set_alg, _set_x, _set_xi, _set_rows = (
-    CSection.alg.__set__, CSection.x.__set__, CSection.xi.__set__, CSection._rows.__set__
-)
-
-
-def _from_coordinates(alg: Algebroid, coords: list) -> CSection:
-    """Unchecked inverse of `CSection.coordinates` for entries over alg.sig."""
-    r, s = alg.rank, alg.rank_v
-    terms = {}
-    for i in range(r):
-        vec = tuple(coords[r + i * s : r + (i + 1) * s])
-        if any(c.terms for c in vec):
-            terms[(i,)] = vec
+def _from_coordinates(alg: Algebroid, coords: tuple) -> CSection:
+    """Unchecked constructor: a tuple of rank * (1 + rank_v) entries over alg.sig."""
     e = object.__new__(CSection)
-    _set_alg(e, alg)
-    _set_x(e, coords[:r])
-    _set_xi(e, _aform(alg.sig, r, s, True, 1, terms))
-    _set_rows(e, None)
+    object.__setattr__(e, "alg", alg)
+    object.__setattr__(e, "_coords", coords)
+    object.__setattr__(e, "_rows", None)
     return e
 
 
-def _anchored(alg: Algebroid, e: CSection, coords: list) -> list:
-    """R[k] = {a: rho_k(coords[a])}, nonzero entries only, per frame section e_k.
+def _combine(alg: Algebroid, items) -> CSection:
+    """The section summing sign * c * e over (e, sign, c) items, c None for 1.
 
-    coords are the coordinates of e.  The rows are kept on e with alg, so a
+    Each coordinate is one Accumulator, reduced once at the end; no negated
+    or scaled copy of a section is built.
+    """
+    one = alg.sig.one()
+    out = [Accumulator(alg.sig) for _ in range(alg.rank * (1 + alg.rank_v))]
+    for e, sign, c in items:
+        for acc, v in zip(out, e._coords):
+            if v.terms:
+                acc.add_product(one if c is None else c, v, sign)
+    return _from_coordinates(alg, tuple(acc.elem() for acc in out))
+
+
+def _anchored(alg: Algebroid, e: CSection) -> list:
+    """R[k] = {a: rho_k(f_a)}, nonzero entries only, per frame section e_k.
+
+    f_a are the coordinates of e.  The rows are kept on e with alg, so a
     section bracketed many times under one algebroid differentiates once;
     rows made under another algebroid, even one of equal signature, are
     computed again.  Constants have zero derivative.
@@ -215,7 +227,7 @@ def _anchored(alg: Algebroid, e: CSection, coords: list) -> list:
     hit = e._rows
     if hit is not None and hit[0] is alg:
         return hit[1]
-    live = [(a, c) for a, c in enumerate(coords) if not c.is_constant()]
+    live = [(a, c) for a, c in enumerate(e._coords) if not c.is_constant()]
     rows = []
     for row in alg.anchor:
         R = {}
@@ -224,7 +236,7 @@ def _anchored(alg: Algebroid, e: CSection, coords: list) -> list:
             if d.terms:
                 R[a] = d
         rows.append(R)
-    _set_rows(e, (alg, rows))
+    object.__setattr__(e, "_rows", (alg, rows))
     return rows
 
 
@@ -332,42 +344,30 @@ class CourantPresentation:
 
     # -- sections ----------------------------------------------------------------
 
-    def section(self, x, xi_terms=None) -> CSection:
-        alg = self.alg
-        if xi_terms is None:
-            xi = alg.zero_form(1)
-        elif isinstance(xi_terms, AForm):
-            xi = xi_terms
-        else:
-            xi = alg.form(1, xi_terms)
-        return CSection(alg, x, xi)
-
     def frame_section(self, i: int) -> CSection:
         return CSection(self.alg, self.alg.frame_section(i))
 
     def coframe_section(self, i: int, b: int = 0) -> CSection:
         vec = [self.alg.sig.zero()] * self.alg.rank_v
         vec[b] = self.alg.sig.one()
-        xi = AForm(self.alg.sig, self.alg.rank, self.alg.rank_v, True, 1, {(i,): tuple(vec)})
-        return CSection(self.alg, self.alg.zero_section(), xi)
+        return CSection(self.alg, self.alg.zero_section(), self.alg.form(1, {(i,): vec}))
 
     def full_frame(self) -> list:
-        out = [self.frame_section(i) for i in range(self.alg.rank)]
-        for i in range(self.alg.rank):
-            for b in range(self.alg.rank_v):
-                out.append(self.coframe_section(i, b))
-        return out
+        """E_1..E_n in storage order: each section has one coordinate 1, the rest 0."""
+        sig, n = self.alg.sig, self.alg.rank * (1 + self.alg.rank_v)
+        units = ((sig.one() if k == a else sig.zero() for k in range(n)) for a in range(n))
+        return [_from_coordinates(self.alg, tuple(u)) for u in units]
 
     # -- structure operations -------------------------------------------------------
 
     def pairing(self, e1: CSection, e2: CSection) -> list:
         """Module-valued symmetric pairing eta(X) + xi(Y)."""
-        out = [Accumulator(self.alg.sig) for _ in range(self.alg.rank_v)]
-        for i in range(self.alg.rank):
-            for x, eta in ((e1.x[i], e2.xi), (e2.x[i], e1.xi)):
-                v = eta.terms.get((i,))
-                if v is not None and x.terms:
-                    for acc, vb in zip(out, v):
+        r, s = self.alg.rank, self.alg.rank_v
+        out = [Accumulator(self.alg.sig) for _ in range(s)]
+        for i in range(r):
+            for x, eta in ((e1._coords[i], e2._coords), (e2._coords[i], e1._coords)):
+                if x.terms:
+                    for acc, vb in zip(out, eta[r + i * s : r + (i + 1) * s]):
                         acc.add_product(x, vb)
         return [acc.elem() for acc in out]
 
@@ -389,7 +389,7 @@ class CourantPresentation:
         """
         alg = self.alg
         r, s = alg.rank, alg.rank_v
-        f, g = e1.coordinates(), e2.coordinates()
+        f, g = e1._coords, e2._coords
         out = [Accumulator(alg.sig) for _ in f]
         for fa, pairs in zip(f, self.tensor):
             if not fa:
@@ -399,7 +399,7 @@ class CourantPresentation:
                     fg = fa * g[b]
                     for k, c in t.items():
                         out[k].add_product(fg, c)
-        rf, rg = _anchored(alg, e1, f), _anchored(alg, e2, g)
+        rf, rg = _anchored(alg, e1), _anchored(alg, e2)
         for k in range(r):
             fk, gk = f[k], g[k]
             if fk:
@@ -418,7 +418,7 @@ class CourantPresentation:
                     i, c = divmod(a - r, s)
                     if g[i]:
                         out[r + k * s + c].add_product(g[i], d)
-        return _from_coordinates(alg, [acc.elem() for acc in out])
+        return _from_coordinates(alg, tuple(acc.elem() for acc in out))
 
     def differential(self, fvec) -> CSection:
         """D f: the image of d f under the coisotropic inclusion."""
@@ -434,7 +434,7 @@ class CourantPresentation:
         t1 = br(e1, br(e2, e3))
         t2 = br(br(e1, e2), e3)
         t3 = br(e2, br(e1, e3))
-        return t1 - t2 - t3
+        return _combine(self.alg, ((t1, 1, None), (t2, -1, None), (t3, -1, None)))
 
     def jacobiator_expected(self, e1: CSection, e2: CSection, e3: CSection) -> CSection:
         """Insertion of the three section legs into dH (zero for a closed twist)."""
@@ -453,9 +453,9 @@ class CourantPresentation:
 
     def symmetric_defect(self, e: CSection, br=None) -> CSection:
         """[[e,e]] - (1/2) D<e,e>."""
-        half = Fraction(1, 2)
-        pe = self.pairing(e, e)
-        return (br or self.bracket)(e, e) - self.differential(pe).scale(half)
+        half = self.alg.sig.const(Fraction(1, 2))
+        De = self.differential(self.pairing(e, e))
+        return _combine(self.alg, (((br or self.bracket)(e, e), 1, None), (De, -1, half)))
 
     def invariance_defect(self, e1: CSection, e2: CSection, e3: CSection, br=None) -> list:
         """nabla_{pi e1} <e2,e3> - <[[e1,e2]], e3> - <e2, [[e1,e3]]>."""
@@ -536,17 +536,13 @@ class CourantPresentation:
         frame = self.full_frame() if frame_sweep else []
 
         def rand_section() -> CSection:
-            x = rng.coeff_vector(alg.sig, alg.rank, max_degree=1, terms=1)
-            terms = {}
-            for i in range(alg.rank):
+            coords = rng.coeff_vector(alg.sig, alg.rank, max_degree=1, terms=1)
+            for _ in range(alg.rank):
                 if rng.randint(0, 1):
-                    vec = tuple(
-                        rng.ring_elem(alg.sig, max_degree=1, terms=1)
-                        for _ in range(alg.rank_v)
-                    )
-                    if any(not c.is_zero() for c in vec):
-                        terms[(i,)] = vec
-            return CSection(alg, x, AForm(alg.sig, alg.rank, alg.rank_v, True, 1, terms))
+                    coords += rng.coeff_vector(alg.sig, alg.rank_v, max_degree=1, terms=1)
+                else:
+                    coords += [alg.sig.zero()] * alg.rank_v
+            return _from_coordinates(alg, tuple(coords))
 
         drawn = [rand_section() for _ in range(samples)]
         randoms = [tuple(rand_section() for _ in range(3)) for _ in range(samples)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebroid import Algebroid
-from .courant import CourantPresentation, CSection
+from .courant import CourantPresentation, CSection, _combine
 from .dirac import coordinates_matrix, is_dirac, merged_locus
 from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
@@ -106,17 +106,7 @@ class HBundle:
         coords = [coerce_elem(alg.sig, c) for c in coords]
         if len(coords) != 2 * self.h:
             raise GCRError("expected 2h reduced coordinates")
-        x = [Accumulator(alg.sig) for _ in range(alg.rank)]
-        xi = [Accumulator(alg.sig) for _ in range(alg.rank)]
-        for a in range(self.h):
-            for out, c, row in (
-                (x, coords[a], self.dist.vector_section(a)),
-                (xi, coords[self.h + a], self.dist.dual_row(a)),
-            ):
-                if c.terms:
-                    for acc, v in zip(out, row):
-                        acc.add_product(c, v)
-        return CSection.from_coordinates(alg, [acc.elem() for acc in x + xi])
+        return _combine(alg, [(b, 1, c) for b, c in zip(self.basis_sections(), coords) if c.terms])
 
     def pairing_matrix(self) -> list:
         basis = self.basis_sections()

@@ -267,8 +267,9 @@ class RingSignature:
     mode: str = field(default="gaussian", compare=False)
     # generator names in monomial-key order: coordinates, then exponentials
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # the zero element, shared: elements are immutable
+    # the zero and unit elements, shared: elements are immutable
     _zero: "RingElem" = field(init=False, repr=False, compare=False)
+    _one: "RingElem" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "rational"):
@@ -276,6 +277,7 @@ class RingSignature:
         names = self.coords + tuple(e.name for e in self.exps)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_zero", _elem(self, {}))
+        object.__setattr__(self, "_one", _elem(self, {(0,) * len(names): GR_ONE}))
         if len(set(names)) != len(names):
             raise RingError("coordinate/exponential names must be distinct")
         for nm in names:
@@ -318,7 +320,7 @@ class RingSignature:
         return self._zero
 
     def one(self) -> "RingElem":
-        return self.const(1)
+        return self._one
 
     def const(self, c) -> "RingElem":
         c = GaussRat.coerce(c)

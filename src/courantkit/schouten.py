@@ -148,8 +148,7 @@ def graph_sections(C: CourantPresentation, P: Multivector) -> list:
         if t.pure_grade() is None:
             raise SchoutenError("graph generator has mixed grade")
         coeffs = t.section_coeffs() if not t.is_zero() else alg.zero_section()
-        xi = AForm(alg.sig, alg.rank, 1, True, 1, {(i,): (alg.sig.one(),)})
-        out.append(CSection(alg, coeffs, xi))
+        out.append(CSection.from_coordinates(alg, coeffs + alg.frame_section(i)))
     return out
 
 

@@ -228,7 +228,9 @@ def test_lie_function_linearity_with_leibniz_correction():
 def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
     # no RingElem.__add__ inside Algebroid.bracket, on random sections of every
     # catalog algebroid and in validate's Jacobi sweep; the values are those
-    # of the term-by-term formula
+    # of the term-by-term formula.  validate itself sums its Jacobi, anchor
+    # and curvature defects in Accumulators too: no RingElem.__add__ or
+    # __sub__ anywhere inside it
     rng = SplitMix(239)
     cases = []
     for name in catalog.names():
@@ -242,7 +244,9 @@ def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
                     want[k] = want[k] + X[i] * Y[j] * c
         cases.append((alg, X, Y, want))
     adds, depth, brackets = [0], [0], [0]
-    real_bracket, real_add = Algebroid.bracket, RingElem.__add__
+    sums, validating, validated = [0], [0], [0]
+    real_bracket, real_validate = Algebroid.bracket, Algebroid.validate
+    real_add, real_sub = RingElem.__add__, RingElem.__sub__
 
     def bracket(self, X, Y):
         brackets[0] += 1
@@ -252,15 +256,32 @@ def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
         finally:
             depth[0] -= 1
 
+    def validate(self):
+        validated[0] += 1
+        validating[0] += 1
+        try:
+            return real_validate(self)
+        finally:
+            validating[0] -= 1
+
     def add(self, other):
         adds[0] += depth[0] > 0
+        sums[0] += validating[0] > 0
         return real_add(self, other)
 
+    def sub(self, other):
+        sums[0] += validating[0] > 0
+        return real_sub(self, other)
+
     monkeypatch.setattr(Algebroid, "bracket", bracket)
+    monkeypatch.setattr(Algebroid, "validate", validate)
     monkeypatch.setattr(RingElem, "__add__", add)
+    monkeypatch.setattr(RingElem, "__sub__", sub)
     for alg, X, Y, want in cases:
         assert alg.bracket(X, Y) == want
         if alg.rank <= 5:
             alg.validate()
     assert brackets[0] > 100
     assert adds[0] == 0
+    assert validated[0] > 10
+    assert sums[0] == 0

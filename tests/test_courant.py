@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cartan_oracle import random_presentation
 from courantkit import catalog
 from courantkit.algebroid import Algebroid
 from courantkit.courant import (
@@ -50,8 +51,8 @@ def test_bracket_lie_derivative_golden():
     alg = C.alg
     sig = alg.sig
     x, y = sig.coord("x"), sig.coord("y")
-    e1 = C.section([sig.one(), sig.zero(), sig.zero()])  # d/dx
-    e2 = C.section(alg.zero_section(), {(1,): (x * y,)})  # xy dy
+    e1 = CSection(alg, [sig.one(), sig.zero(), sig.zero()], alg.form(1, {}))  # d/dx
+    e2 = CSection(alg, alg.zero_section(), alg.form(1, {(1,): (x * y,)}))  # xy dy
     got = C.bracket(e1, e2)
     assert got.x == alg.zero_section()
     assert got.xi.coefficient((1,)) == (y,)
@@ -184,7 +185,7 @@ def test_isotropize_splits_symmetric_part():
                 assert beta.coefficient((i, j)) == want
         # the corrected splitting e_i -> (e_i, i_{e_i} beta) is exactly isotropic
         corrected = [
-            C.section(list(C.frame_section(i).x)) + CSection(
+            CSection(alg, list(C.frame_section(i).x), alg.form(1, {})) + CSection(
                 alg, alg.zero_section(), contract(C.frame_section(i).x, beta)
             )
             for i in range(alg.rank)
@@ -245,13 +246,129 @@ def test_symmetric_defect_vanishes():
             assert C.symmetric_defect(e).is_zero(), name
 
 
+# The two-part arithmetic of a section (x, xi), x a list and xi an AForm, kept
+# as the reference for the coordinate tuple that CSection stores.
+
+
+def _ref_coordinates(alg, x, xi):
+    zero = (alg.sig.zero(),) * alg.rank_v
+    return list(x) + [c for i in range(alg.rank) for c in xi.terms.get((i,), zero)]
+
+
+def _ref_describe(x, xi):
+    return {
+        "x": [str(c) for c in x],
+        "xi": {
+            "+".join(str(i + 1) for i in I): [str(c) for c in vec]
+            for I, vec in xi.sorted_terms()
+        },
+    }
+
+
+def _ref_equals(p, q):
+    return all((a - b).is_zero() for a, b in zip(p[0], q[0])) and p[1].equals(q[1])
+
+
+def _complex_section(rng, alg):
+    """Both parts drawn over Q(i), about a third of the entries zero."""
+    el = lambda: (  # noqa: E731
+        alg.sig.zero() if rng.randint(0, 2) == 0
+        else rng.ring_elem(alg.sig, max_degree=1, terms=2, complex_ok=True)
+    )
+    x = [el() for _ in range(alg.rank)]
+    xi = alg.form(1, {(i,): tuple(el() for _ in range(alg.rank_v)) for i in range(alg.rank)})
+    return x, xi
+
+
 def test_section_coordinates_round_trip():
+    # the x/xi views, the coordinate round trip and + - neg scale conjugate
+    # equals describe agree with the two-part reference, for module ranks 1
+    # and 2 over Q and Q(i)
     rng = SplitMix(89)
-    C = catalog.e1m(2)
-    for _ in range(5):
-        e = rand_section(rng, C)
-        back = CSection.from_coordinates(C.alg, e.coordinates())
-        assert back.equals(e)
+    presentations = [random_presentation(seed, rank, 2) for seed, rank in ((3, 2), (5, 3))]
+    presentations += [catalog.load(name)["courant"] for name in ("e1m-r3", "cr-control-r5")]
+    presentations.append(catalog.e1m(2))
+    for C in presentations:
+        alg = C.alg
+        for _ in range(6):
+            (x, xi), (y, eta) = _complex_section(rng, alg), _complex_section(rng, alg)
+            e, f = CSection(alg, x, xi), CSection(alg, y, eta)
+            assert e.x == x and e.xi.equals(xi)
+            assert e.coordinates() == _ref_coordinates(alg, x, xi)
+            back = CSection.from_coordinates(alg, e.coordinates())
+            assert back.equals(e) and back.x == x and back.xi.equals(xi)
+            c = rng.ring_elem(alg.sig, max_degree=1, terms=2, complex_ok=True)
+            k = Fraction(-3, 4)
+            cases = [
+                (e + f, ([a + b for a, b in zip(x, y)], xi + eta)),
+                (e - f, ([a - b for a, b in zip(x, y)], xi - eta)),
+                (e - e, (alg.zero_section(), xi - xi)),
+                (-e, ([-a for a in x], -xi)),
+                (e.scale(c), ([a * c for a in x], xi.scale(c))),
+                (e.scale(k), ([a * k for a in x], xi.scale(k))),
+                (e.conjugate(), ([a.conjugate() for a in x], xi.conjugate())),
+            ]
+            for got, (rx, rxi) in cases:
+                assert got.x == rx and got.xi.equals(rxi)
+                assert got.coordinates() == _ref_coordinates(alg, rx, rxi)
+                assert got.describe() == _ref_describe(rx, rxi)
+                assert got.is_zero() == (all(a.is_zero() for a in rx) and rxi.is_zero())
+            for p, q in (((x, xi), (y, eta)), ((x, xi), (x, xi))):
+                assert CSection(alg, *p).equals(CSection(alg, *q)) == _ref_equals(p, q)
+            assert e.describe() == _ref_describe(x, xi)
+
+
+def test_jacobiator_from_a_bracket_table_sums_in_place(monkeypatch):
+    # with every bracket already in the table, t1 - t2 - t3 is one Accumulator
+    # per coordinate: no RingElem sum, difference or negation, and no form collect
+    from courantkit.exterior import _Alternating
+    from courantkit.ring import RingElem
+
+    rng = SplitMix(97)
+    C = catalog.load("nonclosed-r4")["courant"]
+    frame = C.full_frame()
+    triples = [(frame[0], frame[1], frame[2]), (frame[3], frame[5], frame[1])]
+    triples += [tuple(rand_section(rng, C) for _ in range(3)) for _ in range(4)]
+    table = {}
+
+    def br(e1, e2):
+        key = (id(e1), id(e2))
+        if key not in table:
+            table[key] = (e1, e2, C.bracket(e1, e2))
+        return table[key][2]
+
+    want = []
+    for e1, e2, e3 in triples:
+        t1, t2, t3 = br(e1, br(e2, e3)), br(br(e1, e2), e3), br(e2, br(e1, e3))
+        want.append([a - b - c for a, b, c in zip(*(t.coordinates() for t in (t1, t2, t3)))])
+    calls = []
+    for owner, name in (
+        (RingElem, "__add__"), (RingElem, "__sub__"), (RingElem, "__neg__"),
+        (_Alternating, "collect"),
+    ):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    got = [C.jacobiator(e1, e2, e3, br) for e1, e2, e3 in triples]
+    monkeypatch.undo()
+    assert calls == []
+    assert [g.coordinates() for g in got] == want
+    assert not got[0].is_zero()
+
+
+def test_sections_over_different_frames_do_not_combine():
+    # equal signatures, ranks 2 and 3 with module ranks 2 and 1: both frames
+    # have six coordinates, so only the frame check tells them apart
+    sig = catalog.load("point-abelian2")["algebroid"].sig
+    a = CSection(Algebroid(sig, 2, 2, [[]] * 2, {}), [1, 0])
+    b = CSection(Algebroid(sig, 3, 1, [[]] * 3, {}), [1, 0, 0])
+    assert len(a.coordinates()) == len(b.coordinates()) == 6
+    for op in (a.__add__, a.__sub__, a.equals):
+        with pytest.raises(CourantError, match="different presentations"):
+            op(b)
+    same = CSection(Algebroid(sig, 2, 2, [[]] * 2, {}), [1, 0])
+    assert (a + same).equals(a.scale(2)) and (a - same).is_zero() and a == same
 
 
 def test_change_splitting_rejects_wrong_degree():

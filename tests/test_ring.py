@@ -537,6 +537,20 @@ def test_accumulator_cancels_term_by_term_and_keeps_its_signature():
         Accumulator(SIG).add_product(x, other.coord("z"))
 
 
+def test_signature_holds_one_unit_and_add_is_a_product_by_it():
+    rng = random.Random(31)
+    one = SIG.one()
+    assert one is SIG.one()
+    assert one == SIG.const(1) and one.terms == {(0, 0, 0): GaussRat(1)}
+    for _ in range(50):
+        x = _draw_elem(rng, SIG, True)
+        sign = rng.choice((1, -1))
+        added, product = Accumulator(SIG), Accumulator(SIG)
+        added.add(x, sign)
+        product.add_product(one, x, sign)
+        assert added.elem() == product.elem() == (x if sign > 0 else -x)
+
+
 def test_partial_multiplies_by_exponents_and_fractional_rates():
     sig = RingSignature(
         ("x", "y"),
