@@ -182,15 +182,16 @@ class Algebroid:
                 out.add_product(vj, f.partial(name))
         return out.elem()
 
-    def commutator(self, v, w, minus=None) -> list:
-        """[v, w] of two coordinate derivations as a coefficient vector, less minus if given."""
+    def commutator(self, v, w, extra=None, sign=-1) -> list:
+        """[v, w] of two coordinate derivations as a coefficient vector, plus
+        sign * extra if given."""
         out = []
         for m in range(self.sig.ncoords):
             acc = Accumulator(self.sig)
             acc.add(self.derivation(v, w[m]))
             acc.add(self.derivation(w, v[m]), -1)
-            if minus is not None:
-                acc.add(minus[m], -1)
+            if extra is not None:
+                acc.add(extra[m], sign)
             out.append(acc.elem())
         return out
 
@@ -387,11 +388,14 @@ class Algebroid:
 
     def jacobi_defect(self, i: int, j: int, k: int) -> list:
         # frame sections have constant coefficients, so an inner bracket is
-        # frame_bracket exactly; [e_j, [e_k, e_i]] enters as -[e_j, [e_i, e_k]]
+        # frame_bracket exactly; [e_j, [e_k, e_i]] enters as -[e_j, [e_i, e_k]],
+        # and [e_a, 0] = 0 is not formed
         out = [Accumulator(self.sig) for _ in range(self.rank)]
         for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
-            for acc, t in zip(out, self.bracket(self.frame_section(a), self.frame_bracket(b, c))):
-                acc.add(t, sign)
+            inner = self.frame_bracket(b, c)
+            if any(inner):
+                for acc, t in zip(out, self.bracket(self.frame_section(a), inner)):
+                    acc.add(t, sign)
         return [acc.elem() for acc in out]
 
     def anchor_defect(self, i: int, j: int) -> list:

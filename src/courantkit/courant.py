@@ -439,6 +439,8 @@ class CourantPresentation:
     def jacobiator_expected(self, e1: CSection, e2: CSection, e3: CSection) -> CSection:
         """Insertion of the three section legs into dH (zero for a closed twist)."""
         alg = self.alg
+        if self.closed_twist:
+            return _from_coordinates(alg, (alg.sig.zero(),) * (alg.rank * (1 + alg.rank_v)))
         w = contract(e3.x, self.dtwist)
         w = contract(e2.x, w)
         w = contract(e1.x, w)
@@ -448,8 +450,8 @@ class CourantPresentation:
         """Derivation coefficients of a(pi[[e1,e2]]) - [a(pi e1), a(pi e2)]."""
         alg = self.alg
         lhs = alg.anchor_vector((br or self.bracket)(e1, e2).x)
-        comm = alg.commutator(alg.anchor_vector(e1.x), alg.anchor_vector(e2.x))
-        return [a - b for a, b in zip(lhs, comm)]
+        # [a(e2), a(e1)] + lhs, each entry one Accumulator
+        return alg.commutator(alg.anchor_vector(e2.x), alg.anchor_vector(e1.x), lhs, 1)
 
     def symmetric_defect(self, e: CSection, br=None) -> CSection:
         """[[e,e]] - (1/2) D<e,e>."""
@@ -464,7 +466,14 @@ class CourantPresentation:
         lhs = alg.nabla(e1.x, self.pairing(e2, e3))
         r1 = self.pairing(br(e1, e2), e3)
         r2 = self.pairing(e2, br(e1, e3))
-        return [a - b - c for a, b, c in zip(lhs, r1, r2)]
+        out = []
+        for a, b, c in zip(lhs, r1, r2):
+            acc = Accumulator(alg.sig)
+            acc.add(a)
+            acc.add(b, -1)
+            acc.add(c, -1)
+            out.append(acc.elem())
+        return out
 
     # -- splittings ---------------------------------------------------------------------
 

@@ -31,6 +31,7 @@ see only RingElems: the keys and triples stay inside this module.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _add, sub as _sub
@@ -270,12 +271,15 @@ class RingSignature:
     # the zero and unit elements, shared: elements are immutable
     _zero: "RingElem" = field(init=False, repr=False, compare=False)
     _one: "RingElem" = field(init=False, repr=False, compare=False)
+    # generator name -> its place in a monomial key, for the parser
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "rational"):
             raise RingError(f"unknown scalar mode {self.mode!r}")
         names = self.coords + tuple(e.name for e in self.exps)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", {nm: k for k, nm in enumerate(names)})
         object.__setattr__(self, "_zero", _elem(self, {}))
         object.__setattr__(self, "_one", _elem(self, {(0,) * len(names): GR_ONE}))
         if len(set(names)) != len(names):
@@ -305,16 +309,9 @@ class RingSignature:
         return len(self.exps)
 
     def coord_index(self, name: str) -> int:
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise RingError(f"unknown coordinate {name!r}") from None
-
-    def exp_index(self, name: str) -> int:
-        for k, e in enumerate(self.exps):
-            if e.name == name:
-                return k
-        raise RingError(f"unknown exponential generator {name!r}")
+        if 0 <= (j := self._index.get(name, -1)) < len(self.coords):
+            return j
+        raise RingError(f"unknown coordinate {name!r}")
 
     def zero(self) -> "RingElem":
         return self._zero
@@ -339,10 +336,15 @@ class RingSignature:
         return self._generator(self.coord_index(name))
 
     def exp_gen(self, name: str) -> "RingElem":
-        return self._generator(self.ncoords + self.exp_index(name))
+        if (j := self._index.get(name, -1)) >= len(self.coords):
+            return self._generator(j)
+        raise RingError(f"unknown exponential generator {name!r}")
 
     def parse(self, text: str) -> "RingElem":
-        return _Parser(self, text).run()
+        terms, m = _read(self, _TOKENS.scanner(text).match, 0)
+        if m.lastindex != _END:
+            raise ParseError(f"unexpected character {text[_at(m)]!r}", _at(m))
+        return _raw_elem(self, terms)
 
     def monomial_str(self, key) -> str:
         return "*".join(
@@ -529,7 +531,7 @@ class RingElem:
 
         Raises RingError when the element uses a generator the target lacks.
         """
-        where = {name: k for k, name in enumerate(target.names)}
+        where = target._index
         moves = []
         for j, name in enumerate(self.sig.names):
             if any(key[j] for key in self.terms):
@@ -777,163 +779,161 @@ def coerce_elem(sig: RingSignature, value) -> RingElem:
 # parentheses nest at most MAX_NESTING deep (the parser recurses once per
 # level); a breach is a ParseError at the operator, literal or '('.  io reads
 # the rationals of a document under the same MAX_LITERAL_DIGITS.
+#
+# One pattern reads a token after any whitespace; its group says which: digits
+# (_NUMW when a word character follows), a word, + - * / ^ ( ), another
+# character or the end.  \d, \w and \s are str.isdecimal, isalnum-or-'_' and
+# isspace, for non-ASCII text too; digits run as far as str.isdigit goes, so
+# a run that a digit such as '²' continues cannot be read by int().
 
 MAX_EXPONENT = 64
 MAX_TERMS = 200
 MAX_LITERAL_DIGITS = 4300
 MAX_NESTING = 100
 
+_TOKENS = re.compile(r"\s*(?:(\d+)(?=(\w)?)|(\w+)|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|(\S)|(\Z))")
+_NUM, _NUMW, _WORD, _PLUS, _MINUS, _TIMES, _DIV, _POW, _OPEN, _CLOSE, _OTHER, _END = range(1, 13)
+_TOO_LONG = f"expression exceeds the limit of {MAX_TERMS} terms"
+_TOO_DEEP = f"parentheses nest deeper than the limit of {MAX_NESTING}"
 
-class _Parser:
-    def __init__(self, sig: RingSignature, text: str):
-        self.sig = sig
-        self.text = text
-        self.pos = 0
-        self.depth = 0
 
-    def run(self) -> RingElem:
-        value = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return value
+def _at(m) -> int:
+    g = m.lastindex
+    return m.start(_NUM if g == _NUMW else g)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> RingElem:
-        value = self.term()
-        while True:
-            ch = self.peek()
-            at = self.pos
-            if ch == "+":
-                self.pos += 1
-                value = self.budget(value + self.term(), at)
-            elif ch == "-":
-                self.pos += 1
-                value = self.budget(value - self.term(), at)
-            else:
-                return value
-
-    def term(self) -> RingElem:
-        negate = False
-        while self.peek() == "-":
-            self.pos += 1
-            negate = not negate
-        value = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                at = self.pos
-                self.pos += 1
-                value = self.budget(value * self.factor(), at)
-            elif ch == "/":
-                at = self.pos
-                self.pos += 1
-                rhs = self.factor()
-                try:
-                    value = value / rhs
-                except RingError:
-                    raise ParseError("division only by rationals or units", at) from None
-            else:
-                break
-        return -value if negate else value
-
-    def factor(self) -> RingElem:
-        value = self.atom()
-        if self.peek() == "^":
-            at = self.pos
-            self.pos += 1
-            n = self.signed_int()
-            if abs(n) > MAX_EXPONENT:
-                raise ParseError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}", at)
+def _literal(m, what: str):
+    """The int of the digit run at token m, or None when m starts none."""
+    g = m.lastindex
+    if g == _NUM or g == _NUMW and not m[2].isdigit():
+        if len(m[1]) <= MAX_LITERAL_DIGITS:
             try:
-                value = _power(value, n, lambda e: self.budget(e, at))
-            except ParseError:
-                raise
-            except RingError as exc:
-                raise ParseError(str(exc), at) from None
-        return value
-
-    def budget(self, value: RingElem, at: int) -> RingElem:
-        if len(value.terms) > MAX_TERMS:
-            raise ParseError(f"expression exceeds the limit of {MAX_TERMS} terms", at)
-        return value
-
-    def signed_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.digits("exponent")
-        return -digits if self.text[start] == "-" else digits
-
-    def digits(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected {what}", start)
-        if self.pos - start <= MAX_LITERAL_DIGITS:
-            try:
-                return int(self.text[start : self.pos])
+                return int(m[1])
             except ValueError:  # a lower integer-conversion limit of the runtime
                 pass
-        raise ParseError(f"{what} has too many digits", start)
+    elif g != _NUMW and not (g == _WORD and m[3][0].isdigit()):
+        return None
+    raise ParseError(f"{what} has too many digits", _at(m))
 
-    def atom(self) -> RingElem:
-        ch = self.peek()
-        at = self.pos
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}", at)
-            self.depth += 1
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            self.depth -= 1
-            return value
-        if ch.isdigit():
-            num = self.digits("number")
-            save = self.pos
-            if self.peek() == "/":
-                self.pos += 1
-                if self.peek().isdigit():
-                    den = self.digits("denominator")
-                    if den == 0:
-                        raise ParseError("zero denominator", save)
-                    return self.sig.const(Fraction(num, den))
-                self.pos = save  # a '/' belonging to the enclosing term
-            return self.sig.const(num)
-        if ch.isalpha() or ch == "_":
-            name = self.name()
-            if name == "i":
-                if self.sig.mode == "rational":
-                    raise ParseError("imaginary unit not allowed in a rational ring", at)
-                return self.sig.const(GR_I)
-            try:
-                return self.sig.coord(name)
-            except RingError:
-                pass
-            try:
-                return self.sig.exp_gen(name)
-            except RingError:
-                raise ParseError(f"unknown name {name!r}", at) from None
-        raise ParseError("expected a number, name or '('", at)
 
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+def _budget(value: RingElem, at: int) -> RingElem:
+    if len(value.terms) > MAX_TERMS:
+        raise ParseError(_TOO_LONG, at)
+    return value
+
+
+def _raw_elem(sig: RingSignature, terms: dict) -> RingElem:
+    """The element of the parser's raw terms key -> [a, b, d], all nonzero."""
+    terms = {key: _reduced(a, b, d) for key, (a, b, d) in terms.items()}
+    return _elem(sig, terms) if terms else sig.zero()
+
+
+def _read(sig: RingSignature, nxt, depth: int):
+    """Read an expr from the tokens nxt() returns: its terms, key -> [a, b, d]
+    nonzero, and the token after it.  A product of atoms is one triple
+    (a + b*i)/d and one exponent list; a parenthesised sum, or a power other
+    than of a name, is a RingElem factor sub.  Each term goes into one dict,
+    and each coefficient is reduced once, when the caller builds the element."""
+    index, terms, sign = sig._index, {}, 1
+    g = (m := nxt()).lastindex
+    while True:
+        while g == _MINUS:
+            sign, g = -sign, (m := nxt()).lastindex
+        a, b, d, key, poly, op = sign, 0, 1, [0] * len(index), None, None
+        while True:
+            # a factor: (p + q*i)/r times generator j to the e, or sub
+            p, q, r, j, e, sub, ahead = 1, 0, 1, -1, 1, None, None
+            if g == _WORD and (w := m[3]) in index:
+                j, g = index[w], (m := nxt()).lastindex
+            elif g == _WORD and w == "i" and sig.mode != "rational":
+                p, q, g = 0, 1, (m := nxt()).lastindex
+            elif g == _NUM or g == _NUMW:
+                p, num = _literal(m, "number"), m
+                g = (m := nxt()).lastindex
+                if g == _DIV and (r := _literal(ahead := nxt(), "denominator")):
+                    g, ahead = (m := nxt()).lastindex, None
+                elif r == 0:
+                    raise ParseError("zero denominator", num.end())
+                r = r or 1
+            elif g == _OPEN:
+                if depth == MAX_NESTING:
+                    raise ParseError(_TOO_DEEP, m.start(g))
+                sub, m = _read(sig, nxt, depth + 1)
+                if m.lastindex != _CLOSE:
+                    raise ParseError("expected ')'", _at(m))
+                sub, g = _raw_elem(sig, sub), (m := nxt()).lastindex
+            elif g == _WORD and w == "i":
+                raise ParseError("imaginary unit not allowed in a rational ring", m.start(g))
+            elif g == _WORD and (w[0].isalpha() or w[0] == "_"):
+                raise ParseError(f"unknown name {w!r}", m.start(g))
+            else:
+                _literal(m, "number")  # raises on a digit such as '²'
+                raise ParseError("expected a number, name or '('", _at(m))
+            if g == _POW:
+                at, g = m.start(g), (m := nxt()).lastindex
+                m = nxt() if g == _MINUS else m
+                n = _literal(m, "exponent")
+                if n is None:
+                    raise ParseError("expected exponent", _at(m))
+                n, g = -n if g == _MINUS else n, (m := nxt()).lastindex
+                if abs(n) > MAX_EXPONENT:
+                    raise ParseError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}", at)
+                if j >= sig.ncoords or j >= 0 <= n:
+                    e = n
+                else:  # numbers, i, sums and coordinates to negative powers
+                    base = sub if sub is not None else (
+                        sig._generator(j) if j >= 0 else sig.const(_reduced(p, q, r)))
+                    try:
+                        sub = _power(base, n, lambda v: _budget(v, at))
+                    except RingError as exc:  # no unit to invert, or the budget's error at '^'
+                        raise ParseError(getattr(exc, "message", str(exc)), at) from None
+                    p, q, r, j = 1, 0, 1, -1
+            if op == _DIV:  # by a unit, one term with no coordinate part: times its inverse
+                nc = sig.ncoords
+                if sub is not None and len(sub.terms) == 1 and not any(next(iter(sub.terms))[:nc]):
+                    ((k, c),) = sub.terms.items()
+                    p, q, r, key, sub = c._a, c._b, c._d, list(map(_sub, key, k)), None
+                if sub is not None or not (p or q) or 0 <= j < nc and e:
+                    raise ParseError("division only by rationals or units", _at(opm))
+                p, q, r, e = r * p, -r * q, p * p + q * q, -e
+            if sub is None:
+                if q:
+                    a, b = a * p - b * q, a * q + b * p
+                elif p != 1:
+                    a, b = a * p, b * p
+                d *= r
+                if j >= 0:
+                    key[j] += e
+            elif poly is None:
+                poly = sub
+            elif a or b:
+                poly = _budget(poly * sub, _at(opm))
+            if g != _TIMES and g != _DIV:
+                break
+            # a '/' the rational literal did not take has its divisor read already
+            op, opm, g = g, m, (m := ahead or nxt()).lastindex
+        if a or b:
+            if poly is None:
+                _file(terms, tuple(key), a, b, d)
+            else:
+                for k, c in poly.terms.items():
+                    p, q = c._a, c._b
+                    _file(terms, tuple(map(_add, k, key)), a * p - b * q, a * q + b * p, d * c._d)
+            if len(terms) > MAX_TERMS:  # a first term has at most MAX_TERMS
+                raise ParseError(_TOO_LONG, _at(sum_op))
+        if g != _PLUS and g != _MINUS:
+            return terms, m
+        sign, sum_op, g = 1 if g == _PLUS else -1, m, (m := nxt()).lastindex
+
+
+def _file(terms: dict, key: tuple, a: int, b: int, d: int) -> None:
+    """Add (a + b*i)/d at key; a key whose sum is zero leaves the dict."""
+    s = terms.get(key)
+    if s is None:
+        terms[key] = [a, b, d]
+    elif s[2] == d:
+        s[0], s[1] = s[0] + a, s[1] + b
+    else:
+        s[0], s[1], s[2] = s[0] * d + a * s[2], s[1] * d + b * s[2], s[2] * d
+    if s is not None and not (s[0] or s[1]):
+        del terms[key]

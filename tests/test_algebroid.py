@@ -231,18 +231,21 @@ def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
     # of the term-by-term formula.  validate itself sums its Jacobi, anchor
     # and curvature defects in Accumulators too: no RingElem.__add__ or
     # __sub__ anywhere inside it
+    # (six random pairs per algebroid: validate forms no bracket [e_a, 0], so
+    # the pairs supply most of the brackets the floor below counts)
     rng = SplitMix(239)
     cases = []
     for name in catalog.names():
         alg = catalog.load(name)["algebroid"]
-        X, Y = ([rng.ring_elem(alg.sig, 2, 3) for _ in range(alg.rank)] for _ in range(2))
-        ax, ay = alg.anchor_vector(X), alg.anchor_vector(Y)
-        want = [alg.derivation(ax, y) - alg.derivation(ay, x) for x, y in zip(X, Y)]
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                for k, c in enumerate(alg.frame_bracket(i, j)):
-                    want[k] = want[k] + X[i] * Y[j] * c
-        cases.append((alg, X, Y, want))
+        for _ in range(6):
+            X, Y = ([rng.ring_elem(alg.sig, 2, 3) for _ in range(alg.rank)] for _ in range(2))
+            ax, ay = alg.anchor_vector(X), alg.anchor_vector(Y)
+            want = [alg.derivation(ax, y) - alg.derivation(ay, x) for x, y in zip(X, Y)]
+            for i in range(alg.rank):
+                for j in range(alg.rank):
+                    for k, c in enumerate(alg.frame_bracket(i, j)):
+                        want[k] = want[k] + X[i] * Y[j] * c
+            cases.append((alg, X, Y, want))
     adds, depth, brackets = [0], [0], [0]
     sums, validating, validated = [0], [0], [0]
     real_bracket, real_validate = Algebroid.bracket, Algebroid.validate
@@ -279,6 +282,7 @@ def test_bracket_sums_each_entry_in_one_accumulator(monkeypatch):
     monkeypatch.setattr(RingElem, "__sub__", sub)
     for alg, X, Y, want in cases:
         assert alg.bracket(X, Y) == want
+    for alg in {id(alg): alg for alg, *_ in cases}.values():
         if alg.rank <= 5:
             alg.validate()
     assert brackets[0] > 100

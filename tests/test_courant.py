@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartan_oracle import random_presentation
+from cartan_oracle import random_presentation, random_section
 from courantkit import catalog
 from courantkit.algebroid import Algebroid
 from courantkit.courant import (
@@ -442,3 +442,72 @@ def test_default_verify_builds_no_multivector(monkeypatch):
     assert built == []
     Multivector(C.alg.sig, C.alg.rank, 1, {(0,): FScalar.of(C.alg.sig.one())})
     assert len(built) == 1
+
+
+def test_axiom_defects_sum_each_entry_in_one_accumulator(monkeypatch):
+    # the anchor and invariance defects make no RingElem subtraction anywhere
+    # inside them, in a default verify on the largest catalog frame, and give
+    # the plain differences on a random presentation (whose random algebroid
+    # breaks the anchor axiom; invariance holds for every presentation)
+    from courantkit.ring import RingElem
+
+    rng = SplitMix(61)
+    R = random_presentation(61, 3)
+    alg = R.alg
+    triples = [tuple(random_section(rng, R) for _ in range(3)) for _ in range(3)]
+    want_anchor, want_invariance = [], []
+    for e1, e2, e3 in triples:
+        lhs = alg.anchor_vector(R.bracket(e1, e2).x)
+        comm = alg.commutator(alg.anchor_vector(e1.x), alg.anchor_vector(e2.x))
+        want_anchor.append([a - b for a, b in zip(lhs, comm)])
+        lhs = alg.nabla(e1.x, R.pairing(e2, e3))
+        r1, r2 = R.pairing(R.bracket(e1, e2), e3), R.pairing(e2, R.bracket(e1, e3))
+        want_invariance.append([a - b - c for a, b, c in zip(lhs, r1, r2)])
+    assert all(any(v) for v in want_anchor)
+    inside, subs = [0], [0]
+    real_sub = RingElem.__sub__
+
+    def sub(self, other):
+        subs[0] += inside[0] > 0
+        return real_sub(self, other)
+
+    def counted(real):
+        def run(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return run
+
+    monkeypatch.setattr(RingElem, "__sub__", sub)
+    for name in ("anchor_defect", "invariance_defect"):
+        monkeypatch.setattr(CourantPresentation, name, counted(getattr(CourantPresentation, name)))
+    assert catalog.load("cr-control-r5")["courant"].verify()["ok"]
+    assert [R.anchor_defect(e1, e2) for e1, e2, _ in triples] == want_anchor
+    assert [R.invariance_defect(*t) for t in triples] == want_invariance
+    assert subs[0] == 0
+
+
+def test_closed_twist_jacobiator_expected_contracts_nothing(monkeypatch):
+    # dH = 0: the expected Jacobiator is the zero section, with no insertion
+    import courantkit.courant as courant
+
+    calls = []
+    real_contract = courant.contract
+    monkeypatch.setattr(courant, "contract", lambda *a: calls.append(None) or real_contract(*a))
+    rng = SplitMix(62)
+    for name in ("standard-r3-twisted", "cr-control-r5"):
+        C = catalog.load(name)["courant"]
+        assert C.closed_twist
+        f = C.full_frame()
+        triples = [(f[0], f[1], f[2])]
+        triples += [tuple(rand_section(rng, C) for _ in range(3)) for _ in range(3)]
+        assert all(C.jacobiator_expected(*t).is_zero() for t in triples)
+    assert calls == []
+    # a twist that is not closed still inserts the legs into dH
+    C = catalog.load("nonclosed-r4")["courant"]
+    f = C.full_frame()
+    assert not C.jacobiator_expected(f[0], f[1], f[2]).is_zero()
+    assert len(calls) == 3

@@ -224,6 +224,29 @@ def test_counted_functions_are_plain(module, path):
     assert obj.__qualname__ == path
 
 
+# Every program name the benchmark's workloads call (perfbench/workloads.py):
+# removing or renaming one fails a whole workload, not one verdict.
+BENCHMARK_ENTRY_POINTS = [
+    ("io", "loads_definition"),
+    ("io", "definition_from_json"),
+    ("io", "definition_to_json"),
+    ("io", "multivector_from_json"),
+    ("io", "multivector_to_json"),
+    ("catalog", "load"),
+    ("cli", "main"),
+    ("schouten", "jacobi_gauge"),
+    ("ring", "RingSignature.parse"),
+]
+
+
+@pytest.mark.parametrize("module,path", BENCHMARK_ENTRY_POINTS)
+def test_benchmark_entry_points_exist(module, path):
+    obj = __import__(f"courantkit.{module}", fromlist=["_"])
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj), (module, path)
+
+
 def test_public_names_exist():
     for name in courantkit.__all__:
         obj = getattr(courantkit, name)

@@ -1,6 +1,7 @@
 """Property tests: the field axioms of GaussRat, the commutative-ring axioms
-plus the Leibniz rule of partial for RingElem, and the Accumulator against
-RingElem sums and products, on small random elements.
+plus the Leibniz rule of partial for RingElem, the Accumulator against
+RingElem sums and products, and parse as the inverse of to_str, on small
+random elements.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 """
@@ -88,3 +89,9 @@ def test_accumulator_is_the_ring_sum_of_its_products(ops):
     got = acc.elem()
     assert got == want and _canonical(got)
     assert all(c == GaussRat(c.re, c.im) and c._d > 0 for c in got.terms.values())
+
+
+@properties
+@given(elements)
+def test_parse_reads_back_what_to_str_writes(e):
+    assert SIG.parse(e.to_str()) == e
