@@ -60,19 +60,16 @@ MAX_MODULE_RANK = 16
 
 
 def _vec_mat(v, M, out) -> list:
-    """out + v M, in place, for a row vector v and a matrix M.
-
-    Zero entries are skipped; each entry that changes is one Accumulator sum.
-    """
-    live = [(vb, M[b]) for b, vb in enumerate(v) if vb.terms]
-    for c in range(len(out)):
-        hits = [(vb, row[c]) for vb, row in live if row[c].terms]
-        if hits:
-            acc = Accumulator(hits[0][0].sig)
-            acc.add(out[c])
-            for vb, t in hits:
-                acc.add_product(vb, t)
-            out[c] = acc.elem()
+    """out + v M, in place, for a row vector v and a matrix M, summed in one
+    Accumulator, slot c for entry c; an entry that no product reaches is kept."""
+    acc = Accumulator(out[0].sig)
+    for c, x in enumerate(out):
+        acc.add(x, 1, c)
+    for vb, row in zip(v, M):
+        if vb.terms:
+            for c, t in enumerate(row):
+                acc.add_product(vb, t, 1, c)
+    out[:] = acc.vector(len(out))
     return out
 
 
@@ -154,19 +151,12 @@ class Algebroid:
 
     def anchor_vector(self, X) -> list:
         """Coordinate-derivation coefficients of the anchored section."""
-        accs: dict = {}
+        acc = Accumulator(self.sig)
         for c, row in zip(X, self.anchor):
             if c.terms:
                 for j, a in enumerate(row):
-                    if a.terms:
-                        acc = accs.get(j)
-                        if acc is None:
-                            acc = accs[j] = Accumulator(self.sig)
-                        acc.add_product(c, a)
-        out = [self.sig.zero()] * self.sig.ncoords
-        for j, acc in accs.items():
-            out[j] = acc.elem()
-        return out
+                    acc.add_product(c, a, 1, j)
+        return acc.vector(self.sig.ncoords)
 
     def derivation(self, v, f: RingElem) -> RingElem:
         """The coordinate derivation with coefficient vector v applied to f.
@@ -185,15 +175,13 @@ class Algebroid:
     def commutator(self, v, w, extra=None, sign=-1) -> list:
         """[v, w] of two coordinate derivations as a coefficient vector, plus
         sign * extra if given."""
-        out = []
+        acc = Accumulator(self.sig)
         for m in range(self.sig.ncoords):
-            acc = Accumulator(self.sig)
-            acc.add(self.derivation(v, w[m]))
-            acc.add(self.derivation(w, v[m]), -1)
+            acc.add(self.derivation(v, w[m]), 1, m)
+            acc.add(self.derivation(w, v[m]), -1, m)
             if extra is not None:
-                acc.add(extra[m], sign)
-            out.append(acc.elem())
-        return out
+                acc.add(extra[m], sign, m)
+        return acc.vector(self.sig.ncoords)
 
     def apply_frame_anchor(self, i: int, f: RingElem) -> RingElem:
         return self.derivation(self.anchor[i], f)
@@ -201,26 +189,17 @@ class Algebroid:
     def bracket(self, X, Y) -> list:
         """Section bracket with the anchor-Leibniz terms.
 
-        Each entry that a term reaches is one Accumulator; c_ij^k is read from
+        The sum is one Accumulator, slot k for entry k; c_ij^k is read from
         the stored half of the skew structure table.
         """
         sig = self.sig
         X = [coerce_elem(sig, x) for x in X]
         Y = [coerce_elem(sig, y) for y in Y]
         ax, ay = self.anchor_vector(X), self.anchor_vector(Y)
-        out: dict = {}
-
-        def add(k, x, y, sign):
-            acc = out.get(k)
-            if acc is None:
-                acc = out[k] = Accumulator(sig)
-            acc.add_product(x, y, sign)
-
-        one = sig.one()
+        acc = Accumulator(sig)
         for k, (x, y) in enumerate(zip(X, Y)):
-            for d, sign in ((self.derivation(ax, y), 1), (self.derivation(ay, x), -1)):
-                if d.terms:
-                    add(k, one, d, sign)
+            acc.add(self.derivation(ax, y), 1, k)
+            acc.add(self.derivation(ay, x), -1, k)
         for i, xi in enumerate(X):
             if xi.is_zero():
                 continue
@@ -232,9 +211,8 @@ class Algebroid:
                     continue
                 xy, sign = xi * yj, 1 if i < j else -1
                 for k, c in enumerate(cs):
-                    if c.terms:
-                        add(k, xy, c, sign)
-        return [out[k].elem() if k in out else sig.zero() for k in range(len(X))]
+                    acc.add_product(xy, c, sign, k)
+        return acc.vector(len(X))
 
     def nabla(self, X, v) -> list:
         """Module connection along a section: nabla_X of a width-rank_v vector."""
@@ -383,20 +361,20 @@ class Algebroid:
         return w.collect(w.degree, items())
 
     # -- validation -------------------------------------------------------------
-    # Each defect entry is one Accumulator of signed terms: validate builds no
+    # Each defect is one Accumulator of signed terms: validate builds no
     # RingElem sum and, for i < j < k, no negated structure vector.
 
     def jacobi_defect(self, i: int, j: int, k: int) -> list:
         # frame sections have constant coefficients, so an inner bracket is
         # frame_bracket exactly; [e_j, [e_k, e_i]] enters as -[e_j, [e_i, e_k]],
         # and [e_a, 0] = 0 is not formed
-        out = [Accumulator(self.sig) for _ in range(self.rank)]
+        acc = Accumulator(self.sig)
         for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
             inner = self.frame_bracket(b, c)
             if any(inner):
-                for acc, t in zip(out, self.bracket(self.frame_section(a), inner)):
-                    acc.add(t, sign)
-        return [acc.elem() for acc in out]
+                for m, t in enumerate(self.bracket(self.frame_section(a), inner)):
+                    acc.add(t, sign, m)
+        return acc.vector(self.rank)
 
     def anchor_defect(self, i: int, j: int) -> list:
         """[a(e_i), a(e_j)] - a([e_i, e_j]) as a coordinate-derivation vector."""
@@ -408,20 +386,18 @@ class Algebroid:
         a(e_i) Theta_j - a(e_j) Theta_i - Theta_[e_i,e_j] + Theta_j Theta_i - Theta_i Theta_j."""
         ti, tj = self.theta[i], self.theta[j]
         tij = self._connection(self.frame_bracket(i, j))
-        out = []
-        for b in range(self.rank_v):
-            row = []
-            for c in range(self.rank_v):
-                acc = Accumulator(self.sig)
-                acc.add(self.apply_frame_anchor(i, tj[b][c]))
-                acc.add(self.apply_frame_anchor(j, ti[b][c]), -1)
-                acc.add(tij[b][c], -1)
-                for d in range(self.rank_v):
-                    acc.add_product(tj[b][d], ti[d][c])
-                    acc.add_product(ti[b][d], tj[d][c], -1)
-                row.append(acc.elem())
-            out.append(row)
-        return out
+        n = self.rank_v
+        acc = Accumulator(self.sig)
+        for b in range(n):
+            for c in range(n):
+                at = (b, c)
+                acc.add(self.apply_frame_anchor(i, tj[b][c]), 1, at)
+                acc.add(self.apply_frame_anchor(j, ti[b][c]), -1, at)
+                acc.add(tij[b][c], -1, at)
+                for d in range(n):
+                    acc.add_product(tj[b][d], ti[d][c], 1, at)
+                    acc.add_product(ti[b][d], tj[d][c], -1, at)
+        return [[acc.elem((b, c)) for c in range(n)] for b in range(n)]
 
     def validate(self) -> dict:
         """Exact defect report for Jacobi, anchor morphism and flatness.
@@ -460,10 +436,6 @@ class Algebroid:
             "anchor_defects": anc,
             "curvature_defects": curv,
         }
-
-    def is_valid(self) -> bool:
-        rep = self.validate()
-        return rep["jacobi_ok"] and rep["anchor_ok"] and rep["flat_ok"]
 
     # -- frame changes ------------------------------------------------------------
 

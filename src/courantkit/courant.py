@@ -204,16 +204,17 @@ def _from_coordinates(alg: Algebroid, coords: tuple) -> CSection:
 def _combine(alg: Algebroid, items) -> CSection:
     """The section summing sign * c * e over (e, sign, c) items, c None for 1.
 
-    Each coordinate is one Accumulator, reduced once at the end; no negated
-    or scaled copy of a section is built.
+    The sum is one Accumulator, slot k for coordinate k, read once at the
+    end; no negated or scaled copy of a section is built.
     """
-    one = alg.sig.one()
-    out = [Accumulator(alg.sig) for _ in range(alg.rank * (1 + alg.rank_v))]
+    acc = Accumulator(alg.sig)
     for e, sign, c in items:
-        for acc, v in zip(out, e._coords):
-            if v.terms:
-                acc.add_product(one if c is None else c, v, sign)
-    return _from_coordinates(alg, tuple(acc.elem() for acc in out))
+        for k, v in enumerate(e._coords):
+            if c is None:
+                acc.add(v, sign, k)
+            else:
+                acc.add_product(c, v, sign, k)
+    return _from_coordinates(alg, tuple(acc.vector(alg.rank * (1 + alg.rank_v))))
 
 
 def _anchored(alg: Algebroid, e: CSection) -> list:
@@ -347,11 +348,6 @@ class CourantPresentation:
     def frame_section(self, i: int) -> CSection:
         return CSection(self.alg, self.alg.frame_section(i))
 
-    def coframe_section(self, i: int, b: int = 0) -> CSection:
-        vec = [self.alg.sig.zero()] * self.alg.rank_v
-        vec[b] = self.alg.sig.one()
-        return CSection(self.alg, self.alg.zero_section(), self.alg.form(1, {(i,): vec}))
-
     def full_frame(self) -> list:
         """E_1..E_n in storage order: each section has one coordinate 1, the rest 0."""
         sig, n = self.alg.sig, self.alg.rank * (1 + self.alg.rank_v)
@@ -363,13 +359,13 @@ class CourantPresentation:
     def pairing(self, e1: CSection, e2: CSection) -> list:
         """Module-valued symmetric pairing eta(X) + xi(Y)."""
         r, s = self.alg.rank, self.alg.rank_v
-        out = [Accumulator(self.alg.sig) for _ in range(s)]
+        acc = Accumulator(self.alg.sig)
         for i in range(r):
             for x, eta in ((e1._coords[i], e2._coords), (e2._coords[i], e1._coords)):
                 if x.terms:
-                    for acc, vb in zip(out, eta[r + i * s : r + (i + 1) * s]):
-                        acc.add_product(x, vb)
-        return [acc.elem() for acc in out]
+                    for b, vb in enumerate(eta[r + i * s : r + (i + 1) * s]):
+                        acc.add_product(x, vb, 1, b)
+        return acc.vector(s)
 
     def bracket(self, e1: CSection, e2: CSection) -> CSection:
         """[[e1, e2]] by the Leibniz expansion over the frame structure tensor.
@@ -384,13 +380,13 @@ class CourantPresentation:
         sum_ab g_b df_a (x) <E_a, E_b>.  The module docstring derives this
         from the two Leibniz rules of the Cartan formula, which hold in every
         presentation: no axiom is assumed, so broken presentations get the
-        same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  Each output
-        coordinate is one Accumulator, reduced once at the end.
+        same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  The sum is
+        one Accumulator, slot k for output coordinate k, read once at the end.
         """
         alg = self.alg
         r, s = alg.rank, alg.rank_v
         f, g = e1._coords, e2._coords
-        out = [Accumulator(alg.sig) for _ in f]
+        acc = Accumulator(alg.sig)
         for fa, pairs in zip(f, self.tensor):
             if not fa:
                 continue
@@ -398,27 +394,23 @@ class CourantPresentation:
                 if g[b]:
                     fg = fa * g[b]
                     for k, c in t.items():
-                        out[k].add_product(fg, c)
+                        acc.add_product(fg, c, 1, k)
         rf, rg = _anchored(alg, e1), _anchored(alg, e2)
         for k in range(r):
             fk, gk = f[k], g[k]
             if fk:
                 for b, d in rg[k].items():
-                    out[b].add_product(fk, d)
+                    acc.add_product(fk, d, 1, b)
             for a, d in rf[k].items():
-                if gk:
-                    out[a].add_product(gk, d, -1)
+                acc.add_product(gk, d, -1, a)
                 # the pairing term: <e_i, eps^i u_c> = u_c pairs coordinate i with leg (i, c)
                 if a < r:
                     for c in range(s):
-                        gic = g[r + a * s + c]
-                        if gic:
-                            out[r + k * s + c].add_product(gic, d)
+                        acc.add_product(g[r + a * s + c], d, 1, r + k * s + c)
                 else:
                     i, c = divmod(a - r, s)
-                    if g[i]:
-                        out[r + k * s + c].add_product(g[i], d)
-        return _from_coordinates(alg, tuple(acc.elem() for acc in out))
+                    acc.add_product(g[i], d, 1, r + k * s + c)
+        return _from_coordinates(alg, tuple(acc.vector(len(f))))
 
     def differential(self, fvec) -> CSection:
         """D f: the image of d f under the coisotropic inclusion."""
@@ -450,7 +442,7 @@ class CourantPresentation:
         """Derivation coefficients of a(pi[[e1,e2]]) - [a(pi e1), a(pi e2)]."""
         alg = self.alg
         lhs = alg.anchor_vector((br or self.bracket)(e1, e2).x)
-        # [a(e2), a(e1)] + lhs, each entry one Accumulator
+        # [a(e2), a(e1)] + lhs, summed in one Accumulator
         return alg.commutator(alg.anchor_vector(e2.x), alg.anchor_vector(e1.x), lhs, 1)
 
     def symmetric_defect(self, e: CSection, br=None) -> CSection:
@@ -466,14 +458,12 @@ class CourantPresentation:
         lhs = alg.nabla(e1.x, self.pairing(e2, e3))
         r1 = self.pairing(br(e1, e2), e3)
         r2 = self.pairing(e2, br(e1, e3))
-        out = []
-        for a, b, c in zip(lhs, r1, r2):
-            acc = Accumulator(alg.sig)
-            acc.add(a)
-            acc.add(b, -1)
-            acc.add(c, -1)
-            out.append(acc.elem())
-        return out
+        acc = Accumulator(alg.sig)
+        for b, (x, y, z) in enumerate(zip(lhs, r1, r2)):
+            acc.add(x, 1, b)
+            acc.add(y, -1, b)
+            acc.add(z, -1, b)
+        return acc.vector(len(lhs))
 
     # -- splittings ---------------------------------------------------------------------
 

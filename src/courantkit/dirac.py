@@ -146,12 +146,12 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
     combos, excluded = linalg.nullspace(alg.sig, [list(col) for col in zip(*form_cols)])
     vectors = []
     for c in combos:
-        out = [Accumulator(alg.sig) for _ in range(r)]
-        for k, ck in enumerate(c):
+        acc = Accumulator(alg.sig)
+        for ck, g in zip(c, gens):
             if ck.terms:
-                for acc, x in zip(out, gens[k].x):
-                    acc.add_product(ck, x)
-        vec = [acc.elem() for acc in out]
+                for m, x in enumerate(g.x):
+                    acc.add_product(ck, x, 1, m)
+        vec = acc.vector(r)
         if any(x.terms for x in vec):
             vectors.append(vec)
     if not vectors:

@@ -16,9 +16,9 @@ Two coefficients multiply part by part at slot s1 + s2; for module vectors
 this holds because at most one factor of a wedge or contraction is wider
 than a scalar, whose one slot is 0.  Every sum of signed products (sum,
 scaling, wedge, the contractions, d, the Lie derivative, the Schouten
-bracket) is one `_Alternating.collect`: each product goes straight into one
-`ring.Accumulator` per (index, slot), and the result is built once,
-unchecked.  FScalar arithmetic and `pair_eval` share its kernel,
+bracket) is one `_Alternating.collect`: every product goes straight into
+one `ring.Accumulator`, at the slot (index, part slot), and the result is
+built once, unchecked.  FScalar arithmetic and `pair_eval` share its kernel,
 `_sum_parts`; negation and conjugation map the parts.
 
 `contract` inserts a plain section (a list of rank ring elements, like
@@ -261,42 +261,24 @@ def _sum_parts(sig: RingSignature, items, parts) -> dict:
     """K -> {slot: nonzero RingElem}: the sum of sign * x * y over (K, sign, x, y) items.
 
     parts(c) yields the (slot, RingElem) pairs of a coefficient c, afresh
-    for each part of x; y None stands for 1.  Each product goes straight into
-    one Accumulator per (K, slot); an index whose parts all cancel is dropped.
-    A part added alone with sign 1 is held as it is until a second term lands
-    on its slot, so a sum of objects with few shared indices re-reduces none.
+    for each part of x; y None stands for 1.  Every product goes into one
+    Accumulator at (K, s1 + s2); an index whose parts all cancel is dropped.
     """
-    table: dict = {}
-    one = sig.one()
-    alone = ((0, one),)
+    acc = Accumulator(sig)
     for K, sign, x, y in items:
-        row = table.get(K)
-        if row is None:
-            row = table[K] = {}
         for s1, e1 in parts(x):
             if e1.terms:
-                for s2, e2 in alone if y is None else parts(y):
-                    if e2.terms:
-                        s = s1 + s2
-                        acc = row.get(s)
-                        if acc is None and y is None and sign == 1:
-                            row[s] = e1
-                            continue
-                        if acc is None or acc.__class__ is RingElem:
-                            held, acc = acc, Accumulator(sig)
-                            row[s] = acc
-                            if held is not None:
-                                acc.add_product(one, held)
-                        acc.add_product(e2, e1, sign)
-    out = {}
-    for K, row in table.items():
-        kept = {}
-        for s, acc in row.items():
-            e = acc if acc.__class__ is RingElem else acc.elem()
-            if e.terms:
-                kept[s] = e
-        if kept:
-            out[K] = kept
+                if y is None:
+                    acc.add(e1, sign, (K, s1))
+                else:
+                    for s2, e2 in parts(y):
+                        acc.add_product(e2, e1, sign, (K, s1 + s2))
+    out: dict = {}
+    for (K, s), e in acc.elems().items():
+        row = out.get(K)
+        if row is None:
+            row = out[K] = {}
+        row[s] = e
     return out
 
 

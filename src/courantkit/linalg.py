@@ -38,14 +38,13 @@ def identity(sig: RingSignature, n: int) -> list:
 def mat_mul(sig: RingSignature, A, B) -> list:
     if A and B and len(A[0]) != len(B):
         raise LinalgError("shape mismatch in product")
-    out = [[Accumulator(sig) for _ in (B[0] if B else ())] for _ in A]
-    for row, line in zip(A, out):
+    acc = Accumulator(sig)
+    for i, row in enumerate(A):
         for a, brow in zip(row, B):
             if a.terms:
-                for acc, b in zip(line, brow):
-                    if b.terms:
-                        acc.add_product(a, b)
-    return [[acc.elem() for acc in line] for line in out]
+                for j, b in enumerate(brow):
+                    acc.add_product(a, b, 1, (i, j))
+    return [[acc.elem((i, j)) for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
 
 
 class Echelon:
@@ -98,18 +97,14 @@ def _normalized(row, excluded) -> list:
 def _eliminate(row, prow, col, excluded) -> list:
     """p*row - row[col]*prow for the pivot p = prow[col], normalised.
 
-    Each entry is one Accumulator, and an empty operand adds nothing.
+    The row is one Accumulator, slot k for entry k.
     """
     p, c = prow[col], row[col]
-    out = []
-    for a, b in zip(row, prow):
-        acc = Accumulator(p.sig)
-        if a.terms:
-            acc.add_product(p, a)
-        if b.terms:
-            acc.add_product(c, b, -1)
-        out.append(acc.elem())
-    return _normalized(out, excluded)
+    acc = Accumulator(p.sig)
+    for k, (a, b) in enumerate(zip(row, prow)):
+        acc.add_product(p, a, 1, k)
+        acc.add_product(c, b, -1, k)
+    return _normalized(acc.vector(len(row)), excluded)
 
 
 def rref(sig: RingSignature, M) -> Echelon:
@@ -230,20 +225,21 @@ def polynomial_kernel(sig: RingSignature, max_degree: int, width: int, image) ->
         m for m in product(range(max_degree + 1), repeat=sig.ncoords) if sum(m) <= max_degree
     )
     unknowns = [(sig.monomial(m), b) for m in monos for b in range(width)]
-    eqs: dict = {}  # (key, monomial) -> one equation, an Accumulator per unknown
+    # (key, monomial) -> its equation's row, in first-reached order; the
+    # equations are one Accumulator at (row, unknown)
+    eqs: dict = {}
+    acc = Accumulator(sig)
     for col, (mono, b) in enumerate(unknowns):
         for key, elem in image(b, mono):
             for mkey, coeff in elem.terms.items():
-                row = eqs.get((key, mkey))
-                if row is None:
-                    row = eqs[key, mkey] = [Accumulator(sig) for _ in unknowns]
-                row[col].add(sig.const(coeff))
-    rows = [[acc.elem() for acc in row] for row in eqs.values()]
+                row = eqs.setdefault((key, mkey), len(eqs))
+                acc.add(sig.const(coeff), 1, (row, col))
+    rows = [[acc.elem((row, col)) for col in range(len(unknowns))] for row in range(len(eqs))]
     sols = nullspace(sig, rows)[0] if rows else identity(sig, len(unknowns))
     out = []
     for sol in sols:
-        vec = [Accumulator(sig) for _ in range(width)]
+        vec = Accumulator(sig)
         for c, (mono, b) in zip(sol, unknowns):
-            vec[b].add_product(c, mono)
-        out.append([acc.elem() for acc in vec])
+            vec.add_product(c, mono, 1, b)
+        out.append(vec.vector(width))
     return out

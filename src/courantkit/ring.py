@@ -20,12 +20,14 @@ d > 0 and gcd(a, b, d) = 1, in rational and Gaussian rings alike.  Its
 arithmetic uses only int, with one gcd per result at most; Fraction appears
 only where rationals enter or leave (the constructor, re and im).
 
-A sum of products, such as a bracket coordinate, a derivation along several
-coordinates or an entry p*a - c*b of row elimination, is built in one
-Accumulator.  It keeps a raw triple per monomial, a (a + b*i)/d with d > 0
-that may be unreduced or zero, adds products into it in place, and reduces
-each coefficient once in elem(), which returns a canonical RingElem.  Callers
-see only RingElems: the keys and triples stay inside this module.
+Every sum of products is built in an Accumulator, and so is every vector of
+such sums: the coordinates of a bracket, the entries of an eliminated row or
+of a matrix product, the parts of an exterior object.  An Accumulator is a
+sparse vector of sums, one slot per name that a term lands on.  A slot keeps
+a raw triple per monomial, a (a + b*i)/d with d > 0 that may be unreduced or
+zero, adds products into it in place, and reduces each coefficient once when
+it is read, as a canonical RingElem.  Callers see only RingElems: the keys,
+the triples and the slot storage stay inside this module.
 """
 
 from __future__ import annotations
@@ -285,7 +287,8 @@ class RingSignature:
         if len(set(names)) != len(names):
             raise RingError("coordinate/exponential names must be distinct")
         for nm in names:
-            if not nm or not (nm[0].isalpha() or nm[0] == "_"):
+            # one whole word token, as the parser reads names
+            if _TOKENS.match(nm).group(_WORD) != nm or not (nm[0].isalpha() or nm[0] == "_"):
                 raise RingError(f"invalid generator name {nm!r}")
             if nm == "i":
                 raise RingError("'i' is reserved for the imaginary unit")
@@ -660,35 +663,56 @@ def _accumulate(terms: dict, key, c):
 
 
 class Accumulator:
-    """A mutable sum of ring elements and products over one signature.
+    """A mutable vector of sums of ring elements and products over one signature.
 
-    add_product(x, y) adds x*y and add(x) adds 1*x, each times an int sign;
-    elem() returns the sum so far as a canonical RingElem, and the sum may go
-    on after it.  Nothing is reduced on the way.  Invariant: each monomial key
-    maps to a list [a, b, d] of ints standing for (a + b*i)/d with d > 0, not
-    necessarily in lowest terms and possibly zero.  Equal denominators add
-    numerators only, others cross-multiply.  elem() brings each coefficient
-    to its canonical triple with at most one gcd and drops the zeros, so a sum
-    of many products builds no intermediate RingElem or GaussRat.
+    Each sum sits in a slot named by a hashable at, 0 by default.
+    add_product(x, y, sign, at) adds sign*x*y to slot at and add(x, sign, at)
+    adds sign*x; an empty operand adds nothing and reaches no slot, but an
+    operand from another signature is still refused.  elem(at) returns one
+    slot as a canonical RingElem, the shared zero where nothing landed;
+    elems() maps each nonzero slot to its sum, in the order the slots were
+    first reached; vector(n) lists slots 0..n-1.  The sums may go on after
+    any of them.  Which slots get storage, and how, is known only here.
+
+    A slot first reached by add(x) with sign 1 holds x itself until a second
+    term lands, so a sum of one element is never re-reduced.  Otherwise a
+    slot maps each monomial key to a list [a, b, d] of ints standing for
+    (a + b*i)/d with d > 0, not necessarily in lowest terms and possibly zero.
+    Equal denominators add numerators only, others cross-multiply.  Reading a
+    slot brings each coefficient to its canonical triple with at most one gcd
+    and drops the zeros, so a sum of many products builds no intermediate
+    RingElem or GaussRat.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "_slots")
 
     def __init__(self, sig: RingSignature):
         self.sig = sig
-        self._terms: dict = {}
+        self._slots: dict = {}
 
-    def _check(self, x: RingElem):
+    def add(self, x: RingElem, sign: int = 1, at=0) -> None:
         if x.sig is not self.sig and x.sig != self.sig:
             raise SignatureMismatch("ring elements come from different signatures")
+        if not x.terms:
+            return
+        slots = self._slots
+        if sign == 1 and at not in slots:
+            slots[at] = x
+        else:
+            self.add_product(self.sig.one(), x, sign, at)
 
-    def add(self, x: RingElem, sign: int = 1) -> None:
-        self.add_product(self.sig.one(), x, sign)
-
-    def add_product(self, x: RingElem, y: RingElem, sign: int = 1) -> None:
-        self._check(x)
-        self._check(y)
-        terms = self._terms
+    def add_product(self, x: RingElem, y: RingElem, sign: int = 1, at=0) -> None:
+        sig = self.sig
+        if x.sig is not sig and x.sig != sig or y.sig is not sig and y.sig != sig:
+            raise SignatureMismatch("ring elements come from different signatures")
+        if not (x.terms and y.terms):
+            return
+        slots = self._slots
+        terms = slots.get(at)
+        if terms is None:
+            terms = slots[at] = {}
+        elif terms.__class__ is RingElem:
+            terms = slots[at] = {k: [c._a, c._b, c._d] for k, c in terms.terms.items()}
         ys = y.terms.items()
         for k1, c1 in x.terms.items():
             a1, b1, d1 = c1._a * sign, c1._b * sign, c1._d
@@ -713,9 +737,27 @@ class Accumulator:
                     s[1] = s[1] * d + b * sd
                     s[2] = sd * d
 
-    def elem(self) -> RingElem:
-        terms = {key: _reduced(a, b, d) for key, (a, b, d) in self._terms.items() if a or b}
+    def _read(self, s) -> RingElem:
+        if s.__class__ is RingElem:
+            return s
+        terms = {key: _reduced(a, b, d) for key, (a, b, d) in s.items() if a or b}
         return _elem(self.sig, terms) if terms else self.sig.zero()
+
+    def elem(self, at=0) -> RingElem:
+        s = self._slots.get(at)
+        return self.sig.zero() if s is None else self._read(s)
+
+    def elems(self) -> dict:
+        out = {}
+        for at, s in self._slots.items():
+            e = self._read(s)
+            if e.terms:
+                out[at] = e
+        return out
+
+    def vector(self, n: int) -> list:
+        zero, slots = self.sig.zero(), self._slots
+        return [zero if (s := slots.get(at)) is None else self._read(s) for at in range(n)]
 
 
 def normalize_row(row: list) -> tuple:

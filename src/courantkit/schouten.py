@@ -17,8 +17,9 @@ e_{i_a}; each wedge contributes the shuffle sign of its merged indices.
 
 `schouten` hands the formula to one `Multivector.collect` as items
 (K, sign, v, e_i.w) and (K, sign, v w, c_ij^k): collect multiplies their
-parts grade by grade and sums every product in place, one `ring.Accumulator`
-per (multi-index, grade), like every other alternating sum.  e_i.w is
+parts grade by grade and sums every product in place, in one
+`ring.Accumulator` slotted by (multi-index, grade), like every other
+alternating sum.  e_i.w is
 computed once per frame index and operand term in each call, and v w only
 for a pair of terms that meets a nonzero structure function.
 

@@ -148,7 +148,8 @@ def test_one_degree_cohomology_refuses_oversized_cochain_spaces():
 def test_validate_refuses_oversized_ranks_before_any_work(monkeypatch):
     sig = RingSignature(())
     n = MAX_VALIDATE_RANK
-    assert Algebroid(sig, n, 1, [[] for _ in range(n)], {}).is_valid()
+    rep = Algebroid(sig, n, 1, [[] for _ in range(n)], {}).validate()
+    assert rep["jacobi_ok"] and rep["anchor_ok"] and rep["flat_ok"]
     big = Algebroid(sig, n + 1, 1, [[] for _ in range(n + 1)], {})
 
     def refuse(*args):

@@ -67,8 +67,9 @@ def test_identity_needs_no_axiom(seed, rank):
 
 def test_random_presentations_break_the_axioms():
     # so the agreement above is pinned on presentations that fail validate
-    broken = [not random_presentation(seed, rank).alg.is_valid() for seed, rank in BROKEN]
-    assert all(broken)
+    for seed, rank in BROKEN:
+        rep = random_presentation(seed, rank).alg.validate()
+        assert not (rep["jacobi_ok"] and rep["anchor_ok"] and rep["flat_ok"]), (seed, rank)
 
 
 @pytest.mark.parametrize("name", ["e1m-r3", "nonclosed-r4"])

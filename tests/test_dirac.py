@@ -92,7 +92,7 @@ def test_perp_drops_rank_by_pairing_rank():
 def test_pairing_gram_symmetric_and_isotropy_detection():
     C = catalog.standard_courant(2)
     e0 = C.frame_section(0)
-    j0 = C.coframe_section(0)
+    j0 = CSection(C.alg, C.alg.zero_section(), C.alg.form(1, {(0,): [1]}))
     gens = [e0, j0]
     G = [[C.pairing(g1, g2)[0] for g2 in gens] for g1 in gens]
     assert G[0][1] == G[1][0] == C.alg.sig.one()

@@ -30,7 +30,8 @@ def test_minimal_document_builds_tangent_plane():
     p = definition_from_json(minimal_doc())
     alg = p["algebroid"]
     assert alg.rank == 2 and alg.rank_v == 1
-    assert alg.is_valid()
+    rep = alg.validate()
+    assert rep["jacobi_ok"] and rep["anchor_ok"] and rep["flat_ok"]
     assert p["courant"].twist.is_zero()
 
 
@@ -41,6 +42,10 @@ def test_error_paths_are_dollar_rooted():
     with pytest.raises(SchemaError) as ei:
         definition_from_json(minimal_doc(anchor=[["1", "0"]]))
     assert "$.anchor" in str(ei.value)
+    for coords in (["x-y", "y"], ["x y", "y"]):
+        with pytest.raises(SchemaError) as ei:
+            definition_from_json(minimal_doc(ring={"coords": coords}))
+        assert str(ei.value).endswith("(at $.ring)")
 
 
 def test_unknown_top_level_key_rejected():

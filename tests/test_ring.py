@@ -210,6 +210,15 @@ def test_signature_name_rules():
         RingSignature(("i",))
     with pytest.raises(RingError):
         RingSignature(("x",), (ExpGen("E", (Fraction(1), Fraction(0))),))  # row too long
+    # a name is one whole word as the parser reads it, starting with a letter or _
+    for bad in ("x-y", "x y", " x", "x ", "2x", "²", "x*y", "", "x(", "E^2"):
+        with pytest.raises(RingError, match="invalid generator name"):
+            RingSignature((bad, "y"))
+        with pytest.raises(RingError, match="invalid generator name"):
+            RingSignature(("y",), (ExpGen(bad, (Fraction(1),)),))
+    for good in ("x²", "_t", "éa", "x_1", "Et"):
+        sig = RingSignature((good, "y"))
+        assert sig.parse(f"2*{good}*y") == sig.coord(good) * sig.coord("y") * 2
 
 
 def test_signature_mismatch():
@@ -484,38 +493,61 @@ def _assert_canonical_elem(e, sig):
 
 
 def test_accumulator_matches_ring_sums_and_products():
+    # each slot of one Accumulator is its own RingElem sum
     rng = random.Random(29)
     rational = RingSignature(SIG.coords, SIG.exps, mode="rational")
-    cancelled = 0
+    cancelled = held = dropped = 0
     for sig, complex_ok in ((rational, False), (SIG, True)):
-        empty = Accumulator(sig).elem()
-        assert empty.is_zero()
-        _assert_canonical_elem(empty, sig)
+        empty = Accumulator(sig)
+        assert empty.elem().is_zero() and empty.elems() == {}
+        assert empty.vector(3) == [sig.zero()] * 3
+        _assert_canonical_elem(empty.elem(), sig)
         for _ in range(200):
-            acc, want = Accumulator(sig), sig.zero()
+            acc, want, reached, first = Accumulator(sig), {}, [], {}
             parts = []
-            for _ in range(rng.randint(1, 5)):
+            for _ in range(rng.randint(1, 8)):
+                at = rng.randrange(4)
                 x, y = _draw_elem(rng, sig, complex_ok), _draw_elem(rng, sig, complex_ok)
                 sign = rng.choice((1, -1))
                 if rng.randrange(3):
-                    acc.add_product(x, y, sign)
+                    acc.add_product(x, y, sign, at)
                     term = x * y
                 else:
-                    acc.add(x, sign)
+                    acc.add(x, sign, at)
                     term = x
-                want = want + term if sign > 0 else want - term
-                parts.append((term, -sign))
-            got = acc.elem()
-            assert got == want
-            _assert_canonical_elem(got, sig)
-            # the sum goes on after elem(); taking back every part cancels it
-            for term, sign in parts:
-                acc.add(term, sign)
-            got = acc.elem()
-            assert got.is_zero() and got.terms == {}
-            cancelled += bool(want)
-            _assert_canonical_elem(got, sig)
-    assert cancelled > 300
+                if term.terms and at not in reached:
+                    reached.append(at)
+                    first[at] = term is x and sign == 1
+                elif term.terms and first[at]:
+                    held += 1  # a second term lands on a slot that holds its first
+                old = want.get(at, sig.zero())
+                want[at] = old + term if sign > 0 else old - term
+                parts.append((at, term, -sign))
+                if reached and not rng.randrange(5):
+                    # cancel a whole slot, which keeps its place
+                    at = rng.choice(reached)
+                    acc.add(want[at], -1, at)
+                    parts.append((at, want[at], 1))
+                    want[at] = sig.zero()
+            for at in range(5):
+                got = acc.elem(at)
+                assert got == want.get(at, sig.zero())
+                _assert_canonical_elem(got, sig)
+            assert acc.vector(5) == [want.get(at, sig.zero()) for at in range(5)]
+            assert acc.vector(5)[4] is sig.zero()
+            # nonzero slots in first-reached order; a cancelled one is dropped
+            assert list(acc.elems().items()) == [(at, want[at]) for at in reached if want[at]]
+            dropped += sum(not want[at] for at in reached)
+            # the sums go on after elem(); taking back every part cancels them
+            for at, term, sign in parts:
+                acc.add(term, sign, at)
+            assert acc.elems() == {}
+            for at in range(5):
+                got = acc.elem(at)
+                assert got.is_zero() and got.terms == {}
+                _assert_canonical_elem(got, sig)
+            cancelled += sum(bool(w) for w in want.values())
+    assert cancelled > 300 and held > 50 and dropped > 5
 
 
 def test_accumulator_cancels_term_by_term_and_keeps_its_signature():
@@ -535,6 +567,35 @@ def test_accumulator_cancels_term_by_term_and_keeps_its_signature():
         Accumulator(SIG).add(other.coord("x"))
     with pytest.raises(SignatureMismatch):
         Accumulator(SIG).add_product(x, other.coord("z"))
+    # an empty operand adds nothing, but is still checked
+    for op in (
+        lambda a: a.add(other.zero()),
+        lambda a: a.add(other.zero(), -1, 3),
+        lambda a: a.add_product(SIG.zero(), other.coord("z"), 1, 2),
+        lambda a: a.add_product(other.zero(), x),
+        lambda a: a.add_product(x, other.zero(), -1, "slot"),
+    ):
+        with pytest.raises(SignatureMismatch):
+            op(Accumulator(SIG))
+    acc = Accumulator(SIG)
+    acc.add(SIG.zero(), 1, 1)
+    acc.add_product(x, SIG.zero(), 1, 2)
+    assert acc.elems() == {} and acc.vector(3) == [SIG.zero()] * 3
+
+
+def test_accumulator_holds_a_first_element_until_a_second_term_lands():
+    x, y = SIG.parse("1/2*x*Et - 1/3*y"), SIG.parse("(2/3+i)*x + 5/6*Et^-1")
+    before = dict(x.terms)
+    acc = Accumulator(SIG)
+    acc.add(x, 1, "a")
+    assert acc.elem("a") is x and acc.elems() == {"a": x}
+    acc.add_product(y, y, 1, "a")
+    acc.add(y, -1, "b")
+    assert acc.elem("a") == x + y * y and acc.elem("b") == -y
+    assert x.terms == before  # the held element is copied, never changed
+    acc.add(x, -1, "a")
+    assert acc.elem("a") == y * y
+    assert list(acc.elems()) == ["a", "b"]
 
 
 def test_signature_holds_one_unit_and_add_is_a_product_by_it():

@@ -75,20 +75,32 @@ def test_partial_is_a_derivation(a, b):
 
 
 @properties
-@given(st.lists(st.tuples(elements, elements, st.sampled_from((1, -1)), st.booleans()), max_size=5))
+@given(
+    st.lists(
+        st.tuples(elements, elements, st.sampled_from((1, -1)), st.booleans(), st.integers(0, 2)),
+        max_size=8,
+    )
+)
 def test_accumulator_is_the_ring_sum_of_its_products(ops):
-    acc, want = Accumulator(SIG), SIG.zero()
-    for x, y, sign, product in ops:
+    # slot by slot, in one Accumulator
+    acc, want, reached = Accumulator(SIG), {}, []
+    for x, y, sign, product, at in ops:
         if product:
-            acc.add_product(x, y, sign)
+            acc.add_product(x, y, sign, at)
             term = x * y
         else:
-            acc.add(x, sign)
+            acc.add(x, sign, at)
             term = x
-        want = want + term if sign > 0 else want - term
-    got = acc.elem()
-    assert got == want and _canonical(got)
-    assert all(c == GaussRat(c.re, c.im) and c._d > 0 for c in got.terms.values())
+        if term.terms and at not in reached:
+            reached.append(at)
+        old = want.get(at, SIG.zero())
+        want[at] = old + term if sign > 0 else old - term
+    for at in range(4):
+        got = acc.elem(at)
+        assert got == want.get(at, SIG.zero()) and _canonical(got)
+        assert all(c == GaussRat(c.re, c.im) and c._d > 0 for c in got.terms.values())
+    assert acc.vector(4) == [want.get(at, SIG.zero()) for at in range(4)]
+    assert list(acc.elems().items()) == [(at, want[at]) for at in reached if want[at]]
 
 
 @properties
