@@ -59,18 +59,19 @@ class RankLimitError(AlgebroidError):
 MAX_MODULE_RANK = 16
 
 
-def _vec_mat(v, M, out) -> list:
-    """out + v M, in place, for a row vector v and a matrix M, summed in one
-    Accumulator, slot c for entry c; an entry that no product reaches is kept."""
-    acc = Accumulator(out[0].sig)
-    for c, x in enumerate(out):
-        acc.add(x, 1, c)
-    for vb, row in zip(v, M):
+def _vec_mat(v, M, n, a=None) -> list:
+    """a(v) + v M for a row vector v, a matrix M of n columns (none if None)
+    and a coordinate derivation a applied entrywise (none if None), summed in
+    one Accumulator, slot c for entry c."""
+    acc = Accumulator(v[0].sig)
+    if a is not None:
+        for c, x in enumerate(v):
+            acc.add_derivation(a, x, 1, c)
+    for vb, row in zip(v, M or ()):
         if vb.terms:
             for c, t in enumerate(row):
                 acc.add_product(vb, t, 1, c)
-    out[:] = acc.vector(len(out))
-    return out
+    return acc.vector(n)
 
 
 class Algebroid:
@@ -136,9 +137,8 @@ class Algebroid:
 
     def _connection(self, X) -> list:
         """The connection matrix along the section X: sum_i X_i Theta_i."""
-        zero = self.sig.zero()
         return [
-            _vec_mat(X, [th[b] for th in self.theta], [zero] * self.rank_v)
+            _vec_mat(X, [th[b] for th in self.theta], self.rank_v)
             for b in range(self.rank_v)
         ]
 
@@ -159,17 +159,10 @@ class Algebroid:
         return acc.vector(self.sig.ncoords)
 
     def derivation(self, v, f: RingElem) -> RingElem:
-        """The coordinate derivation with coefficient vector v applied to f.
-
-        f is differentiated only along the nonzero entries of v, and the
-        products are summed in one Accumulator.
-        """
-        if f.is_constant():
-            return self.sig.zero()
+        """The coordinate derivation with coefficient vector v applied to f,
+        summed in one Accumulator (Accumulator.add_derivation)."""
         out = Accumulator(self.sig)
-        for vj, name in zip(v, self.sig.coords):
-            if vj.terms:
-                out.add_product(vj, f.partial(name))
+        out.add_derivation(v, f)
         return out.elem()
 
     def commutator(self, v, w, extra=None, sign=-1) -> list:
@@ -177,8 +170,8 @@ class Algebroid:
         sign * extra if given."""
         acc = Accumulator(self.sig)
         for m in range(self.sig.ncoords):
-            acc.add(self.derivation(v, w[m]), 1, m)
-            acc.add(self.derivation(w, v[m]), -1, m)
+            acc.add_derivation(v, w[m], 1, m)
+            acc.add_derivation(w, v[m], -1, m)
             if extra is not None:
                 acc.add(extra[m], sign, m)
         return acc.vector(self.sig.ncoords)
@@ -198,8 +191,8 @@ class Algebroid:
         ax, ay = self.anchor_vector(X), self.anchor_vector(Y)
         acc = Accumulator(sig)
         for k, (x, y) in enumerate(zip(X, Y)):
-            acc.add(self.derivation(ax, y), 1, k)
-            acc.add(self.derivation(ay, x), -1, k)
+            acc.add_derivation(ax, y, 1, k)
+            acc.add_derivation(ay, x, -1, k)
         for i, xi in enumerate(X):
             if xi.is_zero():
                 continue
@@ -219,7 +212,7 @@ class Algebroid:
         X = [coerce_elem(self.sig, x) for x in X]
         v = [coerce_elem(self.sig, w) for w in v]
         ax = self.anchor_vector(X)
-        return _vec_mat(v, self._connection(X), [self.derivation(ax, vb) for vb in v])
+        return _vec_mat(v, self._connection(X), self.rank_v, ax)
 
     def act_module(self, i: int, vec, connected: bool):
         """Frame section i on a module vector: anchor derivative plus theta_i.
@@ -227,28 +220,22 @@ class Algebroid:
         Without the connection the vector is a tuple of plain functions.
         Returns None when the result vanishes.
         """
-        out = [self.apply_frame_anchor(i, x) for x in vec]
-        if connected:
-            _vec_mat(vec, self.theta[i], out)
-        return tuple(out) if any(not x.is_zero() for x in out) else None
+        out = _vec_mat(vec, self.theta[i] if connected else None, len(vec), self.anchor[i])
+        return tuple(out) if any(x.terms for x in out) else None
 
     def act_graded(self, i: int, w: FScalar) -> FScalar:
         """Frame section i on a graded function: anchor derivative plus grade * theta_i.
 
-        The grade * theta_i term is summed onto the derivative in one Accumulator.
+        Each grade is one slot of one Accumulator, holding the derivative and
+        the grade * theta_i term.
         """
-        th = self.theta_scalar(i)
-        parts = {}
+        th, row = self.theta_scalar(i), self.anchor[i]
+        acc = Accumulator(self.sig)
         for g, elem in w.parts.items():
-            e = self.apply_frame_anchor(i, elem)
-            if g and th.terms:
-                out = Accumulator(self.sig)
-                out.add(e)
-                out.add_product(elem, th, g)
-                e = out.elem()
-            if e.terms:
-                parts[g] = e
-        return _fscalar(self.sig, parts)
+            acc.add_derivation(row, elem, 1, g)
+            if g:
+                acc.add_product(elem, th, g, g)
+        return _fscalar(self.sig, acc.elems())
 
     # -- differential and Lie derivative ----------------------------------------
 
@@ -344,9 +331,7 @@ class Algebroid:
 
         def items():
             for I, vec in w.terms.items():
-                fn = [self.derivation(ax, x) for x in vec]
-                if w.vvalued:
-                    _vec_mat(vec, xtheta, fn)
+                fn = _vec_mat(vec, xtheta, len(vec), ax)
                 if any(not x.is_zero() for x in fn):
                     yield I, 1, tuple(fn), None
                 for pos, k in enumerate(I):
@@ -391,8 +376,8 @@ class Algebroid:
         for b in range(n):
             for c in range(n):
                 at = (b, c)
-                acc.add(self.apply_frame_anchor(i, tj[b][c]), 1, at)
-                acc.add(self.apply_frame_anchor(j, ti[b][c]), -1, at)
+                acc.add_derivation(self.anchor[i], tj[b][c], 1, at)
+                acc.add_derivation(self.anchor[j], ti[b][c], -1, at)
                 acc.add(tij[b][c], -1, at)
                 for d in range(n):
                     acc.add_product(tj[b][d], ti[d][c], 1, at)
@@ -447,7 +432,7 @@ class Algebroid:
         anchor = linalg.mat_mul(s, M, self.anchor) if s.ncoords else [[] for _ in range(self.rank)]
         # brackets re-expressed in the primed frame: coefficients br . Minv
         structure = {
-            (i, j): _vec_mat(self.bracket(M[i], M[j]), Minv, [s.zero()] * self.rank)
+            (i, j): _vec_mat(self.bracket(M[i], M[j]), Minv, self.rank)
             for i in range(self.rank)
             for j in range(i + 1, self.rank)
         }

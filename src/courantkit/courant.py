@@ -210,6 +210,8 @@ def _combine(alg: Algebroid, items) -> CSection:
     acc = Accumulator(alg.sig)
     for e, sign, c in items:
         for k, v in enumerate(e._coords):
+            if not v.terms:
+                continue
             if c is None:
                 acc.add(v, sign, k)
             else:
@@ -388,17 +390,17 @@ class CourantPresentation:
         f, g = e1._coords, e2._coords
         acc = Accumulator(alg.sig)
         for fa, pairs in zip(f, self.tensor):
-            if not fa:
+            if not fa.terms:
                 continue
             for b, t in pairs.items():
-                if g[b]:
+                if g[b].terms:
                     fg = fa * g[b]
                     for k, c in t.items():
                         acc.add_product(fg, c, 1, k)
         rf, rg = _anchored(alg, e1), _anchored(alg, e2)
         for k in range(r):
             fk, gk = f[k], g[k]
-            if fk:
+            if fk.terms:
                 for b, d in rg[k].items():
                     acc.add_product(fk, d, 1, b)
             for a, d in rf[k].items():

@@ -3,12 +3,14 @@
 Matrices hold exact ring elements.  rref is the one elimination routine:
 rank, nullspace, membership and invert all read its echelon.  Elimination
 uses cross-multiplication so no step ever leaves the ring; only invert
-divides, to bring its result back into the ring.  Row operations divide out
-rational content and common monomials (ring.normalize_row), which is
-legitimate over the fraction field: the verdicts (rank, span membership,
-nullspace) are *generic*, valid off the vanishing locus of the recorded pivots
-and stripped factors.  The `excluded` list returned alongside each verdict
-names those factors.
+divides, to bring its result back into the ring.  Each row a step makes is
+summed in one ring.Accumulator and read once as a primitive row: divided by
+its rational content and common monomial, each coefficient built once from
+the raw sums (Accumulator.primitive; input rows go through normalize_row, the
+same read).  That division is legitimate over the fraction field: the
+verdicts (rank, span membership, nullspace) are *generic*, valid off the
+vanishing locus of the recorded pivots and stripped factors.  The `excluded`
+list returned alongside each verdict names those factors.
 """
 
 from __future__ import annotations
@@ -88,29 +90,31 @@ def _note_excluded(excluded, elem):
     excluded.append(elem)
 
 
-def _normalized(row, excluded) -> list:
-    row, witness = normalize_row(row)
-    _note_excluded(excluded, witness)
-    return row
-
-
 def _eliminate(row, prow, col, excluded) -> list:
     """p*row - row[col]*prow for the pivot p = prow[col], normalised.
 
-    The row is one Accumulator, slot k for entry k.
+    The row is one Accumulator, slot k for entry k, read as a primitive row.
     """
     p, c = prow[col], row[col]
     acc = Accumulator(p.sig)
     for k, (a, b) in enumerate(zip(row, prow)):
-        acc.add_product(p, a, 1, k)
-        acc.add_product(c, b, -1, k)
-    return _normalized(acc.vector(len(row)), excluded)
+        if a.terms:
+            acc.add_product(p, a, 1, k)
+        if b.terms:
+            acc.add_product(c, b, -1, k)
+    out, witness = acc.primitive(len(row))
+    _note_excluded(excluded, witness)
+    return out
 
 
 def rref(sig: RingSignature, M) -> Echelon:
     """Fraction-free reduced echelon form over the fraction field."""
     excluded: list = []
-    rows = [_normalized(r, excluded) for r in coerce_matrix(sig, M)]
+    rows = []
+    for row in coerce_matrix(sig, M):
+        row, witness = normalize_row(row)
+        _note_excluded(excluded, witness)
+        rows.append(row)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -173,14 +177,11 @@ def nullspace(sig: RingSignature, M) -> tuple:
         prod = prod * pivots[k]
     basis = []
     for f in free_cols:
-        vec = [sig.zero()] * ncols
-        vec[f] = prod
+        acc = Accumulator(sig)
+        acc.add(prod, 1, f)
         for (r, c), q in zip(ech.pivots, cofactors):
-            a = ech.rows[r][f]
-            if not a.is_zero():
-                vec[c] = -a * q
-        vec, _ = normalize_row(vec)
-        basis.append(vec)
+            acc.add_product(ech.rows[r][f], q, -1, c)
+        basis.append(acc.primitive(ncols)[0])
     return basis, ech.excluded
 
 

@@ -11,9 +11,8 @@ Elements are kept in canonical form: a sparse map from monomials to nonzero
 Gaussian-rational coefficients.  Equality is therefore literal dict equality.
 A monomial key is one flat tuple of exponents, the coordinates first and then
 the exponential generators.  This module owns that format: other modules build
-elements through the signature (const, coord, exp_gen, monomial, parse),
-move them between rings with RingElem.embed, and divide matrix rows by their
-content and common monomial with normalize_row.
+elements through the signature (const, coord, exp_gen, monomial, parse) and
+move them between rings with RingElem.embed.
 
 A coefficient, GaussRat, is one canonical integer triple (a + b*i)/d with
 d > 0 and gcd(a, b, d) = 1, in rational and Gaussian rings alike.  Its
@@ -26,8 +25,15 @@ of a matrix product, the parts of an exterior object.  An Accumulator is a
 sparse vector of sums, one slot per name that a term lands on.  A slot keeps
 a raw triple per monomial, a (a + b*i)/d with d > 0 that may be unreduced or
 zero, adds products into it in place, and reduces each coefficient once when
-it is read, as a canonical RingElem.  Callers see only RingElems: the keys,
-the triples and the slot storage stay inside this module.
+it is read, as a canonical RingElem.  Two kernels go from raw triples to the
+final form in one step.  add_derivation adds sum_j v_j * df/dx_j from the
+triples of f, with no partial derivative built on the way; it is the one
+derivative loop, and RingElem.partial is it along a unit vector.  primitive
+reads slots 0..n-1 as a row divided by its rational content and common
+monomial, each coefficient built once over d = 1; it is the one content and
+monomial strip, and normalize_row adds a row to an Accumulator and reads it.
+Callers see only RingElems: the keys, the triples and the slot storage stay
+inside this module.
 """
 
 from __future__ import annotations
@@ -275,6 +281,10 @@ class RingSignature:
     _one: "RingElem" = field(init=False, repr=False, compare=False)
     # generator name -> its place in a monomial key, for the parser
     _index: dict = field(init=False, repr=False, compare=False)
+    # per coordinate x_j, the rates of the exponential generators along it:
+    # ((key place, numerator), ...) over one common denominator, so that
+    # d(E^n)/dx_j = (sum of n * numerator / denominator) * E^n
+    _rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "rational"):
@@ -297,6 +307,12 @@ class RingSignature:
                 raise RingError(
                     f"derivative row of {e.name!r} must have {len(self.coords)} entries"
                 )
+        rates = []
+        for j in range(len(self.coords)):
+            live = [(len(self.coords) + m, e.row[j]) for m, e in enumerate(self.exps) if e.row[j]]
+            den = math.lcm(*(q.denominator for _, q in live))
+            rates.append((tuple((p, q.numerator * (den // q.denominator)) for p, q in live), den))
+        object.__setattr__(self, "_rates", tuple(rates))
 
     def __deepcopy__(self, memo):
         # immutable: a deep copy of an element keeps its signature object,
@@ -500,31 +516,14 @@ class RingElem:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, var: str) -> "RingElem":
-        """Exact partial derivative with respect to a coordinate.
-
-        Each term's triple is multiplied by its integer exponent, and by the
-        exponent times the rate of each exponential generator, as raw ints;
-        only a key that two terms reach is summed as GaussRats.
-        """
+        """Exact partial derivative with respect to a coordinate: the
+        derivation with unit coefficient vector at var (Accumulator.add_derivation)."""
         sig = self.sig
-        j = sig.coord_index(var)
-        rates = [
-            (sig.ncoords + m, e.row[j].numerator, e.row[j].denominator)
-            for m, e in enumerate(sig.exps)
-            if e.row[j]
-        ]
-        out: dict = {}
-        for key, c in self.terms.items():
-            a, b, den = c._a, c._b, c._d
-            d = key[j]
-            if d:
-                _accumulate(out, key[:j] + (d - 1,) + key[j + 1 :], _reduced(a * d, b * d, den))
-            for p, num, rden in rates:
-                n = key[p]
-                if n:
-                    n *= num
-                    _accumulate(out, key, _reduced(a * n, b * n, den * rden))
-        return _elem(sig, out)
+        v = [sig.zero()] * sig.ncoords
+        v[sig.coord_index(var)] = sig.one()
+        acc = Accumulator(sig)
+        acc.add_derivation(v, self)
+        return acc.elem()
 
     def conjugate(self) -> "RingElem":
         return _elem(self.sig, {k: c.conjugate() for k, c in self.terms.items()})
@@ -645,7 +644,8 @@ def _power(base: RingElem, n: int, check) -> RingElem:
 
 def _accumulate(terms: dict, key, c):
     # One canonical GaussRat into a term map, reduced at every step: the
-    # single product, sum and division loops of RingElem use it.  A sum of
+    # single product, sum and division loops of RingElem and the sampler's
+    # draws use it.  A sum of
     # several products goes through Accumulator instead, which keeps raw
     # triples and reduces once per output term.  c is stored as it comes on
     # the first write to a key, so it must be nonzero.  Every caller passes a
@@ -666,13 +666,16 @@ class Accumulator:
     """A mutable vector of sums of ring elements and products over one signature.
 
     Each sum sits in a slot named by a hashable at, 0 by default.
-    add_product(x, y, sign, at) adds sign*x*y to slot at and add(x, sign, at)
-    adds sign*x; an empty operand adds nothing and reaches no slot, but an
-    operand from another signature is still refused.  elem(at) returns one
-    slot as a canonical RingElem, the shared zero where nothing landed;
-    elems() maps each nonzero slot to its sum, in the order the slots were
-    first reached; vector(n) lists slots 0..n-1.  The sums may go on after
-    any of them.  Which slots get storage, and how, is known only here.
+    add_product(x, y, sign, at) adds sign*x*y to slot at, add(x, sign, at)
+    adds sign*x and add_derivation(v, f, sign, at) adds sign times the
+    coordinate derivation with coefficient vector v applied to f; an empty
+    operand adds nothing and reaches no slot, but an operand from another
+    signature is still refused.  elem(at) returns one slot as a canonical
+    RingElem, the shared zero where nothing landed; elems() maps each nonzero
+    slot to its sum, in the order the slots were first reached; vector(n)
+    lists slots 0..n-1 and primitive(n) lists them as a primitive row.  The
+    sums may go on after any of them.  Which slots get storage, and how, is
+    known only here.
 
     A slot first reached by add(x) with sign 1 holds x itself until a second
     term lands, so a sum of one element is never re-reduced.  Otherwise a
@@ -681,7 +684,8 @@ class Accumulator:
     Equal denominators add numerators only, others cross-multiply.  Reading a
     slot brings each coefficient to its canonical triple with at most one gcd
     and drops the zeros, so a sum of many products builds no intermediate
-    RingElem or GaussRat.
+    RingElem or GaussRat; primitive brings a whole row to its final form in
+    one step, with no per-coefficient gcd.
     """
 
     __slots__ = ("sig", "_slots")
@@ -737,6 +741,63 @@ class Accumulator:
                     s[1] = s[1] * d + b * sd
                     s[2] = sd * d
 
+    def add_derivation(self, v, f: RingElem, sign: int = 1, at=0) -> None:
+        """Add sign * sum_j v[j] * df/dx_j, v a vector of ring elements over the
+        coordinates.
+
+        Along x_j a term c x^k E^n gives c k_j x^(k - e_j) E^n, and c times
+        the rate of E^n, sum_m n_m row_m[j], at its own key.  Those are kept
+        as raw triples, one per term and rule, and multiplied by v[j] into
+        the slot: no partial derivative is built as a RingElem or GaussRat.
+        """
+        sig = self.sig
+        for x in (f, *v):
+            if x.sig is not sig and x.sig != sig:
+                raise SignatureMismatch("ring elements come from different signatures")
+        if not f.terms:
+            return
+        fs, slots, terms = f.terms.items(), self._slots, None
+        for j, (vj, (rates, den)) in enumerate(zip(v, sig._rates)):
+            if not vj.terms:
+                continue
+            part = []
+            for key, c in fs:
+                e = key[j]
+                if e:
+                    part.append((key[:j] + (e - 1,) + key[j + 1 :], c._a * e, c._b * e, c._d))
+                if rates:
+                    n = 0
+                    for p, q in rates:
+                        n += key[p] * q
+                    if n:
+                        part.append((key, c._a * n, c._b * n, c._d * den))
+            if not part:
+                continue
+            if terms is None:
+                terms = slots.get(at)
+                if terms is None:
+                    terms = slots[at] = {}
+                elif terms.__class__ is RingElem:
+                    terms = slots[at] = {k: [c._a, c._b, c._d] for k, c in terms.terms.items()}
+            # v[j] times the derivative, filed as add_product files products
+            for k1, c1 in vj.terms.items():
+                a1, b1, d1 = c1._a * sign, c1._b * sign, c1._d
+                shift = any(k1)
+                for k2, a2, b2, d2 in part:
+                    key = tuple(map(_add, k1, k2)) if shift else k2
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                    s = terms.get(key)
+                    if s is None:
+                        terms[key] = [a, b, d]
+                    elif s[2] == d:
+                        s[0] += a
+                        s[1] += b
+                    else:
+                        sd = s[2]
+                        s[0] = s[0] * d + a * sd
+                        s[1] = s[1] * d + b * sd
+                        s[2] = sd * d
+
     def _read(self, s) -> RingElem:
         if s.__class__ is RingElem:
             return s
@@ -759,38 +820,65 @@ class Accumulator:
         zero, slots = self.sig.zero(), self._slots
         return [zero if (s := slots.get(at)) is None else self._read(s) for at in range(n)]
 
+    def primitive(self, n: int) -> tuple:
+        """Slots 0..n-1 divided by their rational content and common monomial.
+
+        The row read is the one row of Gaussian integers with content 1 that
+        is a positive rational multiple of the sums, with the componentwise
+        least monomial divided out.  The raw triples are put over the lcm of
+        their denominators and divided by the gcd of all numerators, so each
+        coefficient is built once, over d = 1, with no gcd of its own.
+        Returns (row, witness): the witness is the stripped coordinate
+        monomial, or None when there is none, since only coordinate monomials
+        can vanish.
+        """
+        sig, slots = self.sig, self._slots
+        live = []  # (at, slot, its nonzero raw terms (key, a, b, d))
+        for at in range(n):
+            s = slots.get(at)
+            if s is None:
+                continue
+            if s.__class__ is RingElem:
+                live.append((at, s, [(k, c._a, c._b, c._d) for k, c in s.terms.items()]))
+            elif ts := [(k, a, b, d) for k, (a, b, d) in s.items() if a or b]:
+                live.append((at, s, ts))
+        row = [sig.zero()] * n
+        if not live:
+            return row, None
+        flat = [t for _, _, ts in live for t in ts]
+        den = math.lcm(*[t[3] for t in flat])
+        if den != 1:
+            live = [
+                (at, None, [(k, a * (den // d), b * (den // d), 1) for k, a, b, d in ts])
+                for at, _, ts in live
+            ]
+            flat = [t for _, _, ts in live for t in ts]
+        g = math.gcd(*[t[1] for t in flat], *[t[2] for t in flat])
+        common = tuple(map(min, zip(*[t[0] for t in flat])))
+        shift = any(common)
+        for at, s, ts in live:
+            if shift:
+                row[at] = _elem(sig, {
+                    tuple(map(_sub, k, common)): _gr(a // g, b // g, 1) for k, a, b, _ in ts
+                })
+            elif g == 1 and s.__class__ is RingElem:
+                row[at] = s  # held, and already in final form
+            else:
+                row[at] = _elem(sig, {k: _gr(a // g, b // g, 1) for k, a, b, _ in ts})
+        cdeg = common[: sig.ncoords]
+        witness = _elem(sig, {cdeg + (0,) * sig.nexps: GR_ONE}) if any(cdeg) else None
+        return row, witness
+
 
 def normalize_row(row: list) -> tuple:
-    """Divide a row by its rational content and common monomial.
-
-    Returns (row, witness).  The witness is the stripped coordinate monomial,
-    or None when there is none: only coordinate monomials can vanish, so only
-    those are worth excluding.
-    """
-    live = [e for e in row if e.terms]
-    if not live:
+    """Divide a row by its rational content and common monomial: each entry
+    added at its index, then Accumulator.primitive.  Returns (row, witness)."""
+    if not row:
         return row, None
-    sig = live[0].sig
-    common = tuple(map(min, zip(*(k for e in live for k in e.terms))))
-    # the content is the gcd of the numerators over the lcm of the denominators;
-    # a canonical triple (a + b*i)/d contributes gcd(a, b)/d in lowest terms
-    num, den = 0, 1
-    for e in live:
-        for c in e.terms.values():
-            num = math.gcd(num, c._a, c._b)
-            den = math.lcm(den, c._d)
-    if not any(common) and num == den == 1:
-        return row, None
-    inv = _gr(den, 0, num)  # coprime: a prime of some d divides not both its a, b
-    out = [
-        _elem(sig, {tuple(map(_sub, k, common)): c * inv for k, c in e.terms.items()})
-        if e.terms
-        else e
-        for e in row
-    ]
-    cdeg = common[: sig.ncoords]
-    witness = _elem(sig, {cdeg + (0,) * sig.nexps: GR_ONE}) if any(cdeg) else None
-    return out, witness
+    acc = Accumulator(row[0].sig)
+    for k, e in enumerate(row):
+        acc.add(e, 1, k)
+    return acc.primitive(len(row))
 
 
 def coerce_elem(sig: RingSignature, value) -> RingElem:

@@ -8,9 +8,7 @@ contract here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import GaussRat, RingElem, RingSignature
+from .ring import RingElem, RingSignature, _accumulate, _elem, _reduced
 
 _MASK = (1 << 64) - 1
 
@@ -41,14 +39,6 @@ class SplitMix:
             raise ValueError("choice from empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
-    def fraction(self, max_num: int = 3, max_den: int = 2) -> Fraction:
-        return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
-
-    def gauss(self, complex_ok: bool = False) -> GaussRat:
-        re = self.fraction()
-        im = self.fraction() if complex_ok and self.randint(0, 2) == 0 else Fraction(0)
-        return GaussRat(re, im)
-
     def ring_elem(
         self,
         sig: RingSignature,
@@ -56,23 +46,29 @@ class SplitMix:
         terms: int = 2,
         complex_ok: bool = False,
     ) -> RingElem:
-        """Small sparse polynomial (unit exponential factors allowed)."""
-        out = sig.zero()
+        """Small sparse polynomial (unit exponential factors allowed).
+
+        Each drawn term is a coefficient (a/d + (b/e)*i), a in [-3, 3] and d in
+        [1, 2], with an imaginary part only when complex_ok and one draw in
+        three says so, on a monomial of coordinate degree up to max_degree.
+        Terms on one monomial are summed; a zero coefficient is skipped.
+        """
+        out: dict = {}
         for _ in range(terms):
-            cpow = [0] * sig.ncoords
+            key = [0] * len(sig.names)
             budget = self.randint(0, max_degree)
             for _ in range(budget):
                 if sig.ncoords:
-                    cpow[self.randint(0, sig.ncoords - 1)] += 1
-            epow = tuple(
-                self.randint(-1, 1) if self.randint(0, 3) == 0 else 0
-                for _ in range(sig.nexps)
-            )
-            coeff = self.gauss(complex_ok)
-            if coeff.is_zero():
-                continue
-            out = out + sig.monomial(cpow, epow, coeff)
-        return out
+                    key[self.randint(0, sig.ncoords - 1)] += 1
+            for m in range(sig.ncoords, len(key)):
+                key[m] = self.randint(-1, 1) if self.randint(0, 3) == 0 else 0
+            a, d = self.randint(-3, 3), self.randint(1, 2)
+            b, e = 0, 1
+            if complex_ok and self.randint(0, 2) == 0:
+                b, e = self.randint(-3, 3), self.randint(1, 2)
+            if a or b:
+                _accumulate(out, tuple(key), _reduced(a * e, b * d, d * e))
+        return _elem(sig, out) if out else sig.zero()
 
     def coeff_vector(self, sig: RingSignature, n: int, **kw) -> list:
         return [self.ring_elem(sig, **kw) for _ in range(n)]

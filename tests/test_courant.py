@@ -516,7 +516,8 @@ def test_closed_twist_jacobiator_expected_contracts_nothing(monkeypatch):
 def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     # a bracket and a signed sum of sections are one Accumulator each, slotted
     # by coordinate; a default verify on the largest catalog frame builds
-    # 10 015 in all (43 590 with one per coordinate)
+    # 9 205 in all (43 590 with one per coordinate, 10 015 with one per
+    # derivation summed into a commutator and per entry of a module action)
     import courantkit.courant as courant
     from courantkit.ring import Accumulator
 
@@ -535,7 +536,7 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     diff = e1 - e2.scale(half)
     monkeypatch.setattr(Accumulator, "__init__", counting_init)
     assert C.verify()["ok"]
-    assert built[0] == 10015
+    assert built[0] == 9205
     built[0] = 0
     assert C.bracket(e1, e2) == want
     assert built[0] == 1

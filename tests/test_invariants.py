@@ -186,6 +186,49 @@ def test_graded_check_jacobi_report_is_byte_identical(tmp_path):
     assert [code, hashlib.sha256(text.encode("utf-8")).hexdigest()] == GRADED_JACOBI_DIGEST
 
 
+# check-dirac on seeded graph subbundles over tangent-r3: generators e_i + W_i
+# for a drawn skew W, mixed by drawn polynomial factors (seed 2 with imaginary
+# parts).  Each elimination pivots on and strips nonconstant factors, so every
+# report has a nonempty excluded list, which the catalog's subbundles rarely
+# reach.
+GRAPH_DIRAC_DIGESTS = {
+    1: [1, "e517f512227d0570f26a2e6bd0e8b2b0aa18b4a9c6113818b0f2726587ce5da9"],
+    2: [1, "e6f9ea7269c958815b9d498c7dc391b559d7fde9009ff88531f73a5665e2ddac"],
+    3: [1, "cedbeb56f3133937e7e2cedeee9e474d558001c5033b113243ce9490d5f28c5c"],
+}
+
+
+def _graph_subbundle_doc(seed: int) -> dict:
+    rng = SplitMix(seed)
+    payload = catalog.load("tangent-r3")
+    sig = payload["algebroid"].sig
+    W = [[sig.zero()] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            w = rng.ring_elem(sig, max_degree=2, terms=2, complex_ok=seed % 2 == 0)
+            W[a][b], W[b][a] = w, -w
+    gens = [[sig.one() if j == i else sig.zero() for j in range(3)] + W[i] for i in range(3)]
+    for a, b in ((1, 0), (2, 1), (0, 2)):
+        p = rng.ring_elem(sig, max_degree=1, terms=2)
+        gens[a] = [u + p * v for u, v in zip(gens[a], gens[b])]
+    doc = io.definition_to_json(payload)
+    doc["subbundles"] = {"graph": [
+        {"x": [str(c) for c in g[:3]],
+         "xi": {"degree": 1, "terms": {str(k + 1): [str(c)] for k, c in enumerate(g[3:]) if c.terms}}}
+        for g in gens
+    ]}
+    return doc
+
+
+@pytest.mark.parametrize("seed", sorted(GRAPH_DIRAC_DIGESTS))
+def test_graph_subbundle_check_dirac_reports_are_byte_identical(tmp_path, seed):
+    path = tmp_path / f"graph-{seed}.json"
+    path.write_text(json.dumps(_graph_subbundle_doc(seed), sort_keys=True))
+    code, text = _run(["check-dirac", "--defs", str(path)])
+    assert json.loads(text)["details"]["graph"]["excluded"]
+    assert [code, hashlib.sha256(text.encode("utf-8")).hexdigest()] == GRAPH_DIRAC_DIGESTS[seed]
+
+
 # -- names that must stay plain functions ----------------------------------------
 
 # Functions the benchmark's traced run counts or times by module and qualified

@@ -4,8 +4,10 @@ import pytest
 
 from courantkit import linalg
 from courantkit.linalg import LinalgError
-from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature, normalize_row
+from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature
 from courantkit.sampling import SplitMix
+
+from calculus_oracle import content_normalize_row
 
 
 SIG = RingSignature(("x", "y"))
@@ -108,7 +110,7 @@ def _nullspace_by_division(A) -> list:
         vec[f] = prod
         for r, c in ech.pivots:
             vec[c] = -ech.rows[r][f] * prod.exact_div(ech.rows[r][c])
-        basis.append(normalize_row(vec)[0])
+        basis.append(content_normalize_row(vec)[0])
     return basis
 
 
@@ -166,7 +168,7 @@ def test_eliminate_matches_the_normalized_cross_multiplication():
         excluded = []
         got = linalg._eliminate(row, prow, col, excluded)
         p, c = prow[col], row[col]
-        want, witness = normalize_row([p * a - c * b for a, b in zip(row, prow)])
+        want, witness = content_normalize_row([p * a - c * b for a, b in zip(row, prow)])
         assert got == want and got[col].is_zero()
         assert excluded == ([] if witness is None or witness.is_constant() else [witness])
         for e in got:
@@ -191,4 +193,28 @@ def test_elimination_sums_in_the_accumulator(monkeypatch):
     monkeypatch.setattr(RingElem, "__add__", counting_add)
     ech = linalg.rref(GSIG, A)
     assert ech.rank == 4 and ech.reduce(v) == want
+    assert calls == []
+
+
+def test_elimination_multiplies_no_coefficient(monkeypatch):
+    # each row is read as a primitive row from its raw sums: rref and reduce
+    # multiply no GaussRat, to divide out the content or otherwise
+    rng = SplitMix(53)
+    cases = []
+    for _ in range(6):
+        A = [_sparse_row(rng, 5) for _ in range(4)]
+        cases.append((A, _sparse_row(rng, 5), linalg.rref(GSIG, A)))
+    wants = [(ech.rows, ech.pivots, ech.excluded, ech.reduce(v)) for A, v, ech in cases]
+    assert sum(len(ech.excluded) for _, _, ech in cases) > 0
+    calls = []
+    real_mul = GaussRat.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(GaussRat, "__mul__", counting_mul)
+    for (A, v, _), want in zip(cases, wants):
+        ech = linalg.rref(GSIG, A)
+        assert (ech.rows, ech.pivots, ech.excluded, ech.reduce(v)) == want
     assert calls == []

@@ -18,6 +18,8 @@ from courantkit.ring import (
 )
 from courantkit.sampling import SplitMix
 
+from sampling_oracle import fraction_ring_elem
+
 
 SIG = RingSignature(("x", "y"), (ExpGen("Et", (Fraction(0), Fraction(1))),))
 
@@ -624,3 +626,25 @@ def test_partial_multiplies_by_exponents_and_fractional_rates():
     assert f.partial("y") == sig.parse("(19/6+19/3*i)*x^3*E^-2*F + 7/5*E - 14/15*y*E")
     for var in sig.coords:
         _assert_canonical_elem(f.partial(var), sig)
+
+
+def test_ring_elem_draws_match_the_fraction_oracle():
+    # the same elements from the same stream, and the stream left in the same state
+    rings = (
+        (RingSignature(("x", "y", "z"), mode="rational"), False),
+        (RingSignature(("x", "y")), True),
+        (SIG, True),
+        (RingSignature(("x",), (ExpGen("E", (Fraction(1, 2),)), ExpGen("F", (Fraction(-3),)))), True),
+        (RingSignature((), (ExpGen("E", ()),)), False),
+    )
+    drawn = 0
+    for seed in range(12):
+        for sig, complex_ok in rings:
+            ours, theirs = SplitMix(seed), SplitMix(seed)
+            for max_degree, terms in ((2, 2), (3, 4), (0, 3), (1, 1)):
+                got = ours.ring_elem(sig, max_degree=max_degree, terms=terms, complex_ok=complex_ok)
+                want = fraction_ring_elem(theirs, sig, max_degree, terms, complex_ok)
+                assert got == want and ours.state == theirs.state
+                _assert_canonical_elem(got, sig)
+                drawn += bool(got.terms)
+    assert drawn > 200

@@ -1,7 +1,8 @@
 """Property tests: the field axioms of GaussRat, the commutative-ring axioms
 plus the Leibniz rule of partial for RingElem, the Accumulator against
-RingElem sums and products, and parse as the inverse of to_str, on small
-random elements.
+RingElem sums and products, add_derivation and primitive against the
+term-by-term oracle (tests/calculus_oracle.py), and parse as the inverse of
+to_str, on small random elements.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 """
@@ -14,7 +15,20 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from courantkit.ring import Accumulator, ExpGen, GaussRat, RingElem, RingSignature  # noqa: E402
+from courantkit.ring import (  # noqa: E402
+    Accumulator,
+    ExpGen,
+    GaussRat,
+    RingElem,
+    RingSignature,
+    normalize_row,
+)
+
+from calculus_oracle import (  # noqa: E402
+    content_normalize_row,
+    termwise_derivation,
+    termwise_partial,
+)
 
 SIG = RingSignature(("x", "y"), (ExpGen("Et", (Fraction(0), Fraction(-2, 3))),))
 ZERO, ONE = GaussRat(0), GaussRat(1)
@@ -101,6 +115,44 @@ def test_accumulator_is_the_ring_sum_of_its_products(ops):
         assert all(c == GaussRat(c.re, c.im) and c._d > 0 for c in got.terms.values())
     assert acc.vector(4) == [want.get(at, SIG.zero()) for at in range(4)]
     assert list(acc.elems().items()) == [(at, want[at]) for at in reached if want[at]]
+
+
+@properties
+@given(
+    st.lists(elements, min_size=2, max_size=2),
+    elements,
+    st.integers(-3, 3),
+    st.sampled_from(("empty", "held", "raw")),
+    elements,
+)
+def test_add_derivation_is_the_termwise_derivation(v, f, sign, kind, before):
+    # on an empty, a held and a raw slot
+    acc = Accumulator(SIG)
+    if kind == "held":
+        acc.add(before, 1, "s")
+    elif kind == "raw":
+        acc.add_product(SIG.one(), before, 1, "s")
+    else:
+        before = SIG.zero()
+    acc.add_derivation(v, f, sign, "s")
+    got = acc.elem("s")
+    assert got == before + termwise_derivation(v, f) * sign and _canonical(got)
+    for var in SIG.coords:
+        assert f.partial(var) == termwise_partial(f, var)
+
+
+@properties
+@given(st.lists(st.tuples(elements, elements), min_size=1, max_size=4))
+def test_primitive_is_the_content_normalization(pairs):
+    # each entry x + x*y, summed raw where y is nonzero and held otherwise
+    acc = Accumulator(SIG)
+    for k, (x, y) in enumerate(pairs):
+        acc.add(x, 1, k)
+        acc.add_product(x, y, 1, k)
+    sums = acc.vector(len(pairs))
+    want = content_normalize_row(sums)
+    assert acc.primitive(len(pairs)) == want
+    assert normalize_row(sums) == want
 
 
 @properties
