@@ -155,7 +155,8 @@ class Algebroid:
         for c, row in zip(X, self.anchor):
             if c.terms:
                 for j, a in enumerate(row):
-                    acc.add_product(c, a, 1, j)
+                    if a.terms:
+                        acc.add_product(c, a, 1, j)
         return acc.vector(self.sig.ncoords)
 
     def derivation(self, v, f: RingElem) -> RingElem:
@@ -376,12 +377,16 @@ class Algebroid:
         for b in range(n):
             for c in range(n):
                 at = (b, c)
-                acc.add_derivation(self.anchor[i], tj[b][c], 1, at)
-                acc.add_derivation(self.anchor[j], ti[b][c], -1, at)
+                if tj[b][c].terms:
+                    acc.add_derivation(self.anchor[i], tj[b][c], 1, at)
+                if ti[b][c].terms:
+                    acc.add_derivation(self.anchor[j], ti[b][c], -1, at)
                 acc.add(tij[b][c], -1, at)
                 for d in range(n):
-                    acc.add_product(tj[b][d], ti[d][c], 1, at)
-                    acc.add_product(ti[b][d], tj[d][c], -1, at)
+                    if tj[b][d].terms and ti[d][c].terms:
+                        acc.add_product(tj[b][d], ti[d][c], 1, at)
+                    if ti[b][d].terms and tj[d][c].terms:
+                        acc.add_product(ti[b][d], tj[d][c], -1, at)
         return [[acc.elem((b, c)) for c in range(n)] for b in range(n)]
 
     def validate(self) -> dict:

@@ -15,6 +15,31 @@ closed the Leibniz defect is nonzero but still predictable: it equals the
 insertion of the three anchored legs into dH, and `jacobiator_expected`
 computes exactly that for comparison.
 
+The symmetric part
+------------------
+
+For any two sections a = X + xi and b = Y + eta, in every presentation,
+
+    [[a, b]] + [[b, a]] = D<a, b>.
+
+[X,Y] + [Y,X] = 0, since `Algebroid.bracket` is skew by construction (a
+skew structure table and skew anchor-Leibniz terms), and
+i_X i_Y H + i_Y i_X H = 0.  What is left is
+(L_X eta - i_X d eta) + (L_Y xi - i_Y d xi).  On a frame section Z the
+Koszul formula of `Algebroid.d` and the column formula of `Algebroid.lie`
+read
+
+    (i_X d eta)(Z) = nabla_X (eta(Z)) - nabla_Z (eta(X)) - eta([X, Z])
+    (L_X eta)(Z)   = nabla_X (eta(Z)) - eta([X, Z])
+
+so L_X eta - i_X d eta = nabla (eta(X)) = d i_X eta, the Cartan formula
+L_X = i_X d + d i_X on 1-forms.  The sum is d(eta(X) + xi(Y)) = D<a, b>.
+No step uses Jacobi, the anchor morphism, flatness or dH = 0.  With a = b
+this is the symmetric-part axiom [[e, e]] = (1/2) D<e, e>, which therefore
+holds for every presentation.  When <a, b> = 0 it gives
+[[b, a]] = -[[a, b]], so `dirac` brackets each pair of an isotropic
+generator list once.
+
 The bracket from the frame structure tensor
 -------------------------------------------
 
@@ -225,20 +250,20 @@ def _anchored(alg: Algebroid, e: CSection) -> list:
     f_a are the coordinates of e.  The rows are kept on e with alg, so a
     section bracketed many times under one algebroid differentiates once;
     rows made under another algebroid, even one of equal signature, are
-    computed again.  Constants have zero derivative.
+    computed again.  Constants have zero derivative.  All rows are one
+    Accumulator, slot (k, a) for rho_k(f_a).
     """
     hit = e._rows
     if hit is not None and hit[0] is alg:
         return hit[1]
     live = [(a, c) for a, c in enumerate(e._coords) if not c.is_constant()]
-    rows = []
-    for row in alg.anchor:
-        R = {}
+    acc = Accumulator(alg.sig)
+    for k, row in enumerate(alg.anchor):
         for a, c in live:
-            d = alg.derivation(row, c)
-            if d.terms:
-                R[a] = d
-        rows.append(R)
+            acc.add_derivation(row, c, 1, (k, a))
+    rows = [{} for _ in alg.anchor]
+    for (k, a), d in acc.elems().items():
+        rows[k][a] = d
     object.__setattr__(e, "_rows", (alg, rows))
     return rows
 

@@ -77,12 +77,24 @@ def perp(C: CourantPresentation, gens) -> list:
 def closure_report(C: CourantPresentation, gens) -> dict:
     """Bracket-closure check with a residual witness on failure."""
     ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if len(gens) > 1 else None
-    return _closure(C, gens, ech)
+    return _closure(C, gens, ech, is_isotropic(C, gens)[0])
 
 
-def _closure(C: CourantPresentation, gens, ech) -> dict:
-    """closure_report on the echelon ech of the generator coordinates."""
-    pairs = [(i, j) for i in range(len(gens)) for j in range(len(gens)) if i != j]
+def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> dict:
+    """closure_report on the echelon ech of the generator coordinates.
+
+    isotropic is the verdict of is_isotropic on gens.  Ordered pairs (i, j),
+    i != j, are bracketed in lexicographic order, except that an isotropic
+    list skips every pair with j < i: [[g_j, g_i]] = D<g_i, g_j> - [[g_i, g_j]]
+    in every presentation (see the courant module docstring), which is
+    -[[g_i, g_j]] when the pairing vanishes, and reducing the negated vector
+    gives the same verdict, the negated residual and the same excluded
+    factors.  Since (i, j) comes before (j, i), the first failing pair, its
+    witness and the first-seen order of the excluded factors are those of
+    the full loop.
+    """
+    n = len(gens)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1 if isotropic else 0, n) if i != j]
     witness = None
     closed = True
     excluded: dict = {}  # first-seen order
@@ -111,7 +123,7 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
     """
     ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
     lag, report = _lagrangian(C, gens, ech)
-    closure = _closure(C, gens, ech)
+    closure = _closure(C, gens, ech, report["isotropic"])
     report.update(
         {
             "lagrangian": lag,

@@ -140,7 +140,8 @@ def _square_plus_one(sig, M):
             if i == j:
                 acc.add(sig.one())
             for k in range(n):
-                acc.add_product(M[i][k], M[k][j])
+                if M[i][k].terms and M[k][j].terms:
+                    acc.add_product(M[i][k], M[k][j])
             e = acc.elem()
             if e.terms:
                 return ((i, j), e)
@@ -167,8 +168,10 @@ def orthogonality_defect(S: GCRStructure):
             if abs(i - j) == h:
                 acc.add(sig.one(), -1)
             for a in range(h):
-                acc.add_product(J[a][i], J[h + a][j])
-                acc.add_product(J[h + a][i], J[a][j])
+                if J[a][i].terms and J[h + a][j].terms:
+                    acc.add_product(J[a][i], J[h + a][j])
+                if J[h + a][i].terms and J[a][j].terms:
+                    acc.add_product(J[h + a][i], J[a][j])
             e = acc.elem()
             if e.terms:
                 return ((i, j), e)

@@ -18,7 +18,7 @@ from cartan_oracle import (
 from courantkit import catalog
 from courantkit.algebroid import Algebroid
 from courantkit.courant import CourantPresentation
-from courantkit.ring import RingElem
+from courantkit.ring import Accumulator, RingElem
 from courantkit.sampling import SplitMix
 
 PRESENTED = [name for name in catalog.names() if catalog.load(name).get("courant") is not None]
@@ -135,7 +135,7 @@ def test_anchored_rows_are_computed_once_per_section(monkeypatch):
     e1, e2 = random_section(rng, C), random_section(rng, C)
     pairs = [(e1, e2), (e2, e1), (e1, e1), (e1, e2)]
     wants = [cartan_bracket(C, a, b) for a, b in pairs]
-    derivations = _counting(monkeypatch, Algebroid, "derivation")
+    derivations = _counting(monkeypatch, Accumulator, "add_derivation")
     made = []
     for (a, b), want in zip(pairs, wants):
         assert C.bracket(a, b).equals(want)

@@ -199,7 +199,7 @@ def test_no_command_calls_partial(monkeypatch, tmp_path):
     path = tmp_path / "contact-r3.json"
     path.write_text(json.dumps(io.definition_to_json(catalog.load("contact-r3"))))
     C = catalog.load("cr-control-r5")["courant"]
-    derivations = _counting(monkeypatch, Algebroid, "derivation")
+    derivations = _counting(monkeypatch, Accumulator, "add_derivation")
     partials = _counting(monkeypatch, RingElem, "partial")
     assert C.verify()["ok"]
     for command in ("check-jacobi", "check-dirac"):

@@ -246,6 +246,29 @@ def test_symmetric_defect_vanishes():
             assert C.symmetric_defect(e).is_zero(), name
 
 
+def test_bracket_symmetric_part_is_D_of_the_pairing_in_every_presentation():
+    # [[a, b]] + [[b, a]] = D<a, b> needs no axiom (see the courant module
+    # docstring): on every catalog entry, an entry with no presentation taken
+    # with zero twist, and on drawn presentations that break Jacobi, the
+    # anchor morphism and flatness, with module ranks 1 and 2
+    rng = SplitMix(97)
+    entries = [catalog.load(name) for name in catalog.names()]
+    presentations = [p.get("courant") or CourantPresentation(p["algebroid"]) for p in entries]
+    drawn = [random_presentation(*args) for args in ((7, 2, 1), (8, 3, 2), (9, 3, 1))]
+    broken = [C.alg.validate() for C in drawn]
+    assert not any(v["anchor_ok"] or v["flat_ok"] for v in broken)
+    assert not all(v["jacobi_ok"] for v in broken)
+    for C in presentations + drawn:
+        frame = C.full_frame()
+        pairs = [(frame[0], frame[-1]), (frame[-1], frame[0])]
+        pairs += [(random_section(rng, C), random_section(rng, C)) for _ in range(4)]
+        for a, b in pairs:
+            ab, ba = C.bracket(a, b), C.bracket(b, a)
+            assert (ab + ba).equals(C.differential(C.pairing(a, b)))
+            if not any(C.pairing(a, b)):
+                assert ba.equals(-ab)
+
+
 # The two-part arithmetic of a section (x, xi), x a list and xi an AForm, kept
 # as the reference for the coordinate tuple that CSection stores.
 
@@ -515,9 +538,11 @@ def test_closed_twist_jacobiator_expected_contracts_nothing(monkeypatch):
 
 def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     # a bracket and a signed sum of sections are one Accumulator each, slotted
-    # by coordinate; a default verify on the largest catalog frame builds
-    # 9 205 in all (43 590 with one per coordinate, 10 015 with one per
-    # derivation summed into a commutator and per entry of a module action)
+    # by coordinate, and the anchored rows of a section are one, slotted by
+    # (anchor row, coordinate); a default verify on the largest catalog frame
+    # builds 6 630 in all (43 590 with one per coordinate, 10 015 with one
+    # per derivation summed into a commutator and per entry of a module
+    # action, 9 205 with one per anchored derivative)
     import courantkit.courant as courant
     from courantkit.ring import Accumulator
 
@@ -536,7 +561,7 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     diff = e1 - e2.scale(half)
     monkeypatch.setattr(Accumulator, "__init__", counting_init)
     assert C.verify()["ok"]
-    assert built[0] == 9205
+    assert built[0] == 6630
     built[0] = 0
     assert C.bracket(e1, e2) == want
     assert built[0] == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from cartan_oracle import random_presentation
 from courantkit import catalog
 from courantkit.courant import CSection
 from courantkit.dirac import (
@@ -174,3 +175,91 @@ def test_is_dirac_eliminates_the_generators_once(monkeypatch):
     assert rep["involutive"] == closure["closed"]
     assert rep["involutive_witness"] == closure["witness"]
     assert rep["involutive_excluded"] == closure["excluded"]
+
+
+def _full_closure(C, gens):
+    """The closure report over every ordered pair, the reference for the
+    loop that skips mirrored pairs of an isotropic list."""
+    from courantkit import linalg
+
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
+    witness, excluded = None, {}
+    for i in range(len(gens)):
+        for j in range(len(gens)):
+            if i == j:
+                continue
+            b = C.bracket(gens[i], gens[j])
+            ok, residual, exc = ech.reduce(b.coordinates())
+            excluded.update(dict.fromkeys(str(e) for e in exc))
+            if not ok and witness is None:
+                witness = {
+                    "pair": [i, j],
+                    "bracket": b.describe(),
+                    "residual": CSection.from_coordinates(C.alg, residual).describe(),
+                }
+    return {"closed": witness is None, "witness": witness, "excluded": list(excluded)}
+
+
+def _nonclosed_graph(C):
+    """The graph of z dx^dy + xy dx^dz over standard_courant(3), not closed,
+    with x times its first generator added: four isotropic generators."""
+    sig = C.alg.sig
+    x, y, z = (sig.coord(c) for c in "xyz")
+    B = AForm(sig, 3, 1, True, 2, {(0, 1): (z,), (0, 2): (x * y,)})
+    gens = graph_two_form(C, B)
+    return gens + [gens[0].scale(x)]
+
+
+def _dirac_closure(C, gens):
+    """The closure part of is_dirac's report, in closure_report's form."""
+    rep = is_dirac(C, gens)[1]
+    return {
+        "closed": rep["involutive"],
+        "witness": rep["involutive_witness"],
+        "excluded": rep["involutive_excluded"],
+    }
+
+
+def test_closure_brackets_each_isotropic_pair_once(monkeypatch):
+    # n(n-1)/2 brackets and reductions on an isotropic list, n(n-1) on one
+    # that is not; the reports equal those of the full ordered loop
+    from courantkit.courant import CourantPresentation
+    from courantkit.linalg import Echelon
+
+    C = catalog.standard_courant(3)
+    iso = _nonclosed_graph(C)
+    skew = iso[:3] + [CSection(C.alg, [1, 0, 0], C.alg.form(1, {(0,): [1]}))]
+    assert is_isotropic(C, iso)[0] and not is_isotropic(C, skew)[0]
+    wants = [_full_closure(C, gens) for gens in (iso, skew)]
+    brackets, reductions = [], []
+    real_bracket, real_reduce = CourantPresentation.bracket, Echelon.reduce
+    monkeypatch.setattr(
+        CourantPresentation, "bracket", lambda s, a, b: brackets.append(1) or real_bracket(s, a, b)
+    )
+    monkeypatch.setattr(Echelon, "reduce", lambda s, v: reductions.append(1) or real_reduce(s, v))
+    for gens, want, pairs in ((iso, wants[0], 6), (skew, wants[1], 12)):
+        for check in (closure_report, _dirac_closure):
+            brackets.clear()
+            reductions.clear()
+            assert check(C, gens) == want
+            assert len(brackets) == len(reductions) == pairs
+    assert not wants[0]["closed"] and wants[0]["witness"]["pair"] == [0, 1]
+
+
+def test_closure_report_matches_the_full_ordered_loop():
+    # catalog subbundles, Dirac or not, isotropic or not
+    cases = [
+        (p["courant"], gens)
+        for p in map(catalog.load, catalog.names())
+        for gens in p.get("subbundles", {}).values()
+    ]
+    C = catalog.standard_courant(3)
+    cases.append((C, _nonclosed_graph(C)))
+    cases.append((C, [C.frame_section(0), CSection(C.alg, [0, 1, 0], C.alg.form(1, {(0,): [1]}))]))
+    # a drawn presentation with module rank 2 that fails every axiom: the
+    # frame sections e_i are isotropic, their brackets are not in their span
+    R = random_presentation(8, 3, 2)
+    cases.append((R, [R.frame_section(i) for i in range(3)]))
+    assert any(not is_isotropic(C, gens)[0] for C, gens in cases)
+    for C, gens in cases:
+        assert closure_report(C, gens) == _full_closure(C, gens)

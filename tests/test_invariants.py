@@ -211,6 +211,12 @@ def _graph_subbundle_doc(seed: int) -> dict:
     for a, b in ((1, 0), (2, 1), (0, 2)):
         p = rng.ring_elem(sig, max_degree=1, terms=2)
         gens[a] = [u + p * v for u, v in zip(gens[a], gens[b])]
+    return _subbundle_doc(payload, gens)
+
+
+def _subbundle_doc(payload, gens) -> dict:
+    """The definition of payload with one subbundle "graph" of the given
+    generators, each a coordinate list of a rank-3, rank-one-module section."""
     doc = io.definition_to_json(payload)
     doc["subbundles"] = {"graph": [
         {"x": [str(c) for c in g[:3]],
@@ -227,6 +233,59 @@ def test_graph_subbundle_check_dirac_reports_are_byte_identical(tmp_path, seed):
     code, text = _run(["check-dirac", "--defs", str(path)])
     assert json.loads(text)["details"]["graph"]["excluded"]
     assert [code, hashlib.sha256(text.encode("utf-8")).hexdigest()] == GRAPH_DIRAC_DIGESTS[seed]
+
+
+# check-dirac on two more seeded subbundles over tangent-r3, digests taken
+# before closure learned to skip mirrored pairs.  "asymmetric": e_i + W_i for
+# a drawn W with a symmetric part, so the generators are not isotropic and
+# closure brackets every ordered pair.  "late-witness": a graph of a drawn
+# skew W whose second generator is a multiple of the first; the pair [0, 1]
+# closes, so the involutivity witness is a later pair.
+SUBBUNDLE_DIRAC_DIGESTS = {
+    "asymmetric": [1, "f0495ffb79cd8ef40bc98a9b49b4279a3405faf5e156f48f5bde91cf35a0518a"],
+    "late-witness": [1, "e944e8d2f40c3eefbc89e65f7eeaf0ccd1c741f176a234774cd9cb4cc5aeec5f"],
+}
+
+
+def _asymmetric_subbundle_doc() -> dict:
+    rng = SplitMix(4)
+    payload = catalog.load("tangent-r3")
+    sig = payload["algebroid"].sig
+    W = [[rng.ring_elem(sig, max_degree=1, terms=2) for _ in range(3)] for _ in range(3)]
+    gens = [[sig.one() if j == i else sig.zero() for j in range(3)] + W[i] for i in range(3)]
+    return _subbundle_doc(payload, gens)
+
+
+def _late_witness_subbundle_doc() -> dict:
+    rng = SplitMix(5)
+    payload = catalog.load("tangent-r3")
+    sig = payload["algebroid"].sig
+    W = [[sig.zero()] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            w = rng.ring_elem(sig, max_degree=2, terms=2)
+            W[a][b], W[b][a] = w, -w
+    gens = [[sig.one() if j == i else sig.zero() for j in range(3)] + W[i] for i in range(3)]
+    p = rng.ring_elem(sig, max_degree=1, terms=2)
+    gens.insert(1, [p * c for c in gens[0]])
+    return _subbundle_doc(payload, gens)
+
+
+SUBBUNDLE_DOCS = {
+    "asymmetric": _asymmetric_subbundle_doc,
+    "late-witness": _late_witness_subbundle_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBBUNDLE_DIRAC_DIGESTS))
+def test_seeded_subbundle_check_dirac_reports_are_byte_identical(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SUBBUNDLE_DOCS[name](), sort_keys=True))
+    code, text = _run(["check-dirac", "--defs", str(path)])
+    report = json.loads(text)
+    pair = next(v["witness"]["pair"] for v in report["verdicts"] if v["name"] == "graph.involutive")
+    assert pair == [0, 2]
+    assert [code, hashlib.sha256(text.encode("utf-8")).hexdigest()] == SUBBUNDLE_DIRAC_DIGESTS[name]
 
 
 # -- names that must stay plain functions ----------------------------------------

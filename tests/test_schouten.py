@@ -310,6 +310,37 @@ def test_schouten_equals_the_termwise_oracle_on_random_presentations():
         _agrees_with_oracle(alg, SplitMix(seed), 5, (seed, rank))
 
 
+def test_square_of_an_even_multivector_visits_each_pair_of_terms_once(monkeypatch):
+    # [P, P] for a bivector of m terms brackets each unordered pair of terms
+    # once: two rear contractions per term of a pair, 2m(m+1) in all, where
+    # [P, Q] for an equal copy Q reads all m^2 ordered pairs, 4m^2.  A
+    # trivector's square, whose terms anticommute, keeps every ordered pair.
+    calls = []
+    real = schouten_module.contract_rear_multi
+    monkeypatch.setattr(
+        schouten_module, "contract_rear_multi", lambda *a: calls.append(1) or real(*a)
+    )
+    checked = 0
+    for seed, rank in ((47, 3), (48, 4), (49, 4), (50, 5)):
+        alg = random_presentation(seed, rank, rank_v=1).alg
+        assert alg.structure and alg.theta_scalar(0).terms
+        rng = SplitMix(seed)
+        for degree, per_pair in ((2, 4), (3, 6)):
+            P = mixed_multivector(rng, alg, degree)
+            m = len(P.terms)
+            copy = Multivector(alg.sig, alg.rank, degree, dict(P.terms))
+            calls.clear()
+            square = schouten(alg, P, P)
+            pairs = m * (m + 1) // 2 if degree == 2 else m * m
+            assert len(calls) == per_pair * pairs
+            calls.clear()
+            assert square.equals(schouten(alg, P, copy))
+            assert len(calls) == per_pair * m * m
+            assert square.equals(termwise_schouten(alg, P, P))
+            checked += degree == 2 and m > 1 and not square.is_zero()
+    assert checked >= 3
+
+
 def _calls_inside_schouten(monkeypatch, targets) -> dict:
     """Count calls of each (owner, name) target made while schouten runs."""
     counts = {}
