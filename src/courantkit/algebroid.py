@@ -59,19 +59,15 @@ class RankLimitError(AlgebroidError):
 MAX_MODULE_RANK = 16
 
 
-def _vec_mat(v, M, n, a=None) -> list:
-    """a(v) + v M for a row vector v, a matrix M of n columns (none if None)
-    and a coordinate derivation a applied entrywise (none if None), summed in
-    one Accumulator, slot c for entry c."""
-    acc = Accumulator(v[0].sig)
-    if a is not None:
-        for c, x in enumerate(v):
-            acc.add_derivation(a, x, 1, c)
-    for vb, row in zip(v, M or ()):
-        if vb.terms:
-            for c, t in enumerate(row):
-                acc.add_product(vb, t, 1, c)
-    return acc.vector(n)
+def _shown(defect):
+    """Report form of a list or matrix of ring elements: the entries as
+    strings, or None when every entry is zero."""
+    matrix = bool(defect) and isinstance(defect[0], list)
+    rows = defect if matrix else [defect]
+    if not any(x.terms for row in rows for x in row):
+        return None
+    shown = [[str(x) for x in row] for row in rows]
+    return shown if matrix else shown[0]
 
 
 class Algebroid:
@@ -138,7 +134,7 @@ class Algebroid:
     def _connection(self, X) -> list:
         """The connection matrix along the section X: sum_i X_i Theta_i."""
         return [
-            _vec_mat(X, [th[b] for th in self.theta], self.rank_v)
+            linalg.vec_mat(X, [th[b] for th in self.theta], self.rank_v)
             for b in range(self.rank_v)
         ]
 
@@ -151,20 +147,7 @@ class Algebroid:
 
     def anchor_vector(self, X) -> list:
         """Coordinate-derivation coefficients of the anchored section."""
-        acc = Accumulator(self.sig)
-        for c, row in zip(X, self.anchor):
-            if c.terms:
-                for j, a in enumerate(row):
-                    if a.terms:
-                        acc.add_product(c, a, 1, j)
-        return acc.vector(self.sig.ncoords)
-
-    def derivation(self, v, f: RingElem) -> RingElem:
-        """The coordinate derivation with coefficient vector v applied to f,
-        summed in one Accumulator (Accumulator.add_derivation)."""
-        out = Accumulator(self.sig)
-        out.add_derivation(v, f)
-        return out.elem()
+        return linalg.vec_mat(X, self.anchor, self.sig.ncoords)
 
     def commutator(self, v, w, extra=None, sign=-1) -> list:
         """[v, w] of two coordinate derivations as a coefficient vector, plus
@@ -177,14 +160,11 @@ class Algebroid:
                 acc.add(extra[m], sign, m)
         return acc.vector(self.sig.ncoords)
 
-    def apply_frame_anchor(self, i: int, f: RingElem) -> RingElem:
-        return self.derivation(self.anchor[i], f)
-
     def bracket(self, X, Y) -> list:
         """Section bracket with the anchor-Leibniz terms.
 
-        The sum is one Accumulator, slot k for entry k; c_ij^k is read from
-        the stored half of the skew structure table.
+        The sum is one Accumulator, slot k for entry k; each stored c_ij^k
+        (i < j) enters once for X_i Y_j and once, negated, for X_j Y_i.
         """
         sig = self.sig
         X = [coerce_elem(sig, x) for x in X]
@@ -194,18 +174,12 @@ class Algebroid:
         for k, (x, y) in enumerate(zip(X, Y)):
             acc.add_derivation(ax, y, 1, k)
             acc.add_derivation(ay, x, -1, k)
-        for i, xi in enumerate(X):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(Y):
-                if yj.is_zero() or i == j:
-                    continue
-                cs = self.structure.get((i, j) if i < j else (j, i))
-                if cs is None:
-                    continue
-                xy, sign = xi * yj, 1 if i < j else -1
-                for k, c in enumerate(cs):
-                    acc.add_product(xy, c, sign, k)
+        for (i, j), cs in self.structure.items():
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                if X[a].terms and Y[b].terms:
+                    xy = X[a] * Y[b]
+                    for k, c in enumerate(cs):
+                        acc.add_product(xy, c, sign, k)
         return acc.vector(len(X))
 
     def nabla(self, X, v) -> list:
@@ -213,7 +187,7 @@ class Algebroid:
         X = [coerce_elem(self.sig, x) for x in X]
         v = [coerce_elem(self.sig, w) for w in v]
         ax = self.anchor_vector(X)
-        return _vec_mat(v, self._connection(X), self.rank_v, ax)
+        return linalg.vec_mat(v, self._connection(X), self.rank_v, ax)
 
     def act_module(self, i: int, vec, connected: bool):
         """Frame section i on a module vector: anchor derivative plus theta_i.
@@ -221,7 +195,7 @@ class Algebroid:
         Without the connection the vector is a tuple of plain functions.
         Returns None when the result vanishes.
         """
-        out = _vec_mat(vec, self.theta[i] if connected else None, len(vec), self.anchor[i])
+        out = linalg.vec_mat(vec, self.theta[i] if connected else None, len(vec), self.anchor[i])
         return tuple(out) if any(x.terms for x in out) else None
 
     def act_graded(self, i: int, w: FScalar) -> FScalar:
@@ -316,30 +290,30 @@ class Algebroid:
         """
         X = [coerce_elem(self.sig, x) for x in X]
         ax = self.anchor_vector(X)
-        # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j, one column j at a time
-        cols = []
-        for j in range(self.rank):
-            col = [self.apply_frame_anchor(j, xk) for xk in X]
-            for i, xi in enumerate(X):
-                if xi.is_zero() or i == j:
-                    continue
-                for k, c in enumerate(self.frame_bracket(i, j)):
-                    if not c.is_zero():
-                        col[k] = col[k] - xi * c
-            cols.append(col)
-        cov = list(zip(*cols))
+        # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j, one Accumulator
+        # slotted by (k, j); each stored c_ij^k (i < j) enters at j and,
+        # negated, at i
+        acc = Accumulator(self.sig)
+        for j, row in enumerate(self.anchor):
+            for k, xk in enumerate(X):
+                acc.add_derivation(row, xk, 1, (k, j))
+        for (i, j), cs in self.structure.items():
+            for k, c in enumerate(cs):
+                acc.add_product(X[i], c, -1, (k, j))
+                acc.add_product(X[j], c, 1, (k, i))
+        cov = [{} for _ in X]
+        for (k, j), g in acc.elems().items():
+            cov[k][j] = g
         xtheta = self._connection(X) if w.vvalued else None
 
         def items():
             for I, vec in w.terms.items():
-                fn = _vec_mat(vec, xtheta, len(vec), ax)
+                fn = linalg.vec_mat(vec, xtheta, len(vec), ax)
                 if any(not x.is_zero() for x in fn):
                     yield I, 1, tuple(fn), None
                 for pos, k in enumerate(I):
                     rest = I[:pos] + I[pos + 1 :]
-                    for j, g in enumerate(cov[k]):
-                        if g.is_zero():
-                            continue
+                    for j, g in cov[k].items():
                         hit = insert_index(j, rest)
                         if hit is not None:
                             yield hit[0], -hit[1] if pos % 2 else hit[1], vec, w._scalar(g)
@@ -399,25 +373,14 @@ class Algebroid:
             raise RankLimitError(
                 f"validation at rankA {self.rank} is over the limit of {MAX_VALIDATE_RANK}"
             )
-        jac = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for k in range(j + 1, self.rank):
-                    defect = self.jacobi_defect(i, j, k)
-                    if any(not x.is_zero() for x in defect):
-                        jac.append(((i, j, k), [str(x) for x in defect]))
-        anc = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                defect = self.anchor_defect(i, j)
-                if any(not x.is_zero() for x in defect):
-                    anc.append(((i, j), [str(x) for x in defect]))
-        curv = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                mat = self.curvature(i, j)
-                if any(not x.is_zero() for row in mat for x in row):
-                    curv.append(((i, j), [[str(x) for x in row] for row in mat]))
+
+        def sweep(arity, defect):
+            found = ((idx, _shown(defect(*idx))) for idx in combinations(range(self.rank), arity))
+            return [(idx, shown) for idx, shown in found if shown is not None]
+
+        jac = sweep(3, self.jacobi_defect)
+        anc = sweep(2, self.anchor_defect)
+        curv = sweep(2, self.curvature)
         return {
             "jacobi_ok": not jac,
             "anchor_ok": not anc,
@@ -437,7 +400,7 @@ class Algebroid:
         anchor = linalg.mat_mul(s, M, self.anchor) if s.ncoords else [[] for _ in range(self.rank)]
         # brackets re-expressed in the primed frame: coefficients br . Minv
         structure = {
-            (i, j): _vec_mat(self.bracket(M[i], M[j]), Minv, self.rank)
+            (i, j): linalg.vec_mat(self.bracket(M[i], M[j]), Minv, self.rank)
             for i in range(self.rank)
             for j in range(i + 1, self.rank)
         }

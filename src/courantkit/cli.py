@@ -20,9 +20,9 @@ import sys
 import time
 
 from . import catalog, io
-from .algebroid import CochainLimitError, RankLimitError
+from .algebroid import AlgebroidError, CochainLimitError, RankLimitError
 from .courant import MAX_SAMPLES, SweepLimitError
-from .dirac import anchor_intersection, is_dirac, merged_locus, projection_closure
+from .dirac import DiracError, anchor_intersection, is_dirac, merged_locus, projection_closure
 from .gcr import (
     GCRError,
     decompose_jacobi,
@@ -31,7 +31,7 @@ from .gcr import (
     validate_gcr,
 )
 from .io import SchemaError
-from .schouten import check_jacobi_pair
+from .schouten import SchoutenError, check_jacobi_pair
 
 _ALGEBRA_ALIASES = {
     "sl2": "point-sl2",
@@ -136,6 +136,8 @@ def _cmd_cohomology(args) -> int:
         dim = payload["algebroid"].cohomology_dim(args.k)
     except CochainLimitError as ex:
         raise SchemaError(str(ex), "$.rankA") from None
+    except AlgebroidError as ex:  # a presentation that is not over a point
+        raise SchemaError(str(ex), "$.ring") from None
     _write(args, io.canonical_dumps({"dim": dim}) + "\n")
     return 0
 
@@ -206,7 +208,10 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     details = {}
     for name in sorted(bundles):
         gens = bundles[name]
-        _, rep = is_dirac(C, gens)
+        try:
+            _, rep = is_dirac(C, gens)
+        except DiracError as ex:  # the Lagrangian test needs a rank-one module
+            raise SchemaError(str(ex), "$.module.rankV") from None
         proj = projection_closure(C, gens)
         rank_a, _, excluded_a = anchor_intersection(C, gens)
         verdicts += [
@@ -274,24 +279,29 @@ def _cmd_check_jacobi(args, doc, payload) -> dict:
     if args.lam or args.evec:
         if not (args.lam and args.evec):
             raise SchemaError("pass both --lambda and --e", "$")
-        if args.restrict:
-            tangent = tangent_restriction(alg)
-        else:
-            tangent = alg
+        try:
+            tangent = tangent_restriction(alg) if args.restrict else alg
+        except GCRError as ex:
+            raise SchemaError(str(ex), "$") from None
         lam = io.multivector_from_json(
             tangent.sig, tangent.rank, io.loads_json(args.lam, "$.lambda"), "$.lambda"
         )
         evec = io.multivector_from_json(
             tangent.sig, tangent.rank, io.loads_json(args.evec, "$.e"), "$.e"
         )
-        if lam.degree != 2 or evec.degree != 1:
-            raise SchemaError("expected a bivector and a vector", "$.lambda")
+        if lam.degree != 2:
+            raise SchemaError("expected a bivector", "$.lambda.degree")
+        if evec.degree != 1:
+            raise SchemaError("expected a vector", "$.e.degree")
     elif payload.get("jacobi") is not None:
         jj = payload["jacobi"]
         tangent, lam, evec = jj["algebroid"], jj["lambda"], jj["e"]
     else:
         raise SchemaError("no jacobi pair to check", "$.jacobi")
-    rep = check_jacobi_pair(tangent, lam, evec)
+    try:
+        rep = check_jacobi_pair(tangent, lam, evec)
+    except SchoutenError as ex:  # the graded bracket needs a rank-one module
+        raise SchemaError(str(ex), "$.module.rankV") from None
     verdicts = [
         _verdict(
             "square",

@@ -91,7 +91,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebroid import Algebroid
+from .algebroid import Algebroid, _shown as _shown_entries
 from .exterior import AForm, _aform, contract
 from .ring import Accumulator, coerce_elem
 
@@ -272,7 +272,7 @@ def _shown(defect):
     """Report form of a defect (a CSection or a list of ring elements), None where it vanishes."""
     if isinstance(defect, CSection):
         return None if defect.is_zero() else defect.describe()
-    return [str(c) for c in defect] if any(not c.is_zero() for c in defect) else None
+    return _shown_entries(defect)
 
 
 def _sweep(cases, defect) -> dict:
@@ -287,60 +287,48 @@ def _structure_tensor(alg: Algebroid, twist: AForm) -> list:
     Pairs with a zero bracket and zero entries are left out.  Built from the
     closed formulas in the module docstring, not from
     `CourantPresentation.bracket`; coframe leg (j, b) sits at r + j*s + b.
+    All of T is one Accumulator, slot (a, b, k) for entry k of T_ab.
     """
     r, s = alg.rank, alg.rank_v
-    zero = alg.sig.zero()
-    T = [{} for _ in range(r + r * s)]
+    acc = Accumulator(alg.sig)
 
-    def add(a, b, k, c):
-        row = T[a].setdefault(b, {})
-        row[k] = row.get(k, zero) + c
+    def leg(i, b, k, c, sign):
+        # sign * c at entry k of [e_i, leg b], and of [leg b, e_i] negated
+        acc.add(c, sign, (i, b, k))
+        acc.add(c, -sign, (b, i, k))
 
     for (i, j), vec in alg.structure.items():
         for k, c in enumerate(vec):
             if c:
-                add(i, j, k, c)
-                add(j, i, k, -c)
+                acc.add(c, 1, (i, j, k))
+                acc.add(c, -1, (j, i, k))
                 # [e_i, eps^k u_b] has -c_ij^k at eps^j u_b and
                 # [e_j, eps^k u_b] has +c_ij^k at eps^i u_b
                 for b in range(s):
-                    add(i, r + k * s + b, r + j * s + b, -c)
-                    add(j, r + k * s + b, r + i * s + b, c)
+                    leg(i, r + k * s + b, r + j * s + b, c, -1)
+                    leg(j, r + k * s + b, r + i * s + b, c, 1)
     # i_{e_i} i_{e_j} H has eps^k coefficient H(e_j, e_i, e_k): each term
     # h eps^p ^ eps^q ^ eps^t gives sign(sigma) h at the six orderings sigma
     for (p, q, t), vec in twist.terms.items():
         for c, h in enumerate(vec):
-            if not h:
-                continue
-            for a, b, k, hs in (
-                (p, q, t, h), (q, t, p, h), (t, p, q, h),
-                (q, p, t, -h), (p, t, q, -h), (t, q, p, -h),
+            for a, b, k, sign in (
+                (p, q, t, 1), (q, t, p, 1), (t, p, q, 1),
+                (q, p, t, -1), (p, t, q, -1), (t, q, p, -1),
             ):
-                add(b, a, r + k * s + c, hs)
+                acc.add(h, sign, (b, a, r + k * s + c))
+    # [e_i, eps^j u_b] has Theta_i[b][c] at eps^j u_c, and [eps^j u_b, e_j]
+    # has the delta term sum_i eps^i (x) Theta_i[b]
     for i, theta in enumerate(alg.theta):
         for b, th in enumerate(theta):
             for c, t in enumerate(th):
                 if t:
                     for j in range(r):
-                        add(i, r + j * s + b, r + j * s + c, t)
-    # [eps^j u_b, e_i] = -[e_i, eps^j u_b] + delta_ij sum_k eps^k (x) Theta_k[b]
-    dtheta = [
-        [(r + k * s + c, t) for k, th in enumerate(alg.theta) for c, t in enumerate(th[b]) if t]
-        for b in range(s)
-    ]
-    for i in range(r):
-        for leg, row in T[i].items():
-            if leg >= r:
-                for k, c in row.items():
-                    add(leg, i, k, -c)
-        for b in range(s):
-            for k, t in dtheta[b]:
-                add(r + i * s + b, i, k, t)
-    out = []
-    for pairs in T:
-        rows = {b: {k: c for k, c in row.items() if c} for b, row in pairs.items()}
-        out.append({b: row for b, row in rows.items() if row})
-    return out
+                        leg(i, r + j * s + b, r + j * s + c, t, 1)
+                        acc.add(t, 1, (r + j * s + b, j, r + i * s + c))
+    T = [{} for _ in range(r + r * s)]
+    for (a, b, k), c in acc.elems().items():
+        T[a].setdefault(b, {})[k] = c
+    return T
 
 
 class CourantPresentation:
@@ -391,7 +379,8 @@ class CourantPresentation:
             for x, eta in ((e1._coords[i], e2._coords), (e2._coords[i], e1._coords)):
                 if x.terms:
                     for b, vb in enumerate(eta[r + i * s : r + (i + 1) * s]):
-                        acc.add_product(x, vb, 1, b)
+                        if vb.terms:
+                            acc.add_product(x, vb, 1, b)
         return acc.vector(s)
 
     def bracket(self, e1: CSection, e2: CSection) -> CSection:
@@ -429,14 +418,18 @@ class CourantPresentation:
                 for b, d in rg[k].items():
                     acc.add_product(fk, d, 1, b)
             for a, d in rf[k].items():
-                acc.add_product(gk, d, -1, a)
+                if gk.terms:
+                    acc.add_product(gk, d, -1, a)
                 # the pairing term: <e_i, eps^i u_c> = u_c pairs coordinate i with leg (i, c)
                 if a < r:
                     for c in range(s):
-                        acc.add_product(g[r + a * s + c], d, 1, r + k * s + c)
+                        gb = g[r + a * s + c]
+                        if gb.terms:
+                            acc.add_product(gb, d, 1, r + k * s + c)
                 else:
                     i, c = divmod(a - r, s)
-                    acc.add_product(g[i], d, 1, r + k * s + c)
+                    if g[i].terms:
+                        acc.add_product(g[i], d, 1, r + k * s + c)
         return _from_coordinates(alg, tuple(acc.vector(len(f))))
 
     def differential(self, fvec) -> CSection:

@@ -9,9 +9,9 @@ the open complement.
 
 from __future__ import annotations
 
+from .algebroid import _shown
 from .courant import CourantPresentation, CSection
 from .exterior import AForm, contract
-from .ring import Accumulator
 from . import linalg
 
 
@@ -27,9 +27,9 @@ def is_isotropic(C: CourantPresentation, gens) -> tuple:
     """(verdict, witness): witness names the first nonvanishing pairing."""
     for i, g1 in enumerate(gens):
         for j in range(i, len(gens)):
-            p = C.pairing(g1, gens[j])
-            if any(not c.is_zero() for c in p):
-                return False, {"pair": [i, j], "value": [str(c) for c in p]}
+            shown = _shown(C.pairing(g1, gens[j]))
+            if shown is not None:
+                return False, {"pair": [i, j], "value": shown}
     return True, None
 
 
@@ -64,12 +64,8 @@ def perp(C: CourantPresentation, gens) -> list:
     if alg.rank_v != 1:
         raise DiracError("orthogonal complement requires a rank-one module")
     r = alg.rank
-    M = coordinates_matrix(gens)
     # <v, w> in coordinates: x-part of v against xi-part of w and vice versa
-    rows = []
-    for row in M:
-        flipped = list(row[r:]) + list(row[:r])
-        rows.append(flipped)
+    rows = [row[r:] + row[:r] for row in coordinates_matrix(gens)]
     basis, _ = linalg.nullspace(alg.sig, rows)
     return [CSection.from_coordinates(alg, vec) for vec in basis]
 
@@ -157,13 +153,9 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
     form_cols = [g.coordinates()[r : r + r * s] for g in gens]
     combos, excluded = linalg.nullspace(alg.sig, [list(col) for col in zip(*form_cols)])
     vectors = []
+    xs = [g.x for g in gens]
     for c in combos:
-        acc = Accumulator(alg.sig)
-        for ck, g in zip(c, gens):
-            if ck.terms:
-                for m, x in enumerate(g.x):
-                    acc.add_product(ck, x, 1, m)
-        vec = acc.vector(r)
+        vec = linalg.vec_mat(c, xs, r)
         if any(x.terms for x in vec):
             vectors.append(vec)
     if not vectors:

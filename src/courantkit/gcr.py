@@ -26,7 +26,7 @@ from .courant import CourantPresentation, CSection, _combine
 from .dirac import coordinates_matrix, is_dirac, merged_locus
 from .exterior import AForm, FForm, FScalar, Multivector, contract
 from .linalg import LinalgError
-from .ring import GR_I, Accumulator, coerce_elem
+from .ring import GR_I, coerce_elem
 from .schouten import bivector_from_matrix, tilde
 
 
@@ -131,21 +131,23 @@ class GCRStructure:
         self.j = tuple(tuple(r) for r in rows)
 
 
+def _first_nonzero(rows, shift, c):
+    """First nonzero entry, in row-major order, of the matrix whose rows are
+    given, plus c on the entries with |i - j| == shift, as ((i, j), value),
+    or None."""
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if abs(i - j) == shift:
+                e = e + c
+            if e.terms:
+                return (i, j), e
+    return None
+
+
 def _square_plus_one(sig, M):
     """First nonzero entry of M^2 + 1 as ((i, j), value), or None."""
     n = len(M)
-    for i in range(n):
-        for j in range(n):
-            acc = Accumulator(sig)
-            if i == j:
-                acc.add(sig.one())
-            for k in range(n):
-                if M[i][k].terms and M[k][j].terms:
-                    acc.add_product(M[i][k], M[k][j])
-            e = acc.elem()
-            if e.terms:
-                return ((i, j), e)
-    return None
+    return _first_nonzero((linalg.vec_mat(row, M, n) for row in M), 0, sig.one())
 
 
 def j_square_defect(S: GCRStructure):
@@ -156,26 +158,14 @@ def j_square_defect(S: GCRStructure):
 def orthogonality_defect(S: GCRStructure):
     """First nonzero entry of J^T G J - G over the split pairing G.
 
-    With G = [[0, 1], [1, 0]] in h x h blocks, entry (i, j) of J^T G J is
-    sum_a J[a][i] J[h+a][j] + J[h+a][i] J[a][j], so no Gram matrix is built.
+    G = [[0, 1], [1, 0]] in h x h blocks swaps the two row blocks of J, so
+    row i of J^T (G J) is column i of J times J[h:] + J[:h], and no Gram
+    matrix is built.
     """
-    sig = S.hb.C.alg.sig
-    h = S.hb.h
-    J = S.j
-    for i in range(2 * h):
-        for j in range(2 * h):
-            acc = Accumulator(sig)
-            if abs(i - j) == h:
-                acc.add(sig.one(), -1)
-            for a in range(h):
-                if J[a][i].terms and J[h + a][j].terms:
-                    acc.add_product(J[a][i], J[h + a][j])
-                if J[h + a][i].terms and J[a][j].terms:
-                    acc.add_product(J[h + a][i], J[a][j])
-            e = acc.elem()
-            if e.terms:
-                return ((i, j), e)
-    return None
+    h, J = S.hb.h, S.j
+    GJ = J[h:] + J[:h]
+    rows = (linalg.vec_mat(col, GJ, 2 * h) for col in zip(*J))
+    return _first_nonzero(rows, h, -S.hb.C.alg.sig.one())
 
 
 def l_generators(S: GCRStructure) -> list:
@@ -309,11 +299,8 @@ def tangent_restriction(alg: Algebroid) -> Algebroid:
         raise GCRError("final frame direction is not anchor-central")
     structure = {}
     for (i, j), vec in alg.structure.items():
-        if max(i, j) >= n:
-            if any(not x.is_zero() for x in vec):
-                raise GCRError("suspension direction does not split off")
-            continue
-        if not vec[n].is_zero():
+        # the table stores nonzero vectors only, and i < j
+        if j >= n or not vec[n].is_zero():
             raise GCRError("suspension direction does not split off")
         structure[(i, j)] = vec[:n]
     anchor = [list(alg.anchor[i]) for i in range(n)]
@@ -330,18 +317,14 @@ def decompose_jacobi(alg: Algebroid, P: Multivector) -> dict:
     lam_terms = {}
     e_terms = {}
     for I, w in P.terms.items():
-        if w.is_zero():
-            continue
         if w.pure_grade() != -1:
             raise GCRError("expected a pure grade -1 bivector")
         c = w.parts[-1]
         if I[1] < n:
             lam_terms[I] = FScalar.of(c)
         elif I[0] < n:
-            a = I[0]
-            prev = e_terms.get((a,))
-            val = FScalar.of(-c) if prev is None else prev + FScalar.of(-c)
-            e_terms[(a,)] = val
+            # I = (a, n): each a occurs once
+            e_terms[(I[0],)] = FScalar.of(-c)
         else:
             raise GCRError("repeated suspension index")
     return {
@@ -354,15 +337,10 @@ def decompose_jacobi(alg: Algebroid, P: Multivector) -> dict:
 def compose_jacobi(alg: Algebroid, lam: Multivector, e: Multivector) -> Multivector:
     """Inverse of the split: grade -1 bivector (lam + suspension ^ e) over alg."""
     n = alg.rank - 1
-    terms = {}
-    for I, w in lam.terms.items():
-        g = w.grade_zero_elem()
-        terms[I] = FScalar(alg.sig, {-1: g})
+    terms = {I: FScalar(alg.sig, {-1: w.grade_zero_elem()}) for I, w in lam.terms.items()}
+    # lam lives on the first n frame indices, so no key (a, n) is taken
     for (a,), w in e.terms.items():
-        g = w.grade_zero_elem()
-        key = (a, n)
-        prev = terms.get(key, FScalar.zero(alg.sig))
-        terms[key] = prev + FScalar(alg.sig, {-1: -g})
+        terms[(a, n)] = FScalar(alg.sig, {-1: -w.grade_zero_elem()})
     return Multivector(alg.sig, alg.rank, 2, terms)
 
 

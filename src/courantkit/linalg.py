@@ -1,7 +1,9 @@
 """Fraction-free linear algebra over the coefficient ring.
 
-Matrices hold exact ring elements.  rref is the one elimination routine:
-rank, nullspace, membership and invert all read its echelon.  Elimination
+Matrices hold exact ring elements.  vec_mat is the one vector-matrix
+product; mat_mul reads a product through it one row at a time.  rref is the
+one elimination routine: rank, nullspace, span membership (Echelon.reduce)
+and invert all read its echelon.  Elimination
 uses cross-multiplication so no step ever leaves the ring; only invert
 divides, to bring its result back into the ring.  Each row a step makes is
 summed in one ring.Accumulator and read once as a primitive row: divided by
@@ -37,16 +39,29 @@ def identity(sig: RingSignature, n: int) -> list:
     ]
 
 
+def vec_mat(v, M, n, a=None) -> list:
+    """a(v) + v M for a nonempty row vector v, a matrix M of n columns (none if
+    None) and a coordinate derivation a applied entrywise (none if None),
+    summed in one Accumulator, slot c for entry c.  A zero entry of v or of M
+    adds nothing."""
+    acc = Accumulator(v[0].sig)
+    if a is not None:
+        for c, x in enumerate(v):
+            acc.add_derivation(a, x, 1, c)
+    for vb, row in zip(v, M or ()):
+        if vb.terms:
+            for c, t in enumerate(row):
+                if t.terms:
+                    acc.add_product(vb, t, 1, c)
+    return acc.vector(n)
+
+
 def mat_mul(sig: RingSignature, A, B) -> list:
-    if A and B and len(A[0]) != len(B):
+    if not B:
+        return [[] for _ in A]
+    if A and len(A[0]) != len(B):
         raise LinalgError("shape mismatch in product")
-    acc = Accumulator(sig)
-    for i, row in enumerate(A):
-        for a, brow in zip(row, B):
-            if a.terms:
-                for j, b in enumerate(brow):
-                    acc.add_product(a, b, 1, (i, j))
-    return [[acc.elem((i, j)) for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+    return [vec_mat(row, B, len(B[0])) for row in A]
 
 
 class Echelon:
@@ -183,11 +198,6 @@ def nullspace(sig: RingSignature, M) -> tuple:
             acc.add_product(ech.rows[r][f], q, -1, c)
         basis.append(acc.primitive(ncols)[0])
     return basis, ech.excluded
-
-
-def membership(sig: RingSignature, rows, v) -> tuple:
-    """Generic span membership with a residual witness (see Echelon.reduce)."""
-    return rref(sig, rows).reduce(v)
 
 
 def invert(sig: RingSignature, M) -> list:

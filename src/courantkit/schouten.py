@@ -183,12 +183,14 @@ def twist_cube(C: CourantPresentation, P: Multivector) -> Multivector:
         tilde(P, FForm.covector_frame(alg.sig, alg.rank, m, grade=0))
         for m in range(alg.rank)
     ]
-    out = Multivector.zero(alg.sig, alg.rank, 3)
-    for (i, j, k), vec in C.twist.terms.items():
-        h = vec[0]
-        piece = wedge(wedge(tmap[i], tmap[j]), tmap[k])
-        out = out + piece.scale(FScalar(alg.sig, {1: h}))
-    return out
+
+    def items():
+        for (i, j, k), vec in C.twist.terms.items():
+            h = FScalar(alg.sig, {1: vec[0]})
+            for K, v in wedge(wedge(tmap[i], tmap[j]), tmap[k]).terms.items():
+                yield K, 1, v, h
+
+    return Multivector.zero(alg.sig, alg.rank, 3).collect(3, items())
 
 
 def twisted_defect(C: CourantPresentation, P: Multivector) -> Multivector:

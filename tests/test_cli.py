@@ -604,3 +604,72 @@ def test_unreadable_file_names_its_argument(tmp_path, flag, entry, command, at):
     assert err.strip() == (
         f"error: cannot read '{missing}': No such file or directory (at {at})"
     )
+
+
+def _entry_file(tmp_path, entry, edit=None):
+    """A catalog entry written to a file, after edit(doc) if given."""
+    doc = json.loads(build_doc(entry))
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / f"{entry}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cohomology_off_a_point_exits_2_at_the_ring():
+    r = run_cli("cohomology", "--defs", "-", "--k", "1", stdin=build_doc("tangent-r2"))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: cohomology requires a presentation over a point (at $.ring)\n"
+
+
+def test_check_dirac_on_a_rank_two_module_exits_2_at_its_rank(tmp_path):
+    def edit(doc):
+        doc["module"] = {"rankV": 2}
+        doc["subbundles"] = {"line": [{"x": ["1", "0"]}]}
+
+    code, out, err = _main("check-dirac", "--defs", _entry_file(tmp_path, "tangent-r2", edit))
+    assert (code, out) == (2, "")
+    assert err == "error: maximal-isotropy test requires a rank-one module (at $.module.rankV)\n"
+
+
+def test_check_jacobi_on_a_rank_two_module_exits_2_at_its_rank(tmp_path):
+    defs = _entry_file(tmp_path, "tangent-r2", lambda doc: doc.update(module={"rankV": 2}))
+    code, out, err = _main(
+        "check-jacobi", "--defs", defs,
+        "--lambda", '{"degree":2,"terms":{"1,2":{"0":"1"}}}', "--e", '{"degree":1}',
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: graded bracket requires a rank-one module (at $.module.rankV)\n"
+    # the same pair from the document's own jacobi block
+    def edit(doc):
+        doc["module"] = {"rankV": 2}
+        doc["jacobi"]["restrict"] = False
+        for key in ("gcr", "subbundles", "two_form"):
+            del doc[key]
+
+    code, out, err = _main("check-jacobi", "--defs", _entry_file(tmp_path, "contact-r3", edit))
+    assert (code, out) == (2, "")
+    assert err == "error: graded bracket requires a rank-one module (at $.module.rankV)\n"
+
+
+def test_check_jacobi_restrict_without_a_central_direction_exits_2_at_the_root(tmp_path):
+    code, out, err = _main(
+        "check-jacobi", "--defs", _entry_file(tmp_path, "tangent-r2"), "--restrict",
+        "--lambda", '{"degree":2}', "--e", '{"degree":1}',
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: final frame direction is not anchor-central (at $)\n"
+
+
+@pytest.mark.parametrize(
+    "lam,evec,line",
+    [
+        ('{"degree":1}', '{"degree":1}', "error: expected a bivector (at $.lambda.degree)"),
+        ('{"degree":2}', '{"degree":2}', "error: expected a vector (at $.e.degree)"),
+    ],
+)
+def test_check_jacobi_flag_of_the_wrong_degree_exits_2_at_its_degree(tmp_path, lam, evec, line):
+    defs = _entry_file(tmp_path, "contact-r3")
+    code, out, err = _main("check-jacobi", "--defs", defs, "--restrict", "--lambda", lam, "--e", evec)
+    assert (code, out) == (2, "")
+    assert err == line + "\n"

@@ -16,7 +16,7 @@ from courantkit.dirac import (
     projection_closure,
 )
 from courantkit.exterior import AForm
-from courantkit.linalg import membership, rank
+from courantkit.linalg import rank, rref
 
 
 def test_symplectic_graph_is_dirac():
@@ -50,7 +50,7 @@ def test_closure_witness_pins_failing_pair():
     got = C.bracket(gens[i], gens[j])
     # the reported bracket really is outside the span
     rows = [g.coordinates() for g in gens]
-    ok, _, _ = membership(C.alg.sig, rows, got.coordinates())
+    ok, _, _ = rref(C.alg.sig, rows).reduce(got.coordinates())
     assert not ok
 
 
@@ -77,7 +77,7 @@ def test_perp_of_lagrangian_is_itself():
     rows = [g.coordinates() for g in gens]
     assert len(comp) == len(gens)
     for v in comp:
-        ok, _, _ = membership(C.alg.sig, rows, v.coordinates())
+        ok, _, _ = rref(C.alg.sig, rows).reduce(v.coordinates())
         assert ok
 
 

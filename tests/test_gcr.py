@@ -301,3 +301,85 @@ def test_validation_reports_the_checked_generators():
         g.coordinates() for g in l_generators(S)
     ]
     assert set(rep["dirac_report"]["involutive_excluded"]) <= set(rep["excluded"])
+
+
+def test_first_defects_match_the_entry_by_entry_oracle():
+    # seeded broken J for h = 1..3 over Q(i)[x, y, z], and the h x h blocks
+    # that cr_to_gcr checks; the row-at-a-time searches give the oracle's
+    # witness, entry and value.  Admissible J are A (+) -A^T with A = S D S^-1
+    # (S unit lower triangular, D = diag(+-i)); the broken ones are
+    #   located: iI (+) -iI plus d at (p, q), p and q in one block, where
+    #            J^2 + 1 is zero except at (p, q);
+    #   perturbed: an admissible J plus d at one entry;
+    #   not_orthogonal: A (+) -B^T with B^2 = -1 and B != A, so J^2 = -1;
+    #   dense: every entry drawn.
+    import gcr_oracle
+    from courantkit import linalg
+    from courantkit.catalog import tangent_algebroid_over
+    from courantkit.courant import CourantPresentation
+    from courantkit.gcr import GCRStructure, HBundle, _square_plus_one
+    from courantkit.ring import GR_I, RingSignature
+    from courantkit.sampling import SplitMix
+
+    sig = RingSignature(("x", "y", "z"))
+    alg = tangent_algebroid_over(sig)
+    C = CourantPresentation(alg)
+    rng = SplitMix(401)
+    z, ii = sig.zero(), sig.const(GR_I)
+
+    def draw():
+        e = z
+        while not e.terms:
+            e = rng.ring_elem(sig, max_degree=1, terms=2, complex_ok=True)
+        return e
+
+    def square_root_of_minus_one(h):
+        S = [[sig.one() if a == b else draw() if b < a else z for b in range(h)] for a in range(h)]
+        D = [[(ii if rng.randint(0, 1) else -ii) if a == b else z for b in range(h)] for a in range(h)]
+        return linalg.mat_mul(sig, linalg.mat_mul(sig, S, D), linalg.invert(sig, S))
+
+    def block(A, B):
+        h = len(A)
+        return [list(A[a]) + [z] * h for a in range(h)] + [[z] * h + [-x for x in col] for col in zip(*B)]
+
+    kinds = dict.fromkeys(("located", "perturbed", "not_orthogonal", "dense"), 0)
+    square, orthogonal = set(), set()
+    for h in (1, 2, 3):
+        hb = HBundle(C, Distribution(alg, linalg.identity(sig, 3), h))
+        for _ in range(24):
+            kind = tuple(kinds)[rng.randint(0, 3)]
+            A = square_root_of_minus_one(h)
+            if kind == "located":
+                J = block(linalg.identity(sig, h), linalg.identity(sig, h))
+                J = [[ii * x for x in row] for row in J]
+                offset = h * rng.randint(0, 1)
+                p, q = offset + rng.randint(0, h - 1), offset + rng.randint(0, h - 1)
+                J[p][q] = J[p][q] + draw()
+            elif kind == "perturbed":
+                J = block(A, A)
+                p, q = rng.randint(0, 2 * h - 1), rng.randint(0, 2 * h - 1)
+                J[p][q] = J[p][q] + draw()
+            elif kind == "not_orthogonal":
+                B = A
+                while B == A:
+                    B = square_root_of_minus_one(h)
+                J = block(A, B)
+            else:
+                J = [[draw() if rng.randint(0, 2) else z for _ in range(2 * h)] for _ in range(2 * h)]
+            kinds[kind] += 1
+            S = GCRStructure(hb, J)
+            got_sq, got_orth = j_square_defect(S), orthogonality_defect(S)
+            assert got_sq == gcr_oracle.square_plus_one(sig, S.j)
+            assert got_orth == gcr_oracle.orthogonality_defect(sig, h, S.j)
+            top = [row[:h] for row in J[:h]]
+            assert _square_plus_one(sig, top) == gcr_oracle.square_plus_one(sig, top)
+            assert _square_plus_one(sig, A) is None
+            if kind == "located":
+                assert got_sq[0] == (p, q)
+            if kind == "not_orthogonal":
+                assert got_sq is None and got_orth is not None
+            square.add(None if got_sq is None else got_sq[0])
+            orthogonal.add(None if got_orth is None else got_orth[0])
+    assert min(kinds.values()) >= 10, kinds
+    # the first nonzero entry lands in many places, not only at (0, 0)
+    assert len(square) >= 10 and len(orthogonal) >= 10, (square, orthogonal)

@@ -7,7 +7,7 @@ from courantkit.linalg import LinalgError
 from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature
 from courantkit.sampling import SplitMix
 
-from calculus_oracle import content_normalize_row
+from calculus_oracle import content_normalize_row, termwise_derivation
 
 
 SIG = RingSignature(("x", "y"))
@@ -65,15 +65,13 @@ def test_nullspace_vectors_annihilate():
 def test_membership_reports_honest_residual():
     x = SIG.coord("x")
     rows = [[SIG.one(), SIG.zero()], [SIG.zero(), x]]
-    ok, residual, _ = linalg.membership(SIG, rows, [SIG.const(3), x * x])
+    ok, residual, _ = linalg.rref(SIG, rows).reduce([SIG.const(3), x * x])
     assert ok and all(r.is_zero() for r in residual)
-    ok, residual, _ = linalg.membership(SIG, rows, [SIG.zero(), SIG.one()])
+    ok, residual, _ = linalg.rref(SIG, rows).reduce([SIG.zero(), SIG.one()])
     # 1 is not an R-multiple of x over the polynomial ring's span at generic points;
     # membership works over the fraction field, so this IS in the span
     assert ok
-    ok, residual, _ = linalg.membership(
-        SIG, [[SIG.one(), SIG.zero()]], [SIG.zero(), SIG.one()]
-    )
+    ok, residual, _ = linalg.rref(SIG, [[SIG.one(), SIG.zero()]]).reduce([SIG.zero(), SIG.one()])
     assert not ok
     assert any(not r.is_zero() for r in residual)
 
@@ -182,7 +180,7 @@ def test_elimination_sums_in_the_accumulator(monkeypatch):
     rng = SplitMix(47)
     A = [_sparse_row(rng, 5) for _ in range(4)]
     v = _sparse_row(rng, 5)
-    want = linalg.membership(GSIG, A, v)
+    want = linalg.rref(GSIG, A).reduce(v)
     calls = []
     real_add = RingElem.__add__
 
@@ -218,3 +216,51 @@ def test_elimination_multiplies_no_coefficient(monkeypatch):
         ech = linalg.rref(GSIG, A)
         assert (ech.rows, ech.pivots, ech.excluded, ech.reduce(v)) == want
     assert calls == []
+
+
+def _termwise_vec_mat(sig, v, M, n, a=None):
+    """a(v) + v M with RingElem arithmetic, entry by entry."""
+    out = [termwise_derivation(a, x) for x in v] if a is not None else [sig.zero()] * n
+    for c in range(n):
+        for vb, row in zip(v, M or ()):
+            out[c] = out[c] + vb * row[c]
+    return out
+
+
+def test_vec_mat_and_mat_mul_match_termwise_sums():
+    # seeded matrices over Q and Q(i), with zero rows and zero entries, and
+    # vec_mat with and without the derivation term
+    rng = SplitMix(311)
+    kinds = {"zero_row": 0, "derivation": 0, "nonzero": 0}
+    for sig, complex_ok in ((SIG, False), (GSIG, True)):
+
+        def entry():
+            if rng.randint(0, 2) == 0:
+                return sig.zero()
+            return rng.ring_elem(sig, max_degree=2, terms=3, complex_ok=complex_ok)
+
+        def matrix(n, m):
+            rows = [[entry() for _ in range(m)] for _ in range(n)]
+            if rng.randint(0, 2) == 0:
+                rows[rng.randint(0, n - 1)] = [sig.zero()] * m
+            return rows
+
+        for _ in range(30):
+            n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            A, B = matrix(n, k), matrix(k, m)
+            kinds["zero_row"] += any(not any(row) for row in A + B)
+            got = linalg.mat_mul(sig, A, B)
+            assert got == [_termwise_vec_mat(sig, row, B, m) for row in A]
+            a = [entry() for _ in range(sig.ncoords)] if rng.randint(0, 1) else None
+            kinds["derivation"] += a is not None
+            for v in A:
+                want = _termwise_vec_mat(sig, v, B, m)
+                assert linalg.vec_mat(v, B, m) == want
+                kinds["nonzero"] += any(want)
+                if a is not None:
+                    assert linalg.vec_mat(v, None, k, a) == _termwise_vec_mat(sig, v, None, k, a)
+                    if k == m:  # a(v) + v M needs v and the rows of M to agree in width
+                        assert linalg.vec_mat(v, B, m, a) == _termwise_vec_mat(sig, v, B, m, a)
+    assert min(kinds.values()) >= 10, kinds
+    # a product with no inner dimension has rows of no entries
+    assert linalg.mat_mul(SIG, [[], []], []) == [[], []]
