@@ -214,24 +214,8 @@ class Algebroid:
 
     # -- differential and Lie derivative ----------------------------------------
 
-    def zero_form(self, degree: int, vvalued: bool = True) -> AForm:
-        return AForm.zero(self.sig, self.rank, self.rank_v, vvalued, degree)
-
-    def form(self, degree: int, terms, vvalued: bool = True) -> AForm:
-        fixed = {
-            tuple(I): tuple(vec) if isinstance(vec, (tuple, list)) else (vec,)
-            for I, vec in terms.items()
-        }
-        return AForm(self.sig, self.rank, self.rank_v, vvalued, degree, fixed)
-
-    def v_vector(self, coeffs) -> list:
-        if isinstance(coeffs, (tuple, list)):
-            out = [coerce_elem(self.sig, c) for c in coeffs]
-        else:
-            out = [coerce_elem(self.sig, coeffs)]
-        if len(out) != self.rank_v:
-            raise AlgebroidError("module vector has the wrong width")
-        return out
+    def zero_form(self, degree: int) -> AForm:
+        return AForm.zero(self.sig, self.rank, self.rank_v, True, degree)
 
     def _koszul(self, w, act):
         """Koszul differential of w.
@@ -271,10 +255,11 @@ class Algebroid:
 
     def d_v(self, coeffs) -> AForm:
         """Differential of a module-valued function given as a width vector."""
-        v = self.v_vector(coeffs)
-        return self.d(
-            AForm(self.sig, self.rank, self.rank_v, True, 0, {(): tuple(v)})
-        )
+        if not isinstance(coeffs, (tuple, list)):
+            coeffs = (coeffs,)
+        if len(coeffs) != self.rank_v:
+            raise AlgebroidError("module vector has the wrong width")
+        return self.d(AForm(self.sig, self.rank, self.rank_v, True, 0, {(): tuple(coeffs)}))
 
     def d_graded(self, w: FForm) -> FForm:
         """Differential on graded forms; grade k feels k copies of the connection."""

@@ -42,13 +42,11 @@ def tangent_algebroid(coords) -> Algebroid:
     return tangent_algebroid_over(RingSignature(tuple(coords)))
 
 
-def standard_courant(n: int, twist: AForm | None = None,
-                     allow_nonclosed: bool = False) -> CourantPresentation:
-    """Exact presentation over the tangent algebroid; rejects non-closed twists."""
+def standard_courant(n: int) -> CourantPresentation:
+    """Untwisted presentation over the tangent algebroid of n coordinates."""
     if n < 1:
         raise CatalogError("dimension must be positive")
-    alg = tangent_algebroid(_coords(n))
-    return CourantPresentation(alg, twist, allow_nonclosed=allow_nonclosed)
+    return CourantPresentation(tangent_algebroid(_coords(n)))
 
 
 def e1m(n: int) -> CourantPresentation:

@@ -242,7 +242,10 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
         S = io.gcr_from_json(C, io.loads_json(_read_text(args.gcr, "$.gcr"), "$.gcr"), "$.gcr")
     if S is None:
         raise SchemaError("no gcr block to check", "$.gcr")
-    rep = validate_gcr(S)
+    try:
+        rep = validate_gcr(S)
+    except GCRError as ex:  # only the eigenspace step refuses: it needs i in the ring
+        raise SchemaError(str(ex), "$.ring.mode") from None
     verdicts = [
         _verdict("j_square", rep["j_square_ok"], witness=rep.get("j_square_witness")),
         _verdict("orthogonal", rep["orthogonal_ok"], witness=rep.get("orthogonal_witness")),

@@ -220,7 +220,7 @@ class FScalar:
             return NotImplemented
         return self.sig == other.sig and self.parts == other.parts
 
-    def to_str(self, frame_name: str = "u") -> str:
+    def to_str(self) -> str:
         if not self.parts:
             return "0"
         bits = []
@@ -229,7 +229,7 @@ class FScalar:
             if k == 0:
                 bits.append(f"({e})")
             else:
-                bits.append(f"({e})*{frame_name}^{k}")
+                bits.append(f"({e})*u^{k}")
         return " + ".join(bits)
 
     def __repr__(self):
@@ -415,13 +415,12 @@ class _Alternating:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def to_str(self, covector=None, sep="^") -> str:
-        """Sum of coefficient * monomial, the basis named by covector + index."""
+    def to_str(self) -> str:
+        """Sum of coefficient * monomial, the basis named by _letter + index."""
         if not self.terms:
             return "0"
-        letter = covector or self._letter
         return " + ".join(
-            f"{self._coeff_str(c)}*{sep.join(f'{letter}{i + 1}' for i in I) or '1'}"
+            f"{self._coeff_str(c)}*{'^'.join(f'{self._letter}{i + 1}' for i in I) or '1'}"
             for I, c in self.sorted_terms()
         )
 
@@ -592,17 +591,14 @@ class FForm(_Graded):
 # -- conversions --------------------------------------------------------------
 
 
-def aform_to_fform(w: AForm, grade: int | None = None) -> FForm:
+def aform_to_fform(w: AForm) -> FForm:
     """View an AForm as a graded form after a rank-one trivialization.
 
-    Module-valued forms sit in grade +1 by default, scalar forms in grade 0.
+    Module-valued forms sit in grade +1, scalar forms in grade 0.
     """
-    if w.vvalued:
-        if w.rank_v != 1:
-            raise ExteriorError("trivialization requires a rank-one module")
-        g = 1 if grade is None else grade
-    else:
-        g = 0 if grade is None else grade
+    if w.vvalued and w.rank_v != 1:
+        raise ExteriorError("trivialization requires a rank-one module")
+    g = 1 if w.vvalued else 0
     return FForm(
         w.sig,
         w.rank,

@@ -322,11 +322,9 @@ def decompose_jacobi(alg: Algebroid, P: Multivector) -> dict:
         c = w.parts[-1]
         if I[1] < n:
             lam_terms[I] = FScalar.of(c)
-        elif I[0] < n:
-            # I = (a, n): each a occurs once
-            e_terms[(I[0],)] = FScalar.of(-c)
         else:
-            raise GCRError("repeated suspension index")
+            # I = (a, n) with a < n: each a occurs once
+            e_terms[(I[0],)] = FScalar.of(-c)
     return {
         "tangent": tangent,
         "lambda": Multivector(alg.sig, n, 2, lam_terms),

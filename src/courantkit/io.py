@@ -395,80 +395,80 @@ def gcr_from_json(C: CourantPresentation, doc, path) -> GCRStructure:
         raise SchemaError(str(ex), path) from None
 
 
-def definition_from_json(doc, path="$") -> dict:
+def definition_from_json(doc) -> dict:
     """Parse a definition document back into rich objects.
 
     Construction errors (invalid brackets, non-closed twist without the
     explicit flag, degenerate frames) are schema errors: the document
     describes an object that cannot be built.
     """
-    _expect(doc, dict, path, "an object")
-    _check_keys(doc, _TOP_KEYS, path)
+    _expect(doc, dict, "$", "an object")
+    _check_keys(doc, _TOP_KEYS, "$")
     if "ring" not in doc:
-        raise SchemaError("missing required key 'ring'", path)
+        raise SchemaError("missing required key 'ring'", "$")
     if "rankA" not in doc:
-        raise SchemaError("missing required key 'rankA'", path)
-    sig = sig_from_json(doc["ring"], f"{path}.ring")
-    alg = algebroid_from_json(sig, doc, path)
+        raise SchemaError("missing required key 'rankA'", "$")
+    sig = sig_from_json(doc["ring"], "$.ring")
+    alg = algebroid_from_json(sig, doc, "$")
     payload = {"algebroid": alg}
     if "name" in doc:
-        payload["name"] = _expect(doc["name"], str, f"{path}.name", "a string")
+        payload["name"] = _expect(doc["name"], str, "$.name", "a string")
 
     twist = None
     if "H" in doc:
-        twist = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["H"], f"{path}.H")
+        twist = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["H"], "$.H")
         if twist.degree != 3:
-            raise SchemaError("twist must have degree 3", f"{path}.H.degree")
+            raise SchemaError("twist must have degree 3", "$.H.degree")
     allow = doc.get("allow_nonclosed", False)
     if not isinstance(allow, bool):
-        raise SchemaError("expected a boolean", f"{path}.allow_nonclosed")
+        raise SchemaError("expected a boolean", "$.allow_nonclosed")
     try:
         payload["courant"] = CourantPresentation(alg, twist, allow_nonclosed=allow)
     except ValueError as ex:
-        raise SchemaError(str(ex), f"{path}.H") from None
+        raise SchemaError(str(ex), "$.H") from None
 
     if "two_form" in doc:
-        w = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["two_form"], f"{path}.two_form")
+        w = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["two_form"], "$.two_form")
         if w.degree != 2:
-            raise SchemaError("two_form must have degree 2", f"{path}.two_form.degree")
+            raise SchemaError("two_form must have degree 2", "$.two_form.degree")
         payload["two_form"] = w
 
     if "subbundles" in doc:
-        sdoc = _expect(doc["subbundles"], dict, f"{path}.subbundles", "an object")
+        sdoc = _expect(doc["subbundles"], dict, "$.subbundles", "an object")
         payload["subbundles"] = {
             name: [
-                csection_from_json(alg, s, f"{path}.subbundles[{name!r}][{i}]")
-                for i, s in enumerate(_expect(gens, list, f"{path}.subbundles[{name!r}]", "a list"))
+                csection_from_json(alg, s, f"$.subbundles[{name!r}][{i}]")
+                for i, s in enumerate(_expect(gens, list, f"$.subbundles[{name!r}]", "a list"))
             ]
             for name, gens in sdoc.items()
         }
 
     if "gcr" in doc:
-        payload["gcr"] = gcr_from_json(payload["courant"], doc["gcr"], f"{path}.gcr")
+        payload["gcr"] = gcr_from_json(payload["courant"], doc["gcr"], "$.gcr")
 
     if "jacobi" in doc:
-        jdoc = _expect(doc["jacobi"], dict, f"{path}.jacobi", "an object")
-        _check_keys(jdoc, ("restrict", "lambda", "e"), f"{path}.jacobi")
+        jdoc = _expect(doc["jacobi"], dict, "$.jacobi", "an object")
+        _check_keys(jdoc, ("restrict", "lambda", "e"), "$.jacobi")
         restrict = jdoc.get("restrict", True)
         if not isinstance(restrict, bool):
-            raise SchemaError("expected a boolean", f"{path}.jacobi.restrict")
+            raise SchemaError("expected a boolean", "$.jacobi.restrict")
         if restrict:
             try:
                 tangent = tangent_restriction(alg)
             except ValueError as ex:
-                raise SchemaError(str(ex), f"{path}.jacobi") from None
+                raise SchemaError(str(ex), "$.jacobi") from None
         else:
             tangent = alg
-        lam = multivector_from_json(sig, tangent.rank, jdoc.get("lambda", {}), f"{path}.jacobi.lambda")
-        e = multivector_from_json(sig, tangent.rank, jdoc.get("e", {}), f"{path}.jacobi.e")
+        lam = multivector_from_json(sig, tangent.rank, jdoc.get("lambda", {}), "$.jacobi.lambda")
+        e = multivector_from_json(sig, tangent.rank, jdoc.get("e", {}), "$.jacobi.e")
         if lam.degree != 2:
-            raise SchemaError("expected a bivector", f"{path}.jacobi.lambda.degree")
+            raise SchemaError("expected a bivector", "$.jacobi.lambda.degree")
         if e.degree != 1:
-            raise SchemaError("expected a vector", f"{path}.jacobi.e.degree")
+            raise SchemaError("expected a vector", "$.jacobi.e.degree")
         payload["jacobi"] = {"algebroid": tangent, "lambda": lam, "e": e}
 
     if "expected" in doc:
-        payload["expected"] = _expect(doc["expected"], dict, f"{path}.expected", "an object")
+        payload["expected"] = _expect(doc["expected"], dict, "$.expected", "an object")
     return payload
 
 

@@ -65,14 +65,15 @@ def mat_mul(sig: RingSignature, A, B) -> list:
 
 
 class Echelon:
-    """Result of a fraction-free Gauss-Jordan pass."""
+    """Result of a fraction-free Gauss-Jordan pass: row k < rank has its pivot
+    in column pivots[k], and that column is zero in every other row."""
 
     __slots__ = ("sig", "rows", "pivots", "excluded")
 
     def __init__(self, sig, rows, pivots, excluded):
         self.sig = sig
         self.rows = rows
-        self.pivots = pivots  # list of (row, col)
+        self.pivots = pivots  # pivot column of each nonzero row, in order
         self.excluded = excluded
 
     @property
@@ -89,11 +90,11 @@ class Echelon:
         sig = self.sig
         vec = [coerce_elem(sig, x) for x in v]
         excluded = list(self.excluded)
-        for r, c in self.pivots:
+        for row, c in zip(self.rows, self.pivots):
             if vec[c].is_zero():
                 continue
-            _note_excluded(excluded, self.rows[r][c])
-            vec = _eliminate(vec, self.rows[r], c, excluded)
+            _note_excluded(excluded, row[c])
+            vec = _eliminate(vec, row, c, excluded)
         return all(x.is_zero() for x in vec), vec, excluded
 
 
@@ -154,7 +155,7 @@ def rref(sig: RingSignature, M) -> Echelon:
         for r2 in range(nrows):
             if r2 != prow and not rows[r2][col].is_zero():
                 rows[r2] = _eliminate(rows[r2], rows[prow], col, excluded)
-        pivots.append((prow, col))
+        pivots.append(col)
         prow += 1
     return Echelon(sig, rows, pivots, excluded)
 
@@ -176,11 +177,10 @@ def nullspace(sig: RingSignature, M) -> tuple:
         return [], []
     ncols = len(M[0])
     ech = rref(sig, M)
-    pivot_cols = {c for _, c in ech.pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    free_cols = [c for c in range(ncols) if c not in ech.pivots]
     if not free_cols:
         return [], ech.excluded
-    pivots = [ech.rows[r][c] for r, c in ech.pivots]
+    pivots = [row[c] for row, c in zip(ech.rows, ech.pivots)]
     # cofactor k = (product of pivots before k) * (product of pivots after k)
     before = [sig.one()]
     for p in pivots[:-1]:
@@ -194,8 +194,9 @@ def nullspace(sig: RingSignature, M) -> tuple:
     for f in free_cols:
         acc = Accumulator(sig)
         acc.add(prod, 1, f)
-        for (r, c), q in zip(ech.pivots, cofactors):
-            acc.add_product(ech.rows[r][f], q, -1, c)
+        for row, c, q in zip(ech.rows, ech.pivots, cofactors):
+            if row[f].terms:
+                acc.add_product(row[f], q, -1, c)
         basis.append(acc.primitive(ncols)[0])
     return basis, ech.excluded
 
@@ -208,17 +209,12 @@ def invert(sig: RingSignature, M) -> list:
         raise LinalgError("inverse of a non-square matrix")
     aug = [row + unit for row, unit in zip(M, identity(sig, n))]
     ech = rref(sig, aug)
-    left_pivots = [(r, c) for r, c in ech.pivots if c < n]
-    if len(left_pivots) < n:
+    # nonsingular iff the left block holds n pivots, in columns 0..n-1
+    if ech.pivots[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
-    out = [[sig.zero()] * n for _ in range(n)]
-    for r, c in left_pivots:
-        p = ech.rows[r][c]
-        for j in range(n):
-            q = ech.rows[r][n + j].exact_div(p)
-            if q is None:
-                raise LinalgError("inverse entries do not lie in the ring")
-            out[c][j] = q
+    out = [[x.exact_div(row[k]) for x in row[n:]] for k, row in enumerate(ech.rows)]
+    if any(q is None for qs in out for q in qs):
+        raise LinalgError("inverse entries do not lie in the ring")
     return out
 
 

@@ -673,3 +673,26 @@ def test_check_jacobi_flag_of_the_wrong_degree_exits_2_at_its_degree(tmp_path, l
     code, out, err = _main("check-jacobi", "--defs", defs, "--restrict", "--lambda", lam, "--e", evec)
     assert (code, out) == (2, "")
     assert err == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "entry", ["contact-r3", "cr-complex-r2", "cr-control-r5", "cr-levi-flat-r3", "symplectic-r2"]
+)
+def test_check_gcr_over_a_rational_ring_exits_2_at_its_mode(tmp_path, entry):
+    # J passes J^2 = -1 and orthogonality, but its +i eigenspace needs i in the ring
+    defs = _entry_file(tmp_path, entry, lambda doc: doc["ring"].update(mode="rational"))
+    code, out, err = _main("check-gcr", "--defs", defs)
+    assert (code, out) == (2, "")
+    assert err == "error: eigenspace construction needs gaussian coefficients (at $.ring.mode)\n"
+
+
+def test_check_gcr_over_a_rational_ring_still_reports_a_failing_j(tmp_path):
+    def edit(doc):
+        doc["ring"]["mode"] = "rational"
+        doc["gcr"]["j"][0][3] = "1"
+
+    code, out, err = _main("check-gcr", "--defs", _entry_file(tmp_path, "symplectic-r2", edit))
+    rep = json.loads(out)
+    assert (code, err) == (1, "")
+    assert {v["name"]: v["pass"] for v in rep["verdicts"]} == {"j_square": False, "orthogonal": False}
+    assert rep["verdicts"][0]["witness"] == {"entry": [0, 0], "value": "2"}

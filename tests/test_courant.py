@@ -52,8 +52,8 @@ def test_bracket_lie_derivative_golden():
     alg = C.alg
     sig = alg.sig
     x, y = sig.coord("x"), sig.coord("y")
-    e1 = CSection(alg, [sig.one(), sig.zero(), sig.zero()], alg.form(1, {}))  # d/dx
-    e2 = CSection(alg, alg.zero_section(), alg.form(1, {(1,): (x * y,)}))  # xy dy
+    e1 = CSection(alg, [sig.one(), sig.zero(), sig.zero()], alg.zero_form(1))  # d/dx
+    e2 = CSection(alg, alg.zero_section(), AForm(sig, 3, 1, True, 1, {(1,): (x * y,)}))  # xy dy
     got = C.bracket(e1, e2)
     assert got.x == alg.zero_section()
     assert got.xi.coefficient((1,)) == (y,)
@@ -186,7 +186,7 @@ def test_isotropize_splits_symmetric_part():
                 assert beta.coefficient((i, j)) == want
         # the corrected splitting e_i -> (e_i, i_{e_i} beta) is exactly isotropic
         corrected = [
-            CSection(alg, list(C.frame_section(i).x), alg.form(1, {})) + CSection(
+            CSection(alg, list(C.frame_section(i).x), alg.zero_form(1)) + CSection(
                 alg, alg.zero_section(), contract(C.frame_section(i).x, beta)
             )
             for i in range(alg.rank)
@@ -300,7 +300,10 @@ def _complex_section(rng, alg):
         else rng.ring_elem(alg.sig, max_degree=1, terms=2, complex_ok=True)
     )
     x = [el() for _ in range(alg.rank)]
-    xi = alg.form(1, {(i,): tuple(el() for _ in range(alg.rank_v)) for i in range(alg.rank)})
+    xi = AForm(
+        alg.sig, alg.rank, alg.rank_v, True, 1,
+        {(i,): tuple(el() for _ in range(alg.rank_v)) for i in range(alg.rank)},
+    )
     return x, xi
 
 

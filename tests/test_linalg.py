@@ -4,7 +4,7 @@ import pytest
 
 from courantkit import linalg
 from courantkit.linalg import LinalgError
-from courantkit.ring import ExpGen, GaussRat, RingElem, RingSignature
+from courantkit.ring import Accumulator, ExpGen, GaussRat, RingElem, RingSignature
 from courantkit.sampling import SplitMix
 
 from calculus_oracle import content_normalize_row, termwise_derivation
@@ -100,14 +100,14 @@ def _nullspace_by_division(A) -> list:
     ech = linalg.rref(SIG, A)
     ncols = len(A[0])
     prod = SIG.one()
-    for r, c in ech.pivots:
-        prod = prod * ech.rows[r][c]
+    for row, c in zip(ech.rows, ech.pivots):
+        prod = prod * row[c]
     basis = []
-    for f in sorted(set(range(ncols)) - {c for _, c in ech.pivots}):
+    for f in sorted(set(range(ncols)) - set(ech.pivots)):
         vec = [SIG.zero()] * ncols
         vec[f] = prod
-        for r, c in ech.pivots:
-            vec[c] = -ech.rows[r][f] * prod.exact_div(ech.rows[r][c])
+        for row, c in zip(ech.rows, ech.pivots):
+            vec[c] = -row[f] * prod.exact_div(row[c])
         basis.append(content_normalize_row(vec)[0])
     return basis
 
@@ -123,6 +123,35 @@ def test_nullspace_divides_nothing(monkeypatch):
     monkeypatch.setattr(RingElem, "exact_div", refuse)
     for A, basis in zip(cases, want):
         assert linalg.nullspace(SIG, A)[0] == basis
+
+
+def test_nullspace_hands_no_empty_operand_to_the_accumulator(monkeypatch):
+    # a zero echelon entry in a free column adds nothing to the basis vector,
+    # so nullspace skips it rather than calling add_product with it
+    rng = SplitMix(31)
+    cases = []
+    for _ in range(15):
+        A = rand_matrix(rng, rng.randint(1, 3), rng.randint(2, 5))
+        A.append([SIG.zero()] * (len(A[0]) - 1) + [SIG.one()])
+        cases.append(A)
+    want = [linalg.nullspace(SIG, A)[0] for A in cases]
+    zero_entries = 0
+    for A in cases:
+        ech = linalg.rref(SIG, A)
+        free = set(range(len(A[0]))) - set(ech.pivots)
+        zero_entries += sum(row[f].is_zero() for row in ech.rows[: ech.rank] for f in free)
+    assert zero_entries >= 10
+    empty = []
+    real = Accumulator.add_product
+
+    def spy(self, x, y, sign=1, at=0):
+        if not (x.terms and y.terms):
+            empty.append((x, y))
+        return real(self, x, y, sign, at)
+
+    monkeypatch.setattr(Accumulator, "add_product", spy)
+    assert [linalg.nullspace(SIG, A)[0] for A in cases] == want
+    assert empty == []
 
 
 def test_rank_excluded_locus_reported():
