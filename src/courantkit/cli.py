@@ -22,7 +22,7 @@ import time
 from . import catalog, io
 from .algebroid import AlgebroidError, CochainLimitError, RankLimitError
 from .courant import MAX_SAMPLES, SweepLimitError
-from .dirac import DiracError, anchor_intersection, is_dirac, merged_locus, projection_closure
+from .dirac import DiracError, _dirac, _projection_closure, anchor_intersection, merged_locus
 from .gcr import (
     GCRError,
     decompose_jacobi,
@@ -209,10 +209,10 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     for name in sorted(bundles):
         gens = bundles[name]
         try:
-            _, rep = is_dirac(C, gens)
+            _, rep, brackets = _dirac(C, gens)
         except DiracError as ex:  # the Lagrangian test needs a rank-one module
             raise SchemaError(str(ex), "$.module.rankV") from None
-        proj = projection_closure(C, gens)
+        proj = _projection_closure(C, gens, lambda i, j: brackets[i, j].x)
         rank_a, _, excluded_a = anchor_intersection(C, gens)
         verdicts += [
             _verdict(

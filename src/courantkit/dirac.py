@@ -5,6 +5,12 @@ membership verdicts are generic (valid away from the recorded excluded locus),
 which matches how such structures degenerate in examples: a graph of a
 bivector may drop rank along a hypersurface while still being a structure on
 the open complement.
+
+The projection closure reduces pi[[g_i, g_j]], i < j, the tangent parts of
+the brackets the Dirac closure makes: pi[[X + xi, Y + eta]] = [X, Y], since
+in the frame expansion of the courant module docstring T_ab has a section
+part only when a, b < r, and there it is the `Algebroid.bracket` formula,
+with no twist, Theta or axiom term.  So check-dirac brackets each pair once.
 """
 
 from __future__ import annotations
@@ -73,11 +79,12 @@ def perp(C: CourantPresentation, gens) -> list:
 def closure_report(C: CourantPresentation, gens) -> dict:
     """Bracket-closure check with a residual witness on failure."""
     ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if len(gens) > 1 else None
-    return _closure(C, gens, ech, is_isotropic(C, gens)[0])
+    return _closure(C, gens, ech, is_isotropic(C, gens)[0])[0]
 
 
-def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> dict:
-    """closure_report on the echelon ech of the generator coordinates.
+def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
+    """(closure_report, brackets) on the echelon ech of the generator
+    coordinates; brackets maps each bracketed pair (i, j) to [[g_i, g_j]].
 
     isotropic is the verdict of is_isotropic on gens.  Ordered pairs (i, j),
     i != j, are bracketed in lexicographic order, except that an isotropic
@@ -94,8 +101,9 @@ def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> dict:
     witness = None
     closed = True
     excluded: dict = {}  # first-seen order
+    brackets = {}
     for i, j in pairs:
-        b = C.bracket(gens[i], gens[j])
+        b = brackets[i, j] = C.bracket(gens[i], gens[j])
         ok, residual, exc = ech.reduce(b.coordinates())
         excluded.update(dict.fromkeys(str(e) for e in exc))
         if not ok and witness is None:
@@ -105,11 +113,7 @@ def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> dict:
                 "bracket": b.describe(),
                 "residual": CSection.from_coordinates(C.alg, residual).describe(),
             }
-    return {
-        "closed": closed,
-        "witness": witness,
-        "excluded": list(excluded),
-    }
+    return {"closed": closed, "witness": witness, "excluded": list(excluded)}, brackets
 
 
 def is_dirac(C: CourantPresentation, gens) -> tuple:
@@ -117,9 +121,14 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
 
     The rank and the closure check share one echelon of the generators.
     """
+    return _dirac(C, gens)[:2]
+
+
+def _dirac(C: CourantPresentation, gens) -> tuple:
+    """is_dirac's (verdict, report), plus the closure's brackets."""
     ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
     lag, report = _lagrangian(C, gens, ech)
-    closure = _closure(C, gens, ech, report["isotropic"])
+    closure, brackets = _closure(C, gens, ech, report["isotropic"])
     report.update(
         {
             "lagrangian": lag,
@@ -128,7 +137,7 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
             "involutive_excluded": closure["excluded"],
         }
     )
-    return lag and closure["closed"], report
+    return lag and closure["closed"], report, brackets
 
 
 def merged_locus(*loci) -> list:
@@ -176,12 +185,17 @@ def projection_closure(C: CourantPresentation, gens) -> dict:
     Projections of generator brackets are checked for membership in the span
     of projected generators; the first failure is returned as a witness.
     """
+    return _projection_closure(C, gens, lambda i, j: C.alg.bracket(gens[i].x, gens[j].x))
+
+
+def _projection_closure(C: CourantPresentation, gens, tangent) -> dict:
+    """projection_closure with pi[[g_i, g_j]] read as tangent(i, j)."""
     alg = C.alg
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     ech = linalg.rref(alg.sig, [list(g.x) for g in gens]) if pairs else None
     excluded: set = set()
     for i, j in pairs:
-        ok, residual, exc = ech.reduce(alg.bracket(gens[i].x, gens[j].x))
+        ok, residual, exc = ech.reduce(tangent(i, j))
         excluded |= {str(e) for e in exc}
         if not ok:
             return {

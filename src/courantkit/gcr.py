@@ -100,14 +100,6 @@ class HBundle:
             out.append(CSection.from_coordinates(alg, zero + self.dist.dual_row(a)))
         return out
 
-    def lift(self, coords) -> CSection:
-        """Section of the ambient bundle from 2h reduced coordinates."""
-        alg = self.C.alg
-        coords = [coerce_elem(alg.sig, c) for c in coords]
-        if len(coords) != 2 * self.h:
-            raise GCRError("expected 2h reduced coordinates")
-        return _combine(alg, [(b, 1, c) for b, c in zip(self.basis_sections(), coords) if c.terms])
-
     def pairing_matrix(self) -> list:
         basis = self.basis_sections()
         return [[self.C.pairing(a, b)[0] for b in basis] for a in basis]
@@ -180,8 +172,10 @@ def l_generators(S: GCRStructure) -> list:
         [S.j[a][b] - (ii if a == b else sig.zero()) for b in range(n)]
         for a in range(n)
     ]
-    basis, _ = linalg.nullspace(sig, rows)
-    gens = [S.hb.lift(vec) for vec in basis]
+    vectors, _ = linalg.nullspace(sig, rows)
+    # each eigenvector is 2h reduced coordinates on this one basis
+    basis = S.hb.basis_sections()
+    gens = [_combine(alg, [(b, 1, c) for b, c in zip(basis, vec) if c.terms]) for vec in vectors]
     zero = [sig.zero()] * alg.rank
     for row in S.hb.dist.ann_rows():
         gens.append(CSection.from_coordinates(alg, zero + row))

@@ -360,6 +360,16 @@ class RingSignature:
         raise RingError(f"unknown exponential generator {name!r}")
 
     def parse(self, text: str) -> "RingElem":
+        """The element a ring text denotes, or a ParseError with its position.
+
+        Exactly "0" and "1", the commonest entries of identity anchors, frames
+        and sparse matrices, return the shared zero() and one() without
+        scanning; every other text goes through the token parser.
+        """
+        if text == "0":
+            return self._zero
+        if text == "1":
+            return self._one
         terms, m = _read(self, _TOKENS.scanner(text).match, 0)
         if m.lastindex != _END:
             raise ParseError(f"unexpected character {text[_at(m)]!r}", _at(m))

@@ -72,6 +72,23 @@ def test_random_presentations_break_the_axioms():
         assert not (rep["jacobi_ok"] and rep["anchor_ok"] and rep["flat_ok"]), (seed, rank)
 
 
+@pytest.mark.parametrize("seed,rank,rank_v", [(1, 3, 1), (2, 3, 2), (3, 4, 1), (4, 4, 2)])
+def test_tangent_part_is_the_algebroid_bracket(seed, rank, rank_v):
+    # pi[[X + xi, Y + eta]] = [X, Y] with no twist, Theta or axiom term, the
+    # identity the Dirac checks share their brackets on; every 3-form is
+    # closed at rank 3 and a drawn one is not at rank 4
+    C = random_presentation(seed, rank, rank_v)
+    alg = C.alg
+    assert not C.twist.is_zero() and C.closed_twist == (rank == 3)
+    assert any(c.terms for cs in alg.structure.values() for c in cs)
+    assert any(c.terms for rows in alg.theta for row in rows for c in row)
+    assert any(not a.is_constant() for row in alg.anchor for a in row)
+    rng = SplitMix(200 + seed)
+    for _ in range(4):
+        a, b = random_section(rng, C), random_section(rng, C)
+        assert C.bracket(a, b).x == alg.bracket(a.x, b.x)
+
+
 @pytest.mark.parametrize("name", ["e1m-r3", "nonclosed-r4"])
 def test_one_perturbed_tensor_entry_is_caught(name):
     C = catalog.load(name)["courant"]

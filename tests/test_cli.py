@@ -696,3 +696,61 @@ def test_check_gcr_over_a_rational_ring_still_reports_a_failing_j(tmp_path):
     assert (code, err) == (1, "")
     assert {v["name"]: v["pass"] for v in rep["verdicts"]} == {"j_square": False, "orthogonal": False}
     assert rep["verdicts"][0]["witness"] == {"entry": [0, 0], "value": "2"}
+
+
+@pytest.mark.parametrize("entry", ["contact-r3", "dirac-graph-r2", "dirac-nonclosed-r3"])
+def test_check_dirac_reads_the_projection_off_the_courant_brackets(entry, monkeypatch):
+    # pi[[g_i, g_j]] = [x_i, x_j]: the projection closure reuses the brackets
+    # the involutivity check made, so no anchor bracket is computed
+    from courantkit.algebroid import Algebroid
+
+    doc = build_doc(entry)
+    calls = _counting(monkeypatch, Algebroid, "bracket")
+    out = _stdio.StringIO()
+    with contextlib.redirect_stdout(out), monkeypatch.context() as m:
+        m.setattr(sys, "stdin", _stdio.StringIO(doc))
+        code = cli.main(["check-dirac"])
+    assert code in (0, 1)
+    assert json.loads(out.getvalue())["verdicts"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", ["symplectic-r2", "cr-control-r5"])
+def test_check_gcr_lifts_the_eigenvectors_on_one_basis(entry, monkeypatch):
+    doc = build_doc(entry)
+    calls = _counting(monkeypatch, gcr.HBundle, "basis_sections")
+    out = _stdio.StringIO()
+    with contextlib.redirect_stdout(out), monkeypatch.context() as m:
+        m.setattr(sys, "stdin", _stdio.StringIO(doc))
+        code = cli.main(["check-gcr"])
+    assert code in (0, 1)
+    assert json.loads(out.getvalue())["verdicts"]
+    assert len(calls) == 1
+
+
+def test_check_dirac_projection_of_a_list_that_is_not_isotropic(tmp_path, monkeypatch):
+    # the closure brackets both orders of each pair here, and the projection
+    # verdict must still be the one projection_closure gives on the i < j pairs
+    sdoc = [
+        {"x": ["1", "0", "0"], "xi": {"degree": 1, "terms": {"1": ["1"]}}},
+        {"x": ["0", "x", "x^2"], "xi": {"degree": 1, "terms": {"3": ["y"]}}},
+        {"x": ["0", "0", "0"], "xi": {"degree": 1, "terms": {"2": ["1"]}}},
+    ]
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps(sdoc))
+    doc = build_doc("tangent-r3")
+    C = io.loads_definition(doc)["courant"]
+    gens = [io.csection_from_json(C.alg, s, "$") for s in sdoc]
+    out = _stdio.StringIO()
+    with contextlib.redirect_stdout(out), monkeypatch.context() as m:
+        m.setattr(sys, "stdin", _stdio.StringIO(doc))
+        code = cli.main(["check-dirac", "--subbundle", str(sub)])
+    assert code == 1
+    rep = json.loads(out.getvalue())
+    v = {x["name"]: x for x in rep["verdicts"]}
+    assert v["sub.lagrangian"]["witness"]["pair"] == [0, 0]
+    want = projection_closure(C, gens)
+    assert not want["closed"] and want["witness"]["pair"] == [0, 1]
+    assert v["sub.projection_closed"]["pass"] is False
+    assert v["sub.projection_closed"]["witness"] == want["witness"]
+    assert set(want["excluded"]) <= set(rep["details"]["sub"]["excluded"])

@@ -160,3 +160,13 @@ def test_parsing_memory_does_not_grow_with_the_token_count():
         tracemalloc.stop()
     assert value == 300001 * RATIONAL.coord("x")
     assert peak < 1_000_000
+
+
+def test_bare_zero_and_one_are_the_shared_constants():
+    # the two texts that skip the scanner, and their near neighbours, which
+    # do not: each gives exactly what the oracle gives, element or error
+    texts = ["0", "1", "00", "01", " 0", "1 ", "+1", "-0", "1/1", "0^2", "١", "²",
+             "1" * (MAX_LITERAL_DIGITS + 1)]
+    for sig in (GAUSS, RATIONAL):
+        assert _disagreements(sig, texts) == []
+        assert sig.parse("0") is sig.zero() and sig.parse("1") is sig.one()
