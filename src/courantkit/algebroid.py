@@ -464,19 +464,3 @@ class Algebroid:
                     yield (I, c), e
 
         return linalg.polynomial_kernel(self.sig, max_degree, self.rank_v, image)
-
-    def describe(self) -> dict:
-        return {
-            "rank": self.rank,
-            "rank_v": self.rank_v,
-            "coords": list(self.sig.coords),
-            "exps": [g.name for g in self.sig.exps],
-            "anchor": [[str(x) for x in row] for row in self.anchor],
-            "structure": {
-                f"{i + 1},{j + 1}": [str(x) for x in vec]
-                for (i, j), vec in sorted(self.structure.items())
-            },
-            "theta": [
-                [[str(x) for x in row] for row in mat] for mat in self.theta
-            ],
-        }

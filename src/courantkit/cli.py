@@ -195,13 +195,8 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     bundles = dict(payload.get("subbundles", {}))
     if args.subbundle:
         sdoc = io.loads_json(_read_text(args.subbundle, "$.subbundle"), "$.subbundle")
-        if not isinstance(sdoc, list):
-            raise SchemaError("expected a list of sections", "$.subbundle")
         name = os.path.splitext(os.path.basename(args.subbundle))[0]
-        bundles[name] = [
-            io.csection_from_json(C.alg, s, f"$.subbundle[{i}]")
-            for i, s in enumerate(sdoc)
-        ]
+        bundles[name] = io.sections_from_json(C.alg, sdoc, "$.subbundle")
     if not bundles:
         raise SchemaError("no subbundles to check", "$.subbundles")
     verdicts = []
@@ -286,16 +281,8 @@ def _cmd_check_jacobi(args, doc, payload) -> dict:
             tangent = tangent_restriction(alg) if args.restrict else alg
         except GCRError as ex:
             raise SchemaError(str(ex), "$") from None
-        lam = io.multivector_from_json(
-            tangent.sig, tangent.rank, io.loads_json(args.lam, "$.lambda"), "$.lambda"
-        )
-        evec = io.multivector_from_json(
-            tangent.sig, tangent.rank, io.loads_json(args.evec, "$.e"), "$.e"
-        )
-        if lam.degree != 2:
-            raise SchemaError("expected a bivector", "$.lambda.degree")
-        if evec.degree != 1:
-            raise SchemaError("expected a vector", "$.e.degree")
+        lam_doc, e_doc = io.loads_json(args.lam, "$.lambda"), io.loads_json(args.evec, "$.e")
+        lam, evec = io.jacobi_pair_from_json(tangent, {"lambda": lam_doc, "e": e_doc}, "$")
     elif payload.get("jacobi") is not None:
         jj = payload["jacobi"]
         tangent, lam, evec = jj["algebroid"], jj["lambda"], jj["e"]

@@ -76,15 +76,9 @@ def perp(C: CourantPresentation, gens) -> list:
     return [CSection.from_coordinates(alg, vec) for vec in basis]
 
 
-def closure_report(C: CourantPresentation, gens) -> dict:
-    """Bracket-closure check with a residual witness on failure."""
-    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens)) if len(gens) > 1 else None
-    return _closure(C, gens, ech, is_isotropic(C, gens)[0])[0]
-
-
 def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
-    """(closure_report, brackets) on the echelon ech of the generator
-    coordinates; brackets maps each bracketed pair (i, j) to [[g_i, g_j]].
+    """({closed, witness, excluded}, brackets) on the echelon ech of the
+    generator coordinates; brackets maps each bracketed pair (i, j) to [[g_i, g_j]].
 
     isotropic is the verdict of is_isotropic on gens.  Ordered pairs (i, j),
     i != j, are bracketed in lexicographic order, except that an isotropic
@@ -156,7 +150,8 @@ def graph_two_form(C: CourantPresentation, B: AForm) -> list:
 
 
 def anchor_intersection(C: CourantPresentation, gens) -> tuple:
-    """Generic rank of (span of gens) meet A, with a basis of section parts."""
+    """Generic rank of (span of gens) meet A, with a basis of section parts
+    and the excluded factors, each once in first-seen order."""
     alg = C.alg
     r, s = alg.rank, alg.rank_v
     form_cols = [g.coordinates()[r : r + r * s] for g in gens]
@@ -167,10 +162,8 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
         vec = linalg.vec_mat(c, xs, r)
         if any(x.terms for x in vec):
             vectors.append(vec)
-    if not vectors:
-        return 0, [], [str(e) for e in excluded]
-    rk, exc2 = linalg.rank(alg.sig, vectors)
-    return rk, vectors, [str(e) for e in excluded + exc2]
+    rk, exc2 = linalg.rank(alg.sig, vectors) if vectors else (0, [])
+    return rk, vectors, list(dict.fromkeys(str(e) for e in excluded + exc2))
 
 
 def intersect_with_A(C: CourantPresentation, gens) -> int:

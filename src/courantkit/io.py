@@ -6,6 +6,11 @@ indices are 1-based in documents and 0-based in memory.  Parsing is strict:
 unknown keys, malformed indices and inconsistent shapes raise SchemaError with
 the JSON path of the offending value, and ring expression errors keep their
 character position.
+
+Each block has one reader, which documents and the CLI flags share, so only
+the root of an error's $-path says where a block came from: `sections_from_json`
+(subbundles, --subbundle), `vform_from_json` (H, two_form, a section's xi),
+`jacobi_pair_from_json` (jacobi, --lambda/--e) and `gcr_from_json` (gcr, --gcr).
 """
 
 from __future__ import annotations
@@ -193,16 +198,18 @@ def aform_to_json(w: AForm) -> dict:
     return _terms_to_json(w, lambda vec: [c.to_str() for c in vec])
 
 
-def aform_from_json(sig, rank, rank_v, vvalued, doc, path) -> AForm:
-    degree, entries = _terms_from_json(doc, rank, path)
-    width = rank_v if vvalued else 1
+def vform_from_json(alg: Algebroid, doc, path, degree: int, what: str) -> AForm:
+    """A module-valued form that must have the given degree; what names it in the error."""
+    found, entries = _terms_from_json(doc, alg.rank, path)
     terms = {}
     for I, vec, kpath in entries:
         _expect(vec, list, kpath, "a coefficient list")
-        if len(vec) != width:
-            raise SchemaError(f"expected {width} coefficients, got {len(vec)}", kpath)
-        terms[I] = tuple(parse_elem(sig, v, f"{kpath}[{j}]") for j, v in enumerate(vec))
-    return AForm(sig, rank, rank_v, vvalued, degree, terms)
+        if len(vec) != alg.rank_v:
+            raise SchemaError(f"expected {alg.rank_v} coefficients, got {len(vec)}", kpath)
+        terms[I] = tuple(parse_elem(alg.sig, v, f"{kpath}[{j}]") for j, v in enumerate(vec))
+    if found != degree:
+        raise SchemaError(f"{what} must have degree {degree}", f"{path}.degree")
+    return AForm(alg.sig, alg.rank, alg.rank_v, True, degree, terms)
 
 
 def fscalar_to_json(s: FScalar) -> dict:
@@ -245,10 +252,25 @@ def csection_from_json(alg: Algebroid, doc, path) -> CSection:
     x = [parse_elem(alg.sig, v, f"{path}.x[{j}]") for j, v in enumerate(xdoc)]
     xi = None
     if "xi" in doc:
-        xi = aform_from_json(alg.sig, alg.rank, alg.rank_v, True, doc["xi"], f"{path}.xi")
-        if xi.degree != 1:
-            raise SchemaError("section form part must have degree 1", f"{path}.xi.degree")
+        xi = vform_from_json(alg, doc["xi"], f"{path}.xi", 1, "section form part")
     return CSection(alg, x, xi)
+
+
+def sections_from_json(alg: Algebroid, doc, path) -> list:
+    """A list of sections, the one at index i read at path[i]."""
+    _expect(doc, list, path, "a list of sections")
+    return [csection_from_json(alg, s, f"{path}[{i}]") for i, s in enumerate(doc)]
+
+
+def jacobi_pair_from_json(alg: Algebroid, doc, path) -> tuple:
+    """(lambda, e) over alg: the bivector at path.lambda and the vector at path.e."""
+    lam = multivector_from_json(alg.sig, alg.rank, doc.get("lambda", {}), f"{path}.lambda")
+    e = multivector_from_json(alg.sig, alg.rank, doc.get("e", {}), f"{path}.e")
+    if lam.degree != 2:
+        raise SchemaError("expected a bivector", f"{path}.lambda.degree")
+    if e.degree != 1:
+        raise SchemaError("expected a vector", f"{path}.e.degree")
+    return lam, e
 
 
 # -- algebroid ----------------------------------------------------------------------
@@ -414,11 +436,7 @@ def definition_from_json(doc) -> dict:
     if "name" in doc:
         payload["name"] = _expect(doc["name"], str, "$.name", "a string")
 
-    twist = None
-    if "H" in doc:
-        twist = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["H"], "$.H")
-        if twist.degree != 3:
-            raise SchemaError("twist must have degree 3", "$.H.degree")
+    twist = vform_from_json(alg, doc["H"], "$.H", 3, "twist") if "H" in doc else None
     allow = doc.get("allow_nonclosed", False)
     if not isinstance(allow, bool):
         raise SchemaError("expected a boolean", "$.allow_nonclosed")
@@ -428,18 +446,12 @@ def definition_from_json(doc) -> dict:
         raise SchemaError(str(ex), "$.H") from None
 
     if "two_form" in doc:
-        w = aform_from_json(sig, alg.rank, alg.rank_v, True, doc["two_form"], "$.two_form")
-        if w.degree != 2:
-            raise SchemaError("two_form must have degree 2", "$.two_form.degree")
-        payload["two_form"] = w
+        payload["two_form"] = vform_from_json(alg, doc["two_form"], "$.two_form", 2, "two_form")
 
     if "subbundles" in doc:
         sdoc = _expect(doc["subbundles"], dict, "$.subbundles", "an object")
         payload["subbundles"] = {
-            name: [
-                csection_from_json(alg, s, f"$.subbundles[{name!r}][{i}]")
-                for i, s in enumerate(_expect(gens, list, f"$.subbundles[{name!r}]", "a list"))
-            ]
+            name: sections_from_json(alg, gens, f"$.subbundles[{name!r}]")
             for name, gens in sdoc.items()
         }
 
@@ -452,19 +464,11 @@ def definition_from_json(doc) -> dict:
         restrict = jdoc.get("restrict", True)
         if not isinstance(restrict, bool):
             raise SchemaError("expected a boolean", "$.jacobi.restrict")
-        if restrict:
-            try:
-                tangent = tangent_restriction(alg)
-            except ValueError as ex:
-                raise SchemaError(str(ex), "$.jacobi") from None
-        else:
-            tangent = alg
-        lam = multivector_from_json(sig, tangent.rank, jdoc.get("lambda", {}), "$.jacobi.lambda")
-        e = multivector_from_json(sig, tangent.rank, jdoc.get("e", {}), "$.jacobi.e")
-        if lam.degree != 2:
-            raise SchemaError("expected a bivector", "$.jacobi.lambda.degree")
-        if e.degree != 1:
-            raise SchemaError("expected a vector", "$.jacobi.e.degree")
+        try:
+            tangent = tangent_restriction(alg) if restrict else alg
+        except ValueError as ex:
+            raise SchemaError(str(ex), "$.jacobi") from None
+        lam, e = jacobi_pair_from_json(tangent, jdoc, "$.jacobi")
         payload["jacobi"] = {"algebroid": tangent, "lambda": lam, "e": e}
 
     if "expected" in doc:

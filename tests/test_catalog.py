@@ -159,6 +159,8 @@ def test_rebuilt_payloads_agree_with_originals():
         p = catalog.load(name)
         doc = definition_to_json(p)
         q = definition_from_json(doc)
-        assert q["algebroid"].describe() == p["algebroid"].describe()
+        a, b = q["algebroid"], p["algebroid"]
+        assert (a.sig, a.rank, a.rank_v) == (b.sig, b.rank, b.rank_v)
+        assert (a.anchor, a.structure, a.theta) == (b.anchor, b.structure, b.theta)
         if "courant" in p:
             assert q["courant"].twist.equals(p["courant"].twist)

@@ -673,6 +673,76 @@ def test_check_jacobi_flag_of_the_wrong_degree_exits_2_at_its_degree(tmp_path, l
     code, out, err = _main("check-jacobi", "--defs", defs, "--restrict", "--lambda", lam, "--e", evec)
     assert (code, out) == (2, "")
     assert err == line + "\n"
+    # the same pair as the document's own jacobi block: the same message under $.jacobi
+    pair = {"lambda": json.loads(lam), "e": json.loads(evec)}
+    defs = _entry_file(tmp_path, "contact-r3", lambda doc: doc["jacobi"].update(pair))
+    line = line.replace("(at $", "(at $.jacobi")
+    assert _main("check-jacobi", "--defs", defs) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "block,value,message",
+    [
+        (
+            "jacobi",
+            {"lambda": {"degree": 2, "terms": {"1,2": {"00": "1"}}}, "e": {"degree": 1}},
+            "bad grade '00' (at {}.lambda.terms['1,2'])",
+        ),
+        ("subbundle", {}, "expected a list of sections (at {})"),
+        (
+            "subbundle",
+            [{"x": ["1", "0"]}, {"x": ["0", "1"], "xi": {"degree": 2}}],
+            "section form part must have degree 1 (at {}[1].xi.degree)",
+        ),
+    ],
+)
+def test_a_flag_and_the_document_refuse_a_block_alike(tmp_path, block, value, message):
+    # one reader serves both: only the root of the $-path tells them apart
+    if block == "jacobi":
+        documented = _main(
+            "check-jacobi", "--defs",
+            _entry_file(tmp_path, "contact-r3", lambda doc: doc["jacobi"].update(value)),
+        )
+        flagged = _main(
+            "check-jacobi", "--defs", _entry_file(tmp_path, "contact-r3"), "--restrict",
+            "--lambda", json.dumps(value["lambda"]), "--e", json.dumps(value["e"]),
+        )
+        roots = ("$.jacobi", "$")
+    else:
+        documented = _main(
+            "check-dirac", "--defs",
+            _entry_file(tmp_path, "dirac-graph-r2", lambda doc: doc["subbundles"].update(g=value)),
+        )
+        sub = tmp_path / "g.json"
+        sub.write_text(json.dumps(value))
+        flagged = _main(
+            "check-dirac", "--defs", _entry_file(tmp_path, "dirac-graph-r2"), "--subbundle", sub
+        )
+        roots = ("$.subbundles['g']", "$.subbundle")
+    assert documented == (2, "", f"error: {message.format(roots[0])}\n")
+    assert flagged == (2, "", f"error: {message.format(roots[1])}\n")
+
+
+@pytest.mark.parametrize("entry", ["contact-r3", "dirac-graph-r2"])
+def test_a_block_moved_into_its_flag_gives_the_same_report(tmp_path, entry):
+    doc = json.loads(build_doc(entry))
+    if entry == "contact-r3":
+        block = doc.pop("jacobi")
+        assert block["restrict"] is True
+        argv = ["check-jacobi", "--restrict", "--lambda", json.dumps(block["lambda"])]
+        argv += ["--e", json.dumps(block["e"])]
+    else:
+        sub = tmp_path / "graph.json"
+        sub.write_text(json.dumps(doc.pop("subbundles")["graph"]))
+        argv = ["check-dirac", "--subbundle", sub]
+    embedded = _main(argv[0], "--defs", _entry_file(tmp_path, entry))
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps(doc))
+    code, out, err = _main(*argv, "--defs", defs)
+    assert (code, err) == (embedded[0], "") == (0, "")
+    want, got = json.loads(embedded[1]), json.loads(out)
+    assert got["verdicts"] == want["verdicts"]
+    assert got["details"] == want["details"]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import pytest
 
 from cartan_oracle import random_presentation
-from courantkit import catalog
+from courantkit import catalog, io
 from courantkit.courant import CSection
 from courantkit.dirac import (
     DiracError,
-    closure_report,
+    _closure,
+    anchor_intersection,
     coordinates_matrix,
     graph_two_form,
     intersect_with_A,
@@ -44,7 +45,7 @@ def test_nonclosed_graph_is_lagrangian_but_not_involutive():
 def test_closure_witness_pins_failing_pair():
     p = catalog.load("dirac-nonclosed-r3")
     C, gens = p["courant"], p["subbundles"]["graph"]
-    rep = closure_report(C, gens)
+    rep = _dirac_closure(C, gens)
     assert not rep["closed"]
     i, j = rep["witness"]["pair"]
     got = C.bracket(gens[i], gens[j])
@@ -60,6 +61,36 @@ def test_graph_intersects_splitting_trivially_iff_nondegenerate():
     q = catalog.load("dirac-nonclosed-r3")
     # z dx^dy has a one-dimensional kernel spanned by d/dz
     assert intersect_with_A(q["courant"], q["subbundles"]["graph"]) == 1
+
+
+def test_anchor_intersection_lists_each_excluded_factor_once():
+    # the nullspace and the rank of its combinations both exclude x here; the
+    # factor is listed once, in first-seen order
+    doc = io.definition_to_json(catalog.load("tangent-r3"))
+    doc["ring"]["mode"] = "rational"
+    C = io.definition_from_json(doc)["courant"]
+    third = ["-2/9*x^3 + 2/9*x^2*y^2 + 2/3*y"]
+    gens = io.sections_from_json(
+        C.alg,
+        [
+            {
+                "x": ["1/3*x^2*y + 1", "-1/3*x^2", "-x"],
+                "xi": {"degree": 1, "terms": {"1": ["2/3*x*y"], "2": ["2/3*x^2"], "3": third}},
+            },
+            {"x": ["-y", "1", "0"], "xi": {"degree": 1, "terms": {"3": ["2/3*x - 2/3*y^2"]}}},
+            {
+                "x": ["-1/3*x*y", "1/3*x", "1"],
+                "xi": {
+                    "degree": 1,
+                    "terms": {"1": ["-2/3*y"], "2": ["-2/3*x"], "3": ["2/9*x^2 - 2/9*x*y^2"]},
+                },
+            },
+        ],
+        "$",
+    )
+    rank_a, _, excluded = anchor_intersection(C, gens)
+    assert rank_a == 1
+    assert excluded == ["y", "x", "x^2 - x*y^2"]
 
 
 def test_contact_graph_is_dirac_with_trivial_intersection():
@@ -163,7 +194,7 @@ def test_is_dirac_eliminates_the_generators_once(monkeypatch):
     p = catalog.load("dirac-nonclosed-r3")
     C, gens = p["courant"], p["subbundles"]["graph"]
     lag_ok, lag = is_lagrangian(C, gens)
-    closure = closure_report(C, gens)
+    closure = _full_closure(C, gens)
     calls = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda sig, M: calls.append(1) or real(sig, M))
@@ -211,7 +242,7 @@ def _nonclosed_graph(C):
 
 
 def _dirac_closure(C, gens):
-    """The closure part of is_dirac's report, in closure_report's form."""
+    """The closure part of is_dirac's report, in _full_closure's form."""
     rep = is_dirac(C, gens)[1]
     return {
         "closed": rep["involutive"],
@@ -238,11 +269,10 @@ def test_closure_brackets_each_isotropic_pair_once(monkeypatch):
     )
     monkeypatch.setattr(Echelon, "reduce", lambda s, v: reductions.append(1) or real_reduce(s, v))
     for gens, want, pairs in ((iso, wants[0], 6), (skew, wants[1], 12)):
-        for check in (closure_report, _dirac_closure):
-            brackets.clear()
-            reductions.clear()
-            assert check(C, gens) == want
-            assert len(brackets) == len(reductions) == pairs
+        brackets.clear()
+        reductions.clear()
+        assert _dirac_closure(C, gens) == want
+        assert len(brackets) == len(reductions) == pairs
     assert not wants[0]["closed"] and wants[0]["witness"]["pair"] == [0, 1]
 
 
@@ -263,4 +293,9 @@ def test_closure_report_matches_the_full_ordered_loop():
     cases.append((R, [R.frame_section(i) for i in range(3)]))
     assert any(not is_isotropic(C, gens)[0] for C, gens in cases)
     for C, gens in cases:
-        assert closure_report(C, gens) == _full_closure(C, gens)
+        want = _full_closure(C, gens)
+        if C.alg.rank_v == 1:
+            assert _dirac_closure(C, gens) == want
+        # the closure step alone, which is_dirac reaches only with a rank-one module
+        ech = rref(C.alg.sig, coordinates_matrix(gens))
+        assert _closure(C, gens, ech, is_isotropic(C, gens)[0])[0] == want
