@@ -194,8 +194,10 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     C = payload["courant"]
     bundles = dict(payload.get("subbundles", {}))
     if args.subbundle:
-        sdoc = io.loads_json(_read_text(args.subbundle, "$.subbundle"), "$.subbundle")
         name = os.path.splitext(os.path.basename(args.subbundle))[0]
+        if name in bundles:
+            raise SchemaError(f"subbundle {name!r} is already defined", "$.subbundle")
+        sdoc = io.loads_json(_read_text(args.subbundle, "$.subbundle"), "$.subbundle")
         bundles[name] = io.sections_from_json(C.alg, sdoc, "$.subbundle")
     if not bundles:
         raise SchemaError("no subbundles to check", "$.subbundles")
@@ -266,7 +268,7 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
                 "lambda": io.multivector_to_json(dec["lambda"]),
                 "e": io.multivector_to_json(dec["e"]),
             }
-        except (GCRError, ValueError):
+        except GCRError:
             details["jacobi_pair"] = None
     return {"details": details, "verdicts": verdicts}
 

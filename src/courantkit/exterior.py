@@ -667,8 +667,8 @@ def pair_eval(w, P: Multivector) -> FScalar:
     Zero unless p == q; on increasing basis monomials the pairing is the
     Kronecker delta, so the sparse evaluation is a diagonal sum.
     """
-    if isinstance(w, AForm):
-        w = aform_to_fform(w)
+    if not isinstance(w, FForm):
+        raise ExteriorError("pairing takes a graded form")
     if w.sig != P.sig or w.rank != P.rank:
         raise ExteriorError("pairing across different frames")
     if w.degree != P.degree:

@@ -24,10 +24,10 @@ from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection, _combine
 from .dirac import coordinates_matrix, is_dirac, merged_locus
-from .exterior import AForm, FForm, FScalar, Multivector, contract
+from .exterior import AForm, FScalar, Multivector, contract
 from .linalg import LinalgError
 from .ring import GR_I, coerce_elem
-from .schouten import bivector_from_matrix, tilde
+from .schouten import _d_function, bivector_from_matrix, tilde
 
 
 class GCRError(ValueError):
@@ -233,7 +233,7 @@ def extract_bivector(S: GCRStructure) -> Multivector:
         for mp in range(m, r):
             if not (full[m][mp] + full[mp][m]).is_zero():
                 raise GCRError("bivector extraction needs an orthogonal J with J^2=-1")
-    return bivector_from_matrix(alg, full, grade=-1)
+    return bivector_from_matrix(alg, full)
 
 
 def cr_to_gcr(C: CourantPresentation, dist: Distribution, jh) -> GCRStructure:
@@ -347,8 +347,7 @@ def parallel_trivializations(alg: Algebroid, P: Multivector, max_degree: int = 2
     """
 
     def image(_, g):
-        dv = alg.d_graded(FForm(alg.sig, alg.rank, 0, {(): FScalar(alg.sig, {1: g})}))
-        for I, w in tilde(P, dv).terms.items():
+        for I, w in tilde(P, _d_function(alg, FScalar(alg.sig, {1: g}))).terms.items():
             for grade, elem in w.parts.items():
                 yield (I, grade), elem
 

@@ -33,6 +33,10 @@ is used by the tests as an oracle, so the combinatorial signs here are checked
 against the calculus rather than against themselves; the same formula summed
 term by term with plain ring arithmetic (tests/schouten_oracle.py) checks the
 sums.
+
+Every function here takes graded objects only: a module section is a grade-1
+`FScalar`, a covector a degree-1 `FForm` (`aform_to_fform` is the one bridge
+from `AForm`), and a wrong kind or degree raises `SchoutenError`, never a zero.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
 from .exterior import (
-    AForm,
     FForm,
     FScalar,
     Multivector,
@@ -130,21 +133,19 @@ def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
 # -- skew maps and their structures -------------------------------------------
 
 
-def tilde(P: Multivector, alpha) -> Multivector:
+def tilde(P: Multivector, alpha: FForm) -> Multivector:
     """The map induced by a bivector on covectors: alpha -> -breve(alpha) P."""
-    if isinstance(alpha, AForm):
-        alpha = aform_to_fform(alpha)
     return -breve_contract(alpha, P)
 
 
-def bivector_from_matrix(alg: Algebroid, rows, grade: int = -1) -> Multivector:
-    """Antisymmetric coefficient matrix -> graded bivector sum_{a<b} m[a][b] e_a^e_b."""
+def bivector_from_matrix(alg: Algebroid, rows) -> Multivector:
+    """Antisymmetric coefficient matrix -> grade -1 bivector sum_{a<b} m[a][b] e_a^e_b."""
     terms = {}
     for a in range(alg.rank):
         for b in range(a + 1, alg.rank):
             c = coerce_elem(alg.sig, rows[a][b])
             if not c.is_zero():
-                terms[(a, b)] = FScalar(alg.sig, {grade: c})
+                terms[(a, b)] = FScalar(alg.sig, {-1: c})
     return Multivector(alg.sig, alg.rank, 2, terms)
 
 
@@ -185,8 +186,7 @@ def twist_cube(C: CourantPresentation, P: Multivector) -> Multivector:
     ]
 
     def items():
-        for (i, j, k), vec in C.twist.terms.items():
-            h = FScalar(alg.sig, {1: vec[0]})
+        for (i, j, k), h in aform_to_fform(C.twist).terms.items():
             for K, v in wedge(wedge(tmap[i], tmap[j]), tmap[k]).terms.items():
                 yield K, 1, v, h
 
@@ -195,7 +195,7 @@ def twist_cube(C: CourantPresentation, P: Multivector) -> Multivector:
 
 def twisted_defect(C: CourantPresentation, P: Multivector) -> Multivector:
     """[P,P] - 2 * twist cube; zero exactly for a twisted structure."""
-    return schouten(C.alg, P, P) - twist_cube(C, P).scale(FScalar.of(C.alg.sig.const(2)))
+    return schouten(C.alg, P, P) - twist_cube(C, P).scale(2)
 
 
 def is_twisted_poisson(C: CourantPresentation, P: Multivector) -> bool:
@@ -205,65 +205,42 @@ def is_twisted_poisson(C: CourantPresentation, P: Multivector) -> bool:
 # -- brackets induced on module covectors and module sections ------------------
 
 
-def _as_vsection(alg: Algebroid, v) -> FForm:
-    """Module section as a grade-1 degree-0 graded form."""
-    if isinstance(v, FForm):
-        return v
-    if isinstance(v, FScalar):
-        return FForm(alg.sig, alg.rank, 0, {(): v})
-    v = coerce_elem(alg.sig, v)
-    return FForm(alg.sig, alg.rank, 0, {(): FScalar(alg.sig, {1: v})})
+def _d_function(alg: Algebroid, c: FScalar) -> FForm:
+    """d of a graded function, as a degree-1 graded form."""
+    if not isinstance(c, FScalar):
+        raise SchoutenError("expected a graded function (FScalar)")
+    return alg.d_graded(FForm(alg.sig, alg.rank, 0, {(): c}))
 
 
-def _as_vform(alg: Algebroid, xi) -> FForm:
-    if isinstance(xi, FForm):
-        return xi
-    if isinstance(xi, AForm):
-        return aform_to_fform(xi)
-    raise SchoutenError("expected a module-valued 1-form")
-
-
-def induced_bracket(C: CourantPresentation, P: Multivector, xi, eta) -> FForm:
+def induced_bracket(C: CourantPresentation, P: Multivector, xi: FForm, eta: FForm) -> FForm:
     """Bracket on module-valued 1-forms induced by the bivector.
 
     iota_{P~(xi)} d(eta) - iota_{P~(eta)} d(xi) + d(P(xi, eta)), with P~ = tilde.
     """
+    if any(not isinstance(a, FForm) or a.degree != 1 for a in (xi, eta)):
+        raise SchoutenError("expected two graded 1-forms")
     alg = C.alg
-    xi = _as_vform(alg, xi)
-    eta = _as_vform(alg, eta)
     t1 = iota(tilde(P, xi), alg.d_graded(eta))
     t2 = iota(tilde(P, eta), alg.d_graded(xi))
-    t3 = alg.d_graded(FForm(alg.sig, alg.rank, 0, {(): pair_eval(wedge(xi, eta), P)}))
-    return t1 - t2 + t3
+    return t1 - t2 + _d_function(alg, pair_eval(wedge(xi, eta), P))
 
 
-def v_bracket(alg: Algebroid, P: Multivector, v, w) -> FScalar:
+def v_bracket(alg: Algebroid, P: Multivector, v: FScalar, w: FScalar) -> FScalar:
     """Bracket on module sections: <dv ^ dw, P>."""
-    dv = alg.d_graded(_as_vsection(alg, v))
-    dw = alg.d_graded(_as_vsection(alg, w))
-    return pair_eval(wedge(dv, dw), P)
+    return pair_eval(wedge(_d_function(alg, v), _d_function(alg, w)), P)
 
 
-def v_jacobiator(alg: Algebroid, P: Multivector, v, w, z) -> FScalar:
+def v_jacobiator(alg: Algebroid, P: Multivector, v: FScalar, w: FScalar, z: FScalar) -> FScalar:
     """Cyclic sum {v,{w,z}} + {w,{z,v}} + {z,{v,w}}."""
-
-    def wrap(c: FScalar) -> FForm:
-        return FForm(alg.sig, alg.rank, 0, {(): c})
-
-    v = _as_vsection(alg, v).coefficient(())
-    w = _as_vsection(alg, w).coefficient(())
-    z = _as_vsection(alg, z).coefficient(())
     total = FScalar.zero(alg.sig)
     for a, b, c in ((v, w, z), (w, z, v), (z, v, w)):
-        inner = v_bracket(alg, P, wrap(b), wrap(c))
-        total = total + v_bracket(alg, P, wrap(a), wrap(inner))
+        total = total + v_bracket(alg, P, a, v_bracket(alg, P, b, c))
     return total
 
 
-def hamiltonian_section(alg: Algebroid, P: Multivector, v) -> Multivector:
+def hamiltonian_section(alg: Algebroid, P: Multivector, v: FScalar) -> Multivector:
     """Section attached to a module section by the bivector: tilde(P, dv)."""
-    dv = alg.d_graded(_as_vsection(alg, v))
-    return tilde(P, dv)
+    return tilde(P, _d_function(alg, v))
 
 
 # -- Jacobi pairs ---------------------------------------------------------------
@@ -277,7 +254,7 @@ def check_jacobi_pair(alg: Algebroid, lam: Multivector, e: Multivector) -> dict:
     if lam.degree != 2 or e.degree != 1:
         raise SchoutenError("expected a bivector and a vector")
     top = wedge(lam, e)
-    r1 = schouten(alg, lam, lam) + top.scale(FScalar.of(alg.sig.const(2)))
+    r1 = schouten(alg, lam, lam) + top.scale(2)
     r2 = schouten(alg, lam, e)
     return {
         "square_ok": r1.is_zero(),
@@ -295,5 +272,4 @@ def jacobi_gauge(alg: Algebroid, lam: Multivector, e: Multivector, f) -> tuple:
     if f.is_zero():
         raise SchoutenError("gauge factor must not vanish identically")
     fs = FScalar.of(f)
-    df = alg.d_graded(FForm(alg.sig, alg.rank, 0, {(): FScalar.of(f)}))
-    return lam.scale(fs), e.scale(fs) - breve_contract(df, lam)
+    return lam.scale(fs), e.scale(fs) - breve_contract(_d_function(alg, fs), lam)

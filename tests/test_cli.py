@@ -161,6 +161,16 @@ def test_check_dirac_subbundle_file(tmp_path):
     assert any(v["name"].startswith("mine.") for v in rep["verdicts"])
 
 
+def test_check_dirac_subbundle_file_may_not_replace_an_embedded_one(tmp_path):
+    sub = tmp_path / "graph.json"
+    sub.write_text(json.dumps([{"x": ["1", "0"]}]))
+    code, out, err = _main(
+        "check-dirac", "--defs", _entry_file(tmp_path, "dirac-graph-r2"), "--subbundle", sub
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: subbundle 'graph' is already defined (at $.subbundle)\n"
+
+
 def test_check_gcr_contact_pipeline():
     r = run_cli("check-gcr", stdin=build_doc("contact-r3"))
     assert r.returncode == 0, r.stderr
@@ -171,6 +181,16 @@ def test_check_gcr_contact_pipeline():
     pair = rep["details"]["jacobi_pair"]
     assert pair["lambda"]["terms"] == {"1,2": {"0": "1"}, "2,3": {"0": "-y"}}
     assert pair["e"]["terms"] == {"3": {"0": "1"}}
+
+
+def test_check_gcr_does_not_swallow_a_library_error(tmp_path, monkeypatch):
+    # only a GCRError means "no Jacobi pair"; any other error is a fault
+    def broken(alg, P):
+        raise ValueError("broken decomposition")
+
+    monkeypatch.setattr(cli, "decompose_jacobi", broken)
+    code, out, err = _main("check-gcr", "--defs", _entry_file(tmp_path, "contact-r3"))
+    assert (code, out, err) == (2, "", "error: broken decomposition\n")
 
 
 def test_check_gcr_control_exits_1_with_witness():

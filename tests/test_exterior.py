@@ -50,9 +50,12 @@ def test_pairing_is_determinant_delta():
         xi = AForm(SIG, RANK, 1, False, 2, {tuple(I): (SIG.one(),)})
         for J in _subsets(range(RANK), 2):
             P = Multivector(SIG, RANK, 2, {tuple(J): FScalar.of(SIG.one())})
-            val = pair_eval(xi, P)
+            val = pair_eval(aform_to_fform(xi), P)
             expected = SIG.one() if I == J else SIG.zero()
             assert val.grade_zero_elem() == expected
+    # the pairing takes graded forms: an AForm is refused, not read as a zero
+    with pytest.raises(ExteriorError, match="graded form"):
+        pair_eval(AForm(SIG, RANK, 1, False, 1, {(0,): (SIG.one(),)}), P)
 
 
 def test_contract_front_signs():
@@ -129,9 +132,8 @@ def test_rear_contraction_duality():
             if rng.randint(0, 1):
                 terms[tuple(I)] = FScalar.of(rng.ring_elem(SIG, max_degree=1, terms=1))
         P = Multivector(SIG, RANK, k + 1, terms)
-        lhs = pair_eval(wedge(xi, eta), P)
-        eta_f = aform_to_fform(eta)
-        rhs = pair_eval(xi, breve_contract(eta_f, P))
+        lhs = pair_eval(aform_to_fform(wedge(xi, eta)), P)
+        rhs = pair_eval(aform_to_fform(xi), breve_contract(aform_to_fform(eta), P))
         assert lhs == rhs
 
 

@@ -170,6 +170,40 @@ def test_tangent_restriction_guards():
         tangent_restriction(catalog.load("tangent-r3")["algebroid"])
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        None,
+        {(0, 3): ["1", "0", "0", "0"]},  # [e_0, e_3] != 0
+        {(1, 2): ["0", "0", "0", "x"]},  # c_12^3 != 0
+    ],
+)
+def test_tangent_restriction_splits_the_structure_functions(extra):
+    # e_0 = d/dx, e_1 = d/dy + x d/dz, e_2 = d/dz, so [e_0, e_1] = e_2, and
+    # e_3 is the suspension direction: anchor-central
+    from courantkit.algebroid import Algebroid
+    from courantkit.exterior import FScalar, Multivector
+    from courantkit.ring import RingSignature
+
+    sig = RingSignature(("x", "y", "z"))
+    anchor = [["1", "0", "0"], ["0", "1", "x"], ["0", "0", "1"], ["0", "0", "0"]]
+    structure = {(0, 1): ["0", "0", "1", "0"], **(extra or {})}
+    alg = Algebroid(sig, 4, 1, anchor, structure)
+    if extra is not None:
+        with pytest.raises(GCRError, match="suspension direction does not split off"):
+            tangent_restriction(alg)
+        return
+    tangent = tangent_restriction(alg)
+    assert tangent.rank == 3
+    assert tangent.structure == {(0, 1): (sig.zero(), sig.zero(), sig.one())}
+    x, y = sig.coord("x"), sig.coord("y")
+    terms = {(0, 1): sig.one(), (1, 2): y, (0, 3): x, (2, 3): -sig.one()}
+    P = Multivector(sig, 4, 2, {I: FScalar(sig, {-1: c}) for I, c in terms.items()})
+    parts = decompose_jacobi(alg, P)
+    assert parts["tangent"].structure == tangent.structure
+    assert compose_jacobi(alg, parts["lambda"], parts["e"]).equals(P)
+
+
 def test_decompose_requires_grade_minus_one():
     from courantkit.exterior import FScalar, Multivector
 

@@ -553,6 +553,25 @@ def test_hamiltonian_section_golden():
     assert hamiltonian_section(alg, P, v).equals(frame_vector(sig, 2, 1))
 
 
+@pytest.mark.parametrize("call", ["v_bracket", "hamiltonian_section", "induced_bracket"])
+def test_a_form_of_the_wrong_degree_is_refused_not_zeroed(call):
+    # a section passed as a degree-1 form, or a 2-form passed as a covector,
+    # used to give a zero back
+    C, P = symplectic_setup()
+    alg = C.alg
+    sig = alg.sig
+    xi = FForm(sig, 2, 1, {(1,): FScalar(sig, {1: sig.one()})})
+    two = wedge(xi, FForm(sig, 2, 1, {(0,): FScalar.of(sig.coord("x"))}))
+    v = FScalar(sig, {1: sig.coord("x")})
+    run = {
+        "v_bracket": lambda: v_bracket(alg, P, xi, v),
+        "hamiltonian_section": lambda: hamiltonian_section(alg, P, xi),
+        "induced_bracket": lambda: induced_bracket(C, P, two, xi),
+    }[call]
+    with pytest.raises(SchoutenError):
+        run()
+
+
 # -- twisted structures ----------------------------------------------------------
 
 
