@@ -189,13 +189,12 @@ class Algebroid:
         ax = self.anchor_vector(X)
         return linalg.vec_mat(v, self._connection(X), self.rank_v, ax)
 
-    def act_module(self, i: int, vec, connected: bool):
+    def act_module(self, i: int, vec):
         """Frame section i on a module vector: anchor derivative plus theta_i.
 
-        Without the connection the vector is a tuple of plain functions.
         Returns None when the result vanishes.
         """
-        out = linalg.vec_mat(vec, self.theta[i] if connected else None, len(vec), self.anchor[i])
+        out = linalg.vec_mat(vec, self.theta[i], len(vec), self.anchor[i])
         return tuple(out) if any(x.terms for x in out) else None
 
     def act_graded(self, i: int, w: FScalar) -> FScalar:
@@ -215,7 +214,7 @@ class Algebroid:
     # -- differential and Lie derivative ----------------------------------------
 
     def zero_form(self, degree: int) -> AForm:
-        return AForm.zero(self.sig, self.rank, self.rank_v, True, degree)
+        return AForm.zero(self.sig, self.rank, self.rank_v, degree)
 
     def _koszul(self, w, act):
         """Koszul differential of w.
@@ -248,10 +247,10 @@ class Algebroid:
         return w.collect(w.degree + 1, items())
 
     def d(self, w: AForm) -> AForm:
-        """Koszul differential; connection term only for module-valued forms."""
-        if w.sig != self.sig or w.rank != self.rank:
+        """Koszul differential of a module-valued form, with the connection term."""
+        if (w.sig, w.rank, w.rank_v) != (self.sig, self.rank, self.rank_v):
             raise AlgebroidError("form does not live on this algebroid")
-        return self._koszul(w, lambda i, vec: self.act_module(i, vec, w.vvalued))
+        return self._koszul(w, self.act_module)
 
     def d_v(self, coeffs) -> AForm:
         """Differential of a module-valued function given as a width vector."""
@@ -259,7 +258,7 @@ class Algebroid:
             coeffs = (coeffs,)
         if len(coeffs) != self.rank_v:
             raise AlgebroidError("module vector has the wrong width")
-        return self.d(AForm(self.sig, self.rank, self.rank_v, True, 0, {(): tuple(coeffs)}))
+        return self.d(AForm(self.sig, self.rank, self.rank_v, 0, {(): tuple(coeffs)}))
 
     def d_graded(self, w: FForm) -> FForm:
         """Differential on graded forms; grade k feels k copies of the connection."""
@@ -273,6 +272,8 @@ class Algebroid:
         Independent of `d`, so the Cartan relation [d, iota_X] = L_X is a real
         consistency check rather than a definition.
         """
+        if (w.sig, w.rank, w.rank_v) != (self.sig, self.rank, self.rank_v):
+            raise AlgebroidError("form does not live on this algebroid")
         X = [coerce_elem(self.sig, x) for x in X]
         ax = self.anchor_vector(X)
         # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j, one Accumulator
@@ -289,7 +290,7 @@ class Algebroid:
         cov = [{} for _ in X]
         for (k, j), g in acc.elems().items():
             cov[k][j] = g
-        xtheta = self._connection(X) if w.vvalued else None
+        xtheta = self._connection(X)
 
         def items():
             for I, vec in w.terms.items():
@@ -418,7 +419,7 @@ class Algebroid:
         for col, (I, b) in enumerate(basis):
             vec = [self.sig.zero()] * self.rank_v
             vec[b] = self.sig.one()
-            dw = self.d(AForm(self.sig, self.rank, self.rank_v, True, degree, {I: tuple(vec)}))
+            dw = self.d(AForm(self.sig, self.rank, self.rank_v, degree, {I: tuple(vec)}))
             for J, w in dw.terms.items():
                 for c in range(self.rank_v):
                     if not w[c].is_zero():

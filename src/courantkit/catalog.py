@@ -95,12 +95,14 @@ def suspend_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
     """The paper's suspension: a module-valued form to an invariant plain form.
 
     Each coefficient is taken to weight one in the unit of the suspension; the
-    inverse is `reduce_form`.
+    inverse is `reduce_form`.  The module of sus has rank one and Theta = 0,
+    so its module-valued forms are the plain forms, and d on them has no
+    connection term.
     """
     ssig = sus.sig
     unit = ssig.exp_gen(ssig.exps[0].name)
     terms = {I: (vec[0].embed(ssig) * unit,) for I, vec in w.terms.items()}
-    return AForm(ssig, sus.rank, 1, False, w.degree, terms)
+    return AForm(ssig, sus.rank, 1, w.degree, terms)
 
 
 def reduce_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
@@ -115,7 +117,7 @@ def reduce_form(alg: Algebroid, sus: Algebroid, w: AForm) -> AForm:
         terms = {I: ((vec[0] / unit).embed(alg.sig),) for I, vec in w.terms.items()}
     except RingError:
         raise CatalogError("form is not invariant of weight one") from None
-    return AForm(alg.sig, alg.rank, 1, True, w.degree, terms)
+    return AForm(alg.sig, alg.rank, 1, w.degree, terms)
 
 
 def contact_r3() -> dict:
@@ -132,7 +134,7 @@ def contact_r3() -> dict:
     ssig = sus.sig
     y_up = ssig.coord("y")
     unit = ssig.exp_gen("Et")
-    eta = AForm(ssig, 4, 1, False, 1, {(2,): (ssig.one(),), (0,): (-y_up,)})
+    eta = AForm(ssig, 4, 1, 1, {(2,): (ssig.one(),), (0,): (-y_up,)})
     omega = sus.d(eta.scale(unit))
     if not sus.d(omega).is_zero():
         raise CatalogError("suspension two-form failed to close")
@@ -215,7 +217,7 @@ def cr_complex_r2() -> dict:
 def symplectic_r2() -> dict:
     C = standard_courant(2)
     sig = C.alg.sig
-    omega = AForm(sig, 2, 1, True, 2, {(0, 1): (sig.one(),)})
+    omega = AForm(sig, 2, 1, 2, {(0, 1): (sig.one(),)})
     return {
         "courant": C,
         "algebroid": C.alg,
@@ -231,7 +233,7 @@ def symplectic_r2() -> dict:
 def dirac_graph_r2() -> dict:
     C = standard_courant(2)
     sig = C.alg.sig
-    omega = AForm(sig, 2, 1, True, 2, {(0, 1): (sig.one(),)})
+    omega = AForm(sig, 2, 1, 2, {(0, 1): (sig.one(),)})
     return {
         "courant": C,
         "algebroid": C.alg,
@@ -249,7 +251,7 @@ def dirac_nonclosed_r3() -> dict:
     C = standard_courant(3)
     sig = C.alg.sig
     zc = sig.coord("z")
-    omega = AForm(sig, 3, 1, True, 2, {(0, 1): (zc,)})
+    omega = AForm(sig, 3, 1, 2, {(0, 1): (zc,)})
     return {
         "courant": C,
         "algebroid": C.alg,
@@ -305,7 +307,7 @@ def nonclosed_r4() -> dict:
     alg = tangent_algebroid(_coords(4))
     sig = alg.sig
     w = sig.coord("w")
-    twist = AForm(sig, 4, 1, True, 3, {(0, 1, 2): (w,)})
+    twist = AForm(sig, 4, 1, 3, {(0, 1, 2): (w,)})
     C = CourantPresentation(alg, twist, allow_nonclosed=True)
     return {
         "courant": C,
@@ -318,7 +320,7 @@ def standard_r3_twisted() -> dict:
     alg = tangent_algebroid(_coords(3))
     sig = alg.sig
     x = sig.coord("x")
-    twist = AForm(sig, 3, 1, True, 3, {(0, 1, 2): (x,)})
+    twist = AForm(sig, 3, 1, 3, {(0, 1, 2): (x,)})
     return {
         "courant": CourantPresentation(alg, twist),
         "algebroid": alg,

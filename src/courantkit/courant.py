@@ -130,7 +130,7 @@ class CSection:
             raise CourantError("section coefficients must have length rank")
         if xi is None:
             xi = alg.zero_form(1)
-        if xi.degree != 1 or not xi.vvalued:
+        if not isinstance(xi, AForm) or xi.degree != 1:
             raise CourantError("covector part must be a module-valued 1-form")
         if xi.sig != alg.sig or xi.rank != alg.rank or xi.rank_v != alg.rank_v:
             raise CourantError("covector part does not live on this algebroid")
@@ -149,7 +149,7 @@ class CSection:
     @property
     def xi(self) -> AForm:
         alg = self.alg
-        return _aform(alg.sig, alg.rank, alg.rank_v, True, 1, {(i,): v for i, v in self._legs()})
+        return _aform(alg.sig, alg.rank, alg.rank_v, 1, {(i,): v for i, v in self._legs()})
 
     def _legs(self) -> list:
         """(i, module vector at eps^i) for every nonzero coframe leg, i increasing."""
@@ -337,7 +337,7 @@ class CourantPresentation:
     def __init__(self, alg: Algebroid, twist: AForm | None = None, allow_nonclosed=False):
         if twist is None:
             twist = alg.zero_form(3)
-        if not twist.vvalued or twist.degree != 3:
+        if not isinstance(twist, AForm) or twist.degree != 3:
             raise CourantError("twist must be a module-valued 3-form")
         if twist.sig != alg.sig or twist.rank != alg.rank or twist.rank_v != alg.rank_v:
             raise CourantError("twist does not live on this algebroid")
@@ -489,7 +489,7 @@ class CourantPresentation:
 
     def change_splitting(self, beta: AForm) -> "CourantPresentation":
         """Presentation induced by shifting the splitting with the 2-form beta."""
-        if not beta.vvalued or beta.degree != 2:
+        if not isinstance(beta, AForm) or beta.degree != 2:
             raise CourantError("splitting shift must be a module-valued 2-form")
         new_twist = self.twist - self.alg.d(beta)
         return CourantPresentation(self.alg, new_twist, allow_nonclosed=True)
@@ -518,7 +518,7 @@ class CourantPresentation:
                 vec = tuple((a - b) * half for a, b in zip(vi, vj))
                 if any(not c.is_zero() for c in vec):
                     terms[(i, j)] = vec
-        beta = AForm(alg.sig, alg.rank, alg.rank_v, True, 2, terms)
+        beta = AForm(alg.sig, alg.rank, alg.rank_v, 2, terms)
         return self.change_splitting(beta), beta
 
     # -- verification sweep ----------------------------------------------------------------

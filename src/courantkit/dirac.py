@@ -141,7 +141,7 @@ def merged_locus(*loci) -> list:
 
 def graph_two_form(C: CourantPresentation, B: AForm) -> list:
     """Graph generators e_i + i_{e_i} B of a module-valued 2-form."""
-    if not B.vvalued or B.degree != 2:
+    if not isinstance(B, AForm) or B.degree != 2:
         raise DiracError("graph requires a module-valued 2-form")
     alg = C.alg
     return [

@@ -5,16 +5,17 @@ multi-indices to exact coefficients.  One alternating core (index checks,
 sums, products, equality and one contraction loop) serves two coefficient
 kinds, each coefficient seen as its parts, a map from slot to ring element:
 
-* module vectors, in AForm: a tuple of ring elements per term, one entry per
-  module frame vector (a 1-tuple for plain scalar forms); the slot of an
-  entry is its module component b;
+* module vectors, in AForm: a tuple of rank_v ring elements per term, one
+  entry per module frame vector; the slot of an entry is its module
+  component b;
 * graded scalars (FScalar), in FForm and Multivector: finite Laurent sums in
   the module frame after a rank-one trivialization; the slot of a part is its
   grade, the power of the frame section.
 
 Two coefficients multiply part by part at slot s1 + s2; for module vectors
-this holds because at most one factor of a wedge or contraction is wider
-than a scalar, whose one slot is 0.  Every sum of signed products (sum,
+this holds because the other factor of a contraction, a scaling or d is a
+plain scalar, whose one slot is 0, and module vectors do not wedge.  A plain
+scalar form is a grade-0 FForm.  Every sum of signed products (sum,
 scaling, wedge, the contractions, d, the Lie derivative, the Schouten
 bracket) is one `_Alternating.collect`: every product goes straight into
 one `ring.Accumulator`, at the slot (index, part slot), and the result is
@@ -329,10 +330,6 @@ class _Alternating:
         if self._frame() != other._frame():
             raise ExteriorError("objects live over different frames")
 
-    def _product_like(self, other):
-        """The operand whose kind and frame a wedge with other has (after the frame check)."""
-        return self
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -371,22 +368,6 @@ class _Alternating:
         return self.scale(c)
 
     __rmul__ = __mul__
-
-    def wedge(self, other):
-        _Alternating._compat(self, other)
-        out = self._product_like(other)
-        deg = self.degree + other.degree
-        if deg > self.rank:
-            return out.collect(0, ())
-
-        def items():
-            for I, u in self.terms.items():
-                for J, w in other.terms.items():
-                    hit = merge_indices(I, J)
-                    if hit is not None:
-                        yield hit[0], hit[1], u, w
-
-        return out.collect(deg, items())
 
     def collect(self, degree, items):
         """Object of this kind and frame summing sign * x * y over (index, sign, x, y) items.
@@ -432,40 +413,34 @@ class _Alternating:
 
 
 class AForm(_Alternating):
-    """Alternating form on the frame with module-vector (or scalar) values.
+    """Alternating form on the frame with values in the module.
 
-    Each coefficient is a tuple of ring elements, one per module frame vector
-    (width rank_v), or a 1-tuple for a plain scalar form.  vvalued
-    distinguishes the two; a wedge of two module-valued forms is rejected
-    since the module carries no product.
+    Each coefficient is a tuple of rank_v ring elements, one per module frame
+    vector.  There is no wedge, since the module carries no product; a plain
+    scalar form is a grade-0 FForm.
     """
 
-    __slots__ = ("rank_v", "vvalued")
+    __slots__ = ("rank_v",)
     _letter = "dx"
 
     _parts = staticmethod(enumerate)
 
-    def __init__(self, sig, rank, rank_v, vvalued, degree, terms):
+    def __init__(self, sig, rank, rank_v, degree, terms):
         object.__setattr__(self, "rank_v", rank_v)
-        object.__setattr__(self, "vvalued", vvalued)
         self._set(sig, rank, degree, terms)
 
     @staticmethod
-    def zero(sig, rank, rank_v, vvalued, degree) -> "AForm":
-        return AForm(sig, rank, rank_v, vvalued, degree, {})
-
-    @property
-    def width(self) -> int:
-        return self.rank_v if self.vvalued else 1
+    def zero(sig, rank, rank_v, degree) -> "AForm":
+        return AForm(sig, rank, rank_v, degree, {})
 
     def _coeff(self, sig, vec):
         vec = tuple(coerce_elem(sig, x) for x in vec)
-        if len(vec) != self.width:
-            raise ExteriorError(f"coefficient vector has {len(vec)} entries, expected {self.width}")
+        if len(vec) != self.rank_v:
+            raise ExteriorError(f"coefficient vector has {len(vec)} entries, not {self.rank_v}")
         return vec if any(not x.is_zero() for x in vec) else None
 
     def _zero_coeff(self) -> tuple:
-        return (self.sig.zero(),) * self.width
+        return (self.sig.zero(),) * self.rank_v
 
     def _scalar(self, c) -> tuple:
         return (c if isinstance(c, RingElem) else coerce_elem(self.sig, c),)
@@ -476,35 +451,21 @@ class AForm(_Alternating):
 
     def _from_parts(self, parts: dict) -> tuple:
         zero = self.sig.zero()
-        return tuple(parts.get(b, zero) for b in range(self.width))
+        return tuple(parts.get(b, zero) for b in range(self.rank_v))
 
     def _build(self, degree, terms) -> "AForm":
-        return _aform(self.sig, self.rank, self.rank_v, self.vvalued, degree, terms)
+        return _aform(self.sig, self.rank, self.rank_v, degree, terms)
 
     def _frame(self) -> tuple:
         return (self.sig, self.rank, self.rank_v)
-
-    def _compat(self, other):
-        super()._compat(other)
-        if self.vvalued != other.vvalued:
-            raise ExteriorError("cannot mix scalar and module-valued forms")
-
-    def _product_like(self, other):
-        if self.vvalued and other.vvalued:
-            raise ExteriorError("cannot wedge two module-valued forms")
-        return other if other.vvalued else self
-
-    def __repr__(self):
-        kind = "V" if self.vvalued else "scalar"
-        return f"AForm[{kind},deg={self.degree}]({self.to_str()})"
 
 
 def _unchecked(cls, sig, rank, degree, terms, **more):
     """Unchecked constructor for terms that are canonical by construction.
 
     Every index is a strictly increasing tuple of degree frame indices below
-    rank, and every coefficient is nonzero and over sig: a tuple of the
-    form's width with a nonzero entry, or an FScalar with nonzero parts.
+    rank, and every coefficient is nonzero and over sig: a tuple of rank_v
+    entries with a nonzero one, or an FScalar with nonzero parts.
     """
     w = object.__new__(cls)
     for name, value in (("sig", sig), ("rank", rank), ("degree", degree), ("terms", terms)):
@@ -514,8 +475,8 @@ def _unchecked(cls, sig, rank, degree, terms, **more):
     return w
 
 
-def _aform(sig, rank, rank_v, vvalued, degree, terms) -> AForm:
-    return _unchecked(AForm, sig, rank, degree, terms, rank_v=rank_v, vvalued=vvalued)
+def _aform(sig, rank, rank_v, degree, terms) -> AForm:
+    return _unchecked(AForm, sig, rank, degree, terms, rank_v=rank_v)
 
 
 # -- graded forms and multivectors ----------------------------------------------
@@ -554,6 +515,21 @@ class _Graded(_Alternating):
 
     def _zero_coeff(self) -> FScalar:
         return FScalar.zero(self.sig)
+
+    def wedge(self, other):
+        self._compat(other)
+        deg = self.degree + other.degree
+        if deg > self.rank:
+            return self.collect(0, ())
+
+        def items():
+            for I, u in self.terms.items():
+                for J, w in other.terms.items():
+                    hit = merge_indices(I, J)
+                    if hit is not None:
+                        yield hit[0], hit[1], u, w
+
+        return self.collect(deg, items())
 
     def pure_grade(self) -> int | None:
         """The single grade of all coefficients, 0 for zero, None if mixed."""
@@ -594,16 +570,15 @@ class FForm(_Graded):
 def aform_to_fform(w: AForm) -> FForm:
     """View an AForm as a graded form after a rank-one trivialization.
 
-    Module-valued forms sit in grade +1, scalar forms in grade 0.
+    The module values sit in grade +1.
     """
-    if w.vvalued and w.rank_v != 1:
+    if w.rank_v != 1:
         raise ExteriorError("trivialization requires a rank-one module")
-    g = 1 if w.vvalued else 0
     return FForm(
         w.sig,
         w.rank,
         w.degree,
-        {I: FScalar(w.sig, {g: vec[0]}) for I, vec in w.terms.items()},
+        {I: FScalar(w.sig, {1: vec[0]}) for I, vec in w.terms.items()},
     )
 
 
@@ -611,10 +586,10 @@ def aform_to_fform(w: AForm) -> FForm:
 
 
 def wedge(a, b):
-    """Graded-commutative product; at most one AForm factor may be module-valued."""
-    if type(a) is type(b) and isinstance(a, _Alternating):
+    """Graded-commutative product of two graded forms or two multivectors (an AForm has none)."""
+    if type(a) is type(b) and isinstance(a, _Graded):
         return a.wedge(b)
-    raise ExteriorError("wedge requires two forms or two multivectors of one kind")
+    raise ExteriorError("wedge requires two graded forms or two multivectors")
 
 
 def _contraction(pairs, target: _Alternating, degree: int, remove) -> _Alternating:
@@ -652,11 +627,15 @@ def iota(P: Multivector, w: FForm) -> FForm:
     Derived from the duality pairing: <xi, P ^ Q> = <iota(P) xi, Q>, hence
     iota of a decomposable contracts its first factor innermost.
     """
+    if not (isinstance(P, Multivector) and isinstance(w, FForm)):
+        raise ExteriorError("iota takes a multivector and a graded form")
     return _contraction(P.terms.items(), w, max(w.degree - P.degree, 0), contract_front_multi)
 
 
 def breve_contract(alpha: FForm, P: Multivector) -> Multivector:
     """Rear contraction of a multivector by a form: <xi ^ alpha, P> = <xi, breve(alpha) P>."""
+    if not (isinstance(alpha, FForm) and isinstance(P, Multivector)):
+        raise ExteriorError("breve_contract takes a graded form and a multivector")
     degree = max(P.degree - alpha.degree, 0)
     return _contraction(alpha.terms.items(), P, degree, contract_rear_multi)
 

@@ -258,7 +258,7 @@ def symplectic_gcr(C: CourantPresentation, omega: AForm) -> GCRStructure:
     """Structure of symplectic type on the full frame, from a nondegenerate 2-form."""
     alg = C.alg
     sig = alg.sig
-    if omega.degree != 2 or not omega.vvalued or alg.rank_v != 1:
+    if not isinstance(omega, AForm) or omega.degree != 2 or alg.rank_v != 1:
         raise GCRError("expected a module-valued 2-form over a rank-one module")
     r = alg.rank
     cols = [contract(alg.frame_section(b), omega) for b in range(r)]

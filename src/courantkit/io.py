@@ -209,7 +209,7 @@ def vform_from_json(alg: Algebroid, doc, path, degree: int, what: str) -> AForm:
         terms[I] = tuple(parse_elem(alg.sig, v, f"{kpath}[{j}]") for j, v in enumerate(vec))
     if found != degree:
         raise SchemaError(f"{what} must have degree {degree}", f"{path}.degree")
-    return AForm(alg.sig, alg.rank, alg.rank_v, True, degree, terms)
+    return AForm(alg.sig, alg.rank, alg.rank_v, degree, terms)
 
 
 def fscalar_to_json(s: FScalar) -> dict:

@@ -69,7 +69,7 @@ def random_presentation(seed: int, rank: int, rank_v: int = 2):
     twist = {
         I: tuple(el() for _ in range(rank_v)) for I in combinations(range(rank), 3)
     }
-    H = AForm(SIG, rank, rank_v, True, 3, twist)
+    H = AForm(SIG, rank, rank_v, 3, twist)
     return CourantPresentation(alg, H, allow_nonclosed=True)
 
 

@@ -59,7 +59,7 @@ def rand_vform(rng, alg, degree):
             )
             if any(not c.is_zero() for c in vec):
                 terms[I] = vec
-    return AForm(alg.sig, alg.rank, alg.rank_v, True, degree, terms)
+    return AForm(alg.sig, alg.rank, alg.rank_v, degree, terms)
 
 
 def rand_csection(rng, C):
@@ -182,7 +182,6 @@ def test_c04_gauge_suite_50_betas():
                 alg.sig,
                 alg.rank,
                 1,
-                True,
                 1,
                 {
                     (j,): (rng.ring_elem(alg.sig, max_degree=1, terms=1),)

@@ -4,7 +4,7 @@ from calculus_oracle import termwise_derivation
 from courantkit import catalog
 from courantkit.algebroid import MAX_VALIDATE_RANK, Algebroid, CochainLimitError, RankLimitError
 from courantkit.courant import CourantPresentation
-from courantkit.exterior import AForm, contract
+from courantkit.exterior import AForm, FForm, FScalar, aform_to_fform, contract, wedge
 from courantkit.ring import RingElem, RingSignature
 from courantkit.sampling import SplitMix
 
@@ -21,7 +21,7 @@ def rand_vform(rng, alg, degree):
             )
             if any(not c.is_zero() for c in vec):
                 terms[I] = vec
-    return AForm(alg.sig, alg.rank, alg.rank_v, True, degree, terms)
+    return AForm(alg.sig, alg.rank, alg.rank_v, degree, terms)
 
 
 def test_extended_tangent_bracket_formula():
@@ -228,28 +228,28 @@ def test_lie_function_linearity_with_leibniz_correction():
             X = [rng.ring_elem(sig, max_degree=1, terms=1) for _ in range(alg.rank)]
             f = rng.ring_elem(sig, max_degree=1, terms=2)
             fX = [f * c for c in X]
-            df = AForm(
+            # df is a grade-0 graded form, so the identity is read on the graded side
+            df = FForm(
                 sig,
                 alg.rank,
-                alg.rank_v,
-                False,
                 1,
                 {
-                    (i,): (
+                    (i,): FScalar.of(
                         termwise_derivation(
                             alg.anchor_vector(
                                 [sig.one() if j == i else sig.zero() for j in range(alg.rank)]
                             ),
                             f,
-                        ),
+                        )
                     )
                     for i in range(alg.rank)
                 },
             )
             k = rng.randint(1, alg.rank - 1)
             w = rand_vform(rng, alg, k)
-            corr = df.wedge(contract(X, w))
-            assert alg.lie(fX, w).equals(alg.lie(X, w).scale(f) + corr)
+            corr = wedge(df, aform_to_fform(contract(X, w)))
+            lhs = aform_to_fform(alg.lie(fX, w))
+            assert lhs.equals(aform_to_fform(alg.lie(X, w).scale(f)) + corr)
             w0 = rand_vform(rng, alg, 0)
             assert alg.lie(fX, w0).equals(alg.lie(X, w0).scale(f))
 

@@ -97,7 +97,7 @@ def test_suspend_reduce_round_trip():
     sus = catalog.suspended_tangent(alg)
     beta = p["two_form"]
     up = catalog.suspend_form(alg, sus, beta)
-    assert not up.vvalued
+    assert (up.sig, up.rank, up.rank_v) == (sus.sig, sus.rank, sus.rank_v)
     back = catalog.reduce_form(alg, sus, up)
     assert back.equals(beta)
 
@@ -110,7 +110,7 @@ def test_reduce_rejects_noninvariant_forms():
     sus = catalog.suspended_tangent(alg)
     ssig = sus.sig
     # weight zero in the unit
-    flat = AForm(ssig, sus.rank, 1, False, 1, {(0,): (ssig.one(),)})
+    flat = AForm(ssig, sus.rank, 1, 1, {(0,): (ssig.one(),)})
     with pytest.raises(CatalogError):
         catalog.reduce_form(alg, sus, flat)
     # weight one but carrying the suspension coordinate
@@ -118,7 +118,6 @@ def test_reduce_rejects_noninvariant_forms():
         ssig,
         sus.rank,
         1,
-        False,
         1,
         {(0,): (ssig.coord("t") * ssig.exp_gen("Et"),)},
     )

@@ -15,6 +15,7 @@ from courantkit.exterior import (
     FScalar,
     Multivector,
     _Alternating,
+    aform_to_fform,
     breve_contract,
     contract,
     iota,
@@ -45,10 +46,10 @@ def reference_collect(template, degree, items):
                 row[s1 + s2] = row.get(s1 + s2, sig.zero()) + (p if sign > 0 else -p)
     if isinstance(template, AForm):
         terms = {
-            K: tuple(row.get(b, sig.zero()) for b in range(template.width))
+            K: tuple(row.get(b, sig.zero()) for b in range(template.rank_v))
             for K, row in table.items()
         }
-        return AForm(sig, template.rank, template.rank_v, template.vvalued, degree, terms)
+        return AForm(sig, template.rank, template.rank_v, degree, terms)
     terms = {K: FScalar(sig, row) for K, row in table.items()}
     return type(template)(sig, template.rank, degree, terms)
 
@@ -81,23 +82,20 @@ def _agrees(template, degree, items):
 
 def test_collect_equals_the_reference_on_module_valued_forms():
     # rank_v = 2 over Q(i) with an exponential generator: module vectors times
-    # scalars on either side, module vectors alone, and scalar forms
+    # scalars on either side, and module vectors alone
     rng = SplitMix(211)
     rank, rank_v = 3, 2
     el = lambda: rng.ring_elem(SIG, max_degree=1, terms=2, complex_ok=True)  # noqa: E731
     vec = lambda: (el(), el())  # noqa: E731
     scal = lambda: (el(),)  # noqa: E731
-    module = AForm.zero(SIG, rank, rank_v, True, 0)
-    scalar = AForm.zero(SIG, rank, rank_v, False, 0)
+    module = AForm.zero(SIG, rank, rank_v, 0)
     nonzero = 0
-    for _ in range(40):
+    for _ in range(67):
         degree = rng.randint(0, rank)
         for template, draw_x, draw_y in (
             (module, vec, scal),
             (module, scal, vec),
             (module, vec, lambda: None),
-            (scalar, scal, scal),
-            (scalar, scal, lambda: None),
         ):
             got = _agrees(template, degree, _items(rng, rank, degree, draw_x, draw_y))
             nonzero += not got.is_zero()
@@ -156,38 +154,40 @@ def _catalog_calls(monkeypatch):
 
 
 def test_collect_makes_no_ring_sum_or_product_on_catalog_entries(monkeypatch):
-    # d, wedge, contract and lie on module-valued and scalar forms of every
-    # catalog algebroid; d_graded, wedge, iota, breve_contract and schouten on
-    # the rank-one ones
+    # d, contract and lie on module-valued forms of every catalog algebroid;
+    # d_graded, wedge, iota, breve_contract and schouten on the rank-one ones,
+    # where a plain scalar form is a grade-0 FForm
     rng = SplitMix(227)
     inputs = []
     for name in catalog.names():
         alg = catalog.load(name)["algebroid"]
         el = lambda: rng.ring_elem(alg.sig, max_degree=2, terms=3)  # noqa: E731
 
-        def form(degree, vvalued, alg=alg, el=el):
-            width = alg.rank_v if vvalued else 1
+        def form(degree, alg=alg, el=el):
             terms = {
-                I: tuple(el() for _ in range(width)) for I in combinations(range(alg.rank), degree)
+                I: tuple(el() for _ in range(alg.rank_v))
+                for I in combinations(range(alg.rank), degree)
             }
-            return AForm(alg.sig, alg.rank, alg.rank_v, vvalued, degree, terms)
+            return AForm(alg.sig, alg.rank, alg.rank_v, degree, terms)
 
         X = [el() for _ in range(alg.rank)]
-        inputs.append((alg, X, form(1, True), form(min(2, alg.rank), True), form(1, False)))
+        s1 = FForm(alg.sig, alg.rank, 1, {(i,): FScalar.of(el()) for i in range(alg.rank)})
+        inputs.append((alg, X, form(1), form(min(2, alg.rank)), s1))
     counts = _catalog_calls(monkeypatch)
     ops = nonzero = 0
     for alg, X, w1, w2, s1 in inputs:
         calls = [
-            lambda: alg.d(w1), lambda: alg.d(w2), lambda: alg.d(s1),
-            lambda: wedge(s1, w1), lambda: wedge(w2, s1),
+            lambda: alg.d(w1), lambda: alg.d(w2),
             lambda: contract(X, w1), lambda: contract(X, w2),
-            lambda: alg.lie(X, w2), lambda: alg.lie(X, s1),
+            lambda: alg.lie(X, w2),
         ]
         if alg.rank_v == 1:
             P = mixed_multivector(rng, alg, min(2, alg.rank))
             Q = mixed_multivector(rng, alg, 1)
             f = FForm(alg.sig, alg.rank, 1, mixed_multivector(rng, alg, 1).terms)
             calls += [
+                lambda: alg.d_graded(s1), lambda: wedge(s1, aform_to_fform(w1)),
+                lambda: wedge(aform_to_fform(w2), s1),
                 lambda: alg.d_graded(f), lambda: wedge(P, Q), lambda: iota(Q, f),
                 lambda: breve_contract(f, P), lambda: schouten(alg, P, Q),
                 lambda: schouten(alg, P, P),

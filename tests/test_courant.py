@@ -14,7 +14,9 @@ from courantkit.courant import (
     CSection,
     SweepLimitError,
 )
-from courantkit.exterior import AForm, FScalar, Multivector, contract
+from courantkit.dirac import DiracError, graph_two_form
+from courantkit.exterior import AForm, FScalar, Multivector, aform_to_fform, contract
+from courantkit.gcr import GCRError, symplectic_gcr
 from courantkit.sampling import SplitMix
 
 
@@ -30,7 +32,7 @@ def rand_section(rng, C):
             )
             if any(not c.is_zero() for c in vec):
                 terms[(i,)] = vec
-    return CSection(alg, x, AForm(alg.sig, alg.rank, alg.rank_v, True, 1, terms))
+    return CSection(alg, x, AForm(alg.sig, alg.rank, alg.rank_v, 1, terms))
 
 
 def rand_two_form(rng, alg):
@@ -44,7 +46,7 @@ def rand_two_form(rng, alg):
                 )
                 if any(not c.is_zero() for c in vec):
                     terms[(i, j)] = vec
-    return AForm(alg.sig, alg.rank, alg.rank_v, True, 2, terms)
+    return AForm(alg.sig, alg.rank, alg.rank_v, 2, terms)
 
 
 def test_bracket_lie_derivative_golden():
@@ -53,7 +55,7 @@ def test_bracket_lie_derivative_golden():
     sig = alg.sig
     x, y = sig.coord("x"), sig.coord("y")
     e1 = CSection(alg, [sig.one(), sig.zero(), sig.zero()], alg.zero_form(1))  # d/dx
-    e2 = CSection(alg, alg.zero_section(), AForm(sig, 3, 1, True, 1, {(1,): (x * y,)}))  # xy dy
+    e2 = CSection(alg, alg.zero_section(), AForm(sig, 3, 1, 1, {(1,): (x * y,)}))  # xy dy
     got = C.bracket(e1, e2)
     assert got.x == alg.zero_section()
     assert got.xi.coefficient((1,)) == (y,)
@@ -167,7 +169,6 @@ def test_isotropize_splits_symmetric_part():
                 alg.sig,
                 alg.rank,
                 alg.rank_v,
-                True,
                 1,
                 {
                     (j,): (rng.ring_elem(alg.sig, max_degree=1, terms=1),)
@@ -301,7 +302,7 @@ def _complex_section(rng, alg):
     )
     x = [el() for _ in range(alg.rank)]
     xi = AForm(
-        alg.sig, alg.rank, alg.rank_v, True, 1,
+        alg.sig, alg.rank, alg.rank_v, 1,
         {(i,): tuple(el() for _ in range(alg.rank_v)) for i in range(alg.rank)},
     )
     return x, xi
@@ -410,7 +411,7 @@ def test_nonclosed_twist_requires_flag():
 
     alg = catalog.tangent_algebroid(("x", "y", "z", "w"))
     sig = alg.sig
-    twist = AForm(sig, 4, 1, True, 3, {(0, 1, 2): (sig.coord("w"),)})
+    twist = AForm(sig, 4, 1, 3, {(0, 1, 2): (sig.coord("w"),)})
     with pytest.raises(CourantError):
         CourantPresentation(alg, twist)
 
@@ -572,3 +573,33 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     built[0] = 0
     assert courant._combine(C.alg, ((e1, 1, None), (e2, -1, half))) == diff
     assert built[0] == 1
+
+
+def _graded(alg, degree):
+    """The graded view of a module-valued form the entry points accept, degree for degree."""
+    return aform_to_fform(AForm(alg.sig, alg.rank, 1, degree, {tuple(range(degree)): (1,)}))
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        pytest.param(
+            CourantError,
+            lambda C: CSection(C.alg, C.alg.zero_section(), _graded(C.alg, 1)),
+            id="section-xi",
+        ),
+        pytest.param(
+            CourantError, lambda C: CourantPresentation(C.alg, _graded(C.alg, 3)), id="twist"
+        ),
+        pytest.param(CourantError, lambda C: C.change_splitting(_graded(C.alg, 2)), id="beta"),
+        pytest.param(DiracError, lambda C: graph_two_form(C, _graded(C.alg, 2)), id="graph-B"),
+        pytest.param(GCRError, lambda C: symplectic_gcr(C, _graded(C.alg, 2)), id="omega"),
+    ],
+)
+def test_module_valued_entry_points_refuse_a_graded_form(error, call):
+    # xi, the twist, the splitting shift, the graph two-form and the
+    # symplectic form are module-valued: a graded form of the right degree is
+    # refused with the entry point's own error, not a Python error
+    C = catalog.load("standard-r3-twisted")["courant"]
+    with pytest.raises(error, match="module-valued"):
+        call(C)

@@ -124,7 +124,7 @@ def test_perp_drops_rank_by_pairing_rank():
 def test_pairing_gram_symmetric_and_isotropy_detection():
     C = catalog.standard_courant(2)
     e0 = C.frame_section(0)
-    j0 = CSection(C.alg, C.alg.zero_section(), AForm(C.alg.sig, 2, 1, True, 1, {(0,): (1,)}))
+    j0 = CSection(C.alg, C.alg.zero_section(), AForm(C.alg.sig, 2, 1, 1, {(0,): (1,)}))
     gens = [e0, j0]
     G = [[C.pairing(g1, g2)[0] for g2 in gens] for g1 in gens]
     assert G[0][1] == G[1][0] == C.alg.sig.one()
@@ -179,7 +179,6 @@ def test_graph_pairing_encodes_antisymmetry():
         sig,
         3,
         1,
-        True,
         2,
         {(0, 1): (sig.coord("z"),), (0, 2): (sig.coord("x") * sig.coord("y"),)},
     )
@@ -236,7 +235,7 @@ def _nonclosed_graph(C):
     with x times its first generator added: four isotropic generators."""
     sig = C.alg.sig
     x, y, z = (sig.coord(c) for c in "xyz")
-    B = AForm(sig, 3, 1, True, 2, {(0, 1): (z,), (0, 2): (x * y,)})
+    B = AForm(sig, 3, 1, 2, {(0, 1): (z,), (0, 2): (x * y,)})
     gens = graph_two_form(C, B)
     return gens + [gens[0].scale(x)]
 
@@ -259,7 +258,7 @@ def test_closure_brackets_each_isotropic_pair_once(monkeypatch):
 
     C = catalog.standard_courant(3)
     iso = _nonclosed_graph(C)
-    skew = iso[:3] + [CSection(C.alg, [1, 0, 0], AForm(C.alg.sig, 3, 1, True, 1, {(0,): (1,)}))]
+    skew = iso[:3] + [CSection(C.alg, [1, 0, 0], AForm(C.alg.sig, 3, 1, 1, {(0,): (1,)}))]
     assert is_isotropic(C, iso)[0] and not is_isotropic(C, skew)[0]
     wants = [_full_closure(C, gens) for gens in (iso, skew)]
     brackets, reductions = [], []
@@ -285,7 +284,7 @@ def test_closure_report_matches_the_full_ordered_loop():
     ]
     C = catalog.standard_courant(3)
     cases.append((C, _nonclosed_graph(C)))
-    dx = AForm(C.alg.sig, 3, 1, True, 1, {(0,): (1,)})
+    dx = AForm(C.alg.sig, 3, 1, 1, {(0,): (1,)})
     cases.append((C, [C.frame_section(0), CSection(C.alg, [0, 1, 0], dx)]))
     # a drawn presentation with module rank 2 that fails every axiom: the
     # frame sections e_i are isotropic, their brackets are not in their span

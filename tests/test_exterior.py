@@ -17,6 +17,7 @@ from courantkit.exterior import (
 )
 from courantkit.ring import RingSignature
 from courantkit.sampling import SplitMix
+from courantkit.schouten import tilde
 
 
 SIG = RingSignature(("x", "y", "z"))
@@ -24,14 +25,15 @@ RANK = 3
 
 
 def rand_plain_form(rng, degree, rank=RANK):
+    """A plain scalar form: a grade-0 FForm."""
     terms = {}
     idx = [tuple(sorted(s)) for s in _subsets(range(rank), degree)]
     for I in idx:
         if rng.randint(0, 1):
             c = rng.ring_elem(SIG, max_degree=1, terms=2)
             if not c.is_zero():
-                terms[I] = (c,)
-    return AForm(SIG, rank, 1, False, degree, terms)
+                terms[I] = FScalar.of(c)
+    return FForm(SIG, rank, degree, terms)
 
 
 def _subsets(pool, k):
@@ -47,19 +49,19 @@ def frame(i):
 def test_pairing_is_determinant_delta():
     # <f^I, e_J> = delta_IJ for increasing index tuples
     for I in _subsets(range(RANK), 2):
-        xi = AForm(SIG, RANK, 1, False, 2, {tuple(I): (SIG.one(),)})
+        xi = FForm(SIG, RANK, 2, {tuple(I): FScalar.of(SIG.one())})
         for J in _subsets(range(RANK), 2):
             P = Multivector(SIG, RANK, 2, {tuple(J): FScalar.of(SIG.one())})
-            val = pair_eval(aform_to_fform(xi), P)
+            val = pair_eval(xi, P)
             expected = SIG.one() if I == J else SIG.zero()
             assert val.grade_zero_elem() == expected
     # the pairing takes graded forms: an AForm is refused, not read as a zero
     with pytest.raises(ExteriorError, match="graded form"):
-        pair_eval(AForm(SIG, RANK, 1, False, 1, {(0,): (SIG.one(),)}), P)
+        pair_eval(AForm(SIG, RANK, 1, 1, {(0,): (SIG.one(),)}), P)
 
 
 def test_contract_front_signs():
-    w = AForm(SIG, RANK, 1, False, 2, {(0, 1): (SIG.one(),)})
+    w = AForm(SIG, RANK, 1, 2, {(0, 1): (SIG.one(),)})
     c0 = contract(frame(0), w)
     c1 = contract(frame(1), w)
     assert c0.terms == {(1,): (SIG.one(),)}
@@ -93,9 +95,9 @@ def test_contraction_antiderivation():
         p = rng.randint(1, 2)
         a = rand_plain_form(rng, p)
         b = rand_plain_form(rng, rng.randint(1, 2))
-        X = frame(rng.randint(0, RANK - 1))
-        lhs = contract(X, wedge(a, b))
-        rhs = wedge(contract(X, a), b) + wedge(a, contract(X, b)).scale(Fraction(-1) ** p)
+        X = Multivector(SIG, RANK, 1, {(rng.randint(0, RANK - 1),): FScalar.of(SIG.one())})
+        lhs = iota(X, wedge(a, b))
+        rhs = wedge(iota(X, a), b) + wedge(a, iota(X, b)).scale(Fraction(-1) ** p)
         assert lhs.equals(rhs)
 
 
@@ -103,7 +105,8 @@ def test_iterated_contraction_matches_bivector_insertion():
     # iota of a decomposable contracts its first factor innermost
     rng = SplitMix(29)
     for _ in range(20):
-        w = rand_plain_form(rng, 3)
+        plain = rand_plain_form(rng, 3)
+        w = AForm(SIG, RANK, 1, 3, {I: (c.get(0),) for I, c in plain.terms.items()})
         P = Multivector(
             SIG,
             RANK,
@@ -132,8 +135,8 @@ def test_rear_contraction_duality():
             if rng.randint(0, 1):
                 terms[tuple(I)] = FScalar.of(rng.ring_elem(SIG, max_degree=1, terms=1))
         P = Multivector(SIG, RANK, k + 1, terms)
-        lhs = pair_eval(aform_to_fform(wedge(xi, eta)), P)
-        rhs = pair_eval(aform_to_fform(xi), breve_contract(aform_to_fform(eta), P))
+        lhs = pair_eval(wedge(xi, eta), P)
+        rhs = pair_eval(xi, breve_contract(eta, P))
         assert lhs == rhs
 
 
@@ -158,24 +161,24 @@ def test_aform_fform_round_trip():
             vec = (rng.ring_elem(SIG, max_degree=1, terms=2),)
             if not vec[0].is_zero():
                 terms[tuple(I)] = vec
-        w = AForm(SIG, RANK, 1, True, 2, terms)
+        w = AForm(SIG, RANK, 1, 2, terms)
         f = aform_to_fform(w)
         assert isinstance(f, FForm)
         # module values sit in grade 1 alone, and reading that grade gives w back
         assert all(list(c.parts) == [1] for c in f.terms.values())
-        back = AForm(SIG, RANK, 1, True, 2, {I: (c.get(1),) for I, c in f.terms.items()})
+        back = AForm(SIG, RANK, 1, 2, {I: (c.get(1),) for I, c in f.terms.items()})
         assert back.equals(w)
 
 
 def test_degree_and_width_guards():
-    w = AForm(SIG, RANK, 1, True, 1, {(0,): (SIG.one(),)})
-    v = AForm(SIG, RANK, 1, False, 1, {(0,): (SIG.one(),)})
+    w = AForm(SIG, RANK, 1, 1, {(0,): (SIG.one(),)})
+    v = FForm(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())})
     with pytest.raises(ExteriorError):
         w + v  # module-valued plus plain
     with pytest.raises(ExteriorError):
-        AForm(SIG, RANK, 1, False, 1, {(7,): (SIG.one(),)})
+        AForm(SIG, RANK, 1, 1, {(7,): (SIG.one(),)})
     with pytest.raises(ExteriorError):
-        AForm(SIG, RANK, 1, False, 2, {(1, 0): (SIG.one(),)})  # must be increasing
+        AForm(SIG, RANK, 1, 2, {(1, 0): (SIG.one(),)})  # must be increasing
 
 
 def test_multivector_section_round_trip():
@@ -211,7 +214,7 @@ def test_contract_of_a_plain_section_matches_graded_iota():
         for degree in range(alg.rank + 1):
             X = [dense() for _ in range(alg.rank)]
             terms = {I: (dense(),) for I in combinations(range(alg.rank), degree)}
-            w = AForm(sig, alg.rank, 1, True, degree, terms)
+            w = AForm(sig, alg.rank, 1, degree, terms)
             lhs = aform_to_fform(contract(X, w))
             P = Multivector(sig, alg.rank, 1, {(i,): FScalar.of(c) for i, c in enumerate(X)})
             rhs = iota(P, aform_to_fform(w))
@@ -220,8 +223,35 @@ def test_contract_of_a_plain_section_matches_graded_iota():
 
 
 def test_contract_refuses_a_multivector_or_a_wrong_length():
-    w = AForm(SIG, RANK, 1, True, 1, {(0,): (SIG.one(),)})
+    w = AForm(SIG, RANK, 1, 1, {(0,): (SIG.one(),)})
     with pytest.raises(ExteriorError):
         contract(Multivector(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())}), w)
     with pytest.raises(ExteriorError):
         contract(frame(0)[:2], w)
+
+
+# f^1 ^ f^2 as a module-valued and as a graded form, the graded f^1, and e_1 ^ e_2
+_V2 = AForm(SIG, RANK, 1, 2, {(0, 1): (SIG.one(),)})
+_F1 = FForm(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())})
+_F2 = aform_to_fform(_V2)
+_P2 = Multivector(SIG, RANK, 2, {(0, 1): FScalar.of(SIG.one())})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: iota(_P2, _V2), id="iota-aform"),
+        pytest.param(lambda: iota(_F1, _F2), id="iota-fform-fform"),
+        pytest.param(lambda: breve_contract(_F1, _F2), id="breve-fform-fform"),
+        pytest.param(
+            lambda: tilde(_P2, AForm(SIG, RANK, 1, 1, {(0,): (SIG.one(),)})), id="tilde-aform"
+        ),
+        pytest.param(lambda: wedge(_V2, _V2), id="wedge-aforms"),
+        pytest.param(lambda: wedge(_V2, _F2), id="wedge-aform-fform"),
+    ],
+)
+def test_graded_operations_refuse_the_wrong_kind(call):
+    # the graded operations take graded objects only, and an AForm has no
+    # wedge: each wrong kind is an ExteriorError, never a Python error or a form
+    with pytest.raises(ExteriorError):
+        call()

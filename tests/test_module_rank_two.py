@@ -7,7 +7,8 @@ vector the transposition of Theta cannot show, so these fixtures use rank 2.
 from itertools import combinations
 
 import ce_oracle
-from courantkit.algebroid import Algebroid
+import pytest
+from courantkit.algebroid import Algebroid, AlgebroidError
 from courantkit.exterior import AForm
 from courantkit.ring import RingSignature
 from courantkit.sampling import SplitMix
@@ -79,8 +80,23 @@ def test_d_squared_zero_on_rank_two_module_over_the_plane():
                 vec = tuple(rng.ring_elem(sig, max_degree=2, terms=2) for _ in range(2))
                 if any(not c.is_zero() for c in vec):
                     terms[I] = vec
-            w = AForm(sig, 2, 2, True, degree, terms)
+            w = AForm(sig, 2, 2, degree, terms)
             dw = alg.d(w)
             nonzero += not dw.is_zero()
             assert alg.d(dw).is_zero()
     assert nonzero >= 10
+
+
+def test_d_and_lie_refuse_a_form_of_another_module_rank():
+    # Theta_0 sends u_0 to u_1, so a one-wide form read on this module would
+    # lose the u_1 component and give d u_0 = 0 and L_{e_0} u_0 = 0: it is
+    # refused instead
+    alg = _point_algebroid(2, {}, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    one, zero = POINT.one(), POINT.zero()
+    u0 = AForm(POINT, 2, 2, 0, {(): (one, zero)})
+    assert not alg.d(u0).is_zero() and not alg.lie([one, zero], u0).is_zero()
+    narrow = AForm(POINT, 2, 1, 0, {(): (one,)})
+    with pytest.raises(AlgebroidError, match="does not live on this algebroid"):
+        alg.d(narrow)
+    with pytest.raises(AlgebroidError, match="does not live on this algebroid"):
+        alg.lie([one, zero], narrow)

@@ -590,7 +590,7 @@ def test_twist_cube_golden_rank4():
 
     alg = catalog.tangent_algebroid(("x", "y", "z", "w"))
     sig = alg.sig
-    twist = AForm(sig, 4, 1, True, 3, {(0, 1, 2): (sig.one(),)})
+    twist = AForm(sig, 4, 1, 3, {(0, 1, 2): (sig.one(),)})
     from courantkit.courant import CourantPresentation
 
     C = CourantPresentation(alg, twist)
