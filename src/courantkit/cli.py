@@ -328,8 +328,11 @@ def _cmd_catalog(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept: parsing does not change it."""
+def _parsers() -> tuple:
+    """The top-level parser and its command parsers by name, built on first use and kept.
+
+    Parsing does not change them.
+    """
     top = argparse.ArgumentParser(
         prog="courantkit",
         description="exact checks for bracket presentations and their structures",
@@ -391,11 +394,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry", nargs="?", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_catalog)
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # The top-level parser only names the command and hands every other
+    # argument to that command's parser, so argv goes there directly and is
+    # read once.  An empty argv, an unknown command or arguments the command's
+    # parser leaves over go through the top-level parser, so that every usage,
+    # help and error text stays argparse's own.
+    if argv is None:
+        argv = sys.argv[1:]
+    top, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command is not None else (None, None)
+    if args is None or rest:
+        args = top.parse_args(argv)
+    else:
+        args.command = argv[0]
     try:
         return args.func(args)
     except ValueError as ex:  # schema, parse and construction errors alike

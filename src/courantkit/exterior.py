@@ -160,7 +160,7 @@ class FScalar:
     @staticmethod
     def coerce(sig: RingSignature, value) -> "FScalar":
         if isinstance(value, FScalar):
-            if value.sig != sig:
+            if value.sig is not sig and value.sig != sig:
                 raise ExteriorError("graded coefficient from a different ring")
             return value
         return FScalar(sig, {0: coerce_elem(sig, value)})
@@ -615,6 +615,8 @@ def contract(X, w: AForm) -> AForm:
 
     X is a list of rank ring elements, like `CSection.x`; `iota` takes multivectors.
     """
+    if not isinstance(w, AForm):
+        raise ExteriorError("contract takes a plain section and a module-valued form")
     if isinstance(X, _Alternating) or len(X) != w.rank:
         raise ExteriorError(f"contraction direction must be a plain section of length {w.rank}")
     pairs = [((i,), (c,)) for i, c in enumerate(X) if not c.is_zero()]

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebroid import MAX_MODULE_RANK, Algebroid
 from .courant import CourantPresentation, CSection
-from .exterior import AForm, FScalar, Multivector
+from .exterior import AForm, FScalar, Multivector, _fscalar, _unchecked
 from .gcr import Distribution, GCRStructure, build_H_bundle, cr_to_gcr, tangent_restriction
 from .ring import MAX_LITERAL_DIGITS, ExpGen, ParseError, RingElem, RingSignature
 
@@ -217,6 +217,7 @@ def fscalar_to_json(s: FScalar) -> dict:
 
 
 def fscalar_from_json(sig, doc, path) -> FScalar:
+    """A graded scalar; every grade and part is checked here, so it is built unchecked."""
     _expect(doc, dict, path, "an object mapping grade to expression")
     parts = {}
     for key, value in doc.items():
@@ -226,7 +227,7 @@ def fscalar_from_json(sig, doc, path) -> FScalar:
         e = parse_elem(sig, value, f"{path}[{key!r}]")
         if not e.is_zero():
             parts[g] = e
-    return FScalar(sig, parts)
+    return _fscalar(sig, parts)
 
 
 def multivector_to_json(P: Multivector) -> dict:
@@ -234,9 +235,17 @@ def multivector_to_json(P: Multivector) -> dict:
 
 
 def multivector_from_json(sig, rank, doc, path) -> Multivector:
+    """A multivector, built unchecked: `_terms_from_json` checks every index.
+
+    A key of degree increasing indices in 1..rank exists only for degree <= rank.
+    """
     degree, entries = _terms_from_json(doc, rank, path)
-    terms = {I: fscalar_from_json(sig, value, kpath) for I, value, kpath in entries}
-    return Multivector(sig, rank, degree, terms)
+    terms = {}
+    for I, value, kpath in entries:
+        c = fscalar_from_json(sig, value, kpath)
+        if c.parts:
+            terms[I] = c
+    return _unchecked(Multivector, sig, rank, degree, terms)
 
 
 def csection_to_json(s: CSection) -> dict:

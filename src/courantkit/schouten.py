@@ -19,9 +19,14 @@ e_{i_a}; each wedge contributes the shuffle sign of its merged indices.
 (K, sign, v, e_i.w) and (K, sign, v w, c_ij^k): collect multiplies their
 parts grade by grade and sums every product in place, in one
 `ring.Accumulator` slotted by (multi-index, grade), like every other
-alternating sum.  e_i.w is
-computed once per frame index and operand term in each call, and v w only
-for a pair of terms that meets a nonzero structure function.
+alternating sum.  e_i.w is read from a table of frame actions keyed by
+(i, id(w)) and computed on its first read; v w is formed only for a pair of
+terms that meets a nonzero structure function.  A call has a table of its
+own unless its caller passes one, and the caller may pass more items for
+the same collect, so a residual is one collect too: `check_jacobi_pair`
+sums [lam,lam] with the items of 2 lam^e, and its two brackets share one
+table, so each e_i.w of a verdict is computed once; `twisted_defect` sums
+[P,P] with the items of -2 times the twist cube.
 
 The formula uses only the skew c_ij^k, so swapping the two terms gives
 [w e_J, v e_I] = -(-1)^((p-1)(q-1)) [v e_I, w e_J], term by term.  For
@@ -40,6 +45,8 @@ from `AForm`), and a wrong kind or degree raises `SchoutenError`, never a zero.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection
@@ -65,17 +72,25 @@ class SchoutenError(ValueError):
     pass
 
 
-def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
-    """Graded Schouten bracket of multivectors: the closed formula, in one collect."""
+def schouten(
+    alg: Algebroid, P: Multivector, Q: Multivector, *, actions: dict | None = None, plus=()
+) -> Multivector:
+    """Graded Schouten bracket of multivectors: the closed formula, in one collect.
+
+    actions is the table of frame actions e_i.w, keyed by (i, id(w)): by
+    default one of this call's own, or one that a caller shares between
+    brackets on operands that outlive it, so that no id is reused while it is
+    read.  plus holds more (K, sign, x, y) items of the bracket's degree,
+    summed in the same collect.
+    """
     if any(M.sig != alg.sig or M.rank != alg.rank for M in (P, Q)):
         raise SchoutenError("multivectors do not live on this algebroid")
     if alg.rank_v != 1:
         raise SchoutenError("graded bracket requires a rank-one module")
     sig = alg.sig
     swap = -1 if ((P.degree - 1) * (Q.degree - 1)) % 2 else 1
-    # e_i.w by (i, id(w)): the operand terms outlive this call's dict, so no
-    # id is reused while it is read
-    actions: dict = {}
+    if actions is None:
+        actions = {}
 
     def acted(I, v, J, w, sign):
         # sign * v [e_I, w] ^ e_J
@@ -127,7 +142,7 @@ def schouten(alg: Algebroid, P: Multivector, Q: Multivector) -> Multivector:
                             vw = v * w
                         yield top[0], sign * top[1], vw, _fscalar(sig, {0: c})
 
-    return P.collect(max(P.degree + Q.degree - 1, 0), items())
+    return P.collect(max(P.degree + Q.degree - 1, 0), chain(items(), plus))
 
 
 # -- skew maps and their structures -------------------------------------------
@@ -171,31 +186,34 @@ def is_poisson(alg: Algebroid, P: Multivector) -> bool:
     return schouten(alg, P, P).is_zero()
 
 
+def _twist_cube_items(C: CourantPresentation, P: Multivector, sign: int):
+    """The (K, sign, v, h) items of sign times the twist cube, for one collect."""
+    alg = C.alg
+    if alg.rank_v != 1:
+        raise SchoutenError("twisted analysis requires a rank-one module")
+    if P.degree != 2:
+        raise SchoutenError("expected a bivector")
+    tmap = [
+        tilde(P, FForm.covector_frame(alg.sig, alg.rank, m, grade=0))
+        for m in range(alg.rank)
+    ]
+    for (i, j, k), h in aform_to_fform(C.twist).terms.items():
+        for K, v in wedge(wedge(tmap[i], tmap[j]), tmap[k]).terms.items():
+            yield K, sign, v, h
+
+
 def twist_cube(C: CourantPresentation, P: Multivector) -> Multivector:
     """Triple contraction of the twist through the bivector's covector map.
 
     Each twist term u h f^{ijk} contributes h u * t_i ^ t_j ^ t_k where
     t_m = tilde(P, f^m); the module factor rides along as a grade shift.
     """
-    alg = C.alg
-    if alg.rank_v != 1:
-        raise SchoutenError("twisted analysis requires a rank-one module")
-    tmap = [
-        tilde(P, FForm.covector_frame(alg.sig, alg.rank, m, grade=0))
-        for m in range(alg.rank)
-    ]
-
-    def items():
-        for (i, j, k), h in aform_to_fform(C.twist).terms.items():
-            for K, v in wedge(wedge(tmap[i], tmap[j]), tmap[k]).terms.items():
-                yield K, 1, v, h
-
-    return Multivector.zero(alg.sig, alg.rank, 3).collect(3, items())
+    return Multivector.zero(C.alg.sig, C.alg.rank, 3).collect(3, _twist_cube_items(C, P, 1))
 
 
 def twisted_defect(C: CourantPresentation, P: Multivector) -> Multivector:
-    """[P,P] - 2 * twist cube; zero exactly for a twisted structure."""
-    return schouten(C.alg, P, P) - twist_cube(C, P).scale(2)
+    """[P,P] - 2 * twist cube, summed in one collect; zero exactly for a twisted structure."""
+    return schouten(C.alg, P, P, plus=_twist_cube_items(C, P, -2))
 
 
 def is_twisted_poisson(C: CourantPresentation, P: Multivector) -> bool:
@@ -249,13 +267,19 @@ def hamiltonian_section(alg: Algebroid, P: Multivector, v: FScalar) -> Multivect
 def check_jacobi_pair(alg: Algebroid, lam: Multivector, e: Multivector) -> dict:
     """Verdict on [lam,lam] = -2 lam^e and [lam,e] = 0, with a nondegeneracy report.
 
+    Each residual is one collect: [lam,lam] with the items of 2 lam^e, and
+    [lam,e].  The two brackets read one table of frame actions e_i.w, so each
+    e_i.w on a term of lam is computed once per verdict; lam and e outlive
+    the table, so its (i, id(w)) keys stay unique.
     The pair is reported nondegenerate when lam ^ e does not vanish.
     """
     if lam.degree != 2 or e.degree != 1:
         raise SchoutenError("expected a bivector and a vector")
     top = wedge(lam, e)
-    r1 = schouten(alg, lam, lam) + top.scale(2)
-    r2 = schouten(alg, lam, e)
+    actions: dict = {}
+    doubled = ((K, 2, c, None) for K, c in top.terms.items())
+    r1 = schouten(alg, lam, lam, actions=actions, plus=doubled)
+    r2 = schouten(alg, lam, e, actions=actions)
     return {
         "square_ok": r1.is_zero(),
         "square_residual": r1,

@@ -8,7 +8,8 @@ v w for every pair, whether or not a structure function meets it.  No
 `collect` and no FScalar arithmetic is used; the checked constructors build
 the result.  `schouten.schouten` sums the same terms through
 `Multivector.collect`; the two agree on every presentation, whether or not
-it satisfies the axioms.
+it satisfies the axioms.  `termwise_jacobi_residuals` adds 2 lam ^ e into
+the table of [lam, lam] the same way, for the residuals of `check-jacobi`.
 """
 
 from itertools import combinations
@@ -34,7 +35,20 @@ def _times(x: dict, y: dict) -> dict:
     return out
 
 
-def termwise_schouten(alg, P, Q):
+def _add(table, K, sign, parts):
+    row = table.setdefault(K, {})
+    for g, e in parts.items():
+        e = e if sign == 1 else e * sign
+        row[g] = row[g] + e if g in row else e
+
+
+def _multivector(alg, degree, table):
+    terms = {K: FScalar(alg.sig, row) for K, row in table.items()}
+    return Multivector(alg.sig, alg.rank, degree, terms)
+
+
+def _schouten_table(alg, P, Q):
+    """Multi-index -> grade -> RingElem table of [P, Q]."""
     if any(M.sig != alg.sig or M.rank != alg.rank for M in (P, Q)):
         raise SchoutenError("multivectors do not live on this algebroid")
     if alg.rank_v != 1:
@@ -42,19 +56,13 @@ def termwise_schouten(alg, P, Q):
     swap = -1 if ((P.degree - 1) * (Q.degree - 1)) % 2 else 1
     table = {}
 
-    def add(K, sign, parts):
-        row = table.setdefault(K, {})
-        for g, e in parts.items():
-            e = e if sign > 0 else -e
-            row[g] = row[g] + e if g in row else e
-
     def acted(I, v, J, w, sign):
         # sign * v [e_I, w] ^ e_J
         for i in I:
             rest, s = contract_rear_multi((i,), I)
             hit = merge_indices(rest, J)
             if hit is not None:
-                add(hit[0], sign * s * hit[1], _times(v.parts, alg.act_graded(i, w).parts))
+                _add(table, hit[0], sign * s * hit[1], _times(v.parts, alg.act_graded(i, w).parts))
 
     for I, v in P.terms.items():
         for J, w in Q.terms.items():
@@ -71,10 +79,23 @@ def termwise_schouten(alg, P, Q):
                     for k, c in enumerate(alg.frame_bracket(i, j)):
                         top = insert_index(k, hit[0])
                         if top is not None and not c.is_zero():
-                            add(top[0], si * sj * hit[1] * top[1], _times(vw, {0: c}))
+                            _add(table, top[0], si * sj * hit[1] * top[1], _times(vw, {0: c}))
+    return table
 
-    terms = {K: FScalar(alg.sig, row) for K, row in table.items()}
-    return Multivector(alg.sig, alg.rank, max(P.degree + Q.degree - 1, 0), terms)
+
+def termwise_schouten(alg, P, Q):
+    return _multivector(alg, max(P.degree + Q.degree - 1, 0), _schouten_table(alg, P, Q))
+
+
+def termwise_jacobi_residuals(alg, lam, e):
+    """([lam,lam] + 2 lam^e, [lam,e]), the wedge summed term by term into the same table."""
+    square = _schouten_table(alg, lam, lam)
+    for I, v in lam.terms.items():
+        for J, w in e.terms.items():
+            hit = merge_indices(I, J)
+            if hit is not None:
+                _add(square, hit[0], 2 * hit[1], _times(v.parts, w.parts))
+    return _multivector(alg, 3, square), termwise_schouten(alg, lam, e)
 
 
 def mixed_multivector(rng, alg, degree, grades=(-2, -1, 0, 1, 2)):

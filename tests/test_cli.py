@@ -9,6 +9,10 @@ import pytest
 
 from courantkit import catalog, cli, gcr, io
 from courantkit.dirac import anchor_intersection, projection_closure
+from courantkit.sampling import SplitMix
+
+from cartan_oracle import random_presentation
+from schouten_oracle import mixed_multivector, termwise_jacobi_residuals
 
 CLI = [sys.executable, "-m", "courantkit"]
 
@@ -225,6 +229,32 @@ def test_check_jacobi_embedded_and_overrides():
     verdicts = {v["name"]: v for v in rep["verdicts"]}
     assert not verdicts["square"]["pass"]
     assert verdicts["square"]["residual"] is not None
+
+
+def test_check_jacobi_residuals_equal_the_termwise_oracle(tmp_path):
+    # on drawn pairs that are not Jacobi, the report's square residual is
+    # [lam,lam] + 2 lam ^ e and its e_compat residual is [lam,e], both summed
+    # term by term by the oracle
+    rng = SplitMix(113)
+    algebroids = [catalog.load("e1m-r3")["algebroid"], random_presentation(55, 3, rank_v=1).alg]
+    failed = {"square": 0, "e_compat": 0}
+    for n, alg in enumerate(algebroids):
+        defs = tmp_path / f"alg{n}.json"
+        defs.write_text(json.dumps(io.definition_to_json({"algebroid": alg})))
+        for _ in range(4):
+            lam, e = mixed_multivector(rng, alg, 2), mixed_multivector(rng, alg, 1)
+            lam_doc, e_doc = (json.dumps(io.multivector_to_json(M)) for M in (lam, e))
+            code, out, err = _main("check-jacobi", "--defs", defs, "--lambda", lam_doc, "--e", e_doc)
+            assert err == ""
+            verdicts = {v["name"]: v for v in json.loads(out)["verdicts"]}
+            square, e_compat = termwise_jacobi_residuals(alg, lam, e)
+            for name, want in (("square", square), ("e_compat", e_compat)):
+                residual = None if want.is_zero() else io.multivector_to_json(want)
+                assert verdicts[name]["residual"] == residual, name
+                assert verdicts[name]["pass"] is want.is_zero()
+                failed[name] += not want.is_zero()
+            assert code == (0 if square.is_zero() and e_compat.is_zero() else 1)
+    assert min(failed.values()) >= 6
 
 
 def test_bracket_golden():
@@ -540,7 +570,7 @@ def test_successive_main_calls_share_no_state(tmp_path):
         assert mine == outcome(fresh.returncode, fresh.stdout, argv), argv
     rep = mine[1]
     assert rep["seed"] == 0 and rep["samples"]["requested"] == 1
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parsers() is cli._parsers()
 
 
 def _main(*argv):
@@ -548,6 +578,55 @@ def _main(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def _exit_outcome(call, argv):
+    """(exit code, stdout, stderr) of call(argv), an argparse exit included."""
+    out, err = _stdio.StringIO(), _stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as ex:
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+TOP_USAGE = "usage: courantkit [-h]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_starts, stderr_starts, stderr_has",
+    [
+        (
+            ["check-jacobi", "--bogus"], 2, "", TOP_USAGE,
+            "\ncourantkit: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["check-jacobi", "--lambda"], 2, "", "usage: courantkit check-jacobi [-h]",
+            "\ncourantkit check-jacobi: error: argument --lambda: expected one argument\n",
+        ),
+        (["check-dirac", "-h"], 0, "usage: courantkit check-dirac [-h]", "", ""),
+        (
+            ["no-such-command"], 2, "", TOP_USAGE,
+            "\ncourantkit: error: argument command: invalid choice: 'no-such-command'",
+        ),
+        (["--help"], 0, TOP_USAGE, "", ""),
+        ([], 2, "", TOP_USAGE, "\ncourantkit: error: the following arguments are required: command\n"),
+    ],
+    ids=["unknown-flag", "flag-without-value", "command-help", "unknown-command", "help", "empty"],
+)
+def test_argv_errors_and_help_are_the_top_level_parsers(
+    argv, code, stdout_starts, stderr_starts, stderr_has
+):
+    # main hands argv to the command's parser; whatever it prints or exits
+    # with is what the top-level parser gives for the same argv
+    got = _exit_outcome(cli.main, argv)
+    assert got == _exit_outcome(cli._parsers()[0].parse_args, argv)
+    got_code, out, err = got
+    assert got_code == code
+    assert out.startswith(stdout_starts) and (out == "") == (stdout_starts == "")
+    assert err.startswith(stderr_starts) and (err == "") == (stderr_starts == "")
+    assert stderr_has in err
 
 
 def test_index_keys_have_one_spelling(tmp_path):

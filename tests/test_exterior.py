@@ -230,6 +230,19 @@ def test_contract_refuses_a_multivector_or_a_wrong_length():
         contract(frame(0)[:2], w)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param(7, id="int"),
+        pytest.param(FForm(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())}), id="fform"),
+    ],
+)
+def test_contract_refuses_a_target_that_is_not_an_aform(target):
+    # contract inserts into module-valued forms only; iota is the graded contraction
+    with pytest.raises(ExteriorError, match="module-valued form"):
+        contract(frame(0), target)
+
+
 # f^1 ^ f^2 as a module-valued and as a graded form, the graded f^1, and e_1 ^ e_2
 _V2 = AForm(SIG, RANK, 1, 2, {(0, 1): (SIG.one(),)})
 _F1 = FForm(SIG, RANK, 1, {(0,): FScalar.of(SIG.one())})

@@ -341,8 +341,8 @@ def test_square_of_an_even_multivector_visits_each_pair_of_terms_once(monkeypatc
     assert checked >= 3
 
 
-def _calls_inside_schouten(monkeypatch, targets) -> dict:
-    """Count calls of each (owner, name) target made while schouten runs."""
+def _calls_inside(monkeypatch, function, targets) -> dict:
+    """Count calls of each (owner, name) target made while schouten_module.function runs."""
     counts = {}
     depth = [0]
     for owner, name in targets:
@@ -350,40 +350,45 @@ def _calls_inside_schouten(monkeypatch, targets) -> dict:
         key = f"{owner.__name__}.{name}"
         counts[key] = 0
 
-        def wrapped(*args, real=real, key=key):
+        def wrapped(*args, real=real, key=key, **kwargs):
             counts[key] += depth[0] > 0
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
-    real_schouten = schouten_module.schouten
+    real_function = getattr(schouten_module, function)
 
-    def counted_schouten(*args):
+    def counted(*args):
         depth[0] += 1
-        counts["schouten"] = counts.get("schouten", 0) + 1
         try:
-            return real_schouten(*args)
+            return real_function(*args)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(schouten_module, "schouten", counted_schouten)
+    monkeypatch.setattr(schouten_module, function, counted)
     return counts
 
 
 def test_check_jacobi_pair_adds_nothing_inside_schouten(monkeypatch):
-    # every sum inside the bracket is an Accumulator, reached through exactly
-    # one Multivector.collect per bracket
+    # every sum of a verdict is an Accumulator, reached through exactly three
+    # Multivector.collect calls: lam ^ e, then one per bracket, the first
+    # summing [lam,lam] + 2 lam ^ e
     alg, lam, e = contact_pair()
-    counts = _calls_inside_schouten(
+    counts = _calls_inside(
         monkeypatch,
+        "check_jacobi_pair",
         [
             (RingElem, "__add__"),
             (FScalar, "__add__"),
             (_Alternating, "collect"),
+            (schouten_module, "schouten"),
         ],
     )
     assert schouten_module.check_jacobi_pair(alg, lam, e)["ok"]
     assert counts == {
-        "RingElem.__add__": 0, "FScalar.__add__": 0, "_Alternating.collect": 2, "schouten": 2
+        "RingElem.__add__": 0,
+        "FScalar.__add__": 0,
+        "_Alternating.collect": 3,
+        "courantkit.schouten.schouten": 2,
     }
 
 
@@ -427,6 +432,33 @@ def test_schouten_acts_once_per_frame_index_and_operand_term(monkeypatch):
         assert sorted(calls) == sorted(set(reads))
         shared += len(reads) > len(set(reads))
     assert shared >= 4
+
+
+def test_check_jacobi_pair_acts_once_per_frame_index_and_operand_term(monkeypatch):
+    # the two brackets of a verdict read one table of frame actions: each
+    # e_i.w is computed once, though both brackets read e_i.w on lam's terms
+    calls = []
+    real = Algebroid.act_graded
+
+    def counting(self, i, w):
+        calls.append((i, id(w)))
+        return real(self, i, w)
+
+    monkeypatch.setattr(Algebroid, "act_graded", counting)
+    rng = SplitMix(109)
+    cases = [contact_pair()]
+    for alg in (catalog.load("e1m-r3")["algebroid"], random_presentation(51, 4, rank_v=1).alg):
+        cases += [
+            (alg, mixed_multivector(rng, alg, 2), mixed_multivector(rng, alg, 1)) for _ in range(3)
+        ]
+    shared = 0
+    for alg, lam, e in cases:
+        calls.clear()
+        check_jacobi_pair(alg, lam, e)
+        square, e_reads = _action_reads(lam, lam), _action_reads(lam, e)
+        assert sorted(calls) == sorted(set(square + e_reads))
+        shared += bool(set(square) & set(e_reads))
+    assert shared >= 3
 
 
 # -- induced brackets on covectors and sections ----------------------------------
@@ -583,6 +615,35 @@ def test_twisted_defect_reduces_to_square_when_untwisted():
         P = rand_mv(rng, alg, 2, grades=(-1,))
         assert twist_cube(C, P).is_zero()
         assert twisted_defect(C, P).equals(schouten(alg, P, P))
+
+
+def test_twisted_defect_is_the_square_minus_twice_the_cube():
+    # one collect sums [P,P] - 2 twist_cube(C, P); the same residual summed
+    # piece by piece, on the catalog's twisted entries and drawn presentations
+    rng = SplitMix(79)
+    presentations = [catalog.load(n)["courant"] for n in ("standard-r3-twisted", "nonclosed-r4")]
+    presentations += [random_presentation(seed, rank, rank_v=1) for seed, rank in ((52, 3), (53, 4))]
+    nonzero = 0
+    for C in presentations:
+        alg = C.alg
+        assert not C.twist.is_zero()
+        for P in [rand_mv(rng, alg, 2, grades=(-1,)) for _ in range(4)] + [
+            mixed_multivector(rng, alg, 2) for _ in range(4)
+        ]:
+            want = schouten(alg, P, P) - twist_cube(C, P).scale(2)
+            got = twisted_defect(C, P)
+            assert got.equals(want) and got.degree == 3
+            nonzero += not twist_cube(C, P).is_zero() and not got.is_zero()
+    assert nonzero >= 6
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_twisted_analysis_takes_a_bivector(degree):
+    C = catalog.load("standard-r3-twisted")["courant"]
+    P = rand_mv(SplitMix(83), C.alg, degree)
+    for call in (twist_cube, twisted_defect, is_twisted_poisson):
+        with pytest.raises(SchoutenError, match="expected a bivector"):
+            call(C, P)
 
 
 def test_twist_cube_golden_rank4():
