@@ -474,9 +474,10 @@ def test_default_verify_builds_no_multivector(monkeypatch):
 
 def test_axiom_defects_sum_each_entry_in_one_accumulator(monkeypatch):
     # the anchor and invariance defects make no RingElem subtraction anywhere
-    # inside them, in a default verify on the largest catalog frame, and give
-    # the plain differences on a random presentation (whose random algebroid
-    # breaks the anchor axiom; invariance holds for every presentation)
+    # inside them, in a default verify on the largest catalog frame (which
+    # computes the anchor ones) and on a random presentation, where they give
+    # the plain differences (its random algebroid breaks the anchor axiom;
+    # invariance holds for every presentation)
     from courantkit.ring import RingElem
 
     rng = SplitMix(61)
@@ -545,9 +546,10 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     # a bracket and a signed sum of sections are one Accumulator each, slotted
     # by coordinate, and the anchored rows of a section are one, slotted by
     # (anchor row, coordinate); a default verify on the largest catalog frame
-    # builds 6 630 in all (43 590 with one per coordinate, 10 015 with one
-    # per derivation summed into a commutator and per entry of a module
-    # action, 9 205 with one per anchored derivative)
+    # builds 5 220 in all (6 630 while it computed the symmetric-part and
+    # invariance sweeps and the diagonal anchor pairs, 43 590 with one per
+    # coordinate, 10 015 with one per derivation summed into a commutator and
+    # per entry of a module action, 9 205 with one per anchored derivative)
     import courantkit.courant as courant
     from courantkit.ring import Accumulator
 
@@ -566,7 +568,7 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
     diff = e1 - e2.scale(half)
     monkeypatch.setattr(Accumulator, "__init__", counting_init)
     assert C.verify()["ok"]
-    assert built[0] == 6630
+    assert built[0] == 5220
     built[0] = 0
     assert C.bracket(e1, e2) == want
     assert built[0] == 1
