@@ -209,9 +209,7 @@ class CSection:
     __rmul__ = __mul__
 
     def _check(self, other: "CSection"):
-        a, b = self.alg, other.alg
-        if a is not b and (a.sig != b.sig or a.rank != b.rank or a.rank_v != b.rank_v):
-            raise CourantError("sections from different presentations")
+        _on_frame(self.alg, other)
 
     def is_zero(self) -> bool:
         return not any(self._coords)
@@ -249,6 +247,14 @@ class CSection:
         return f"CSection(x={[str(c) for c in self.x]}, xi={self.xi.to_str()})"
 
 
+def _on_frame(alg: Algebroid, *sections) -> None:
+    """Refuse a section whose algebroid differs from alg in signature, rank or rank_v."""
+    for e in sections:
+        b = e.alg
+        if b is not alg and (b.sig != alg.sig or b.rank != alg.rank or b.rank_v != alg.rank_v):
+            raise CourantError("sections from different presentations")
+
+
 def _from_coordinates(alg: Algebroid, coords: tuple) -> CSection:
     """Unchecked constructor: a tuple of rank * (1 + rank_v) entries over alg.sig."""
     e = object.__new__(CSection)
@@ -283,16 +289,16 @@ def _anchored(alg: Algebroid, e: CSection) -> list:
     section bracketed many times under one algebroid differentiates once;
     rows made under another algebroid, even one of equal signature, are
     computed again.  Constants have zero derivative.  All rows are one
-    Accumulator, slot (k, a) for rho_k(f_a).
+    Accumulator, slot (k, a) for rho_k(f_a), and each partial derivative of
+    f_a is taken once for all anchor rows (`Accumulator.add_derivations`).
     """
     hit = e._rows
     if hit is not None and hit[0] is alg:
         return hit[1]
-    live = [(a, c) for a, c in enumerate(e._coords) if not c.is_constant()]
     acc = Accumulator(alg.sig)
-    for k, row in enumerate(alg.anchor):
-        for a, c in live:
-            acc.add_derivation(row, c, 1, (k, a))
+    for a, c in enumerate(e._coords):
+        if not c.is_constant():
+            acc.add_derivations(alg.anchor, c, 1, a)
     rows = [{} for _ in alg.anchor]
     for (k, a), d in acc.elems().items():
         rows[k][a] = d
@@ -410,6 +416,7 @@ class CourantPresentation:
 
     def pairing(self, e1: CSection, e2: CSection) -> list:
         """Module-valued symmetric pairing eta(X) + xi(Y)."""
+        _on_frame(self.alg, e1, e2)
         r, s = self.alg.rank, self.alg.rank_v
         acc = Accumulator(self.alg.sig)
         for i in range(r):
@@ -434,12 +441,20 @@ class CourantPresentation:
         from the two Leibniz rules of the Cartan formula, which hold in every
         presentation: no axiom is assumed, so broken presentations get the
         same bracket as [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  The sum is
-        one Accumulator, slot k for output coordinate k, read once at the end.
+        one Accumulator, slot k for output coordinate k, filled by
+        `_bracket_into` and read once at the end.
         """
+        alg = self.alg
+        _on_frame(alg, e1, e2)
+        acc = Accumulator(alg.sig)
+        self._bracket_into(acc, e1, e2, 1)
+        return _from_coordinates(alg, tuple(acc.vector(len(e1._coords))))
+
+    def _bracket_into(self, acc: Accumulator, e1: CSection, e2: CSection, sign: int) -> None:
+        """Add sign * [[e1, e2]] into acc, slot k for coordinate k, unread and unchecked."""
         alg = self.alg
         r, s = alg.rank, alg.rank_v
         f, g = e1._coords, e2._coords
-        acc = Accumulator(alg.sig)
         for fa, pairs in zip(f, self.tensor):
             if not fa.terms:
                 continue
@@ -447,27 +462,26 @@ class CourantPresentation:
                 if g[b].terms:
                     fg = fa * g[b]
                     for k, c in t.items():
-                        acc.add_product(fg, c, 1, k)
+                        acc.add_product(fg, c, sign, k)
         rf, rg = _anchored(alg, e1), _anchored(alg, e2)
         for k in range(r):
             fk, gk = f[k], g[k]
             if fk.terms:
                 for b, d in rg[k].items():
-                    acc.add_product(fk, d, 1, b)
+                    acc.add_product(fk, d, sign, b)
             for a, d in rf[k].items():
                 if gk.terms:
-                    acc.add_product(gk, d, -1, a)
+                    acc.add_product(gk, d, -sign, a)
                 # the pairing term: <e_i, eps^i u_c> = u_c pairs coordinate i with leg (i, c)
                 if a < r:
                     for c in range(s):
                         gb = g[r + a * s + c]
                         if gb.terms:
-                            acc.add_product(gb, d, 1, r + k * s + c)
+                            acc.add_product(gb, d, sign, r + k * s + c)
                 else:
                     i, c = divmod(a - r, s)
                     if g[i].terms:
-                        acc.add_product(g[i], d, 1, r + k * s + c)
-        return _from_coordinates(alg, tuple(acc.vector(len(f))))
+                        acc.add_product(g[i], d, sign, r + k * s + c)
 
     def differential(self, fvec) -> CSection:
         """D f: the image of d f under the coisotropic inclusion."""
@@ -476,18 +490,29 @@ class CourantPresentation:
     # -- axiom defects ----------------------------------------------------------------
 
     # Each defect takes its brackets from br, a callable with the signature of
-    # bracket (the default); verify passes its bracket table.
+    # bracket (the default), and the Jacobiator its inner ones; verify passes
+    # its bracket table.
 
     def jacobiator(self, e1: CSection, e2: CSection, e3: CSection, br=None) -> CSection:
+        """[[e1, [[e2, e3]]]] - [[[[e1, e2]], e3]] - [[e2, [[e1, e3]]]].
+
+        The three inner brackets come from br; the three outer ones are
+        summed into one Accumulator (`_bracket_into`), read once, so no outer
+        bracket is read as a section of its own.
+        """
+        alg = self.alg
+        _on_frame(alg, e1, e2, e3)
         br = br or self.bracket
-        t1 = br(e1, br(e2, e3))
-        t2 = br(br(e1, e2), e3)
-        t3 = br(e2, br(e1, e3))
-        return _combine(self.alg, ((t1, 1, None), (t2, -1, None), (t3, -1, None)))
+        acc = Accumulator(alg.sig)
+        self._bracket_into(acc, e1, br(e2, e3), 1)
+        self._bracket_into(acc, br(e1, e2), e3, -1)
+        self._bracket_into(acc, e2, br(e1, e3), -1)
+        return _from_coordinates(alg, tuple(acc.vector(len(e1._coords))))
 
     def jacobiator_expected(self, e1: CSection, e2: CSection, e3: CSection) -> CSection:
         """Insertion of the three section legs into dH (zero for a closed twist)."""
         alg = self.alg
+        _on_frame(alg, e1, e2, e3)
         if self.closed_twist:
             return _from_coordinates(alg, (alg.sig.zero(),) * (alg.rank * (1 + alg.rank_v)))
         w = contract(e3.x, self.dtwist)
@@ -498,12 +523,14 @@ class CourantPresentation:
     def anchor_defect(self, e1: CSection, e2: CSection, br=None) -> list:
         """Derivation coefficients of a(pi[[e1,e2]]) - [a(pi e1), a(pi e2)]."""
         alg = self.alg
+        _on_frame(alg, e1, e2)
         lhs = alg.anchor_vector((br or self.bracket)(e1, e2).x)
         # [a(e2), a(e1)] + lhs, summed in one Accumulator
         return alg.commutator(alg.anchor_vector(e2.x), alg.anchor_vector(e1.x), lhs, 1)
 
     def symmetric_defect(self, e: CSection, br=None) -> CSection:
         """[[e,e]] - (1/2) D<e,e>."""
+        _on_frame(self.alg, e)
         half = self.alg.sig.const(Fraction(1, 2))
         De = self.differential(self.pairing(e, e))
         return _combine(self.alg, (((br or self.bracket)(e, e), 1, None), (De, -1, half)))
@@ -511,6 +538,7 @@ class CourantPresentation:
     def invariance_defect(self, e1: CSection, e2: CSection, e3: CSection, br=None) -> list:
         """nabla_{pi e1} <e2,e3> - <[[e1,e2]], e3> - <e2, [[e1,e3]]>."""
         alg = self.alg
+        _on_frame(alg, e1, e2, e3)
         br = br or self.bracket
         lhs = alg.nabla(e1.x, self.pairing(e2, e3))
         r1 = self.pairing(br(e1, e2), e3)
@@ -533,6 +561,7 @@ class CourantPresentation:
 
     def transport(self, e: CSection, beta: AForm) -> CSection:
         """Coordinate change matching change_splitting: (X, xi) -> (X, xi + i_X beta)."""
+        _on_frame(self.alg, e)
         return CSection(self.alg, e.x, e.xi + contract(e.x, beta))
 
     def isotropize(self, sigma) -> tuple:
@@ -574,15 +603,15 @@ class CourantPresentation:
         is negative, and SweepLimitError when samples exceeds MAX_SAMPLES or
         the swept frame has more than MAX_FRAME sections.
 
-        Both computed sweeps read their brackets from one table that lives
-        for this call, so each bracket of two sections is computed once.  A
-        frame sweep over n sections (samples=0) computes exactly 2n^3 + n^2:
-        the n^2 inner brackets [e_b, e_c]; the n^3 outer brackets
-        [e_a, [e_b, e_c]], which serve both the first Jacobiator term and the
-        third, since [e_b, [e_a, e_c]] is the first term of the triple
-        (b, a, c); and the n^3 outer brackets [[e_a, e_b], e_c].  The anchor
-        sweep pairs frame sections only, whose brackets are the inner ones,
-        and adds none.
+        Both computed sweeps read their inner brackets from one table that
+        lives for this call, so each bracket of two swept sections is read
+        once; each Jacobiator sums its three outer brackets into one
+        Accumulator (`jacobiator`) and reads none of them.  A frame sweep over
+        n sections (samples=0) reads exactly the n^2 inner brackets
+        [e_b, e_c] and sums 3n^3 outer ones.  The anchor sweep pairs frame
+        sections only, whose brackets are the inner ones, and reads none of
+        its own.  With samples=1 and no frame, the one random triple reads
+        three brackets and sums three, and the one anchor pair is diagonal.
         """
         from .sampling import SplitMix
 

@@ -89,6 +89,43 @@ def test_tangent_part_is_the_algebroid_bracket(seed, rank, rank_v):
         assert C.bracket(a, b).x == alg.bracket(a.x, b.x)
 
 
+@pytest.mark.parametrize("seed,rank", [(21, 3), (22, 4), (23, 4)])
+def test_summed_jacobiator_equals_three_read_brackets(seed, rank):
+    # jacobiator adds its three outer brackets into one Accumulator; the sum
+    # must be [e1,[e2,e3]] - [[e1,e2],e3] - [e2,[e1,e3]] read from three
+    # bracket calls and from the Cartan formula, on presentations with
+    # structure functions, Theta, function anchors and module rank 2, whose
+    # twist is not closed at rank 4
+    C = random_presentation(seed, rank)
+    alg = C.alg
+    assert alg.rank_v == 2 and C.closed_twist == (rank == 3)
+    assert any(c.terms for cs in alg.structure.values() for c in cs)
+    assert any(c.terms for rows in alg.theta for row in rows for c in row)
+    assert any(not a.is_constant() for row in alg.anchor for a in row)
+    rng = SplitMix(300 + seed)
+    frame = C.full_frame()
+    triples = [(frame[0], frame[1], frame[-1]), (frame[2], frame[rank], frame[0])]
+    triples += [tuple(random_section(rng, C) for _ in range(3)) for _ in range(2)]
+    triples.append((triples[-1][0], triples[-1][0], triples[-1][1]))
+    nonzero = 0
+    for e1, e2, e3 in triples:
+        got = C.jacobiator(e1, e2, e3)
+        read = (
+            C.bracket(e1, C.bracket(e2, e3)),
+            C.bracket(C.bracket(e1, e2), e3),
+            C.bracket(e2, C.bracket(e1, e3)),
+        )
+        assert got.equals(read[0] - read[1] - read[2])
+        cartan = (
+            cartan_bracket(C, e1, cartan_bracket(C, e2, e3)),
+            cartan_bracket(C, cartan_bracket(C, e1, e2), e3),
+            cartan_bracket(C, e2, cartan_bracket(C, e1, e3)),
+        )
+        assert got.equals(cartan[0] - cartan[1] - cartan[2])
+        nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
 @pytest.mark.parametrize("name", ["e1m-r3", "nonclosed-r4"])
 def test_one_perturbed_tensor_entry_is_caught(name):
     C = catalog.load(name)["courant"]
@@ -152,13 +189,15 @@ def test_anchored_rows_are_computed_once_per_section(monkeypatch):
     e1, e2 = random_section(rng, C), random_section(rng, C)
     pairs = [(e1, e2), (e2, e1), (e1, e1), (e1, e2)]
     wants = [cartan_bracket(C, a, b) for a, b in pairs]
-    derivations = _counting(monkeypatch, Accumulator, "add_derivation")
+    derivations = _counting(monkeypatch, Accumulator, "add_derivations")
     made = []
     for (a, b), want in zip(pairs, wants):
         assert C.bracket(a, b).equals(want)
         made.append(len(derivations))
-    # the first bracket differentiates both operands; the rest reuse their rows
-    assert made[0] > 0 and made == [made[0]] * 4
+    # the first bracket differentiates each nonconstant coordinate of both
+    # operands once, for all anchor rows; the rest reuse their rows
+    live = sum(not c.is_constant() for e in (e1, e2) for c in e.coordinates())
+    assert live > 0 and made == [live] * 4
 
 
 def test_rows_follow_the_algebroid_they_were_made_under():

@@ -399,6 +399,52 @@ def test_sections_over_different_frames_do_not_combine():
     assert (a + same).equals(a.scale(2)) and (a - same).is_zero() and a == same
 
 
+def _foreign_sections():
+    """tangent-r2, one of its sections, and a section of a rank-3 algebroid over
+    the same ring (x, y): the frames have 4 and 6 coordinates."""
+    C = catalog.load("tangent-r2")["courant"]
+    sig = C.alg.sig
+    other = Algebroid(sig, 3, 1, [[sig.one(), sig.zero()], [sig.zero(), sig.one()], [0, 0]], {})
+    x, y = sig.coord("x"), sig.coord("y")
+    own = CSection(C.alg, [y, x * x], AForm(sig, 2, 1, 1, {(0,): (x,)}))
+    foreign = CSection(other, [x, y, 1], AForm(sig, 3, 1, 1, {(2,): (y,)}))
+    return C, own, foreign
+
+
+_ENTRY_POINTS = {
+    "bracket": lambda C, a, b: C.bracket(a, b),
+    "bracket-second": lambda C, a, b: C.bracket(b, a),
+    "pairing": lambda C, a, b: C.pairing(a, b),
+    "jacobiator": lambda C, a, b: C.jacobiator(a, a, b),
+    "jacobiator-first": lambda C, a, b: C.jacobiator(b, a, a),
+    "jacobiator_expected": lambda C, a, b: C.jacobiator_expected(a, b, a),
+    "anchor_defect": lambda C, a, b: C.anchor_defect(a, b),
+    "symmetric_defect": lambda C, a, b: C.symmetric_defect(b),
+    "invariance_defect": lambda C, a, b: C.invariance_defect(a, a, b),
+    "transport": lambda C, a, b: C.transport(b, C.alg.zero_form(2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_ENTRY_POINTS))
+def test_operations_refuse_a_section_of_another_frame(op):
+    # before the check, bracket returned the zero section, pairing [0] and
+    # anchor_defect [0, 0]: zip stopped at the shorter frame
+    C, own, foreign = _foreign_sections()
+    with pytest.raises(CourantError, match="sections from different presentations"):
+        _ENTRY_POINTS[op](C, own, foreign)
+    # the same signature, rank and rankV from another algebroid are accepted,
+    # with the answer the presentation's own copy of the section gets
+    sig = C.alg.sig
+    twin = Algebroid(sig, 2, 1, [[sig.zero(), sig.one()], [sig.one(), sig.zero()]], {})
+    copy = CSection.from_coordinates(twin, own.coordinates())
+    mine = CSection.from_coordinates(C.alg, own.coordinates())
+    want, got = _ENTRY_POINTS[op](C, own, mine), _ENTRY_POINTS[op](C, own, copy)
+    if isinstance(want, CSection):
+        assert got.coordinates() == want.coordinates()
+    else:
+        assert got == want
+
+
 def test_change_splitting_rejects_wrong_degree():
     C = catalog.standard_courant(2)
     alg = C.alg
@@ -434,24 +480,53 @@ def test_twist_differential_computed_once(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name,n", [("standard-r3-twisted", 6), ("cr-control-r5", 10)])
-def test_frame_sweep_computes_each_bracket_once(monkeypatch, name, n):
-    # n^2 inner brackets, n^3 of the form [e_a, [e_b, e_c]] and n^3 of the form
-    # [[e_a, e_b], e_c]; the anchor, symmetric and invariance sweeps add none
-    C = catalog.load(name)["courant"]
-    assert C.alg.rank * (1 + C.alg.rank_v) == n
-    calls = []
-    real_bracket = CourantPresentation.bracket
+def _bracket_counts(monkeypatch) -> dict:
+    """Counts of read brackets (`bracket`) and of brackets summed by a Jacobiator."""
+    counts = {"read": 0, "summed": 0}
+    real_bracket, real_into = CourantPresentation.bracket, CourantPresentation._bracket_into
+    inside = [0]
 
     def counting_bracket(self, e1, e2):
-        calls.append(None)
-        return real_bracket(self, e1, e2)
+        counts["read"] += 1
+        inside[0] += 1
+        try:
+            return real_bracket(self, e1, e2)
+        finally:
+            inside[0] -= 1
+
+    def counting_into(self, acc, e1, e2, sign):
+        counts["summed"] += not inside[0]
+        return real_into(self, acc, e1, e2, sign)
 
     monkeypatch.setattr(CourantPresentation, "bracket", counting_bracket)
+    monkeypatch.setattr(CourantPresentation, "_bracket_into", counting_into)
+    return counts
+
+
+@pytest.mark.parametrize("name,n", [("standard-r3-twisted", 6), ("cr-control-r5", 10)])
+def test_frame_sweep_computes_each_bracket_once(monkeypatch, name, n):
+    # the n^2 inner brackets [e_b, e_c] are read once each and shared by the
+    # Leibniz and anchor sweeps; each of the n^3 Jacobiators sums its three
+    # outer brackets into one Accumulator
+    C = catalog.load(name)["courant"]
+    assert C.alg.rank * (1 + C.alg.rank_v) == n
+    counts = _bracket_counts(monkeypatch)
     rep = C.verify(samples=0)
     assert rep["ok"]
-    assert len(calls) == 2 * n**3 + n**2
+    assert counts == {"read": n**2, "summed": 3 * n**3}
     assert rep["axioms"]["leibniz"]["checked"] == n**3
+
+
+@pytest.mark.parametrize("name", ["standard-r3-twisted", "cr-control-r5", "nonclosed-r4"])
+def test_one_sample_without_the_frame_reads_three_brackets(monkeypatch, name):
+    # the benchmark's call shape: one random triple, whose three inner
+    # brackets are read and three outer ones summed; the one anchor pair is
+    # diagonal and computes none
+    C = catalog.load(name)["courant"]
+    counts = _bracket_counts(monkeypatch)
+    rep = C.verify(3, samples=1, frame_sweep=False)
+    assert counts == {"read": 3, "summed": 3}
+    assert rep["axioms"]["leibniz"]["checked"] == 1 and rep["axioms"]["anchor"]["checked"] == 1
 
 
 def test_default_verify_builds_no_multivector(monkeypatch):
@@ -543,13 +618,15 @@ def test_closed_twist_jacobiator_expected_contracts_nothing(monkeypatch):
 
 
 def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
-    # a bracket and a signed sum of sections are one Accumulator each, slotted
-    # by coordinate, and the anchored rows of a section are one, slotted by
-    # (anchor row, coordinate); a default verify on the largest catalog frame
-    # builds 5 220 in all (6 630 while it computed the symmetric-part and
-    # invariance sweeps and the diagonal anchor pairs, 43 590 with one per
-    # coordinate, 10 015 with one per derivation summed into a commutator and
-    # per entry of a module action, 9 205 with one per anchored derivative)
+    # a bracket, a Jacobiator and a signed sum of sections are one Accumulator
+    # each, slotted by coordinate, and the anchored rows of a section are one,
+    # slotted by (anchor row, coordinate); a default verify on the largest
+    # catalog frame builds 3 145 in all (5 220 while a Jacobiator read its
+    # three outer brackets as sections and summed them in a fourth, 6 630
+    # while it computed the symmetric-part and invariance sweeps and the
+    # diagonal anchor pairs, 43 590 with one per coordinate, 10 015 with one
+    # per derivation summed into a commutator and per entry of a module
+    # action, 9 205 with one per anchored derivative)
     import courantkit.courant as courant
     from courantkit.ring import Accumulator
 
@@ -562,15 +639,24 @@ def test_each_vector_of_sums_is_one_accumulator(monkeypatch):
 
     C = catalog.load("cr-control-r5")["courant"]
     rng = SplitMix(63)
-    e1, e2 = rand_section(rng, C), rand_section(rng, C)
+    e1, e2, e3 = rand_section(rng, C), rand_section(rng, C), rand_section(rng, C)
     want = C.bracket(e1, e2)  # keeps the anchored rows of e1 and e2
+    inner = {(id(a), id(b)): C.bracket(a, b) for a, b in ((e2, e3), (e1, e2), (e1, e3))}
+
+    def br(a, b):
+        return inner[id(a), id(b)]
+
+    jac = C.jacobiator(e1, e2, e3, br)  # keeps the anchored rows of the inner brackets
     half = C.alg.sig.const(Fraction(1, 2))
     diff = e1 - e2.scale(half)
     monkeypatch.setattr(Accumulator, "__init__", counting_init)
     assert C.verify()["ok"]
-    assert built[0] == 5220
+    assert built[0] == 3145
     built[0] = 0
     assert C.bracket(e1, e2) == want
+    assert built[0] == 1
+    built[0] = 0
+    assert C.jacobiator(e1, e2, e3, br) == jac
     assert built[0] == 1
     built[0] = 0
     assert courant._combine(C.alg, ((e1, 1, None), (e2, -1, half))) == diff
