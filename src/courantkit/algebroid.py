@@ -277,17 +277,18 @@ class Algebroid:
         X = [coerce_elem(self.sig, x) for x in X]
         ax = self.anchor_vector(X)
         # L_X f^k = sum_j (a(e_j) X_k - sum_i X_i c_ij^k) f^j, one Accumulator
-        # slotted by (j, k), every anchor row of X_k in one pass; each stored
-        # c_ij^k (i < j) enters at j and, negated, at i
+        # slotted by (k, j); each stored c_ij^k (i < j) enters at j and,
+        # negated, at i
         acc = Accumulator(self.sig)
-        for k, xk in enumerate(X):
-            acc.add_derivations(self.anchor, xk, 1, k)
+        for j, row in enumerate(self.anchor):
+            for k, xk in enumerate(X):
+                acc.add_derivation(row, xk, 1, (k, j))
         for (i, j), cs in self.structure.items():
             for k, c in enumerate(cs):
-                acc.add_product(X[i], c, -1, (j, k))
-                acc.add_product(X[j], c, 1, (i, k))
+                acc.add_product(X[i], c, -1, (k, j))
+                acc.add_product(X[j], c, 1, (k, i))
         cov = [{} for _ in X]
-        for (j, k), g in acc.elems().items():
+        for (k, j), g in acc.elems().items():
             cov[k][j] = g
         xtheta = self._connection(X)
 

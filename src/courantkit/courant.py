@@ -190,11 +190,11 @@ class CSection:
         return [(i, vec) for i, vec in legs if any(vec)]
 
     def __add__(self, other: "CSection") -> "CSection":
-        self._check(other)
+        _on_frame(self.alg, other)
         return _combine(self.alg, ((self, 1, None), (other, 1, None)))
 
     def __sub__(self, other: "CSection") -> "CSection":
-        self._check(other)
+        _on_frame(self.alg, other)
         return _combine(self.alg, ((self, 1, None), (other, -1, None)))
 
     def __neg__(self) -> "CSection":
@@ -208,14 +208,11 @@ class CSection:
 
     __rmul__ = __mul__
 
-    def _check(self, other: "CSection"):
-        _on_frame(self.alg, other)
-
     def is_zero(self) -> bool:
         return not any(self._coords)
 
     def equals(self, other: "CSection") -> bool:
-        self._check(other)
+        _on_frame(self.alg, other)
         return self._coords == other._coords
 
     def __eq__(self, other):
@@ -289,16 +286,16 @@ def _anchored(alg: Algebroid, e: CSection) -> list:
     section bracketed many times under one algebroid differentiates once;
     rows made under another algebroid, even one of equal signature, are
     computed again.  Constants have zero derivative.  All rows are one
-    Accumulator, slot (k, a) for rho_k(f_a), and each partial derivative of
-    f_a is taken once for all anchor rows (`Accumulator.add_derivations`).
+    Accumulator, slot (k, a) for rho_k(f_a).
     """
     hit = e._rows
     if hit is not None and hit[0] is alg:
         return hit[1]
+    live = [(a, c) for a, c in enumerate(e._coords) if not c.is_constant()]
     acc = Accumulator(alg.sig)
-    for a, c in enumerate(e._coords):
-        if not c.is_constant():
-            acc.add_derivations(alg.anchor, c, 1, a)
+    for k, row in enumerate(alg.anchor):
+        for a, c in live:
+            acc.add_derivation(row, c, 1, (k, a))
     rows = [{} for _ in alg.anchor]
     for (k, a), d in acc.elems().items():
         rows[k][a] = d
@@ -444,11 +441,14 @@ class CourantPresentation:
         one Accumulator, slot k for output coordinate k, filled by
         `_bracket_into` and read once at the end.
         """
-        alg = self.alg
-        _on_frame(alg, e1, e2)
-        acc = Accumulator(alg.sig)
+        _on_frame(self.alg, e1, e2)
+        return self._bracket(e1, e2)
+
+    def _bracket(self, e1: CSection, e2: CSection) -> CSection:
+        """bracket without the frame check, for operands already checked."""
+        acc = Accumulator(self.alg.sig)
         self._bracket_into(acc, e1, e2, 1)
-        return _from_coordinates(alg, tuple(acc.vector(len(e1._coords))))
+        return _from_coordinates(self.alg, tuple(acc.vector(len(e1._coords))))
 
     def _bracket_into(self, acc: Accumulator, e1: CSection, e2: CSection, sign: int) -> None:
         """Add sign * [[e1, e2]] into acc, slot k for coordinate k, unread and unchecked."""
@@ -489,9 +489,10 @@ class CourantPresentation:
 
     # -- axiom defects ----------------------------------------------------------------
 
-    # Each defect takes its brackets from br, a callable with the signature of
-    # bracket (the default), and the Jacobiator its inner ones; verify passes
-    # its bracket table.
+    # Each defect checks its operands once and takes its brackets from br, a
+    # callable with the signature of bracket, and the Jacobiator its inner
+    # ones; verify passes its bracket table, and the default reads them
+    # without a second check.
 
     def jacobiator(self, e1: CSection, e2: CSection, e3: CSection, br=None) -> CSection:
         """[[e1, [[e2, e3]]]] - [[[[e1, e2]], e3]] - [[e2, [[e1, e3]]]].
@@ -502,7 +503,7 @@ class CourantPresentation:
         """
         alg = self.alg
         _on_frame(alg, e1, e2, e3)
-        br = br or self.bracket
+        br = br or self._bracket
         acc = Accumulator(alg.sig)
         self._bracket_into(acc, e1, br(e2, e3), 1)
         self._bracket_into(acc, br(e1, e2), e3, -1)
@@ -524,7 +525,7 @@ class CourantPresentation:
         """Derivation coefficients of a(pi[[e1,e2]]) - [a(pi e1), a(pi e2)]."""
         alg = self.alg
         _on_frame(alg, e1, e2)
-        lhs = alg.anchor_vector((br or self.bracket)(e1, e2).x)
+        lhs = alg.anchor_vector((br or self._bracket)(e1, e2).x)
         # [a(e2), a(e1)] + lhs, summed in one Accumulator
         return alg.commutator(alg.anchor_vector(e2.x), alg.anchor_vector(e1.x), lhs, 1)
 
@@ -533,13 +534,13 @@ class CourantPresentation:
         _on_frame(self.alg, e)
         half = self.alg.sig.const(Fraction(1, 2))
         De = self.differential(self.pairing(e, e))
-        return _combine(self.alg, (((br or self.bracket)(e, e), 1, None), (De, -1, half)))
+        return _combine(self.alg, (((br or self._bracket)(e, e), 1, None), (De, -1, half)))
 
     def invariance_defect(self, e1: CSection, e2: CSection, e3: CSection, br=None) -> list:
         """nabla_{pi e1} <e2,e3> - <[[e1,e2]], e3> - <e2, [[e1,e3]]>."""
         alg = self.alg
         _on_frame(alg, e1, e2, e3)
-        br = br or self.bracket
+        br = br or self._bracket
         lhs = alg.nabla(e1.x, self.pairing(e2, e3))
         r1 = self.pairing(br(e1, e2), e3)
         r2 = self.pairing(e2, br(e1, e3))

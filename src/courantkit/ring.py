@@ -26,11 +26,9 @@ sparse vector of sums, one slot per name that a term lands on.  A slot keeps
 a raw triple per monomial, a (a + b*i)/d with d > 0 that may be unreduced or
 zero, adds products into it in place, and reduces each coefficient once when
 it is read, as a canonical RingElem.  Two kernels go from raw triples to the
-final form in one step.  add_derivations adds sum_j v_j * df/dx_j from the
-triples of f for several coefficient rows v at once, with no partial
-derivative built on the way and each df/dx_j taken once for all rows; it is
-the one derivative loop, add_derivation is its one-row case and
-RingElem.partial is that along a unit vector.  primitive
+final form in one step.  add_derivation adds sum_j v_j * df/dx_j from the
+triples of f, with no partial derivative built on the way; it is the one
+derivative loop, and RingElem.partial is it along a unit vector.  primitive
 reads slots 0..n-1 as a row divided by its rational content and common
 monomial, each coefficient built once over d = 1; it is the one content and
 monomial strip, and normalize_row adds a row to an Accumulator and reads it.
@@ -680,9 +678,7 @@ class Accumulator:
     Each sum sits in a slot named by a hashable at, 0 by default.
     add_product(x, y, sign, at) adds sign*x*y to slot at, add(x, sign, at)
     adds sign*x and add_derivation(v, f, sign, at) adds sign times the
-    coordinate derivation with coefficient vector v applied to f;
-    add_derivations(rows, f, sign, at) adds the derivation of each row k at
-    slot (k, at), taking each partial of f once for all rows.  An empty
+    coordinate derivation with coefficient vector v applied to f; an empty
     operand adds nothing and reaches no slot, but an operand from another
     signature is still refused.  elem(at) returns one slot as a canonical
     RingElem, the shared zero where nothing landed; elems() maps each nonzero
@@ -757,79 +753,60 @@ class Accumulator:
 
     def add_derivation(self, v, f: RingElem, sign: int = 1, at=0) -> None:
         """Add sign * sum_j v[j] * df/dx_j, v a vector of ring elements over the
-        coordinates: the one-row case of add_derivations, filed at slot at."""
-        self._derive((v,), (at,), f, sign)
+        coordinates.
 
-    def add_derivations(self, rows, f: RingElem, sign: int = 1, at=0) -> None:
-        """Add sign * sum_j rows[k][j] * df/dx_j at slot (k, at), for every row k.
-
-        Each df/dx_j is taken once and filed under every row with a nonzero
-        entry at j.
+        Along x_j a term c x^k E^n gives c k_j x^(k - e_j) E^n, and c times
+        the rate of E^n, sum_m n_m row_m[j], at its own key.  Those are kept
+        as raw triples, one per term and rule, and multiplied by v[j] into
+        the slot: no partial derivative is built as a RingElem or GaussRat.
         """
-        self._derive(rows, [(k, at) for k in range(len(rows))], f, sign)
-
-    def _derive(self, rows, slots, f: RingElem, sign: int) -> None:
-        # The one derivative loop.  Along x_j a term c x^k E^n gives
-        # c k_j x^(k - e_j) E^n, and c times the rate of E^n,
-        # sum_m n_m row_m[j], at its own key.  Those are kept as raw triples,
-        # one per term and rule, in parts[j], built the first time a row has
-        # a nonzero entry at j, and multiplied by rows[k][j] into slots[k]:
-        # no partial derivative is built as a RingElem or GaussRat.
         sig = self.sig
-        if f.sig is not sig and f.sig != sig:
-            raise SignatureMismatch("ring elements come from different signatures")
-        for row in rows:
-            for x in row:
-                if x.sig is not sig and x.sig != sig:
-                    raise SignatureMismatch("ring elements come from different signatures")
+        for x in (f, *v):
+            if x.sig is not sig and x.sig != sig:
+                raise SignatureMismatch("ring elements come from different signatures")
         if not f.terms:
             return
-        fs, store, parts = f.terms.items(), self._slots, {}
-        for at, row in zip(slots, rows):
-            terms = None
-            for j, (vj, (rates, den)) in enumerate(zip(row, sig._rates)):
-                if not vj.terms:
-                    continue
-                part = parts.get(j)
-                if part is None:
-                    part = parts[j] = []
-                    for key, c in fs:
-                        e = key[j]
-                        if e:
-                            lower = key[:j] + (e - 1,) + key[j + 1 :]
-                            part.append((lower, c._a * e, c._b * e, c._d))
-                        if rates:
-                            n = 0
-                            for p, q in rates:
-                                n += key[p] * q
-                            if n:
-                                part.append((key, c._a * n, c._b * n, c._d * den))
-                if not part:
-                    continue
+        fs, slots, terms = f.terms.items(), self._slots, None
+        for j, (vj, (rates, den)) in enumerate(zip(v, sig._rates)):
+            if not vj.terms:
+                continue
+            part = []
+            for key, c in fs:
+                e = key[j]
+                if e:
+                    part.append((key[:j] + (e - 1,) + key[j + 1 :], c._a * e, c._b * e, c._d))
+                if rates:
+                    n = 0
+                    for p, q in rates:
+                        n += key[p] * q
+                    if n:
+                        part.append((key, c._a * n, c._b * n, c._d * den))
+            if not part:
+                continue
+            if terms is None:
+                terms = slots.get(at)
                 if terms is None:
-                    terms = store.get(at)
-                    if terms is None:
-                        terms = store[at] = {}
-                    elif terms.__class__ is RingElem:
-                        terms = store[at] = {k: [c._a, c._b, c._d] for k, c in terms.terms.items()}
-                # rows[k][j] times the derivative, filed as add_product files products
-                for k1, c1 in vj.terms.items():
-                    a1, b1, d1 = c1._a * sign, c1._b * sign, c1._d
-                    shift = any(k1)
-                    for k2, a2, b2, d2 in part:
-                        key = tuple(map(_add, k1, k2)) if shift else k2
-                        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-                        s = terms.get(key)
-                        if s is None:
-                            terms[key] = [a, b, d]
-                        elif s[2] == d:
-                            s[0] += a
-                            s[1] += b
-                        else:
-                            sd = s[2]
-                            s[0] = s[0] * d + a * sd
-                            s[1] = s[1] * d + b * sd
-                            s[2] = sd * d
+                    terms = slots[at] = {}
+                elif terms.__class__ is RingElem:
+                    terms = slots[at] = {k: [c._a, c._b, c._d] for k, c in terms.terms.items()}
+            # v[j] times the derivative, filed as add_product files products
+            for k1, c1 in vj.terms.items():
+                a1, b1, d1 = c1._a * sign, c1._b * sign, c1._d
+                shift = any(k1)
+                for k2, a2, b2, d2 in part:
+                    key = tuple(map(_add, k1, k2)) if shift else k2
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                    s = terms.get(key)
+                    if s is None:
+                        terms[key] = [a, b, d]
+                    elif s[2] == d:
+                        s[0] += a
+                        s[1] += b
+                    else:
+                        sd = s[2]
+                        s[0] = s[0] * d + a * sd
+                        s[1] = s[1] * d + b * sd
+                        s[2] = sd * d
 
     def _read(self, s) -> RingElem:
         if s.__class__ is RingElem:
