@@ -245,8 +245,11 @@ class CSection:
 
 
 def _on_frame(alg: Algebroid, *sections) -> None:
-    """Refuse a section whose algebroid differs from alg in signature, rank or rank_v."""
+    """Refuse an operand that is not a CSection, or a section whose algebroid
+    differs from alg in signature, rank or rank_v."""
     for e in sections:
+        if not isinstance(e, CSection):
+            raise CourantError(f"expected a Courant section, not {type(e).__name__}")
         b = e.alg
         if b is not alg and (b.sig != alg.sig or b.rank != alg.rank or b.rank_v != alg.rank_v):
             raise CourantError("sections from different presentations")

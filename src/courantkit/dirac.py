@@ -94,12 +94,16 @@ def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
     pairs = [(i, j) for i in range(n) for j in range(i + 1 if isotropic else 0, n) if i != j]
     witness = None
     closed = True
-    excluded: dict = {}  # first-seen order
+    # first-seen order: each reduce lists ech.excluded, then the factors it
+    # adds, so the echelon's own factors are printed once and each reduce's
+    # past them
+    head = len(ech.excluded)
+    excluded = dict.fromkeys(str(e) for e in ech.excluded) if pairs else {}
     brackets = {}
     for i, j in pairs:
         b = brackets[i, j] = C.bracket(gens[i], gens[j])
         ok, residual, exc = ech.reduce(b.coordinates())
-        excluded.update(dict.fromkeys(str(e) for e in exc))
+        excluded.update(dict.fromkeys(str(e) for e in exc[head:]))
         if not ok and witness is None:
             closed = False
             witness = {
@@ -185,11 +189,15 @@ def _projection_closure(C: CourantPresentation, gens, tangent) -> dict:
     """projection_closure with pi[[g_i, g_j]] read as tangent(i, j)."""
     alg = C.alg
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    ech = linalg.rref(alg.sig, [list(g.x) for g in gens]) if pairs else None
-    excluded: set = set()
+    if not pairs:
+        return {"closed": True, "excluded": []}
+    ech = linalg.rref(alg.sig, [list(g.x) for g in gens])
+    # each reduce lists ech.excluded, then the factors it adds
+    head = len(ech.excluded)
+    excluded = {str(e) for e in ech.excluded}
     for i, j in pairs:
         ok, residual, exc = ech.reduce(tangent(i, j))
-        excluded |= {str(e) for e in exc}
+        excluded.update(str(e) for e in exc[head:])
         if not ok:
             return {
                 "closed": False,

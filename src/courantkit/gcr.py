@@ -167,11 +167,11 @@ def l_generators(S: GCRStructure) -> list:
     if sig.mode != "gaussian":
         raise GCRError("eigenspace construction needs gaussian coefficients")
     n = 2 * S.hb.h
+    # J - i*1: i comes off the diagonal only, every other entry is J's own
     ii = coerce_elem(sig, GR_I)
-    rows = [
-        [S.j[a][b] - (ii if a == b else sig.zero()) for b in range(n)]
-        for a in range(n)
-    ]
+    rows = [list(row) for row in S.j]
+    for a in range(n):
+        rows[a][a] = rows[a][a] - ii
     vectors, _ = linalg.nullspace(sig, rows)
     # each eigenvector is 2h reduced coordinates on this one basis
     basis = S.hb.basis_sections()

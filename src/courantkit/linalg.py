@@ -110,10 +110,15 @@ def _eliminate(row, prow, col, excluded) -> list:
     """p*row - row[col]*prow for the pivot p = prow[col], normalised.
 
     The row is one Accumulator, slot k for entry k, read as a primitive row.
+    Entry col is p*c - c*p = 0 for c = row[col], so its slot is never reached
+    and reads as zero: a step makes one product per nonzero entry of row and
+    of prow outside the pivot column.
     """
     p, c = prow[col], row[col]
     acc = Accumulator(p.sig)
     for k, (a, b) in enumerate(zip(row, prow)):
+        if k == col:
+            continue
         if a.terms:
             acc.add_product(p, a, 1, k)
         if b.terms:

@@ -835,36 +835,60 @@ class Accumulator:
 
         The row read is the one row of Gaussian integers with content 1 that
         is a positive rational multiple of the sums, with the componentwise
-        least monomial divided out.  The raw triples are put over the lcm of
-        their denominators and divided by the gcd of all numerators, so each
-        coefficient is built once, over d = 1, with no gcd of its own.
-        Returns (row, witness): the witness is the stripped coordinate
-        monomial, or None when there is none, since only coordinate monomials
-        can vanish.
+        least monomial divided out.  One pass over the slots drops the zero
+        sums and collects the keys, the numerators and the denominators other
+        than 1; only when there is such a denominator are the raw triples put
+        over the lcm of all of them.  The numerators are then divided by their
+        gcd, so each coefficient is built once, over d = 1, with no gcd of its
+        own, and a slot held as one element already in that form is returned
+        as it is.  Returns (row, witness): the witness is the stripped
+        coordinate monomial, or None when there is none, since only
+        coordinate monomials can vanish.
         """
         sig, slots = self.sig, self._slots
         live = []  # (at, slot, its nonzero raw terms (key, a, b, d))
+        keys, nums, dens = [], [], []  # denominators other than 1 only
+        key_, num_, den_ = keys.append, nums.append, dens.append
         for at in range(n):
             s = slots.get(at)
             if s is None:
                 continue
+            ts = []
             if s.__class__ is RingElem:
-                live.append((at, s, [(k, c._a, c._b, c._d) for k, c in s.terms.items()]))
-            elif ts := [(k, a, b, d) for k, (a, b, d) in s.items() if a or b]:
-                live.append((at, s, ts))
+                for k, c in s.terms.items():
+                    a, b, d = c._a, c._b, c._d
+                    ts.append((k, a, b, d))
+                    key_(k)
+                    num_(a)
+                    if b:
+                        num_(b)
+                    if d != 1:
+                        den_(d)
+            else:
+                for k, (a, b, d) in s.items():
+                    if a or b:
+                        ts.append((k, a, b, d))
+                        key_(k)
+                        num_(a)
+                        if b:
+                            num_(b)
+                        if d != 1:
+                            den_(d)
+                if not ts:
+                    continue
+            live.append((at, s, ts))
         row = [sig.zero()] * n
         if not live:
             return row, None
-        flat = [t for _, _, ts in live for t in ts]
-        den = math.lcm(*[t[3] for t in flat])
-        if den != 1:
+        if dens:
+            den = math.lcm(*dens)
             live = [
                 (at, None, [(k, a * (den // d), b * (den // d), 1) for k, a, b, d in ts])
                 for at, _, ts in live
             ]
-            flat = [t for _, _, ts in live for t in ts]
-        g = math.gcd(*[t[1] for t in flat], *[t[2] for t in flat])
-        common = tuple(map(min, zip(*[t[0] for t in flat])))
+            nums = [x for _, _, ts in live for _, a, b, _ in ts for x in (a, b)]
+        g = math.gcd(*nums)
+        common = tuple(map(min, zip(*keys)))
         shift = any(common)
         for at, s, ts in live:
             if shift:

@@ -445,6 +445,23 @@ def test_operations_refuse_a_section_of_another_frame(op):
         assert got == want
 
 
+_SECTION_OPERATORS = {
+    "add": lambda C, a, b: a + b,
+    "sub": lambda C, a, b: a - b,
+    "equals": lambda C, a, b: a.equals(b),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_ENTRY_POINTS) + sorted(_SECTION_OPERATORS))
+def test_operations_refuse_an_operand_that_is_not_a_section(op):
+    # a coordinate list in place of a section used to raise AttributeError
+    # ('list' object has no attribute 'alg') from inside the frame check
+    C, own, _ = _foreign_sections()
+    run = _ENTRY_POINTS.get(op) or _SECTION_OPERATORS[op]
+    with pytest.raises(CourantError, match="expected a Courant section, not list"):
+        run(C, own, [1, 0])
+
+
 def test_change_splitting_rejects_wrong_degree():
     C = catalog.standard_courant(2)
     alg = C.alg

@@ -417,3 +417,62 @@ def test_first_defects_match_the_entry_by_entry_oracle():
     assert min(kinds.values()) >= 10, kinds
     # the first nonzero entry lands in many places, not only at (0, 0)
     assert len(square) >= 10 and len(orthogonal) >= 10, (square, orthogonal)
+
+
+def test_check_gcr_add_product_counts(monkeypatch, tmp_path):
+    # Accumulator.add_product calls of a whole check-gcr run, a deterministic
+    # count.  Each elimination step makes one product per nonzero entry of
+    # its two rows outside the pivot column: two fewer than forming the
+    # pivot column too, which always cancels (115 and 42 products that way).
+    import contextlib
+    import io as _stdio
+    import json
+
+    from courantkit import cli, io, linalg
+    from courantkit.ring import Accumulator
+
+    products, steps = [], []
+    real_product, real_step = Accumulator.add_product, linalg._eliminate
+    monkeypatch.setattr(
+        Accumulator, "add_product", lambda s, *a: products.append(1) or real_product(s, *a)
+    )
+
+    def step(row, prow, col, excluded):
+        assert row[col].terms and prow[col].terms
+        before = len(products)
+        out = real_step(row, prow, col, excluded)
+        full = sum(bool(e.terms) for e in row) + sum(bool(e.terms) for e in prow)
+        steps.append((len(products) - before, full))
+        return out
+
+    monkeypatch.setattr(linalg, "_eliminate", step)
+    for name, code, want, nsteps in (("cr-control-r5", 1, 75, 20), ("symplectic-r2", 0, 30, 6)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(io.definition_to_json(catalog.load(name))))
+        products.clear()
+        steps.clear()
+        with contextlib.redirect_stdout(_stdio.StringIO()):
+            assert cli.main(["check-gcr", "--defs", str(path)]) == code
+        assert len(products) == want
+        assert len(steps) == nsteps and all(made == full - 2 for made, full in steps), steps
+
+
+def test_eigenspace_rows_subtract_i_on_the_diagonal_only(monkeypatch):
+    from courantkit import gcr
+
+    seen = []
+    real = gcr.linalg.nullspace
+    monkeypatch.setattr(gcr.linalg, "nullspace", lambda sig, rows: seen.append(rows) or real(sig, rows))
+    structures = [catalog.load(name)["gcr"] for name in ("symplectic-r2", "contact-r3")]
+    structures += [cr_payload(name)[1] for name in ("cr-control-r5", "cr-complex-r2")]
+    for S in structures:
+        seen.clear()
+        l_generators(S)
+        (rows,) = seen
+        ii = S.hb.C.alg.sig.parse("i")
+        for a, row in enumerate(rows):
+            for b, e in enumerate(row):
+                if a == b:
+                    assert e == S.j[a][a] - ii
+                else:
+                    assert e is S.j[a][b]

@@ -293,3 +293,179 @@ def test_vec_mat_and_mat_mul_match_termwise_sums():
     assert min(kinds.values()) >= 10, kinds
     # a product with no inner dimension has rows of no entries
     assert linalg.mat_mul(SIG, [[], []], []) == [[], []]
+
+
+# -- the two elimination kernels against plain RingElem arithmetic ---------------
+#
+# The reference forms p*row - c*prow entry by entry with RingElem products and
+# differences, over every column, pivot column included, and divides by the
+# content and common monomial with calculus_oracle.content_normalize_row.
+
+
+def _oracle_entry(rng, degree=2):
+    """An entry over GSIG: Gaussian coefficients, exponents of E in -1..1, and
+    one draw in three scaled by a rational with another denominator."""
+    e = rng.ring_elem(GSIG, max_degree=degree, terms=3, complex_ok=True)
+    if rng.randint(0, 2) == 0:
+        e = e * GaussRat(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 3, 4, 6, 7))))
+    return e
+
+
+def _oracle_row(rng, m, degree=2):
+    return [GSIG.zero() if rng.randint(0, 3) == 0 else _oracle_entry(rng, degree) for _ in range(m)]
+
+
+def _reference_step(row, prow, col):
+    p, c = prow[col], row[col]
+    return content_normalize_row([p * a - c * b for a, b in zip(row, prow)])
+
+
+def _reference_note(excluded, elem):
+    if elem is not None and not elem.is_constant() and elem not in excluded:
+        excluded.append(elem)
+
+
+def _reference_rref(M):
+    """rref's pivot order (the sparsest nonzero entry, first row on a tie) with
+    the reference step."""
+    excluded, rows = [], []
+    for row in M:
+        row, witness = content_normalize_row(row)
+        _reference_note(excluded, witness)
+        rows.append(row)
+    pivots, prow = [], 0
+    for col in range(len(rows[0])):
+        live = [r for r in range(prow, len(rows)) if rows[r][col].terms]
+        if prow >= len(rows) or not live:
+            continue
+        r = min(live, key=lambda r: len(rows[r][col].terms))
+        rows[prow], rows[r] = rows[r], rows[prow]
+        _reference_note(excluded, rows[prow][col])
+        for r2 in range(len(rows)):
+            if r2 != prow and rows[r2][col].terms:
+                rows[r2], witness = _reference_step(rows[r2], rows[prow], col)
+                _reference_note(excluded, witness)
+        pivots.append(col)
+        prow += 1
+    return rows, pivots, excluded
+
+
+def _reference_reduce(rows, pivots, excluded, v):
+    excluded = list(excluded)
+    for row, c in zip(rows, pivots):
+        if v[c].terms:
+            _reference_note(excluded, row[c])
+            v, witness = _reference_step(v, row, c)
+            _reference_note(excluded, witness)
+    return not any(v), v, excluded
+
+
+def test_primitive_matches_the_ringelem_content_and_monomial():
+    # each slot empty, held (one add), a sum of products, held and then summed,
+    # or a sum that cancels to zero; the sums are also kept as RingElems
+    rng = SplitMix(2901)
+    seen = {"held_kept": 0, "denominators": 0, "shifted": 0, "cancelled": 0, "zero_row": 0}
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        acc, sums, held = Accumulator(GSIG), [GSIG.zero()] * n, {}
+        for k in range(n):
+            kind = rng.randint(0, 4)
+            if kind in (1, 3):
+                x = _oracle_entry(rng)
+                if kind == 1 and rng.randint(0, 1):  # already primitive, over d = 1
+                    x = content_normalize_row([x])[0][0]
+                acc.add(x, 1, k)
+                sums[k] = sums[k] + x
+                held[k] = x
+            if kind in (2, 3):
+                for _ in range(rng.randint(1, 3)):
+                    x, y, sign = _oracle_entry(rng), _oracle_entry(rng), rng.choice((1, -1, 2))
+                    acc.add_product(x, y, sign, k)
+                    sums[k] = sums[k] + GSIG.const(sign) * x * y
+                held.pop(k, None)
+            if kind == 4:
+                x, y = _oracle_entry(rng), _oracle_entry(rng)
+                acc.add_product(x, y, 1, k)
+                acc.add_product(y, x, -1, k)
+                seen["cancelled"] += bool(x.terms and y.terms)
+        want = content_normalize_row(sums)
+        got = acc.primitive(n)
+        assert got == want
+        row, witness = got
+        seen["zero_row"] += not any(row)
+        seen["shifted"] += witness is not None
+        seen["denominators"] += any(c._d != 1 for e in sums for c in e.terms.values())
+        seen["held_kept"] += sum(row[k] is x for k, x in held.items())
+    # a held slot already in final form is handed back, not rebuilt: here a
+    # row made only of held primitive elements (E^-1 would be a common unit)
+    x, y = GSIG.parse("2*x*E + i*y"), GSIG.parse("3*E - 1")
+    acc = Accumulator(GSIG)
+    acc.add(x, 1, 0)
+    acc.add(y, 1, 2)
+    row, witness = acc.primitive(3)
+    assert row[0] is x and row[2] is y and row[1].is_zero() and witness is None
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pivot_skipping_step_matches_the_full_cross_multiplication(monkeypatch):
+    rng = SplitMix(2903)
+    seen = {"partial_cancel": 0, "zero_row": 0, "witness": 0}
+    cases = []
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        prow, row = _oracle_row(rng, m), _oracle_row(rng, m)
+        col = rng.randint(0, m - 1)
+        if not prow[col].terms:
+            prow[col] = _oracle_entry(rng) or GSIG.one()
+        if not row[col].terms:
+            row[col] = _oracle_entry(rng) or GSIG.one()
+        kind = rng.randint(0, 3)
+        if kind == 0:  # a multiple of the pivot row: every entry cancels
+            q = _oracle_entry(rng) or GSIG.one()
+            row = [q * b for b in prow]
+        elif kind == 1 and m > 1:  # one entry besides the pivot cancels
+            k = rng.choice([k for k in range(m) if k != col])
+            t = _oracle_entry(rng) or GSIG.one()
+            row[k], prow[k] = row[col] * t, prow[col] * t
+        cases.append((row, prow, col))
+    products = []
+    real = Accumulator.add_product
+    monkeypatch.setattr(
+        Accumulator, "add_product", lambda s, *a: products.append(1) or real(s, *a)
+    )
+    for row, prow, col in cases:
+        want, witness = _reference_step(row, prow, col)
+        excluded = []
+        products.clear()
+        got = linalg._eliminate(row, prow, col, excluded)
+        assert got == want and not got[col].terms
+        assert excluded == ([] if witness is None or witness.is_constant() else [witness])
+        # one product per nonzero entry of either row outside the pivot column,
+        # two fewer than the full loop, whose pivot products always cancel
+        outside = sum(bool(e.terms) for k, e in enumerate(row + prow) if k % len(row) != col)
+        assert len(products) == outside
+        seen["zero_row"] += not any(got)
+        seen["witness"] += bool(excluded)
+        seen["partial_cancel"] += any(
+            k != col and a.terms and b.terms and not c.terms
+            for k, (a, b, c) in enumerate(zip(row, prow, want))
+        )
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rref_and_reduce_match_the_ringelem_reference():
+    rng = SplitMix(2905)
+    ranks = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(2, 4)
+        M = [_oracle_row(rng, m, 1) for _ in range(n)]
+        if n > 1 and rng.randint(0, 2) == 0:  # a dependent row
+            q = _oracle_entry(rng, 1) or GSIG.one()
+            M[-1] = [q * e for e in M[0]]
+        ech = linalg.rref(GSIG, M)
+        rows, pivots, excluded = _reference_rref(M)
+        assert (ech.rows, ech.pivots, ech.excluded) == (rows, pivots, excluded)
+        ranks.add(ech.rank)
+        for v in (_oracle_row(rng, m, 1), [_oracle_entry(rng, 1) * e for e in M[0]]):
+            assert ech.reduce(v) == _reference_reduce(rows, pivots, excluded, v)
+    assert len(ranks) >= 3
