@@ -22,7 +22,7 @@ import time
 from . import catalog, io
 from .algebroid import AlgebroidError, CochainLimitError, RankLimitError
 from .courant import MAX_SAMPLES, SweepLimitError
-from .dirac import DiracError, _dirac, _projection_closure, anchor_intersection, merged_locus
+from .dirac import DiracError, _dirac, _intersect_rank, _projection_closure, merged_locus
 from .gcr import (
     GCRError,
     decompose_jacobi,
@@ -210,7 +210,7 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
         except DiracError as ex:  # the Lagrangian test needs a rank-one module
             raise SchemaError(str(ex), "$.module.rankV") from None
         proj = _projection_closure(C, gens, lambda i, j: brackets[i, j].x)
-        rank_a, _, excluded_a = anchor_intersection(C, gens)
+        rank_a, excluded_a = _intersect_rank(C, gens, rep["rank"])
         verdicts += [
             _verdict(
                 f"{name}.lagrangian",

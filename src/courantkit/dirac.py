@@ -11,6 +11,21 @@ the brackets the Dirac closure makes: pi[[X + xi, Y + eta]] = [X, Y], since
 in the frame expansion of the courant module docstring T_ab has a section
 part only when a, b < r, and there it is the `Algebroid.bracket` formula,
 with no twist, Theta or axiom term.  So check-dirac brackets each pair once.
+
+The rank of the intersection with A, the sections with no form part, needs no
+basis.  Write G for the m x n coordinate matrix of m generators and G_xi for
+its form columns.  Over the fraction field:
+
+- K = {c : c G_xi = 0} has dimension m - rank G_xi;
+- c G = 0 forces c G_xi = 0, so ker(c -> c G) lies inside K, with dimension
+  m - rank G;
+- L meet A is K G, the combinations whose form part cancels, so its
+  dimension is dim K - dim ker(c -> c G) = rank G - rank G_xi.
+
+Both ranks are generic: each holds wherever none of its echelon's excluded
+factors vanishes, so the identity holds off the union of the two loci, and
+check-dirac lists both.  anchor_intersection builds a basis of K G from a
+nullspace basis of K, and tests use it as an independent count.
 """
 
 from __future__ import annotations
@@ -172,8 +187,17 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
 
 def intersect_with_A(C: CourantPresentation, gens) -> int:
     """Generic rank of the intersection with the image of the splitting."""
-    rk, _, _ = anchor_intersection(C, gens)
-    return rk
+    rank_g, _ = linalg.rank(C.alg.sig, coordinates_matrix(gens))
+    return _intersect_rank(C, gens, rank_g)[0]
+
+
+def _intersect_rank(C: CourantPresentation, gens, rank_g: int) -> tuple:
+    """(rank G - rank G_xi, the printed excluded factors of G_xi's echelon)
+    for the generic rank rank_g of the generator coordinates G; see the
+    module docstring."""
+    r = C.alg.rank
+    rank_xi, excluded = linalg.rank(C.alg.sig, [g.coordinates()[r:] for g in gens])
+    return rank_g - rank_xi, [str(e) for e in excluded]
 
 
 def projection_closure(C: CourantPresentation, gens) -> dict:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from courantkit import catalog, cli, gcr, io
+from courantkit import catalog, cli, gcr, io, linalg
 from courantkit.dirac import anchor_intersection, projection_closure
 from courantkit.sampling import SplitMix
 
@@ -417,16 +417,21 @@ def test_check_gcr_structure_file_matches_embedded_block(tmp_path):
 
 
 def test_check_dirac_excluded_covers_every_verdict():
-    # anchor_intersection on the non-closed graph excludes z: at z = 0 the
-    # form vanishes and the generic rank changes, so the report must say so
+    # the rank of the form columns G_xi on the non-closed graph excludes z: at
+    # z = 0 the form vanishes and the generic rank changes, so the report must
+    # say so; intersect_A is the rank anchor_intersection builds a basis for
     r = run_cli("check-dirac", stdin=build_doc("dirac-nonclosed-r3"))
     assert r.returncode == 1
-    excluded = json.loads(r.stdout)["details"]["graph"]["excluded"]
+    details = json.loads(r.stdout)["details"]["graph"]
+    excluded = details["excluded"]
     assert "z" in excluded
     p = catalog.load("dirac-nonclosed-r3")
     C, gens = p["courant"], p["subbundles"]["graph"]
-    assert "z" in anchor_intersection(C, gens)[2]
-    assert set(anchor_intersection(C, gens)[2]) <= set(excluded)
+    forms = [g.coordinates()[C.alg.rank :] for g in gens]
+    xi_excluded = [str(e) for e in linalg.rank(C.alg.sig, forms)[1]]
+    assert "z" in xi_excluded
+    assert set(xi_excluded) <= set(excluded)
+    assert anchor_intersection(C, gens)[0] == details["intersect_A"] == 1
     assert set(projection_closure(C, gens)["excluded"]) <= set(excluded)
 
 

@@ -189,11 +189,12 @@ def test_graded_check_jacobi_report_is_byte_identical(tmp_path):
 # for a drawn skew W, mixed by drawn polynomial factors (seed 2 with imaginary
 # parts).  Each elimination pivots on and strips nonconstant factors, so every
 # report has a nonempty excluded list, which the catalog's subbundles rarely
-# reach.
+# reach.  The excluded lists include the echelon of the form columns G_xi,
+# from which intersect_A = rank G - rank G_xi is read.
 GRAPH_DIRAC_DIGESTS = {
-    1: [1, "e517f512227d0570f26a2e6bd0e8b2b0aa18b4a9c6113818b0f2726587ce5da9"],
-    2: [1, "e6f9ea7269c958815b9d498c7dc391b559d7fde9009ff88531f73a5665e2ddac"],
-    3: [1, "cedbeb56f3133937e7e2cedeee9e474d558001c5033b113243ce9490d5f28c5c"],
+    1: [1, "64142fe49fdd5194fc91dfe0d081f73030913d3c46f1f25d05c2787efd8fffdd"],
+    2: [1, "fe82796c104c23831667f03301f6dd6089c5f041ed60e18e0127d808c56eb115"],
+    3: [1, "9e5439e1ff022ca35c3c6fd2ae503ff4a6e8fac9b87d39dc51173a590506f7e8"],
 }
 
 
@@ -235,14 +236,16 @@ def test_graph_subbundle_check_dirac_reports_are_byte_identical(tmp_path, seed):
 
 
 # check-dirac on two more seeded subbundles over tangent-r3, digests taken
-# before closure learned to skip mirrored pairs.  "asymmetric": e_i + W_i for
+# before closure learned to skip mirrored pairs ("late-witness" re-taken when
+# intersect_A came to be read as rank G - rank G_xi, which changed its excluded
+# list and nothing else).  "asymmetric": e_i + W_i for
 # a drawn W with a symmetric part, so the generators are not isotropic and
 # closure brackets every ordered pair.  "late-witness": a graph of a drawn
 # skew W whose second generator is a multiple of the first; the pair [0, 1]
 # closes, so the involutivity witness is a later pair.
 SUBBUNDLE_DIRAC_DIGESTS = {
     "asymmetric": [1, "f0495ffb79cd8ef40bc98a9b49b4279a3405faf5e156f48f5bde91cf35a0518a"],
-    "late-witness": [1, "e944e8d2f40c3eefbc89e65f7eeaf0ccd1c741f176a234774cd9cb4cc5aeec5f"],
+    "late-witness": [1, "572351e22f1788d84e6fae20d6207c5a1a805a2c0f830167d2076566953c3872"],
 }
 
 

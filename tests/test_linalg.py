@@ -182,7 +182,7 @@ def _sparse_row(rng, m):
 
 def test_eliminate_matches_the_normalized_cross_multiplication():
     rng = SplitMix(43)
-    checked = 0
+    checked = cancelled = 0
     for _ in range(150):
         m = rng.randint(1, 6)
         prow, row = _sparse_row(rng, m), _sparse_row(rng, m)
@@ -190,8 +190,12 @@ def test_eliminate_matches_the_normalized_cross_multiplication():
         if not live:
             continue
         col = rng.choice(live)
-        if rng.randint(0, 3) == 0:  # an entry that cancels exactly
-            row = [a if k != col else prow[col] for k, a in enumerate(row)]
+        others = [k for k in live if k != col]
+        if others and rng.randint(0, 3) == 0:  # an entry k that cancels exactly
+            # with row[col] = p and row[k] = prow[k], entry k is p*prow[k] - p*prow[k]
+            k = rng.choice(others)
+            row[col], row[k] = prow[col], prow[k]
+            cancelled += 1
         excluded = []
         got = linalg._eliminate(row, prow, col, excluded)
         p, c = prow[col], row[col]
@@ -201,7 +205,7 @@ def test_eliminate_matches_the_normalized_cross_multiplication():
         for e in got:
             assert all(c._d > 0 and c for c in e.terms.values())
         checked += 1
-    assert checked > 100
+    assert checked > 100 and cancelled > 10
 
 
 def test_elimination_sums_in_the_accumulator(monkeypatch):

@@ -1,4 +1,4 @@
-"""Fingerprints of every report the program writes, to show a change leaves them byte-identical.
+"""Every report the program writes, fingerprinted, to show a change leaves them byte-identical or list what it changes.
 
     python3 tools/identity.py --write FILE
     python3 tools/identity.py --diff A B
@@ -13,18 +13,20 @@ only reads.  ``--write`` runs, in one process:
 * every verdict of the three benchmark workloads at seeds 0, 3 and 7, on the
   inputs the benchmark generates for that seed.
 
-It writes one JSON object mapping a key per output to the sha256 of
-(exit code, stdout, stderr); an `axiom-sweep` verdict is a library call, so its
-report is hashed as JSON with exit code 0.  Inputs are written to a temporary
-directory and named by relative paths, so no text depends on where it lies.
-``--diff A B`` prints each key whose hash differs or that one file lacks, and
-exits 1 when there is any, 0 when the two files agree.
+It writes one JSON object mapping a key per output to that output's exit
+code, stdout and stderr, beside the sha256 of the three; an `axiom-sweep`
+verdict is a library call, so its report is recorded as JSON with exit code 0.
+Inputs are written to a temporary directory and named by relative paths, so no
+text depends on where it lies.  ``--diff A B`` prints each key whose hash
+differs, with a unified diff of its old and new text, and each key that one
+file lacks; it exits 1 when there is any, 0 when the two files agree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io as _stdio
 import json
@@ -90,21 +92,35 @@ def benchmark_outputs():
 
 def write(path: str) -> int:
     path = os.path.abspath(path)
-    hashes = {}
+    outputs = {}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
             for gen in (catalog_outputs(), benchmark_outputs()):
                 for key, code, out, err in gen:
-                    hashes[key] = _fingerprint(code, out, err)
+                    outputs[key] = {
+                        "code": code,
+                        "sha256": _fingerprint(code, out, err),
+                        "stderr": err,
+                        "stdout": out,
+                    }
         finally:
             os.chdir(here)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hashes, fh, indent=0, sort_keys=True)
+        json.dump(outputs, fh, indent=0, sort_keys=True)
         fh.write("\n")
-    print(f"{len(hashes)} outputs hashed into {path}")
+    print(f"{len(outputs)} outputs recorded in {path}")
     return 0
+
+
+def _lines(output: dict) -> list:
+    """The exit code, stdout and stderr of one recorded output, as lines to diff."""
+    return (
+        [f"exit code: {output['code']}"]
+        + output["stdout"].splitlines()
+        + [f"stderr: {line}" for line in output["stderr"].splitlines()]
+    )
 
 
 def diff(a: str, b: str) -> int:
@@ -116,8 +132,12 @@ def diff(a: str, b: str) -> int:
             print(f"only in {a}: {key}")
         elif key not in old:
             print(f"only in {b}: {key}")
-        elif old[key] != new[key]:
+        elif old[key]["sha256"] != new[key]["sha256"]:
             print(f"changed: {key}")
+            for line in difflib.unified_diff(
+                _lines(old[key]), _lines(new[key]), f"{a} {key}", f"{b} {key}", lineterm=""
+            ):
+                print(line)
         else:
             continue
         changed += 1
@@ -128,8 +148,8 @@ def diff(a: str, b: str) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = ap.add_mutually_exclusive_group(required=True)
-    group.add_argument("--write", metavar="FILE", help="hash every output into FILE")
-    group.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the keys whose hashes differ")
+    group.add_argument("--write", metavar="FILE", help="record every output and its hash in FILE")
+    group.add_argument("--diff", nargs=2, metavar=("A", "B"), help="diff the outputs whose hashes differ")
     args = ap.parse_args(argv)
     return write(args.write) if args.write else diff(*args.diff)
 
