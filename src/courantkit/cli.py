@@ -22,7 +22,7 @@ import time
 from . import catalog, io
 from .algebroid import AlgebroidError, CochainLimitError, RankLimitError
 from .courant import MAX_SAMPLES, SweepLimitError
-from .dirac import DiracError, _dirac, _intersect_rank, _projection_closure, merged_locus
+from .dirac import DiracError, _check_dirac
 from .gcr import (
     GCRError,
     decompose_jacobi,
@@ -206,11 +206,9 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
     for name in sorted(bundles):
         gens = bundles[name]
         try:
-            _, rep, brackets = _dirac(C, gens)
+            rep, proj, rank_a, excluded = _check_dirac(C, gens)
         except DiracError as ex:  # the Lagrangian test needs a rank-one module
             raise SchemaError(str(ex), "$.module.rankV") from None
-        proj = _projection_closure(C, gens, lambda i, j: brackets[i, j].x)
-        rank_a, excluded_a = _intersect_rank(C, gens, rep["rank"])
         verdicts += [
             _verdict(
                 f"{name}.lagrangian",
@@ -224,9 +222,7 @@ def _cmd_check_dirac(args, doc, payload) -> dict:
         details[name] = {
             "generators": len(gens),
             "intersect_A": rank_a,
-            "excluded": merged_locus(
-                rep["excluded"], rep["involutive_excluded"], excluded_a, proj["excluded"]
-            ),
+            "excluded": excluded,
         }
     return {"details": details, "verdicts": verdicts}
 

@@ -22,10 +22,41 @@ its form columns.  Over the fraction field:
 - L meet A is K G, the combinations whose form part cancels, so its
   dimension is dim K - dim ker(c -> c G) = rank G - rank G_xi.
 
-Both ranks are generic: each holds wherever none of its echelon's excluded
-factors vanishes, so the identity holds off the union of the two loci, and
-check-dirac lists both.  anchor_intersection builds a basis of K G from a
-nullspace basis of K, and tests use it as an independent count.
+The same count holds at each point p, for the matrices G(p) and G_xi(p).
+anchor_intersection builds a basis of K G from a nullspace basis of K, and
+tests use it as an independent count.
+
+check-dirac eliminates G once and reads every other rank and membership off
+its echelon E (linalg.rref: Gauss-Jordan, the r tangent columns first, then
+the form columns).  Each row of E is zero before its pivot, and each pivot
+column is zero in every other row.  Off the locus of G's excluded factors,
+E = T G for an invertible m x m matrix T: each step of rref scales a row by
+1/w for a stripped factor w, or replaces it by (p row - c prow) / w for a
+pivot p, with determinant p / w, or swaps two rows, and every such p and w
+is one of G's excluded factors or vanishes nowhere.  Three facts follow.
+
+1. X comes free.  Write X for the tangent block of G.  The rows of E whose
+   pivot lies in one of the first r columns, cut to those columns, form a
+   reduced echelon of X: cutting to the first r columns maps the row space
+   of E = T G onto that of X, the other rows of E vanish there, and the cut
+   rows keep their pivots and their zero pivot columns.  The projection
+   closure reduces against this view, which keeps G's excluded factors, so X
+   is never eliminated.
+2. Involutive implies projection-closed.  pi is linear: if [[g_i, g_j]] =
+   sum_k c_k g_k over the fraction field, then pi[[g_i, g_j]] = sum_k c_k
+   pi(g_k).  Involutivity brackets every pair i < j that the projection
+   closure reads, so when it holds the projection closure holds too, off the
+   involutive locus, and check-dirac reduces no projection.  The reductions
+   run only when involutivity fails.
+3. rank G_xi from E_xi.  E_xi, the form columns of E, is T G_xi, so it has
+   the rank of G_xi at every point off G's locus and over the fraction
+   field.  check-dirac eliminates E_xi in place of G_xi; its rows are
+   sparser, since T has undone the mixing of the generators.
+
+So check-dirac makes two eliminations per generator list, of G and of E_xi,
+and intersect_A = rank G - rank E_xi holds wherever no factor of either
+echelon vanishes: the report lists G's factors, E_xi's and those of the
+reductions.
 """
 
 from __future__ import annotations
@@ -44,6 +75,13 @@ def coordinates_matrix(gens) -> list:
     return [g.coordinates() for g in gens]
 
 
+def _echelon(C: CourantPresentation, gens) -> tuple:
+    """(echelon of the generator coordinates G, its excluded factors printed
+    once), the pair every verdict on gens reads."""
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
+    return ech, [str(e) for e in ech.excluded]
+
+
 def is_isotropic(C: CourantPresentation, gens) -> tuple:
     """(verdict, witness): witness names the first nonvanishing pairing."""
     for i, g1 in enumerate(gens):
@@ -60,11 +98,12 @@ def is_lagrangian(C: CourantPresentation, gens) -> tuple:
     With a rank-one module the pairing is a split form on a rank-2r bundle, so
     maximal isotropic means isotropic of generic rank r.
     """
-    return _lagrangian(C, gens, linalg.rref(C.alg.sig, coordinates_matrix(gens)))
+    return _lagrangian(C, gens, *_echelon(C, gens))
 
 
-def _lagrangian(C: CourantPresentation, gens, ech) -> tuple:
-    """is_lagrangian on the echelon ech of the generator coordinates."""
+def _lagrangian(C: CourantPresentation, gens, ech, shown) -> tuple:
+    """is_lagrangian on the echelon ech of the generator coordinates, whose
+    printed excluded factors are shown."""
     if C.alg.rank_v != 1:
         raise DiracError("maximal-isotropy test requires a rank-one module")
     iso, witness = is_isotropic(C, gens)
@@ -72,7 +111,7 @@ def _lagrangian(C: CourantPresentation, gens, ech) -> tuple:
         "isotropic": iso,
         "rank": ech.rank,
         "expected_rank": C.alg.rank,
-        "excluded": [str(e) for e in ech.excluded],
+        "excluded": shown,
     }
     if witness:
         report["pairing_witness"] = witness
@@ -91,9 +130,10 @@ def perp(C: CourantPresentation, gens) -> list:
     return [CSection.from_coordinates(alg, vec) for vec in basis]
 
 
-def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
+def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple:
     """({closed, witness, excluded}, brackets) on the echelon ech of the
-    generator coordinates; brackets maps each bracketed pair (i, j) to [[g_i, g_j]].
+    generator coordinates, whose printed excluded factors are shown; brackets
+    maps each bracketed pair (i, j) to [[g_i, g_j]].
 
     isotropic is the verdict of is_isotropic on gens.  Ordered pairs (i, j),
     i != j, are bracketed in lexicographic order, except that an isotropic
@@ -110,10 +150,9 @@ def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
     witness = None
     closed = True
     # first-seen order: each reduce lists ech.excluded, then the factors it
-    # adds, so the echelon's own factors are printed once and each reduce's
-    # past them
+    # adds, so only each reduce's factors past them are printed
     head = len(ech.excluded)
-    excluded = dict.fromkeys(str(e) for e in ech.excluded) if pairs else {}
+    excluded = dict.fromkeys(shown) if pairs else {}
     brackets = {}
     for i, j in pairs:
         b = brackets[i, j] = C.bracket(gens[i], gens[j])
@@ -138,10 +177,11 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
 
 
 def _dirac(C: CourantPresentation, gens) -> tuple:
-    """is_dirac's (verdict, report), plus the closure's brackets."""
-    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
-    lag, report = _lagrangian(C, gens, ech)
-    closure, brackets = _closure(C, gens, ech, report["isotropic"])
+    """is_dirac's (verdict, report), plus the echelon of the generator
+    coordinates, its printed excluded factors and the closure's brackets."""
+    ech, shown = _echelon(C, gens)
+    lag, report = _lagrangian(C, gens, ech, shown)
+    closure, brackets = _closure(C, gens, ech, shown, report["isotropic"])
     report.update(
         {
             "lagrangian": lag,
@@ -150,7 +190,21 @@ def _dirac(C: CourantPresentation, gens) -> tuple:
             "involutive_excluded": closure["excluded"],
         }
     )
-    return lag and closure["closed"], report, brackets
+    return lag and closure["closed"], report, ech, shown, brackets
+
+
+def _check_dirac(C: CourantPresentation, gens) -> tuple:
+    """check-dirac on one generator list: (is_dirac's report, the projection
+    closure, intersect_A, the merged excluded locus), from one echelon of G
+    and one of its form columns; see the module docstring."""
+    _, report, ech, shown, brackets = _dirac(C, gens)
+    if report["involutive"]:
+        proj = {"closed": True, "excluded": report["involutive_excluded"]}
+    else:
+        proj = _projection_closure(C, gens, ech, shown, lambda i, j: brackets[i, j].x)
+    rank_a, excluded_a = _intersect_rank(C, ech)
+    excluded = merged_locus(shown, report["involutive_excluded"], excluded_a, proj["excluded"])
+    return report, proj, rank_a, excluded
 
 
 def merged_locus(*loci) -> list:
@@ -187,17 +241,16 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
 
 def intersect_with_A(C: CourantPresentation, gens) -> int:
     """Generic rank of the intersection with the image of the splitting."""
-    rank_g, _ = linalg.rank(C.alg.sig, coordinates_matrix(gens))
-    return _intersect_rank(C, gens, rank_g)[0]
+    return _intersect_rank(C, linalg.rref(C.alg.sig, coordinates_matrix(gens)))[0]
 
 
-def _intersect_rank(C: CourantPresentation, gens, rank_g: int) -> tuple:
-    """(rank G - rank G_xi, the printed excluded factors of G_xi's echelon)
-    for the generic rank rank_g of the generator coordinates G; see the
-    module docstring."""
+def _intersect_rank(C: CourantPresentation, ech) -> tuple:
+    """(rank G - rank E_xi, the printed excluded factors of E_xi's echelon)
+    for the echelon ech = E of the generator coordinates G, E_xi being the
+    form columns of its nonzero rows; see the module docstring."""
     r = C.alg.rank
-    rank_xi, excluded = linalg.rank(C.alg.sig, [g.coordinates()[r:] for g in gens])
-    return rank_g - rank_xi, [str(e) for e in excluded]
+    rank_xi, excluded = linalg.rank(C.alg.sig, [row[r:] for row in ech.rows[: ech.rank]])
+    return ech.rank - rank_xi, [str(e) for e in excluded]
 
 
 def projection_closure(C: CourantPresentation, gens) -> dict:
@@ -206,21 +259,32 @@ def projection_closure(C: CourantPresentation, gens) -> dict:
     Projections of generator brackets are checked for membership in the span
     of projected generators; the first failure is returned as a witness.
     """
-    return _projection_closure(C, gens, lambda i, j: C.alg.bracket(gens[i].x, gens[j].x))
+    return _projection_closure(
+        C, gens, *_echelon(C, gens), lambda i, j: C.alg.bracket(gens[i].x, gens[j].x)
+    )
 
 
-def _projection_closure(C: CourantPresentation, gens, tangent) -> dict:
-    """projection_closure with pi[[g_i, g_j]] read as tangent(i, j)."""
-    alg = C.alg
+def _tangent_view(ech, r: int) -> linalg.Echelon:
+    """The rows of ech whose pivot lies in one of the first r columns, cut to
+    those columns, with ech's excluded factors: a reduced echelon of the
+    first r columns of the eliminated matrix (module docstring, fact 1)."""
+    k = sum(c < r for c in ech.pivots)
+    return linalg.Echelon(ech.sig, [row[:r] for row in ech.rows[:k]], ech.pivots[:k], ech.excluded)
+
+
+def _projection_closure(C: CourantPresentation, gens, ech, shown, tangent) -> dict:
+    """projection_closure with pi[[g_i, g_j]] read as tangent(i, j), reduced
+    against the tangent view of the echelon ech of the generator
+    coordinates, whose printed excluded factors are shown."""
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     if not pairs:
         return {"closed": True, "excluded": []}
-    ech = linalg.rref(alg.sig, [list(g.x) for g in gens])
+    view = _tangent_view(ech, C.alg.rank)
     # each reduce lists ech.excluded, then the factors it adds
     head = len(ech.excluded)
-    excluded = {str(e) for e in ech.excluded}
+    excluded = set(shown)
     for i, j in pairs:
-        ok, residual, exc = ech.reduce(tangent(i, j))
+        ok, residual, exc = view.reduce(tangent(i, j))
         excluded.update(str(e) for e in exc[head:])
         if not ok:
             return {

@@ -297,4 +297,5 @@ def test_closure_report_matches_the_full_ordered_loop():
             assert _dirac_closure(C, gens) == want
         # the closure step alone, which is_dirac reaches only with a rank-one module
         ech = rref(C.alg.sig, coordinates_matrix(gens))
-        assert _closure(C, gens, ech, is_isotropic(C, gens)[0])[0] == want
+        shown = [str(e) for e in ech.excluded]
+        assert _closure(C, gens, ech, shown, is_isotropic(C, gens)[0])[0] == want

@@ -189,12 +189,13 @@ def test_graded_check_jacobi_report_is_byte_identical(tmp_path):
 # for a drawn skew W, mixed by drawn polynomial factors (seed 2 with imaginary
 # parts).  Each elimination pivots on and strips nonconstant factors, so every
 # report has a nonempty excluded list, which the catalog's subbundles rarely
-# reach.  The excluded lists include the echelon of the form columns G_xi,
-# from which intersect_A = rank G - rank G_xi is read.
+# reach.  The excluded lists include the echelon of E_xi, the form columns of
+# G's echelon, from which intersect_A = rank G - rank E_xi is read, and the
+# projection closure's factors over G's own.
 GRAPH_DIRAC_DIGESTS = {
-    1: [1, "64142fe49fdd5194fc91dfe0d081f73030913d3c46f1f25d05c2787efd8fffdd"],
-    2: [1, "fe82796c104c23831667f03301f6dd6089c5f041ed60e18e0127d808c56eb115"],
-    3: [1, "9e5439e1ff022ca35c3c6fd2ae503ff4a6e8fac9b87d39dc51173a590506f7e8"],
+    1: [1, "b17707382a9f0f8a7bbfffd737b23da83c6571a7652a61db1f5d760626daf554"],
+    2: [1, "6d10f7593497c9a720d3578147fc1274df9f876d118dc870931cb048d2ac0274"],
+    3: [1, "53dc1723786a4e3687534dd611170e660996f080dd6f869bae32d0c8c0feff4f"],
 }
 
 
