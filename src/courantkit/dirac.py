@@ -56,7 +56,10 @@ is one of G's excluded factors or vanishes nowhere.  Three facts follow.
 So check-dirac makes two eliminations per generator list, of G and of E_xi,
 and intersect_A = rank G - rank E_xi holds wherever no factor of either
 echelon vanishes: the report lists G's factors, E_xi's and those of the
-reductions.
+reductions.  check-gcr reads the span of L and its conjugate off the same
+echelon (gcr.validate_gcr).  Every factor is in canonical form
+(linalg.canonical_factors), and the reductions of one echelon note theirs in
+one locus list, so each zero set is printed once.
 """
 
 from __future__ import annotations
@@ -149,15 +152,13 @@ def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple
     pairs = [(i, j) for i in range(n) for j in range(i + 1 if isotropic else 0, n) if i != j]
     witness = None
     closed = True
-    # first-seen order: each reduce lists ech.excluded, then the factors it
-    # adds, so only each reduce's factors past them are printed
-    head = len(ech.excluded)
-    excluded = dict.fromkeys(shown) if pairs else {}
+    # every reduce notes its factors in one locus that starts as ech.excluded,
+    # whose texts are shown, so only the factors past them are printed
+    locus = list(ech.excluded)
     brackets = {}
     for i, j in pairs:
         b = brackets[i, j] = C.bracket(gens[i], gens[j])
-        ok, residual, exc = ech.reduce(b.coordinates())
-        excluded.update(dict.fromkeys(str(e) for e in exc[head:]))
+        ok, residual, _ = ech.reduce(b.coordinates(), locus)
         if not ok and witness is None:
             closed = False
             witness = {
@@ -165,7 +166,8 @@ def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple
                 "bracket": b.describe(),
                 "residual": CSection.from_coordinates(C.alg, residual).describe(),
             }
-    return {"closed": closed, "witness": witness, "excluded": list(excluded)}, brackets
+    excluded = shown + [str(e) for e in locus[len(ech.excluded) :]] if pairs else []
+    return {"closed": closed, "witness": witness, "excluded": excluded}, brackets
 
 
 def is_dirac(C: CourantPresentation, gens) -> tuple:
@@ -224,7 +226,7 @@ def graph_two_form(C: CourantPresentation, B: AForm) -> list:
 
 def anchor_intersection(C: CourantPresentation, gens) -> tuple:
     """Generic rank of (span of gens) meet A, with a basis of section parts
-    and the excluded factors, each once in first-seen order."""
+    and the merged excluded locus."""
     alg = C.alg
     r, s = alg.rank, alg.rank_v
     form_cols = [g.coordinates()[r : r + r * s] for g in gens]
@@ -236,7 +238,7 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
         if any(x.terms for x in vec):
             vectors.append(vec)
     rk, exc2 = linalg.rank(alg.sig, vectors) if vectors else (0, [])
-    return rk, vectors, list(dict.fromkeys(str(e) for e in excluded + exc2))
+    return rk, vectors, merged_locus(map(str, excluded), map(str, exc2))
 
 
 def intersect_with_A(C: CourantPresentation, gens) -> int:
@@ -280,17 +282,17 @@ def _projection_closure(C: CourantPresentation, gens, ech, shown, tangent) -> di
     if not pairs:
         return {"closed": True, "excluded": []}
     view = _tangent_view(ech, C.alg.rank)
-    # each reduce lists ech.excluded, then the factors it adds
-    head = len(ech.excluded)
-    excluded = set(shown)
+    # every reduce notes its factors in one locus that starts as ech.excluded
+    locus = list(ech.excluded)
+    out = {"closed": True}
     for i, j in pairs:
-        ok, residual, exc = view.reduce(tangent(i, j))
-        excluded.update(str(e) for e in exc[head:])
+        ok, residual, _ = view.reduce(tangent(i, j), locus)
         if not ok:
-            return {
+            out = {
                 "closed": False,
                 "witness": {"pair": [i, j], "residual": [r.to_str() for r in residual]},
-                "excluded": sorted(excluded),
             }
-    return {"closed": True, "excluded": sorted(excluded)}
+            break
+    out["excluded"] = merged_locus(shown, map(str, locus[len(ech.excluded) :]))
+    return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection, _combine
-from .dirac import coordinates_matrix, is_dirac, merged_locus
+from .dirac import _dirac, merged_locus
 from .exterior import AForm, FScalar, Multivector, contract
 from .linalg import LinalgError
 from .ring import GR_I, coerce_elem
@@ -182,18 +182,49 @@ def l_generators(S: GCRStructure) -> list:
     return gens
 
 
+def _gj_antisymmetric(S: GCRStructure) -> bool:
+    """Whether G J = [J[h:]; J[:h]] is antisymmetric: n(n + 1)/2 entry sums,
+    on and above the diagonal, in place of orthogonality_defect's product
+    once J^2 = -1 (validate_gcr's docstring)."""
+    h = S.hb.h
+    GJ = S.j[h:] + S.j[:h]
+    return not any(
+        (GJ[a][b] + GJ[b][a]).terms for a in range(2 * h) for b in range(a, 2 * h)
+    )
+
+
 def validate_gcr(S: GCRStructure) -> dict:
     """Full verdict: algebraic conditions, then the lifted-eigenspace checks.
 
     When the algebraic conditions hold, report["l_generators"] holds the
     generators that the Dirac and conjugate-intersection checks ran on.
+
+    Orthogonality.  With G^2 = 1 and G^T = G, (G J + (G J)^T) J = G J^2 +
+    J^T G J, which is J^T G J - G once J^2 = -1.  J is then invertible, so J
+    preserves the pairing iff G J is antisymmetric, and only a G J that is not
+    computes orthogonality_defect, which gives the witness.
+
+    The conjugate span.  The Dirac checks eliminate the generator matrix G to
+    its echelon E (see the dirac module docstring): off the locus of G's
+    excluded factors, E = T G with T invertible.  Conjugating coefficients is
+    a ring automorphism, so conj(E) = conj(T) conj(G), and at a real point p,
+    where every coordinate and exponential generator takes a real value,
+    conj(f)(p) = conj(f(p)): conj(T)(p) is invertible wherever T(p) is.  So
+    the rows of E and of conj(E) span [G; conj(G)] wherever G's factors do not
+    vanish.  Each conjugate row reduces against E to a residual, which
+    differs from a nonzero multiple of it by a combination of E's rows, so
+    [E; R], R the nonzero residuals, spans the same rows.  R is zero in every
+    pivot column of E, and each pivot column of E is zero outside its own
+    row, so a combination a E + b R = 0 has a = 0 there: rank [G; conj(G)]
+    = rank E + rank R.  Only R, at most m rows, is eliminated, and the
+    locus gains the factors of the reductions and of R's echelon.
     """
     report: dict = {"ok": False}
     sq = j_square_defect(S)
     report["j_square_ok"] = sq is None
     if sq is not None:
         report["j_square_witness"] = {"entry": list(sq[0]), "value": str(sq[1])}
-    orth = orthogonality_defect(S)
+    orth = orthogonality_defect(S) if sq is not None or not _gj_antisymmetric(S) else None
     report["orthogonal_ok"] = orth is None
     if orth is not None:
         report["orthogonal_witness"] = {"entry": list(orth[0]), "value": str(orth[1])}
@@ -202,22 +233,33 @@ def validate_gcr(S: GCRStructure) -> dict:
         return report
     gens = l_generators(S)
     report["l_generators"] = gens
-    dirac_ok, dirac_report = is_dirac(S.hb.C, gens)
+    dirac_ok, dirac_report, ech, shown, _ = _dirac(S.hb.C, gens)
     report["lagrangian_ok"] = dirac_report["lagrangian"]
     report["involutive_ok"] = dirac_report["involutive"]
     report["dirac_report"] = dirac_report
     alg = S.hb.C.alg
-    stacked = coordinates_matrix(gens) + coordinates_matrix(
-        [g.conjugate() for g in gens]
-    )
-    r, excluded = linalg.rank(alg.sig, stacked)
+    r, excluded = _conjugate_span(alg.sig, ech)
     report["conjugate_span_rank"] = r
     report["intersection_ok"] = r == alg.rank + S.hb.h
     report["excluded"] = merged_locus(
-        dirac_report["excluded"], dirac_report["involutive_excluded"], map(str, excluded)
+        shown, dirac_report["involutive_excluded"], map(str, excluded)
     )
     report["ok"] = bool(dirac_ok and report["intersection_ok"])
     return report
+
+
+def _conjugate_span(sig, ech) -> tuple:
+    """(rank [G; conj(G)], the factors that verdict adds to ech's locus) for
+    the echelon ech = E of G: rank E plus the rank of the residuals of
+    conj(E)'s rows reduced against E (validate_gcr's docstring)."""
+    locus = list(ech.excluded)
+    residuals = []
+    for row in ech.rows[: ech.rank]:
+        ok, residual, _ = ech.reduce([x.conjugate() for x in row], locus)
+        if not ok:
+            residuals.append(residual)
+    rank_r, excluded_r = linalg.rank(sig, residuals) if residuals else (0, [])
+    return ech.rank + rank_r, locus[len(ech.excluded) :] + excluded_r
 
 
 def extract_bivector(S: GCRStructure) -> Multivector:

@@ -13,13 +13,20 @@ same read).  That division is legitimate over the fraction field: the
 verdicts (rank, span membership, nullspace) are *generic*, valid off the
 vanishing locus of the recorded pivots and stripped factors.  The `excluded`
 list returned alongside each verdict names those factors.
+
+An excluded list is a locus: each element noted in it goes through the one
+helper canonical_factors (ring.py, which owns the term format), and each
+canonical factor is listed once, in first-seen order.  One zero set thus has
+one text, whatever unit, exponential monomial or constant its pivots carry,
+and a coordinate monomial is listed as its variables.  Every list the
+program prints is made this way, so merging lists needs no further care.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .ring import Accumulator, RingSignature, coerce_elem, normalize_row
+from .ring import Accumulator, RingSignature, canonical_factors, coerce_elem, normalize_row
 
 
 class LinalgError(ValueError):
@@ -68,42 +75,51 @@ class Echelon:
     """Result of a fraction-free Gauss-Jordan pass: row k < rank has its pivot
     in column pivots[k], and that column is zero in every other row."""
 
-    __slots__ = ("sig", "rows", "pivots", "excluded")
+    __slots__ = ("sig", "rows", "pivots", "excluded", "_pivot_factors")
 
     def __init__(self, sig, rows, pivots, excluded):
         self.sig = sig
         self.rows = rows
         self.pivots = pivots  # pivot column of each nonzero row, in order
         self.excluded = excluded
+        self._pivot_factors = None  # canonical factors of each pivot, on first reduce
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v) -> tuple:
+    def reduce(self, v, locus=None) -> tuple:
         """Generic span membership of v in the row space, with a residual witness.
 
         Returns (in_span, residual, excluded): residual is v reduced against
         the echelon rows (scaled by nonzero pivots), so a nonzero residual
-        certifies v outside the span over the fraction field.
+        certifies v outside the span over the fraction field.  excluded is a
+        copy of the echelon's own list with the factors of the reduction
+        noted in it, or, when a locus list is passed, that list with them
+        noted: callers that reduce many vectors pass one list that starts as
+        a copy of self.excluded.
         """
         sig = self.sig
         vec = [coerce_elem(sig, x) for x in v]
-        excluded = list(self.excluded)
-        for row, c in zip(self.rows, self.pivots):
+        excluded = list(self.excluded) if locus is None else locus
+        factors = self._pivot_factors
+        if factors is None:
+            factors = self._pivot_factors = [
+                canonical_factors(row[c]) for row, c in zip(self.rows, self.pivots)
+            ]
+        for row, c, fs in zip(self.rows, self.pivots, factors):
             if vec[c].is_zero():
                 continue
-            _note_excluded(excluded, row[c])
+            excluded.extend(f for f in fs if f not in excluded)
             vec = _eliminate(vec, row, c, excluded)
         return all(x.is_zero() for x in vec), vec, excluded
 
 
 def _note_excluded(excluded, elem):
-    if elem is None or elem.is_constant():
-        return
-    if any(e == elem for e in excluded):
-        return
-    excluded.append(elem)
+    """Note the canonical factors of elem in the locus list excluded, each
+    once; None and constants add nothing."""
+    if elem is not None and not elem.is_constant():
+        excluded.extend(f for f in canonical_factors(elem) if f not in excluded)
 
 
 def _eliminate(row, prow, col, excluded) -> list:

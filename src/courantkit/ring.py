@@ -32,6 +32,8 @@ derivative loop, and RingElem.partial is it along a unit vector.  primitive
 reads slots 0..n-1 as a row divided by its rational content and common
 monomial, each coefficient built once over d = 1; it is the one content and
 monomial strip, and normalize_row adds a row to an Accumulator and reads it.
+canonical_factors reads one element through it as the canonical factors of
+its zero set, the form in which an excluded locus lists it.
 Callers see only RingElems: the keys, the triples and the slot storage stay
 inside this module.
 """
@@ -279,6 +281,8 @@ class RingSignature:
     # the zero and unit elements, shared: elements are immutable
     _zero: "RingElem" = field(init=False, repr=False, compare=False)
     _one: "RingElem" = field(init=False, repr=False, compare=False)
+    # the coordinates x_1..x_n as elements, for canonical_factors
+    _variables: tuple = field(init=False, repr=False, compare=False)
     # generator name -> its place in a monomial key, for the parser
     _index: dict = field(init=False, repr=False, compare=False)
     # per coordinate x_j, the rates of the exponential generators along it:
@@ -294,6 +298,7 @@ class RingSignature:
         object.__setattr__(self, "_index", {nm: k for k, nm in enumerate(names)})
         object.__setattr__(self, "_zero", _elem(self, {}))
         object.__setattr__(self, "_one", _elem(self, {(0,) * len(names): GR_ONE}))
+        object.__setattr__(self, "_variables", tuple(map(self._generator, range(len(self.coords)))))
         if len(set(names)) != len(names):
             raise RingError("coordinate/exponential names must be distinct")
         for nm in names:
@@ -565,12 +570,23 @@ class RingElem:
         return tuple(map(min, zip(*self.terms)))
 
     def exact_div(self, g: "RingElem"):
-        """Return self/g if g divides exactly, else None."""
+        """Return self/g if g divides exactly, else None.
+
+        A unit g (one term, no coordinate part) always divides: the quotient
+        is the one product self * g.unit_inverse(), with no division loop.
+        """
         self._check(g)
         if g.is_zero():
             raise ZeroDivisionError("division by zero ring element")
         if self.is_zero():
             return self.sig.zero()
+        nc = self.sig.ncoords
+        if len(g.terms) == 1 and not any(next(iter(g.terms))[:nc]):
+            return self * g.unit_inverse()
+        return self._divide(g)
+
+    def _divide(self, g: "RingElem"):
+        """exact_div for nonzero self and g by the division loop."""
         nc = self.sig.ncoords
         mf, mg = self._min_key(), g._min_key()
         if any(a < b for a, b in zip(mf[:nc], mg[:nc])):
@@ -913,6 +929,37 @@ def normalize_row(row: list) -> tuple:
     for k, e in enumerate(row):
         acc.add(e, 1, k)
     return acc.primitive(len(row))
+
+
+def canonical_factors(f: RingElem) -> tuple:
+    """The canonical factors of f: elements whose zero sets on real points
+    together make up f's, one text per zero set up to units and constants.
+
+    The exponential generators and the nonzero constants are units, so they
+    vanish nowhere.  normalize_row divides f by its rational content, which
+    leaves Gaussian-integer coefficients with gcd 1, and by its least
+    monomial; the cofactor is that row entry times the one unit among 1, i, -1
+    and -i that puts its leading coefficient, at the greatest monomial key, in
+    the first quadrant (real part > 0, imaginary part >= 0).  The coordinate
+    part x^k of the least monomial vanishes where some x_j with k_j > 0 does,
+    so each such x_j is a factor of its own.  Returns those coordinates, in
+    coordinate order, then the cofactor unless it is a constant.  So f and
+    u * c * m * f have the same cofactor for a unit u, a constant c and a
+    monomial m, and the canonical factors of a canonical factor are itself.
+    """
+    sig, terms = f.sig, f.terms
+    if len(terms) < 2:
+        return tuple(v for v, k in zip(sig._variables, next(iter(terms))) if k) if terms else ()
+    (g,), witness = normalize_row([f])
+    out = () if witness is None else tuple(v for v, k in zip(sig._variables, next(iter(witness.terms))) if k)
+    lead = g.terms[max(g.terms)]
+    a, b = lead._a, lead._b
+    if a > 0 and b >= 0:
+        return out + (g,)
+    # times the unit p + q*i, -i, -1 or i, that turns the leading coefficient
+    # into the first quadrant; g's coefficients are over d = 1
+    p, q = (0, -1) if a <= 0 < b else (-1, 0) if a < 0 else (0, 1)
+    return out + (_elem(sig, {k: _gr(p * c._a - q * c._b, p * c._b + q * c._a, 1) for k, c in g.terms.items()}),)
 
 
 def coerce_elem(sig: RingSignature, value) -> RingElem:

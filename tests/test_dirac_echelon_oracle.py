@@ -23,7 +23,8 @@ import pytest
 from courantkit import catalog, cli, io, linalg
 from courantkit.dirac import _tangent_view, coordinates_matrix, is_dirac
 from courantkit.linalg import Echelon
-from test_intersect_oracle import GRAPH_CASES, _check_dirac, _field_rank, _graph_gens, _points
+from point_oracle import field_rank, points
+from test_intersect_oracle import GRAPH_CASES, _check_dirac, _graph_gens
 
 # hand-made --subbundle lists over tangent-r3: the plane field span{d/dx,
 # d/dy + x d/dz}, which brackets out of itself; a list that is not isotropic;
@@ -124,13 +125,13 @@ def test_echelon_readings_match_the_full_computations(tmp_path, case):
         # the projection verdict
         details = report["details"][sub]
         rank_g = v[f"{sub}.lagrangian"]["residual"]["rank"]
-        for pt in _points(sig, details["excluded"], seed):
-            assert _field_rank(rows, pt) == rank_g, pt
-            rank_xi = _field_rank([row[r:] for row in rows], pt)
+        for pt in points(sig, details["excluded"], seed):
+            assert field_rank(rows, pt) == rank_g, pt
+            rank_xi = field_rank([row[r:] for row in rows], pt)
             assert rank_g - rank_xi == details["intersect_A"], pt
             xs = [row[:r] for row in rows]
-            rank_x = _field_rank(xs, pt)
-            at_point = all(_field_rank(xs + [w], pt) == rank_x for _, w in _projections(C, gens))
+            rank_x = field_rank(xs, pt)
+            at_point = all(field_rank(xs + [w], pt) == rank_x for _, w in _projections(C, gens))
             assert at_point == closed, pt
     assert some_projection_fails == (case in PROJECTION_FAILS)
 
@@ -151,7 +152,7 @@ def _counting_run(tmp_path, monkeypatch, doc) -> tuple:
         return out
 
     monkeypatch.setattr(linalg, "rref", lambda sig, M: rrefs.append(1) or real_rref(sig, M))
-    monkeypatch.setattr(Echelon, "reduce", lambda s, v: reduced.append(len(v)) or real_reduce(s, v))
+    monkeypatch.setattr(Echelon, "reduce", lambda s, v, *a: reduced.append(len(v)) or real_reduce(s, v, *a))
     monkeypatch.setattr(cli, "_check_dirac", check)
     report = _check_dirac(tmp_path, doc)
     monkeypatch.undo()

@@ -423,7 +423,7 @@ def test_check_gcr_add_product_counts(monkeypatch, tmp_path):
     # Accumulator.add_product calls of a whole check-gcr run, a deterministic
     # count.  Each elimination step makes one product per nonzero entry of
     # its two rows outside the pivot column: two fewer than forming the
-    # pivot column too, which always cancels (115 and 42 products that way).
+    # pivot column too, which always cancels (83 and 32 products that way).
     import contextlib
     import io as _stdio
     import json
@@ -446,7 +446,7 @@ def test_check_gcr_add_product_counts(monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(linalg, "_eliminate", step)
-    for name, code, want, nsteps in (("cr-control-r5", 1, 75, 20), ("symplectic-r2", 0, 30, 6)):
+    for name, code, want, nsteps in (("cr-control-r5", 1, 57, 13), ("symplectic-r2", 0, 24, 4)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(io.definition_to_json(catalog.load(name))))
         products.clear()

@@ -4,9 +4,7 @@ check-dirac reads dim(L meet A) as rank G - rank G_xi (dirac module
 docstring).  Here that number is compared with the rank of the basis
 `anchor_intersection` builds from a nullspace of the form columns, and with
 plain Fraction elimination of G and G_xi at seeded rational points where no
-factor of the report's `excluded` list vanishes.  A matrix over Q(i) is
-ranked through its real form [[A, -B], [B, A]], whose rank is twice that of
-A + iB.
+factor of the report's `excluded` list vanishes (point_oracle).
 
 The inputs are graph subbundles on tangent-r3, rational and Gaussian, of
 closed and of non-closed two-forms, mixed by unimodular row operations with
@@ -17,14 +15,13 @@ and every catalog subbundle.
 import contextlib
 import io as _stdio
 import json
-from fractions import Fraction
 
 import pytest
 
-from ce_oracle import _rank as fraction_rank
 from courantkit import catalog, cli, io, linalg
 from courantkit.dirac import anchor_intersection, intersect_with_A
 from courantkit.sampling import SplitMix
+from point_oracle import field_rank, points
 
 MODES = ("rational", "gaussian")
 SHAPES = ("graph", "drop", "repeat")
@@ -95,50 +92,14 @@ def _check_dirac(tmp_path, doc) -> dict:
     return json.loads(out.getvalue())
 
 
-def _value(elem, point) -> tuple:
-    """(re, im) of a polynomial at a rational point, summed term by term."""
-    re = im = Fraction(0)
-    for key, c in elem.terms.items():
-        if len(key) != len(point):
-            raise ValueError("the point oracle handles coordinates only")
-        m = Fraction(1)
-        for x, k in zip(point, key):
-            m *= x**k
-        re += c.re * m
-        im += c.im * m
-    return re, im
-
-
-def _field_rank(rows, point) -> int:
-    """Rank over Q(i) of a polynomial matrix at a point, by Fraction elimination."""
-    vals = [[_value(c, point) for c in row] for row in rows]
-    real = [[v[0] for v in row] + [-v[1] for v in row] for row in vals]
-    real += [[v[1] for v in row] + [v[0] for v in row] for row in vals]
-    rk = fraction_rank(real)
-    assert rk % 2 == 0
-    return rk // 2
-
-
-def _points(sig, excluded, seed: int, count: int = 2) -> list:
-    """Seeded rational points at which no excluded factor vanishes."""
-    factors = [sig.parse(e) for e in excluded]
-    rng = SplitMix(seed)
-    out = []
-    while len(out) < count:
-        pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(sig.ncoords)]
-        if all(_value(f, pt) != (0, 0) for f in factors):
-            out.append(pt)
-    return out
-
-
 def _check_intersection(C, gens, rows, details, seed):
     """The report's intersect_A against the nullspace basis and two points."""
     want = details["intersect_A"]
     assert anchor_intersection(C, gens)[0] == want
     assert intersect_with_A(C, gens) == want
     r = C.alg.rank
-    for pt in _points(C.alg.sig, details["excluded"], seed):
-        assert _field_rank(rows, pt) - _field_rank([row[r:] for row in rows], pt) == want, pt
+    for pt in points(C.alg.sig, details["excluded"], seed):
+        assert field_rank(rows, pt) - field_rank([row[r:] for row in rows], pt) == want, pt
     return want
 
 

@@ -80,7 +80,7 @@ DIGESTS = {
     "check-dirac/dirac-nonclosed-r3": [1, "16bd0fb943c3bce358044cd4f2e3c1649c0c560e137fb258347f40ac5743a804"],
     "check-gcr/contact-r3": [0, "7a6c4d80a034d08c6416d92d4edf994dd41723ec0713e58b333a443b25186b60"],
     "check-gcr/cr-complex-r2": [0, "92bf0c5e3db072e2ea55abc6b3ecbb63a8cf0ef8afd539b6192e5082de08bdaf"],
-    "check-gcr/cr-control-r5": [1, "5618e8491742f808d634383b0129621bf62255b4e8f4cf211410b5581e59982a"],
+    "check-gcr/cr-control-r5": [1, "2d299b8eb420bc61e522feb47c3f4adadd3f2726cd7b0a498f05ce97488d1d8d"],
     "check-gcr/cr-levi-flat-r3": [0, "8d21f2a0e2709a1eb5dece9669bb86ab463fda20d44f23b4372e91e66f06add0"],
     "check-gcr/symplectic-r2": [0, "34d61072899e2876fa2d910dae2b61674a8cac7666f93c1d9ea01204c6872120"],
     "check-jacobi/contact-r3": [0, "295d11585bdd03231d5953df43842ddd5d3355704c6cd0fa5efdbf8fe2255e34"],
@@ -191,11 +191,13 @@ def test_graded_check_jacobi_report_is_byte_identical(tmp_path):
 # report has a nonempty excluded list, which the catalog's subbundles rarely
 # reach.  The excluded lists include the echelon of E_xi, the form columns of
 # G's echelon, from which intersect_A = rank G - rank E_xi is read, and the
-# projection closure's factors over G's own.
+# projection closure's factors over G's own.  Re-taken when each excluded
+# factor came to be listed in its canonical form (linalg.canonical_factors),
+# which changed the excluded lists and nothing else.
 GRAPH_DIRAC_DIGESTS = {
-    1: [1, "b17707382a9f0f8a7bbfffd737b23da83c6571a7652a61db1f5d760626daf554"],
-    2: [1, "6d10f7593497c9a720d3578147fc1274df9f876d118dc870931cb048d2ac0274"],
-    3: [1, "53dc1723786a4e3687534dd611170e660996f080dd6f869bae32d0c8c0feff4f"],
+    1: [1, "4bc3b87285a261e2b003f1c215a08a5a1f5273a28233d34b0be597eac48b4de9"],
+    2: [1, "68d1172237f3fced5ed47413354da36257dfc1aa4b342d54c10973044c5f6906"],
+    3: [1, "61ad7c6540008dfc629f64e3489c78b3afc5f0af345b7829b70051d74ad8c726"],
 }
 
 
@@ -238,15 +240,16 @@ def test_graph_subbundle_check_dirac_reports_are_byte_identical(tmp_path, seed):
 
 # check-dirac on two more seeded subbundles over tangent-r3, digests taken
 # before closure learned to skip mirrored pairs ("late-witness" re-taken when
-# intersect_A came to be read as rank G - rank G_xi, which changed its excluded
-# list and nothing else).  "asymmetric": e_i + W_i for
+# intersect_A came to be read as rank G - rank G_xi, and again when excluded
+# factors came to be listed in canonical form, each of which changed its
+# excluded list and nothing else).  "asymmetric": e_i + W_i for
 # a drawn W with a symmetric part, so the generators are not isotropic and
 # closure brackets every ordered pair.  "late-witness": a graph of a drawn
 # skew W whose second generator is a multiple of the first; the pair [0, 1]
 # closes, so the involutivity witness is a later pair.
 SUBBUNDLE_DIRAC_DIGESTS = {
     "asymmetric": [1, "f0495ffb79cd8ef40bc98a9b49b4279a3405faf5e156f48f5bde91cf35a0518a"],
-    "late-witness": [1, "572351e22f1788d84e6fae20d6207c5a1a805a2c0f830167d2076566953c3872"],
+    "late-witness": [1, "93f378dc2ed5c5afee5e9649636a2e5d86dd06cc67e93d17eacbe3bd6bc9be49"],
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from courantkit import linalg
 from courantkit.linalg import LinalgError
-from courantkit.ring import Accumulator, ExpGen, GaussRat, RingElem, RingSignature
+from courantkit.ring import Accumulator, ExpGen, GaussRat, RingElem, RingSignature, canonical_factors
 from courantkit.sampling import SplitMix
 
 from calculus_oracle import content_normalize_row, termwise_derivation
@@ -201,7 +201,7 @@ def test_eliminate_matches_the_normalized_cross_multiplication():
         p, c = prow[col], row[col]
         want, witness = content_normalize_row([p * a - c * b for a, b in zip(row, prow)])
         assert got == want and got[col].is_zero()
-        assert excluded == ([] if witness is None or witness.is_constant() else [witness])
+        assert excluded == ([] if witness is None else list(canonical_factors(witness)))
         for e in got:
             assert all(c._d > 0 and c for c in e.terms.values())
         checked += 1
@@ -325,8 +325,8 @@ def _reference_step(row, prow, col):
 
 
 def _reference_note(excluded, elem):
-    if elem is not None and not elem.is_constant() and elem not in excluded:
-        excluded.append(elem)
+    if elem is not None:
+        excluded.extend(f for f in canonical_factors(elem) if f not in excluded)
 
 
 def _reference_rref(M):
@@ -443,7 +443,7 @@ def test_pivot_skipping_step_matches_the_full_cross_multiplication(monkeypatch):
         products.clear()
         got = linalg._eliminate(row, prow, col, excluded)
         assert got == want and not got[col].terms
-        assert excluded == ([] if witness is None or witness.is_constant() else [witness])
+        assert excluded == ([] if witness is None else list(canonical_factors(witness)))
         # one product per nonzero entry of either row outside the pivot column,
         # two fewer than the full loop, whose pivot products always cancel
         outside = sum(bool(e.terms) for k, e in enumerate(row + prow) if k % len(row) != col)
@@ -473,3 +473,119 @@ def test_rref_and_reduce_match_the_ringelem_reference():
         for v in (_oracle_row(rng, m, 1), [_oracle_entry(rng, 1) * e for e in M[0]]):
             assert ech.reduce(v) == _reference_reduce(rows, pivots, excluded, v)
     assert len(ranks) >= 3
+
+
+# -- canonical excluded factors ---------------------------------------------------
+
+
+def _is_canonical_cofactor(g) -> bool:
+    """Gaussian-integer coefficients with gcd 1, no common monomial, and the
+    coefficient at the greatest key in the first quadrant."""
+    from math import gcd
+
+    cs = list(g.terms.values())
+    lead = g.terms[max(g.terms)]
+    return (
+        len(cs) > 1
+        and all(c._d == 1 for c in cs)
+        and gcd(*(x for c in cs for x in (c._a, c._b))) == 1
+        and not any(map(min, zip(*g.terms)))
+        and lead._a > 0 <= lead._b
+    )
+
+
+def _drawn_factor(rng):
+    """An entry over GSIG, one draw in three times a drawn coordinate and
+    exponential monomial with a Gaussian coefficient."""
+    f = _oracle_entry(rng)
+    if rng.randint(0, 2) == 0:
+        c = GaussRat(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7))), rng.choice((0, 0, 1, -2)))
+        f = f * GSIG.monomial([rng.randint(0, 2), rng.randint(0, 2)], [rng.randint(-2, 2)], c)
+    return f
+
+
+def test_canonical_factors_leave_a_unit_constant_and_monomial():
+    # f = u * c * m * cofactor exactly, for an exponential unit u, a constant
+    # c and a coordinate monomial m whose variables are the listed ones
+    rng = SplitMix(3301)
+    nc = GSIG.ncoords
+    seen = {"variables": 0, "no_cofactor": 0, "exp_unit": 0, "gaussian_lead": 0}
+    for _ in range(400):
+        f = _drawn_factor(rng)
+        if not f.terms:
+            continue
+        factors = canonical_factors(f)
+        cof = factors[-1] if factors and len(factors[-1].terms) > 1 else None
+        variables = factors[:-1] if cof is not None else factors
+        q = f if cof is None else f.exact_div(cof)
+        assert q is not None and len(q.terms) == 1
+        ((key, c),) = q.terms.items()
+        assert f == (GSIG.monomial(key[:nc], key[nc:], c) * cof if cof is not None else q)
+        assert list(variables) == [GSIG.coord(GSIG.coords[j]) for j in range(nc) if key[j]]
+        if cof is not None:
+            assert _is_canonical_cofactor(cof), cof
+            seen["gaussian_lead"] += any(x._b for x in f.terms.values())
+        seen["variables"] += bool(variables)
+        seen["no_cofactor"] += cof is None
+        seen["exp_unit"] += any(key[nc:])
+    assert min(seen.values()) >= 10, seen
+
+
+def test_canonical_factors_are_idempotent_and_blind_to_units_constants_and_monomials():
+    rng = SplitMix(3303)
+    units = [GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1)]
+    checked = 0
+    for _ in range(300):
+        f = _drawn_factor(rng)
+        if not f.terms:
+            continue
+        factors = canonical_factors(f)
+        for g in factors:
+            assert canonical_factors(g) == (g,)
+        c = units[rng.randint(0, 3)] * GaussRat(Fraction(rng.choice((1, 2, -3)), rng.choice((1, 5))))
+        m = GSIG.monomial([rng.randint(0, 2), rng.randint(0, 1)], [rng.randint(-2, 2)], c)
+        moved = canonical_factors(f * m)
+        # the same cofactor, and the variables of m joined to f's
+        assert [g for g in moved if len(g.terms) > 1] == [g for g in factors if len(g.terms) > 1]
+        assert {str(g) for g in factors if len(g.terms) == 1} <= {str(g) for g in moved}
+        checked += 1
+    assert checked > 250
+    # the zero element and the constants have no factors
+    assert canonical_factors(GSIG.zero()) == () and canonical_factors(GSIG.const(GaussRat(2, 3))) == ()
+
+
+def _excluded_lists(report) -> list:
+    details = report.get("details") if isinstance(report, dict) else None
+    if not isinstance(details, dict):
+        return []
+    lists = [details["excluded"]] if "excluded" in details else []
+    return lists + [d["excluded"] for d in details.values() if isinstance(d, dict) and "excluded" in d]
+
+
+def test_no_report_lists_two_factors_that_differ_by_a_unit_a_constant_or_a_monomial():
+    # every catalog report and every seed-0 benchmark report
+    import itertools
+    import json
+    import re
+
+    from identity_outputs import outputs
+
+    lists = []
+    for key, out in outputs().items():
+        try:
+            report = json.loads(out["stdout"])
+        except ValueError:
+            continue
+        lists += [(key, lst) for lst in _excluded_lists(report)]
+    names = sorted({n for _, lst in lists for t in lst for n in re.findall(r"[A-Za-z_]\w*", t)} - {"i"})
+    sig = RingSignature(tuple(names))  # no catalog or benchmark ring has exponential generators
+    pairs = 0
+    for key, lst in lists:
+        factors = [sig.parse(t) for t in lst]
+        assert all(canonical_factors(f) == (f,) for f in factors), (key, lst)
+        for f, g in itertools.combinations(factors, 2):
+            # with no common monomial, f = c * g for a constant c is the only way
+            lf, lg = f.terms[max(f.terms)], g.terms[max(g.terms)]
+            assert not (f.terms.keys() == g.terms.keys() and f * lg == g * lf), (key, f, g)
+            pairs += 1
+    assert len(lists) > 200 and pairs > 400, (len(lists), pairs)

@@ -121,6 +121,26 @@ def test_exact_div_round_trip_gaussian_laurent():
     assert (q * g).exact_div(g) == q
 
 
+def test_exact_div_by_a_unit_is_the_division_loop():
+    # a unit g, c * Et^n, divides by one product with g.unit_inverse(); the
+    # quotient equals the division loop's on seeded Gaussian elements,
+    # Laurent in Et
+    rng = SplitMix(43)
+    u = SIG.exp_gen("Et")
+    seen = {"gaussian": 0, "laurent": 0}
+    for k in range(60):
+        f = rng.ring_elem(SIG, max_degree=3, terms=4, complex_ok=True) * u ** (k % 3 - 1)
+        c = GaussRat(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6)), rng.randint(-2, 2))
+        g = SIG.monomial((0, 0), (k % 7 - 3,), c)
+        q = f.exact_div(g)
+        assert q == f._divide(g)
+        assert q * g == f
+        seen["gaussian"] += bool(c._b)
+        seen["laurent"] += any(key[-1] < 0 for key in g.terms)
+    assert seen["gaussian"] >= 10 and seen["laurent"] >= 10, seen
+    assert SIG.zero().exact_div(u) == SIG.zero()
+
+
 def test_parse_budgets():
     from courantkit.ring import MAX_EXPONENT, MAX_TERMS
 

@@ -2,6 +2,8 @@
 
     python3 tools/identity.py --write FILE
     python3 tools/identity.py --diff A B
+    python3 tools/identity.py --golden tests/golden/identity.json
+    python3 tools/identity.py --check tests/golden/identity.json
 
 Run from the root of a source checkout; the program is imported from ``src/``
 and the benchmark's inputs from ``perfbench/workloads.py``, which this script
@@ -20,6 +22,14 @@ Inputs are written to a temporary directory and named by relative paths, so no
 text depends on where it lies.  ``--diff A B`` prints each key whose hash
 differs, with a unified diff of its old and new text, and each key that one
 file lacks; it exits 1 when there is any, 0 when the two files agree.
+
+``--golden FILE`` writes the checked-in form: one line per key, mapping it to
+its exit code and sha256 alone.  ``--check FILE`` runs every output again and prints each
+key whose exit code or hash differs from FILE's, or that only one side has;
+it exits 1 when there is any.  A change that alters reports on purpose
+rewrites tests/golden/identity.json with ``--golden``, so that the file's own
+diff names every changed key; tests/test_golden_identity.py checks the catalog
+keys and the seed-0 benchmark keys against it.
 """
 
 from __future__ import annotations
@@ -72,10 +82,10 @@ def catalog_outputs():
             yield (f"catalog/{name}/cohomology --k {k}",) + _cli(["cohomology", "--defs", path, "--k", str(k)])
 
 
-def benchmark_outputs():
+def benchmark_outputs(seeds=SEEDS):
     """(key, exit code, stdout, stderr) of every benchmark verdict at each seed."""
     for workload, build in workloads.BUILDERS.items():
-        for seed in SEEDS:
+        for seed in seeds:
             cases = build(random.Random(f"{workload}:{seed}"), ".")
             for case in cases:
                 key = f"bench/{workload}/{seed}/{case.name}"
@@ -90,28 +100,65 @@ def benchmark_outputs():
                     yield (key,) + out
 
 
-def write(path: str) -> int:
-    path = os.path.abspath(path)
-    outputs = {}
+def outputs(seeds=SEEDS) -> dict:
+    """Every catalog output and every benchmark verdict at the given seeds,
+    key -> {code, sha256, stderr, stdout}, run in a temporary directory."""
+    out = {}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for gen in (catalog_outputs(), benchmark_outputs()):
-                for key, code, out, err in gen:
-                    outputs[key] = {
+            for gen in (catalog_outputs(), benchmark_outputs(seeds)):
+                for key, code, stdout, stderr in gen:
+                    out[key] = {
                         "code": code,
-                        "sha256": _fingerprint(code, out, err),
-                        "stderr": err,
-                        "stdout": out,
+                        "sha256": _fingerprint(code, stdout, stderr),
+                        "stderr": stderr,
+                        "stdout": stdout,
                     }
         finally:
             os.chdir(here)
+    return out
+
+
+def write(path: str) -> int:
+    got = outputs()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(outputs, fh, indent=0, sort_keys=True)
+        json.dump(got, fh, indent=0, sort_keys=True)
         fh.write("\n")
-    print(f"{len(outputs)} outputs recorded in {path}")
+    print(f"{len(got)} outputs recorded in {path}")
     return 0
+
+
+def write_golden(path: str) -> int:
+    """One line per key, "key": [exit code, sha256], in key order."""
+    got = outputs()
+    lines = [f"{json.dumps(k)}: {json.dumps([got[k]['code'], got[k]['sha256']])}" for k in sorted(got)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"{len(got)} outputs recorded in {path}")
+    return 0
+
+
+def _seed(key: str):
+    """The seed of a benchmark key, None for a catalog key."""
+    return int(key.split("/")[2]) if key.startswith("bench/") else None
+
+
+def compare(golden: dict, got: dict, seeds=SEEDS) -> list:
+    """The keys whose exit code or hash in got differs from the golden
+    file's, as lines, over the catalog keys and the benchmark keys at the
+    given seeds; a key that only one side has is a line too."""
+    problems = []
+    for key in sorted(got.keys() | golden.keys()):
+        if key not in got:
+            if _seed(key) is None or _seed(key) in seeds:
+                problems.append(f"only in the golden file: {key}")
+        elif key not in golden:
+            problems.append(f"not in the golden file: {key}")
+        elif [got[key]["code"], got[key]["sha256"]] != golden[key]:
+            problems.append(f"changed: {key} (exit code {golden[key][0]} -> {got[key]['code']})")
+    return problems
 
 
 def _lines(output: dict) -> list:
@@ -150,8 +197,21 @@ def main(argv=None) -> int:
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--write", metavar="FILE", help="record every output and its hash in FILE")
     group.add_argument("--diff", nargs=2, metavar=("A", "B"), help="diff the outputs whose hashes differ")
+    group.add_argument("--golden", metavar="FILE", help="record every output's exit code and hash in FILE")
+    group.add_argument("--check", metavar="FILE", help="compare every output with the hashes in FILE")
     args = ap.parse_args(argv)
-    return write(args.write) if args.write else diff(*args.diff)
+    if args.write:
+        return write(args.write)
+    if args.golden:
+        return write_golden(args.golden)
+    if args.check:
+        with open(args.check, encoding="utf-8") as fh:
+            problems = compare(json.load(fh), outputs())
+        for line in problems:
+            print(line)
+        print(f"{len(problems)} keys differ from {args.check}", file=sys.stderr)
+        return 1 if problems else 0
+    return diff(*args.diff)
 
 
 if __name__ == "__main__":
