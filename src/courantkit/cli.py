@@ -251,7 +251,7 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
             _verdict("involutive", rep["involutive_ok"], witness=witness),
             _verdict("conjugate_intersection", rep["intersection_ok"], residual=span),
         ]
-    details = {"excluded": sorted(rep.get("excluded", []))}
+    details = {"excluded": rep.get("excluded", [])}
     if rep["ok"]:
         details["l_generators"] = [io.csection_to_json(g) for g in rep["l_generators"]]
         # validate_gcr found J^2 = -1 and J^T G J = G, so G J is antisymmetric and

@@ -57,9 +57,9 @@ So check-dirac makes two eliminations per generator list, of G and of E_xi,
 and intersect_A = rank G - rank E_xi holds wherever no factor of either
 echelon vanishes: the report lists G's factors, E_xi's and those of the
 reductions.  check-gcr reads the span of L and its conjugate off the same
-echelon (gcr.validate_gcr).  Every factor is in canonical form
-(linalg.canonical_factors), and the reductions of one echelon note theirs in
-one locus list, so each zero set is printed once.
+echelon (gcr.validate_gcr).  Each locus is a list of canonical factor texts
+that linalg notes, each once: the reductions against one echelon note theirs
+in one list, and linalg.merged_locus merges the verdicts' lists.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ def coordinates_matrix(gens) -> list:
     return [g.coordinates() for g in gens]
 
 
-def _echelon(C: CourantPresentation, gens) -> tuple:
-    """(echelon of the generator coordinates G, its excluded factors printed
-    once), the pair every verdict on gens reads."""
-    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
-    return ech, [str(e) for e in ech.excluded]
-
-
 def is_isotropic(C: CourantPresentation, gens) -> tuple:
     """(verdict, witness): witness names the first nonvanishing pairing."""
     for i, g1 in enumerate(gens):
@@ -101,24 +94,25 @@ def is_lagrangian(C: CourantPresentation, gens) -> tuple:
     With a rank-one module the pairing is a split form on a rank-2r bundle, so
     maximal isotropic means isotropic of generic rank r.
     """
-    return _lagrangian(C, gens, *_echelon(C, gens))
+    return _lagrangian(C, gens)[:2]
 
 
-def _lagrangian(C: CourantPresentation, gens, ech, shown) -> tuple:
-    """is_lagrangian on the echelon ech of the generator coordinates, whose
-    printed excluded factors are shown."""
+def _lagrangian(C: CourantPresentation, gens) -> tuple:
+    """is_lagrangian's (verdict, report), plus the echelon of the generator
+    coordinates; another module rank is refused before any elimination."""
     if C.alg.rank_v != 1:
         raise DiracError("maximal-isotropy test requires a rank-one module")
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
     iso, witness = is_isotropic(C, gens)
     report = {
         "isotropic": iso,
         "rank": ech.rank,
         "expected_rank": C.alg.rank,
-        "excluded": shown,
+        "excluded": ech.excluded,
     }
     if witness:
         report["pairing_witness"] = witness
-    return iso and ech.rank == C.alg.rank, report
+    return iso and ech.rank == C.alg.rank, report, ech
 
 
 def perp(C: CourantPresentation, gens) -> list:
@@ -133,10 +127,10 @@ def perp(C: CourantPresentation, gens) -> list:
     return [CSection.from_coordinates(alg, vec) for vec in basis]
 
 
-def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple:
+def _closure(C: CourantPresentation, gens, ech, isotropic: bool) -> tuple:
     """({closed, witness, excluded}, brackets) on the echelon ech of the
-    generator coordinates, whose printed excluded factors are shown; brackets
-    maps each bracketed pair (i, j) to [[g_i, g_j]].
+    generator coordinates; brackets maps each bracketed pair (i, j) to
+    [[g_i, g_j]].
 
     isotropic is the verdict of is_isotropic on gens.  Ordered pairs (i, j),
     i != j, are bracketed in lexicographic order, except that an isotropic
@@ -152,13 +146,12 @@ def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple
     pairs = [(i, j) for i in range(n) for j in range(i + 1 if isotropic else 0, n) if i != j]
     witness = None
     closed = True
-    # every reduce notes its factors in one locus that starts as ech.excluded,
-    # whose texts are shown, so only the factors past them are printed
+    # every reduce notes its factors in one locus that starts as ech.excluded
     locus = list(ech.excluded)
     brackets = {}
     for i, j in pairs:
         b = brackets[i, j] = C.bracket(gens[i], gens[j])
-        ok, residual, _ = ech.reduce(b.coordinates(), locus)
+        ok, residual = ech.reduce(b.coordinates(), locus)
         if not ok and witness is None:
             closed = False
             witness = {
@@ -166,8 +159,7 @@ def _closure(C: CourantPresentation, gens, ech, shown, isotropic: bool) -> tuple
                 "bracket": b.describe(),
                 "residual": CSection.from_coordinates(C.alg, residual).describe(),
             }
-    excluded = shown + [str(e) for e in locus[len(ech.excluded) :]] if pairs else []
-    return {"closed": closed, "witness": witness, "excluded": excluded}, brackets
+    return {"closed": closed, "witness": witness, "excluded": locus if pairs else []}, brackets
 
 
 def is_dirac(C: CourantPresentation, gens) -> tuple:
@@ -180,10 +172,9 @@ def is_dirac(C: CourantPresentation, gens) -> tuple:
 
 def _dirac(C: CourantPresentation, gens) -> tuple:
     """is_dirac's (verdict, report), plus the echelon of the generator
-    coordinates, its printed excluded factors and the closure's brackets."""
-    ech, shown = _echelon(C, gens)
-    lag, report = _lagrangian(C, gens, ech, shown)
-    closure, brackets = _closure(C, gens, ech, shown, report["isotropic"])
+    coordinates and the closure's brackets."""
+    lag, report, ech = _lagrangian(C, gens)
+    closure, brackets = _closure(C, gens, ech, report["isotropic"])
     report.update(
         {
             "lagrangian": lag,
@@ -192,26 +183,23 @@ def _dirac(C: CourantPresentation, gens) -> tuple:
             "involutive_excluded": closure["excluded"],
         }
     )
-    return lag and closure["closed"], report, ech, shown, brackets
+    return lag and closure["closed"], report, ech, brackets
 
 
 def _check_dirac(C: CourantPresentation, gens) -> tuple:
     """check-dirac on one generator list: (is_dirac's report, the projection
     closure, intersect_A, the merged excluded locus), from one echelon of G
     and one of its form columns; see the module docstring."""
-    _, report, ech, shown, brackets = _dirac(C, gens)
+    _, report, ech, brackets = _dirac(C, gens)
     if report["involutive"]:
         proj = {"closed": True, "excluded": report["involutive_excluded"]}
     else:
-        proj = _projection_closure(C, gens, ech, shown, lambda i, j: brackets[i, j].x)
+        proj = _projection_closure(C, gens, ech, lambda i, j: brackets[i, j].x)
     rank_a, excluded_a = _intersect_rank(C, ech)
-    excluded = merged_locus(shown, report["involutive_excluded"], excluded_a, proj["excluded"])
+    excluded = linalg.merged_locus(
+        ech.excluded, report["involutive_excluded"], excluded_a, proj["excluded"]
+    )
     return report, proj, rank_a, excluded
-
-
-def merged_locus(*loci) -> list:
-    """One sorted excluded list from the loci of several generic verdicts."""
-    return sorted(set().union(*loci))
 
 
 def graph_two_form(C: CourantPresentation, B: AForm) -> list:
@@ -238,7 +226,7 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
         if any(x.terms for x in vec):
             vectors.append(vec)
     rk, exc2 = linalg.rank(alg.sig, vectors) if vectors else (0, [])
-    return rk, vectors, merged_locus(map(str, excluded), map(str, exc2))
+    return rk, vectors, linalg.merged_locus(excluded, exc2)
 
 
 def intersect_with_A(C: CourantPresentation, gens) -> int:
@@ -247,12 +235,12 @@ def intersect_with_A(C: CourantPresentation, gens) -> int:
 
 
 def _intersect_rank(C: CourantPresentation, ech) -> tuple:
-    """(rank G - rank E_xi, the printed excluded factors of E_xi's echelon)
+    """(rank G - rank E_xi, the excluded factors of E_xi's echelon)
     for the echelon ech = E of the generator coordinates G, E_xi being the
     form columns of its nonzero rows; see the module docstring."""
     r = C.alg.rank
     rank_xi, excluded = linalg.rank(C.alg.sig, [row[r:] for row in ech.rows[: ech.rank]])
-    return ech.rank - rank_xi, [str(e) for e in excluded]
+    return ech.rank - rank_xi, excluded
 
 
 def projection_closure(C: CourantPresentation, gens) -> dict:
@@ -261,9 +249,8 @@ def projection_closure(C: CourantPresentation, gens) -> dict:
     Projections of generator brackets are checked for membership in the span
     of projected generators; the first failure is returned as a witness.
     """
-    return _projection_closure(
-        C, gens, *_echelon(C, gens), lambda i, j: C.alg.bracket(gens[i].x, gens[j].x)
-    )
+    ech = linalg.rref(C.alg.sig, coordinates_matrix(gens))
+    return _projection_closure(C, gens, ech, lambda i, j: C.alg.bracket(gens[i].x, gens[j].x))
 
 
 def _tangent_view(ech, r: int) -> linalg.Echelon:
@@ -274,10 +261,10 @@ def _tangent_view(ech, r: int) -> linalg.Echelon:
     return linalg.Echelon(ech.sig, [row[:r] for row in ech.rows[:k]], ech.pivots[:k], ech.excluded)
 
 
-def _projection_closure(C: CourantPresentation, gens, ech, shown, tangent) -> dict:
+def _projection_closure(C: CourantPresentation, gens, ech, tangent) -> dict:
     """projection_closure with pi[[g_i, g_j]] read as tangent(i, j), reduced
     against the tangent view of the echelon ech of the generator
-    coordinates, whose printed excluded factors are shown."""
+    coordinates."""
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     if not pairs:
         return {"closed": True, "excluded": []}
@@ -286,13 +273,13 @@ def _projection_closure(C: CourantPresentation, gens, ech, shown, tangent) -> di
     locus = list(ech.excluded)
     out = {"closed": True}
     for i, j in pairs:
-        ok, residual, _ = view.reduce(tangent(i, j), locus)
+        ok, residual = view.reduce(tangent(i, j), locus)
         if not ok:
             out = {
                 "closed": False,
                 "witness": {"pair": [i, j], "residual": [r.to_str() for r in residual]},
             }
             break
-    out["excluded"] = merged_locus(shown, map(str, locus[len(ech.excluded) :]))
+    out["excluded"] = sorted(locus)
     return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .algebroid import Algebroid
 from .courant import CourantPresentation, CSection, _combine
-from .dirac import _dirac, merged_locus
+from .dirac import _dirac
 from .exterior import AForm, FScalar, Multivector, contract
 from .linalg import LinalgError
 from .ring import GR_I, coerce_elem
@@ -233,7 +233,7 @@ def validate_gcr(S: GCRStructure) -> dict:
         return report
     gens = l_generators(S)
     report["l_generators"] = gens
-    dirac_ok, dirac_report, ech, shown, _ = _dirac(S.hb.C, gens)
+    dirac_ok, dirac_report, ech, _ = _dirac(S.hb.C, gens)
     report["lagrangian_ok"] = dirac_report["lagrangian"]
     report["involutive_ok"] = dirac_report["involutive"]
     report["dirac_report"] = dirac_report
@@ -241,25 +241,23 @@ def validate_gcr(S: GCRStructure) -> dict:
     r, excluded = _conjugate_span(alg.sig, ech)
     report["conjugate_span_rank"] = r
     report["intersection_ok"] = r == alg.rank + S.hb.h
-    report["excluded"] = merged_locus(
-        shown, dirac_report["involutive_excluded"], map(str, excluded)
-    )
+    report["excluded"] = linalg.merged_locus(dirac_report["involutive_excluded"], excluded)
     report["ok"] = bool(dirac_ok and report["intersection_ok"])
     return report
 
 
 def _conjugate_span(sig, ech) -> tuple:
-    """(rank [G; conj(G)], the factors that verdict adds to ech's locus) for
-    the echelon ech = E of G: rank E plus the rank of the residuals of
-    conj(E)'s rows reduced against E (validate_gcr's docstring)."""
+    """(rank [G; conj(G)], its locus) for the echelon ech = E of G: rank E
+    plus the rank of the residuals of conj(E)'s rows reduced against E
+    (validate_gcr's docstring)."""
     locus = list(ech.excluded)
     residuals = []
     for row in ech.rows[: ech.rank]:
-        ok, residual, _ = ech.reduce([x.conjugate() for x in row], locus)
+        ok, residual = ech.reduce([x.conjugate() for x in row], locus)
         if not ok:
             residuals.append(residual)
     rank_r, excluded_r = linalg.rank(sig, residuals) if residuals else (0, [])
-    return ech.rank + rank_r, locus[len(ech.excluded) :] + excluded_r
+    return ech.rank + rank_r, locus + excluded_r
 
 
 def extract_bivector(S: GCRStructure) -> Multivector:

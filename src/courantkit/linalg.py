@@ -14,12 +14,12 @@ verdicts (rank, span membership, nullspace) are *generic*, valid off the
 vanishing locus of the recorded pivots and stripped factors.  The `excluded`
 list returned alongside each verdict names those factors.
 
-An excluded list is a locus: each element noted in it goes through the one
-helper canonical_factors (ring.py, which owns the term format), and each
-canonical factor is listed once, in first-seen order.  One zero set thus has
-one text, whatever unit, exponential monomial or constant its pivots carry,
-and a coordinate monomial is listed as its variables.  Every list the
-program prints is made this way, so merging lists needs no further care.
+An excluded list is a locus of texts: each element noted in it goes through
+the one helper canonical_factors (ring.py, which owns the term format), and
+the text of each canonical factor is listed once, in first-seen order, as it
+is noted.  One zero set thus has one text, whatever unit, exponential
+monomial or constant its pivots carry, and a coordinate monomial is listed
+as its variables.  Noting and merging (merged_locus) live here alone.
 """
 
 from __future__ import annotations
@@ -82,44 +82,46 @@ class Echelon:
         self.rows = rows
         self.pivots = pivots  # pivot column of each nonzero row, in order
         self.excluded = excluded
-        self._pivot_factors = None  # canonical factors of each pivot, on first reduce
+        self._pivot_factors = None  # each pivot's factor texts, on first reduce
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v, locus=None) -> tuple:
+    def reduce(self, v, locus) -> tuple:
         """Generic span membership of v in the row space, with a residual witness.
 
-        Returns (in_span, residual, excluded): residual is v reduced against
-        the echelon rows (scaled by nonzero pivots), so a nonzero residual
-        certifies v outside the span over the fraction field.  excluded is a
-        copy of the echelon's own list with the factors of the reduction
-        noted in it, or, when a locus list is passed, that list with them
-        noted: callers that reduce many vectors pass one list that starts as
-        a copy of self.excluded.
+        Returns (in_span, residual): residual is v reduced against the echelon
+        rows (scaled by nonzero pivots), so a nonzero residual certifies v
+        outside the span over the fraction field.  The factors of the
+        reduction are noted in the caller's locus list, which starts as a copy
+        of self.excluded; callers that reduce many vectors pass one list.
         """
         sig = self.sig
         vec = [coerce_elem(sig, x) for x in v]
-        excluded = list(self.excluded) if locus is None else locus
         factors = self._pivot_factors
         if factors is None:
             factors = self._pivot_factors = [
-                canonical_factors(row[c]) for row, c in zip(self.rows, self.pivots)
+                list(map(str, canonical_factors(row[c]))) for row, c in zip(self.rows, self.pivots)
             ]
         for row, c, fs in zip(self.rows, self.pivots, factors):
             if vec[c].is_zero():
                 continue
-            excluded.extend(f for f in fs if f not in excluded)
-            vec = _eliminate(vec, row, c, excluded)
-        return all(x.is_zero() for x in vec), vec, excluded
+            locus.extend(f for f in fs if f not in locus)
+            vec = _eliminate(vec, row, c, locus)
+        return all(x.is_zero() for x in vec), vec
 
 
 def _note_excluded(excluded, elem):
-    """Note the canonical factors of elem in the locus list excluded, each
-    once; None and constants add nothing."""
+    """Note the texts of elem's canonical factors in the locus list excluded,
+    each once; None and constants add nothing."""
     if elem is not None and not elem.is_constant():
-        excluded.extend(f for f in canonical_factors(elem) if f not in excluded)
+        excluded.extend(f for f in map(str, canonical_factors(elem)) if f not in excluded)
+
+
+def merged_locus(*loci) -> list:
+    """One sorted excluded list from the loci of several generic verdicts."""
+    return sorted(set().union(*loci))
 
 
 def _eliminate(row, prow, col, excluded) -> list:

@@ -428,7 +428,7 @@ def test_check_dirac_excluded_covers_every_verdict():
     p = catalog.load("dirac-nonclosed-r3")
     C, gens = p["courant"], p["subbundles"]["graph"]
     forms = [g.coordinates()[C.alg.rank :] for g in gens]
-    xi_excluded = [str(e) for e in linalg.rank(C.alg.sig, forms)[1]]
+    xi_excluded = linalg.rank(C.alg.sig, forms)[1]
     assert "z" in xi_excluded
     assert set(xi_excluded) <= set(excluded)
     assert anchor_intersection(C, gens)[0] == details["intersect_A"] == 1
@@ -726,14 +726,20 @@ def test_cohomology_off_a_point_exits_2_at_the_ring():
     assert r.stderr == "error: cohomology requires a presentation over a point (at $.ring)\n"
 
 
-def test_check_dirac_on_a_rank_two_module_exits_2_at_its_rank(tmp_path):
+def test_check_dirac_on_a_rank_two_module_exits_2_at_its_rank(tmp_path, monkeypatch):
     def edit(doc):
         doc["module"] = {"rankV": 2}
         doc["subbundles"] = {"line": [{"x": ["1", "0"]}]}
 
-    code, out, err = _main("check-dirac", "--defs", _entry_file(tmp_path, "tangent-r2", edit))
+    defs = _entry_file(tmp_path, "tangent-r2", edit)
+    rrefs = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda sig, M: rrefs.append(1) or real(sig, M))
+    code, out, err = _main("check-dirac", "--defs", defs)
     assert (code, out) == (2, "")
     assert err == "error: maximal-isotropy test requires a rank-one module (at $.module.rankV)\n"
+    # the module is refused before the generators are eliminated
+    assert rrefs == []
 
 
 def test_check_jacobi_on_a_rank_two_module_exits_2_at_its_rank(tmp_path):

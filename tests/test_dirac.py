@@ -50,8 +50,8 @@ def test_closure_witness_pins_failing_pair():
     i, j = rep["witness"]["pair"]
     got = C.bracket(gens[i], gens[j])
     # the reported bracket really is outside the span
-    rows = [g.coordinates() for g in gens]
-    ok, _, _ = rref(C.alg.sig, rows).reduce(got.coordinates())
+    ech = rref(C.alg.sig, [g.coordinates() for g in gens])
+    ok, _ = ech.reduce(got.coordinates(), list(ech.excluded))
     assert not ok
 
 
@@ -106,10 +106,10 @@ def test_perp_of_lagrangian_is_itself():
     p = catalog.load("dirac-graph-r2")
     C, gens = p["courant"], p["subbundles"]["graph"]
     comp = perp(C, gens)
-    rows = [g.coordinates() for g in gens]
+    ech = rref(C.alg.sig, [g.coordinates() for g in gens])
     assert len(comp) == len(gens)
     for v in comp:
-        ok, _, _ = rref(C.alg.sig, rows).reduce(v.coordinates())
+        ok, _ = ech.reduce(v.coordinates(), list(ech.excluded))
         assert ok
 
 
@@ -220,8 +220,9 @@ def _full_closure(C, gens):
             if i == j:
                 continue
             b = C.bracket(gens[i], gens[j])
-            ok, residual, exc = ech.reduce(b.coordinates())
-            excluded.update(dict.fromkeys(str(e) for e in exc))
+            locus = list(ech.excluded)
+            ok, residual = ech.reduce(b.coordinates(), locus)
+            excluded.update(dict.fromkeys(locus))
             if not ok and witness is None:
                 witness = {
                     "pair": [i, j],
@@ -298,5 +299,4 @@ def test_closure_report_matches_the_full_ordered_loop():
             assert _dirac_closure(C, gens) == want
         # the closure step alone, which is_dirac reaches only with a rank-one module
         ech = rref(C.alg.sig, coordinates_matrix(gens))
-        shown = [str(e) for e in ech.excluded]
-        assert _closure(C, gens, ech, shown, is_isotropic(C, gens)[0])[0] == want
+        assert _closure(C, gens, ech, is_isotropic(C, gens)[0])[0] == want

@@ -7,8 +7,8 @@ X, an involutive list is projection-closed, and rank E_xi = rank G_xi.  Here
 each reading is compared with the full computation: X's and G_xi's own
 `rref`, and every projection reduced against X's own echelon.  At two seeded
 rational points off the report's excluded locus, plain `Fraction`
-elimination must reproduce the report's rank, intersect_A and
-projection_closed verdict.  Each check-dirac run eliminates two matrices per
+elimination must reproduce the report's rank, intersect_A, involutive and
+projection_closed verdicts.  Each check-dirac run eliminates two matrices per
 list and reduces no projection on an involutive list.
 
 The inputs are the seeded graph subbundles of `tests/test_intersect_oracle.py`
@@ -109,8 +109,8 @@ def test_echelon_readings_match_the_full_computations(tmp_path, case):
         assert view.rank == own.rank
         verdicts = {}
         for pair, v in _projections(C, gens):
-            verdicts[pair] = own.reduce(v)[0]
-            assert view.reduce(v)[0] == verdicts[pair], (sub, pair)
+            verdicts[pair] = own.reduce(v, list(own.excluded))[0]
+            assert view.reduce(v, list(view.excluded))[0] == verdicts[pair], (sub, pair)
         # 2. rank E_xi = rank G_xi
         e_xi = [row[r:] for row in ech.rows[: ech.rank]]
         assert linalg.rank(sig, e_xi)[0] == linalg.rank(sig, [row[r:] for row in rows])[0]
@@ -122,13 +122,18 @@ def test_echelon_readings_match_the_full_computations(tmp_path, case):
         v = {x["name"]: x for x in report["verdicts"]}
         assert v[f"{sub}.projection_closed"]["pass"] == closed
         # 4. two points off the report's locus reproduce rank, intersect_A and
-        # the projection verdict
+        # the involutive and projection verdicts; every ordered pair is
+        # bracketed, a superset of the pairs the closure reads
         details = report["details"][sub]
         rank_g = v[f"{sub}.lagrangian"]["residual"]["rank"]
+        brackets = [C.bracket(gens[i], gens[j]).coordinates()
+                    for i in range(len(gens)) for j in range(len(gens)) if i != j]
         for pt in points(sig, details["excluded"], seed):
             assert field_rank(rows, pt) == rank_g, pt
             rank_xi = field_rank([row[r:] for row in rows], pt)
             assert rank_g - rank_xi == details["intersect_A"], pt
+            involutive = all(field_rank(rows + [b], pt) == rank_g for b in brackets)
+            assert involutive == v[f"{sub}.involutive"]["pass"], pt
             xs = [row[:r] for row in rows]
             rank_x = field_rank(xs, pt)
             at_point = all(field_rank(xs + [w], pt) == rank_x for _, w in _projections(C, gens))

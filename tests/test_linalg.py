@@ -62,16 +62,23 @@ def test_nullspace_vectors_annihilate():
         assert rk + len(basis) == m
 
 
+def _reduced(ech, v) -> tuple:
+    """(in_span, residual, locus) of ech.reduce(v) on a fresh copy of ech's locus."""
+    locus = list(ech.excluded)
+    return (*ech.reduce(v, locus), locus)
+
+
 def test_membership_reports_honest_residual():
     x = SIG.coord("x")
     rows = [[SIG.one(), SIG.zero()], [SIG.zero(), x]]
-    ok, residual, _ = linalg.rref(SIG, rows).reduce([SIG.const(3), x * x])
+    ech = linalg.rref(SIG, rows)
+    ok, residual, _ = _reduced(ech, [SIG.const(3), x * x])
     assert ok and all(r.is_zero() for r in residual)
-    ok, residual, _ = linalg.rref(SIG, rows).reduce([SIG.zero(), SIG.one()])
+    ok, residual, _ = _reduced(ech, [SIG.zero(), SIG.one()])
     # 1 is not an R-multiple of x over the polynomial ring's span at generic points;
     # membership works over the fraction field, so this IS in the span
     assert ok
-    ok, residual, _ = linalg.rref(SIG, [[SIG.one(), SIG.zero()]]).reduce([SIG.zero(), SIG.one()])
+    ok, residual, _ = _reduced(linalg.rref(SIG, [[SIG.one(), SIG.zero()]]), [SIG.zero(), SIG.one()])
     assert not ok
     assert any(not r.is_zero() for r in residual)
 
@@ -160,7 +167,7 @@ def test_rank_excluded_locus_reported():
     rk, excluded = linalg.rank(SIG, rows)
     assert rk == 2
     # pivoting on x divides by it: the locus x = 0 is excluded from the verdict
-    assert any("x" in str(e) for e in excluded)
+    assert excluded == ["x"]
 
 
 # Q(i) with an exponential generator, for the entrywise elimination step
@@ -201,7 +208,7 @@ def test_eliminate_matches_the_normalized_cross_multiplication():
         p, c = prow[col], row[col]
         want, witness = content_normalize_row([p * a - c * b for a, b in zip(row, prow)])
         assert got == want and got[col].is_zero()
-        assert excluded == ([] if witness is None else list(canonical_factors(witness)))
+        assert excluded == ([] if witness is None else list(map(str, canonical_factors(witness))))
         for e in got:
             assert all(c._d > 0 and c for c in e.terms.values())
         checked += 1
@@ -213,7 +220,7 @@ def test_elimination_sums_in_the_accumulator(monkeypatch):
     rng = SplitMix(47)
     A = [_sparse_row(rng, 5) for _ in range(4)]
     v = _sparse_row(rng, 5)
-    want = linalg.rref(GSIG, A).reduce(v)
+    want = _reduced(linalg.rref(GSIG, A), v)
     calls = []
     real_add = RingElem.__add__
 
@@ -223,7 +230,7 @@ def test_elimination_sums_in_the_accumulator(monkeypatch):
 
     monkeypatch.setattr(RingElem, "__add__", counting_add)
     ech = linalg.rref(GSIG, A)
-    assert ech.rank == 4 and ech.reduce(v) == want
+    assert ech.rank == 4 and _reduced(ech, v) == want
     assert calls == []
 
 
@@ -235,7 +242,7 @@ def test_elimination_multiplies_no_coefficient(monkeypatch):
     for _ in range(6):
         A = [_sparse_row(rng, 5) for _ in range(4)]
         cases.append((A, _sparse_row(rng, 5), linalg.rref(GSIG, A)))
-    wants = [(ech.rows, ech.pivots, ech.excluded, ech.reduce(v)) for A, v, ech in cases]
+    wants = [(ech.rows, ech.pivots, ech.excluded, _reduced(ech, v)) for A, v, ech in cases]
     assert sum(len(ech.excluded) for _, _, ech in cases) > 0
     calls = []
     real_mul = GaussRat.__mul__
@@ -247,7 +254,7 @@ def test_elimination_multiplies_no_coefficient(monkeypatch):
     monkeypatch.setattr(GaussRat, "__mul__", counting_mul)
     for (A, v, _), want in zip(cases, wants):
         ech = linalg.rref(GSIG, A)
-        assert (ech.rows, ech.pivots, ech.excluded, ech.reduce(v)) == want
+        assert (ech.rows, ech.pivots, ech.excluded, _reduced(ech, v)) == want
     assert calls == []
 
 
@@ -326,7 +333,7 @@ def _reference_step(row, prow, col):
 
 def _reference_note(excluded, elem):
     if elem is not None:
-        excluded.extend(f for f in canonical_factors(elem) if f not in excluded)
+        excluded.extend(f for f in map(str, canonical_factors(elem)) if f not in excluded)
 
 
 def _reference_rref(M):
@@ -443,7 +450,7 @@ def test_pivot_skipping_step_matches_the_full_cross_multiplication(monkeypatch):
         products.clear()
         got = linalg._eliminate(row, prow, col, excluded)
         assert got == want and not got[col].terms
-        assert excluded == ([] if witness is None else list(canonical_factors(witness)))
+        assert excluded == ([] if witness is None else list(map(str, canonical_factors(witness))))
         # one product per nonzero entry of either row outside the pivot column,
         # two fewer than the full loop, whose pivot products always cancel
         outside = sum(bool(e.terms) for k, e in enumerate(row + prow) if k % len(row) != col)
@@ -471,7 +478,7 @@ def test_rref_and_reduce_match_the_ringelem_reference():
         assert (ech.rows, ech.pivots, ech.excluded) == (rows, pivots, excluded)
         ranks.add(ech.rank)
         for v in (_oracle_row(rng, m, 1), [_oracle_entry(rng, 1) * e for e in M[0]]):
-            assert ech.reduce(v) == _reference_reduce(rows, pivots, excluded, v)
+            assert _reduced(ech, v) == _reference_reduce(rows, pivots, excluded, v)
     assert len(ranks) >= 3
 
 
