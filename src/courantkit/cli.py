@@ -42,7 +42,8 @@ _ALGEBRA_ALIASES = {
 
 
 def _read_text(path: str | None, at: str = "$") -> str:
-    """The text of a file ('-' or None: stdin); a read error is reported at the $-path `at`."""
+    """The text of a file ('-' or None: stdin); a file that cannot be read or
+    is not UTF-8 is reported at the $-path `at`."""
     if path in (None, "-"):
         return sys.stdin.read()
     try:
@@ -50,6 +51,8 @@ def _read_text(path: str | None, at: str = "$") -> str:
             return fh.read()
     except OSError as ex:
         raise SchemaError(f"cannot read {path!r}: {ex.strerror}", at) from None
+    except UnicodeDecodeError as ex:
+        raise SchemaError(f"cannot read {path!r}: not UTF-8 at byte {ex.start}", at) from None
 
 
 def _load_defs(args) -> tuple:
@@ -64,8 +67,11 @@ def _load_defs(args) -> tuple:
 def _write(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise SchemaError(f"cannot write {out!r}: {ex.strerror}", "$") from None
     else:
         sys.stdout.write(text)
 
@@ -272,6 +278,8 @@ def _cmd_check_gcr(args, doc, payload) -> dict:
 @_reporting
 def _cmd_check_jacobi(args, doc, payload) -> dict:
     alg = payload["algebroid"]
+    if args.restrict and not (args.lam or args.evec):
+        raise SchemaError("--restrict needs --lambda and --e", "$")
     if args.lam or args.evec:
         if not (args.lam and args.evec):
             raise SchemaError("pass both --lambda and --e", "$")

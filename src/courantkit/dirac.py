@@ -225,7 +225,7 @@ def anchor_intersection(C: CourantPresentation, gens) -> tuple:
         vec = linalg.vec_mat(c, xs, r)
         if any(x.terms for x in vec):
             vectors.append(vec)
-    rk, exc2 = linalg.rank(alg.sig, vectors) if vectors else (0, [])
+    rk, exc2 = linalg.rank(alg.sig, vectors)
     return rk, vectors, linalg.merged_locus(excluded, exc2)
 
 

@@ -256,7 +256,7 @@ def _conjugate_span(sig, ech) -> tuple:
         ok, residual = ech.reduce([x.conjugate() for x in row], locus)
         if not ok:
             residuals.append(residual)
-    rank_r, excluded_r = linalg.rank(sig, residuals) if residuals else (0, [])
+    rank_r, excluded_r = linalg.rank(sig, residuals)
     return ech.rank + rank_r, locus + excluded_r
 
 

@@ -14,6 +14,25 @@ verdicts (rank, span membership, nullspace) are *generic*, valid off the
 vanishing locus of the recorded pivots and stripped factors.  The `excluded`
 list returned alongside each verdict names those factors.
 
+rref records each pivot as it chooses it and each monomial it strips; a
+reduction (Echelon.reduce) records only the monomials it strips, since every
+final pivot already vanishes only where a recorded factor does.  Say row k is
+chosen at column c_k with pivot p_k.  Each later step t that eliminates row
+k, at a column c_t with chosen pivot p_t, replaces row k by (p_t row_k -
+row_k[c_t] row_t) / (gamma_t m_t), gamma_t the constant and m_t the monomial
+it strips.  Row t is zero at c_k: step k made every row but k zero there,
+and each later step s replaces a row by a combination of it and row s,
+itself zero there by induction on s.  So the entry at c_k becomes p_t
+row_k[c_k] / (gamma_t m_t).  Steps that leave row k alone change nothing,
+and at its choice the entry was p_k, so the final pivot of row k satisfies
+
+    pivot_k * prod_t gamma_t m_t = p_k * prod_t p_t.
+
+Where pivot_k vanishes, so does the right side, hence some chosen pivot and
+so one of its recorded canonical factors: pivot_k is nonzero wherever no
+recorded factor vanishes (this is the bookkeeping behind Bareiss's
+fraction-free elimination, Math. Comp. 22, 1968).
+
 An excluded list is a locus of texts: each element noted in it goes through
 the one helper canonical_factors (ring.py, which owns the term format), and
 the text of each canonical factor is listed once, in first-seen order, as it
@@ -75,14 +94,13 @@ class Echelon:
     """Result of a fraction-free Gauss-Jordan pass: row k < rank has its pivot
     in column pivots[k], and that column is zero in every other row."""
 
-    __slots__ = ("sig", "rows", "pivots", "excluded", "_pivot_factors")
+    __slots__ = ("sig", "rows", "pivots", "excluded")
 
     def __init__(self, sig, rows, pivots, excluded):
         self.sig = sig
         self.rows = rows
         self.pivots = pivots  # pivot column of each nonzero row, in order
         self.excluded = excluded
-        self._pivot_factors = None  # each pivot's factor texts, on first reduce
 
     @property
     def rank(self) -> int:
@@ -93,22 +111,15 @@ class Echelon:
 
         Returns (in_span, residual): residual is v reduced against the echelon
         rows (scaled by nonzero pivots), so a nonzero residual certifies v
-        outside the span over the fraction field.  The factors of the
-        reduction are noted in the caller's locus list, which starts as a copy
-        of self.excluded; callers that reduce many vectors pass one list.
+        outside the span over the fraction field.  The caller's locus list
+        starts as a copy of self.excluded, off which every pivot is nonzero
+        (module docstring), and the reduction records in it only the
+        monomials it strips; callers that reduce many vectors pass one list.
         """
-        sig = self.sig
-        vec = [coerce_elem(sig, x) for x in v]
-        factors = self._pivot_factors
-        if factors is None:
-            factors = self._pivot_factors = [
-                list(map(str, canonical_factors(row[c]))) for row, c in zip(self.rows, self.pivots)
-            ]
-        for row, c, fs in zip(self.rows, self.pivots, factors):
-            if vec[c].is_zero():
-                continue
-            locus.extend(f for f in fs if f not in locus)
-            vec = _eliminate(vec, row, c, locus)
+        vec = [coerce_elem(self.sig, x) for x in v]
+        for row, c in zip(self.rows, self.pivots):
+            if not vec[c].is_zero():
+                vec = _eliminate(vec, row, c, locus)
         return all(x.is_zero() for x in vec), vec
 
 

@@ -5,6 +5,12 @@ report lists as `excluded`.  These helpers pick seeded rational points off that
 set and rank the matrix there with plain Fraction arithmetic, sharing no code
 with the program's elimination.  A matrix over Q(i) is ranked through its real
 form [[A, -B], [B, A]], whose rank is twice that of A + iB.
+
+A point gives one value per coordinate and then one nonzero value per
+exponential generator.  The ring's arithmetic treats an exponential generator
+as a formal unit, so an identity the elimination makes is one of Laurent
+polynomials in both kinds of generator, and holds wherever the exponential
+generators take nonzero values, tied to the coordinates or not.
 """
 
 from fractions import Fraction
@@ -14,11 +20,11 @@ from courantkit.sampling import SplitMix
 
 
 def value(elem, point) -> tuple:
-    """(re, im) of a polynomial at a rational point, summed term by term."""
+    """(re, im) of a ring element at a rational point, summed term by term."""
     re = im = Fraction(0)
     for key, c in elem.terms.items():
         if len(key) != len(point):
-            raise ValueError("the point oracle handles coordinates only")
+            raise ValueError("a point gives one value per generator")
         m = Fraction(1)
         for x, k in zip(point, key):
             m *= x**k
@@ -44,6 +50,7 @@ def points(sig, excluded, seed: int, count: int = 2) -> list:
     out = []
     while len(out) < count:
         pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(sig.ncoords)]
+        pt += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 7)) for _ in sig.exps]
         if all(value(f, pt) != (0, 0) for f in factors):
             out.append(pt)
     return out

@@ -710,6 +710,37 @@ def test_unreadable_file_names_its_argument(tmp_path, flag, entry, command, at):
     )
 
 
+@pytest.mark.parametrize(
+    "flag,entry,command,at",
+    [
+        ("--defs", "tangent-r2", "validate", "$"),
+        ("--subbundle", "dirac-graph-r2", "check-dirac", "$.subbundle"),
+        ("--gcr", "symplectic-r2", "check-gcr", "$.gcr"),
+    ],
+)
+def test_file_that_is_not_utf8_exits_2_at_its_argument(tmp_path, flag, entry, command, at):
+    defs = tmp_path / f"{entry}.json"
+    defs.write_text(build_doc(entry))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"\xff": 1}')
+    argv = [command, "--defs", bad if flag == "--defs" else defs]
+    if flag != "--defs":
+        argv += [flag, bad]
+    code, out, err = _main(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read '{bad}': not UTF-8 at byte 2 (at {at})\n"
+
+
+def test_out_into_a_missing_directory_exits_2_at_the_root(tmp_path):
+    defs = tmp_path / "tangent-r2.json"
+    defs.write_text(build_doc("tangent-r2"))
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = _main("validate", "--defs", defs, "--out", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write '{target}': No such file or directory (at $)\n"
+    assert not target.parent.exists()
+
+
 def _entry_file(tmp_path, entry, edit=None):
     """A catalog entry written to a file, after edit(doc) if given."""
     doc = json.loads(build_doc(entry))
@@ -769,6 +800,16 @@ def test_check_jacobi_restrict_without_a_central_direction_exits_2_at_the_root(t
     )
     assert (code, out) == (2, "")
     assert err == "error: final frame direction is not anchor-central (at $)\n"
+
+
+def test_check_jacobi_restrict_without_a_pair_exits_2_at_the_root(tmp_path):
+    # the document's own pair is read unrestricted, so --restrict alone would
+    # be ignored; it is refused instead
+    defs = _entry_file(tmp_path, "contact-r3", lambda doc: doc["jacobi"].update(restrict=False))
+    assert _main("check-jacobi", "--defs", defs)[0] == 0
+    code, out, err = _main("check-jacobi", "--defs", defs, "--restrict")
+    assert (code, out) == (2, "")
+    assert err == "error: --restrict needs --lambda and --e (at $)\n"
 
 
 @pytest.mark.parametrize(

@@ -365,7 +365,6 @@ def _reference_reduce(rows, pivots, excluded, v):
     excluded = list(excluded)
     for row, c in zip(rows, pivots):
         if v[c].terms:
-            _reference_note(excluded, row[c])
             v, witness = _reference_step(v, row, c)
             _reference_note(excluded, witness)
     return not any(v), v, excluded
@@ -464,20 +463,32 @@ def test_pivot_skipping_step_matches_the_full_cross_multiplication(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_rref_and_reduce_match_the_ringelem_reference():
+def reference_cases() -> list:
+    """(M, vectors) for 40 seeded matrices over GSIG, some with a dependent
+    row, each with two vectors to reduce: a drawn row and a multiple of the
+    first row of M."""
     rng = SplitMix(2905)
-    ranks = set()
+    out = []
     for _ in range(40):
         n, m = rng.randint(1, 3), rng.randint(2, 4)
         M = [_oracle_row(rng, m, 1) for _ in range(n)]
         if n > 1 and rng.randint(0, 2) == 0:  # a dependent row
             q = _oracle_entry(rng, 1) or GSIG.one()
             M[-1] = [q * e for e in M[0]]
+        out.append((M, (_oracle_row(rng, m, 1), [_oracle_entry(rng, 1) * e for e in M[0]])))
+    return out
+
+
+def test_rref_and_reduce_match_the_ringelem_reference():
+    # the reference reduction notes no pivot: tests/test_pivot_oracle.py
+    # checks that every pivot is nonzero off the echelon's own locus
+    ranks = set()
+    for M, vectors in reference_cases():
         ech = linalg.rref(GSIG, M)
         rows, pivots, excluded = _reference_rref(M)
         assert (ech.rows, ech.pivots, ech.excluded) == (rows, pivots, excluded)
         ranks.add(ech.rank)
-        for v in (_oracle_row(rng, m, 1), [_oracle_entry(rng, 1) * e for e in M[0]]):
+        for v in vectors:
             assert _reduced(ech, v) == _reference_reduce(rows, pivots, excluded, v)
     assert len(ranks) >= 3
 
